@@ -539,10 +539,9 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
     let mut sweep = plan.sweep_source_deep(0, cap, depth);
 
     // Kernel-specific setup: the Cache variant computes its |Ω|×|G|
-    // table here (Algorithm 3 lines 1–4, in mode 0's stream order) —
-    // resident when it fits, streamed to its own scratch file when the
-    // gate said to spill it; the Approx variant reserves its per-thread
-    // R(β) buffers.
+    // table here (Algorithm 3 lines 1–4) — resident when it fits,
+    // streamed to its own scratch file when the gate said to spill it;
+    // the Approx variant reserves its per-thread R(β) buffers.
     kernel.prepare_fit(
         input,
         &plan,
@@ -572,11 +571,10 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
     // Resume: the fit ran its full initialization above — same RNG
     // sequence, same placement, same kernel layout — and now overwrites
     // the model state with the checkpoint's. `load_aux` runs after
-    // `prepare_fit` so the kernel's structures are already sized; at an
-    // iteration boundary the Cache table is in mode 0's stream order,
-    // matching the freshly built one, and the import replaces its exact
-    // (incrementally rescaled) element values — which a rebuild from the
-    // checkpointed factors could *not* reproduce bitwise.
+    // `prepare_fit` so the kernel's structures are already sized; the
+    // import replaces the freshly built Cache table's elements with the
+    // checkpoint's exact (incrementally rescaled) values — which a
+    // rebuild from the checkpointed factors could *not* reproduce bitwise.
     let resume = match resume {
         Some(ckpt) => Some(ckpt),
         None => match &opts.resume_from {
@@ -607,7 +605,7 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
         }
         factors = ckpt.factors;
         core = ckpt.core;
-        kernel.load_aux(&ckpt.kernel_aux)?;
+        kernel.load_aux(&plan, &ckpt.kernel_aux)?;
         prev_err = ckpt.prev_err;
         iterations = ckpt.iterations;
         start_iter = ckpt.next_iter;
@@ -682,6 +680,7 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
                 let fp = ensure_fingerprint(&mut fingerprint, input, opts)?;
                 snapshot_checkpoint(
                     &kernel,
+                    &plan,
                     fp,
                     iter + 1,
                     prev_err,
@@ -696,6 +695,7 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
             let fp = ensure_fingerprint(&mut fingerprint, input, opts)?;
             snapshot_checkpoint(
                 &kernel,
+                &plan,
                 fp,
                 iter + 1,
                 prev_err,
@@ -789,8 +789,10 @@ fn finish_fit<S: FitSync>(
 /// the model, the convergence bookkeeping, and the kernel's auxiliary
 /// state (the Cache variant's incrementally rescaled `Pres` table, which
 /// no rebuild can reproduce bitwise).
+#[allow(clippy::too_many_arguments)]
 fn snapshot_checkpoint<K: RowUpdateKernel>(
     kernel: &K,
+    plan: &ModeStreams,
     fingerprint: u64,
     next_iter: usize,
     prev_err: f64,
@@ -799,7 +801,7 @@ fn snapshot_checkpoint<K: RowUpdateKernel>(
     core: &CoreTensor,
 ) -> Result<FitCheckpoint> {
     let mut kernel_aux = Vec::new();
-    kernel.save_aux(&mut kernel_aux)?;
+    kernel.save_aux(plan, &mut kernel_aux)?;
     Ok(FitCheckpoint {
         fingerprint,
         next_iter,
@@ -865,8 +867,7 @@ fn sweep_rows<K: RowUpdateKernel>(
     while let Some(w) = sweep.next_window()? {
         kernel.begin_window(&w)?;
         let k: &K = kernel;
-        let ctx =
-            ModeContext::with_runs(w.stream, w.base, factors, core, mode, opts, runs.to_vec());
+        let ctx = ModeContext::with_runs(w.stream, factors, core, mode, opts, runs.to_vec());
         let window_rows = &mut data[w.slices.start * j_n..w.slices.end * j_n];
         parallel_rows_mut_scheduled(
             window_rows,
@@ -1652,38 +1653,69 @@ mod tests {
         }
     }
 
+    /// Cuts a checkpoint at iteration boundary 2 on one side of the
+    /// resident/disk boundary and resumes it on the other, onto the
+    /// uninterrupted resident trajectory — bitwise.
+    fn assert_checkpoint_crosses_disk_boundary(variant: Variant, ckpt_from_disk: bool) {
+        let x = planted();
+        let opts = base_opts().variant(variant).schedule(Schedule::Static);
+        let full = PTucker::new(opts.clone()).unwrap().fit(&x).unwrap();
+        let budget = spill_budget();
+        let src = ptucker_tensor::CooScratch::from_tensor(&x, &budget).unwrap();
+        let disk_opts = opts.clone().budget(budget);
+        let dir = std::env::temp_dir().join(format!("ptk-d2d-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{variant:?}-{ckpt_from_disk}.ckpt"));
+        let cut = |o: FitOptions| {
+            PTucker::new(o.max_iters(2).checkpoint_every(2).checkpoint_path(&path)).unwrap()
+        };
+        if ckpt_from_disk {
+            cut(disk_opts.clone()).fit_scratch(&src).unwrap();
+        } else {
+            cut(opts.clone()).fit(&x).unwrap();
+        }
+        let ckpt = FitCheckpoint::load(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let resumed = if ckpt_from_disk {
+            PTucker::new(opts)
+                .unwrap()
+                .fit_with_sync_resume(&x, &mut LocalSync, Some(ckpt))
+        } else {
+            PTucker::new(disk_opts)
+                .unwrap()
+                .fit_scratch_with_sync_resume(&src, &mut LocalSync, Some(ckpt))
+        }
+        .unwrap();
+        assert_bitwise_equal(
+            &full,
+            &resumed,
+            &format!("{variant:?} ckpt from disk: {ckpt_from_disk}"),
+        );
+    }
+
     /// Disk-to-disk resume interoperates with resident checkpoints: the
     /// fingerprint streams to the same hash, so a checkpoint taken from a
     /// resident fit resumes a scratch fit bitwise onto the uninterrupted
     /// trajectory.
     #[test]
     fn disk_to_disk_resumes_resident_checkpoint_bitwise() {
-        let x = planted();
-        let opts = base_opts().schedule(Schedule::Static);
-        let full = PTucker::new(opts.clone()).unwrap().fit(&x).unwrap();
-        // Snapshot iteration boundary 2 from a resident fit…
-        let dir = std::env::temp_dir().join(format!("ptk-d2d-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("resident.ckpt");
-        let _ = PTucker::new(
-            opts.clone()
-                .max_iters(2)
-                .checkpoint_every(2)
-                .checkpoint_path(&path),
-        )
-        .unwrap()
-        .fit(&x)
-        .unwrap();
-        let ckpt = FitCheckpoint::load(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        // …and resume it disk-to-disk.
-        let budget = spill_budget();
-        let src = ptucker_tensor::CooScratch::from_tensor(&x, &budget).unwrap();
-        let resumed = PTucker::new(opts.budget(budget))
-            .unwrap()
-            .fit_scratch_with_sync_resume(&src, &mut LocalSync, Some(ckpt))
-            .unwrap();
-        assert_bitwise_equal(&full, &resumed, "resident ckpt → disk fit");
+        assert_checkpoint_crosses_disk_boundary(Variant::Default, false);
+    }
+
+    /// The Cache twin: the resident table is entry-ordered, the disk fit's
+    /// is stream-ordered tiles, and the checkpoint carries the table in
+    /// mode 0's stream order either way — so an (incrementally rescaled)
+    /// resident table resumes a disk-to-disk fit bitwise.
+    #[test]
+    fn disk_to_disk_resumes_resident_cache_checkpoint_bitwise() {
+        assert_checkpoint_crosses_disk_boundary(Variant::Cache, false);
+    }
+
+    /// …and the other direction: a spilled table's checkpoint scatters
+    /// back into a resident fit's entry-ordered table.
+    #[test]
+    fn resident_fit_resumes_disk_cache_checkpoint_bitwise() {
+        assert_checkpoint_crosses_disk_boundary(Variant::Cache, true);
     }
 
     /// A disk-resident source under the paper's Strict regime is a

@@ -1,5 +1,5 @@
 //! P-Tucker-Cache: the `Pres` memoization table (Algorithm 3, lines 1–4 and
-//! 16–19 of the paper), stored in **stream order**.
+//! 16–19 of the paper).
 //!
 //! `Pres[α][β] = G_β Π_{k=1..N} a⁽ᵏ⁾(iₖ, βₖ)` caches the full N-way product
 //! for every (observed entry, core entry) pair. During a mode-`n` row update
@@ -10,22 +10,23 @@
 //! `A⁽ⁿ⁾` changes, every cached product is rescaled by `a_new/a_old`
 //! (recomputed outright where `a_old = 0`).
 //!
-//! # Stream-ordered storage
+//! # One fixed row order per placement
 //!
-//! The table's rows are laid out in the [`ModeStream`] order of the mode
-//! currently being swept, not in COO entry order: position `p` of the
-//! sweep owns row `p` of the table, so a mode's whole row sweep reads the
-//! `|Ω|·|G|` elements **strictly sequentially** — no entry-id indirection,
-//! no scattered row fetches. Between modes the table is carried into the
-//! next mode's order by [`PresTable::rescale_and_reorder`]: the per-mode
-//! rescale (the arithmetic pass) stays parallel, followed by an in-place
-//! cycle-chase permutation (one `|G|` carry row plus a transient
-//! `|Ω|`-byte visited map — **no** second table-sized buffer, so
-//! Theorem 6's memory bound is preserved; the permutation is pure memory
-//! movement, so its single thread rides bandwidth, not ALUs). The driver sweeps modes cyclically,
-//! so each sweep starts with the table already in the right order;
-//! [`PresTable::ensure_order`] re-aligns it for direct API users with
-//! other call patterns.
+//! The resident [`PresTable`] keeps its rows in **COO entry order** for the
+//! whole fit: row `e` belongs to entry `e`, whatever mode is being swept.
+//! A mode's sweep reaches the row behind stream position `p` through the
+//! stream's entry id — one `|G|`-element row gather per observed entry,
+//! ascending within a slice — and the per-mode rescale is a single parallel
+//! pass over the rows where they lie. Nothing is ever permuted, so an
+//! iteration moves the `|Ω|·|G|` table exactly twice per mode (one read
+//! for δ, one read-modify-write for the rescale), the traffic Theorem 5
+//! counts.
+//!
+//! The [`SpilledPresTable`] lives in a scratch file, where a gather would be
+//! one seek per entry; it keeps its tiles in the swept mode's **stream
+//! order** instead and scatters them into the next mode's order during the
+//! rescale (ping-pong file regions — disk capacity is not what Definition 7
+//! meters). It owns the one inverse entry map that scatter needs.
 //!
 //! The δ accumulation itself is run-blocked like the Direct kernel's (see
 //! [`crate::delta`]): within a run of core entries sharing their first
@@ -43,10 +44,8 @@ use crate::Result;
 use ptucker_linalg::kernels::{div_add_nonzero, div_add_nonzero_f32, sum_widened};
 use ptucker_linalg::Matrix;
 use ptucker_memtrack::{MemoryBudget, Reservation, ScratchFile, SpillReservation};
-use ptucker_sched::{parallel_rows_mut, Schedule};
-use ptucker_tensor::{
-    CoreTensor, ModeStreams, SparseTensor, StoragePrecision, SweepSource, Window,
-};
+use ptucker_sched::{parallel_rows_mut, parallel_rows_mut_with, Schedule};
+use ptucker_tensor::{CoreTensor, ModeStream, SparseTensor, StoragePrecision, SweepSource, Window};
 
 /// The element type of a `Pres` table: the storage half of the fit's
 /// [`StoragePrecision`] axis applied to the cache. Products are computed
@@ -155,33 +154,70 @@ impl PresElem for f32 {
 /// (checkpoint export/import): bounded resident memory, few syscalls.
 const STREAM_CHUNK_ELEMS: usize = 1 << 16;
 
-/// The memoization table of P-Tucker-Cache, stored at element type `E`
-/// (the fit's [`StoragePrecision`]).
+/// One `Jₙ`-element ratio buffer per worker thread for the per-mode
+/// rescale ([`rescale_entry_row`]), sized for the fit's largest rank and
+/// allocated once per fit.
+fn ratio_buffers(threads: usize, factors: &[Matrix]) -> Vec<Vec<f64>> {
+    let j_max = factors.iter().map(Matrix::cols).max().unwrap_or(0);
+    vec![vec![0.0; j_max]; threads.max(1)]
+}
+
+/// Appends `row`, widened to `f64` little-endian bits, to `out` — the
+/// checkpoint representation of table elements (exact for both precisions).
+fn export_elems<E: PresElem>(row: &[E], out: &mut Vec<u8>) {
+    for e in row {
+        out.extend_from_slice(&e.to_f64().to_bits().to_le_bytes());
+    }
+}
+
+/// The inverse of [`export_elems`]: `8·row.len()` bytes back onto `E`'s
+/// storage grid.
+fn import_elems<E: PresElem>(row: &mut [E], bytes: &[u8]) {
+    for (slot, chunk) in row.iter_mut().zip(bytes.chunks_exact(8)) {
+        let bits = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
+        *slot = E::from_f64(f64::from_bits(bits));
+    }
+}
+
+/// Rejects a checkpointed element stream whose size disagrees with the
+/// table it is meant to fill.
+fn check_state_len(bytes: &[u8], cells: usize) -> Result<()> {
+    if bytes.len() == cells * 8 {
+        Ok(())
+    } else {
+        Err(crate::PtuckerError::Checkpoint(format!(
+            "checkpointed Pres table holds {} bytes, this fit's table needs {}",
+            bytes.len(),
+            cells * 8
+        )))
+    }
+}
+
+/// The resident memoization table of P-Tucker-Cache, stored at element
+/// type `E` (the fit's [`StoragePrecision`]), rows in COO entry order.
 #[derive(Debug)]
 pub(crate) struct PresTable<E: PresElem> {
-    /// Row-major `|Ω| × |G|` products, rows in `order_mode`'s stream order.
+    /// Row-major `|Ω| × |G|` products; row `e` belongs to COO entry `e`.
     data: Vec<E>,
     /// Row stride = `|G|` (fixed: Cache and Approx are mutually exclusive).
     g: usize,
-    /// The mode whose stream order the rows currently follow.
-    order_mode: usize,
+    /// Per-worker ratio buffers for the rescale.
+    ratios: Vec<Vec<f64>>,
     /// Keeps the budget reservation alive for the table's lifetime.
     _reservation: Reservation,
 }
 
 impl<E: PresElem> PresTable<E> {
     /// Precomputes the full table in parallel (Algorithm 3 lines 1–4; the
-    /// paper uses static scheduling here — uniform work per row), laid out
-    /// in **mode 0's stream order** (the first mode the driver sweeps).
-    /// Each product is computed in `f64` and rounded once onto `E`'s
-    /// storage grid.
+    /// paper uses static scheduling here — uniform work per row). Each
+    /// product is computed in `f64` and rounded once onto `E`'s storage
+    /// grid.
     ///
     /// # Errors
     /// [`crate::PtuckerError::OutOfMemory`] if `|Ω|·|G|` elements exceed
     /// the intermediate-data budget.
     pub fn compute(
         x: &SparseTensor,
-        plan: &ModeStreams,
         factors: &[Matrix],
         core: &CoreTensor,
         threads: usize,
@@ -194,9 +230,8 @@ impl<E: PresElem> PresTable<E> {
         let order = x.order();
         let core_idx = core.flat_indices();
         let core_vals = core.values();
-        let stream = plan.mode(0);
-        parallel_rows_mut(&mut data, g.max(1), threads, Schedule::Static, |p, row| {
-            let idx = x.index(stream.entry_id(p));
+        parallel_rows_mut(&mut data, g.max(1), threads, Schedule::Static, |e, row| {
+            let idx = x.index(e);
             for (b, slot) in row.iter_mut().enumerate() {
                 *slot = E::from_f64(product(
                     core_vals[b],
@@ -209,170 +244,83 @@ impl<E: PresElem> PresTable<E> {
         Ok(PresTable {
             data,
             g,
-            order_mode: 0,
+            ratios: ratio_buffers(threads, factors),
             _reservation: reservation,
         })
     }
 
-    /// The mode whose stream order the rows currently follow.
-    pub fn order_mode(&self) -> usize {
-        self.order_mode
+    /// The cached products of COO entry `e`.
+    #[inline]
+    pub fn row(&self, e: usize) -> &[E] {
+        &self.data[e * self.g..(e + 1) * self.g]
     }
 
     /// Appends every table element, widened to `f64` little-endian bits,
-    /// to `out` — the checkpoint representation (see
-    /// [`crate::engine::RowUpdateKernel::save_aux`]). Widening is exact
-    /// for both precisions, so export → import is lossless.
-    pub fn export_state(&self, out: &mut Vec<u8>) {
+    /// to `out` **in `stream`'s position order** — the checkpoint
+    /// representation (see [`crate::engine::RowUpdateKernel::save_aux`]),
+    /// which is mode 0's stream order so resident and spilled tables
+    /// write the same bytes. Widening is exact for both precisions, so
+    /// export → import is lossless.
+    pub fn export_state(&self, stream: &ModeStream, out: &mut Vec<u8>) {
         out.reserve(self.data.len() * 8);
-        for e in &self.data {
-            out.extend_from_slice(&e.to_f64().to_bits().to_le_bytes());
+        for p in 0..stream.view().len() {
+            export_elems(self.row(stream.entry_id(p)), out);
         }
     }
 
     /// Overwrites the table's elements from an [`PresTable::export_state`]
-    /// byte stream; the table must already have its final shape (built by
-    /// `compute` on the resumed fit's identical inputs).
+    /// byte stream laid out in `stream`'s position order; the table must
+    /// already have its final shape (built by `compute` on the resumed
+    /// fit's identical inputs).
     ///
     /// # Errors
     /// [`crate::PtuckerError::Checkpoint`] if the byte count disagrees
     /// with the table's `|Ω|·|G|` elements.
-    pub fn import_state(&mut self, bytes: &[u8]) -> Result<()> {
-        if bytes.len() != self.data.len() * 8 {
-            return Err(crate::PtuckerError::Checkpoint(format!(
-                "checkpointed Pres table holds {} bytes, this fit's table needs {}",
-                bytes.len(),
-                self.data.len() * 8
-            )));
-        }
-        for (slot, chunk) in self.data.iter_mut().zip(bytes.chunks_exact(8)) {
-            let bits = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
-            *slot = E::from_f64(f64::from_bits(bits));
+    pub fn import_state(&mut self, stream: &ModeStream, bytes: &[u8]) -> Result<()> {
+        check_state_len(bytes, self.data.len())?;
+        let g = self.g;
+        for (p, row) in bytes.chunks_exact((g * 8).max(1)).enumerate() {
+            let e = stream.entry_id(p);
+            import_elems(&mut self.data[e * g..(e + 1) * g], row);
         }
         Ok(())
     }
 
-    /// The cached products behind stream position `p` of the current
-    /// order mode's stream.
-    #[inline]
-    pub fn row_at(&self, p: usize) -> &[E] {
-        &self.data[p * self.g..(p + 1) * self.g]
-    }
-
-    /// Accumulates δ for the entry at stream position `pos` using the
-    /// cache (Algorithm 3 line 12), run-blocked: for a non-tail update
-    /// mode the divisor `a⁽ⁿ⁾(iₙ, βₙ)` is constant over a run, so the run
-    /// collapses to one contiguous sum of cached products and a single
-    /// division. The direct-product fallback covers zero divisors (the
-    /// paper's caveat).
-    ///
-    /// `others` holds the entry's packed other-mode indices in stream
-    /// layout (ascending mode order, `mode` skipped); `a_row_old` is the
-    /// *current* (pre-update) row `a⁽ⁿ⁾(iₙ, ·)`; `runs` is the core's run
-    /// structure from `crate::delta::core_runs`.
-    ///
-    /// The table must currently be in `mode`'s stream order.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn accumulate_delta_cached(
-        &self,
-        delta: &mut [f64],
-        pos: usize,
-        others: &[u32],
-        mode: usize,
-        a_row_old: &[f64],
-        core_idx: &[usize],
-        core_vals: &[f64],
-        runs: &[u32],
-        factors: &[Matrix],
-    ) {
-        debug_assert_eq!(self.order_mode, mode, "table must be in sweep order");
-        cached_delta_for_entry(
-            delta,
-            self.row_at(pos),
-            others,
-            mode,
-            a_row_old,
-            core_idx,
-            core_vals,
-            runs,
-            factors,
-        );
-    }
-
     /// Rescales the table after `A⁽ᵐᵒᵈᵉ⁾` was updated (Algorithm 3 lines
     /// 16–19): `Pres[α][β] *= a_new/a_old`, recomputing outright where
-    /// `a_old = 0` — then permutes the rows from `mode`'s stream order
-    /// into `next_mode`'s, so the next sweep reads the table sequentially
-    /// again.
-    ///
-    /// The rescale — the `O(|Ω|·|G|)` *arithmetic* pass — runs in parallel
-    /// across `threads`, exactly like the original algorithm. The reorder
-    /// is a separate, purely memory-bound cycle-chase permutation (each
-    /// row moved once through a `|G|` carry buffer; a transient `|Ω|`-byte
-    /// visited map is the only bookkeeping, negligible next to the
-    /// `8·|Ω|·|G|`-byte table it permutes — **no** second table-sized
-    /// buffer, so Theorem 6's memory bound is preserved).
-    #[allow(clippy::too_many_arguments)]
-    pub fn rescale_and_reorder(
+    /// `a_old = 0` — one parallel pass over the rows where they lie.
+    pub fn rescale(
         &mut self,
         x: &SparseTensor,
-        plan: &ModeStreams,
         factors: &[Matrix],
         old_a: &Matrix,
         mode: usize,
-        next_mode: usize,
         core: &CoreTensor,
         threads: usize,
     ) {
-        debug_assert_eq!(self.order_mode, mode, "table must be in sweep order");
-        let g = self.g.max(1);
         let core_idx = core.flat_indices();
         let core_vals = core.values();
         let new_a = &factors[mode];
-        let cur = plan.mode(mode);
-        parallel_rows_mut(&mut self.data, g, threads, Schedule::Static, |p, row| {
-            let idx = x.index(cur.entry_id(p));
-            rescale_entry_row(row, idx, mode, old_a, new_a, core_idx, core_vals, factors);
-        });
-        self.ensure_order(x, plan, next_mode);
-    }
-
-    /// Re-aligns the table to `mode`'s stream order (no rescaling): a
-    /// no-op when already there, otherwise an in-place cycle-chase
-    /// permutation — every row is read and written exactly once, through
-    /// one `|G|` carry buffer.
-    pub fn ensure_order(&mut self, x: &SparseTensor, plan: &ModeStreams, mode: usize) {
-        if self.order_mode == mode {
-            return;
-        }
-        let cur = plan.mode(self.order_mode);
-        let next = plan.mode(mode);
-        let nnz = x.nnz();
-        // σ(p) = destination of the row at current position p.
-        let sigma = |p: usize| next.position_of(cur.entry_id(p));
-        let mut visited = vec![false; nnz];
-        let mut carry = vec![E::default(); self.g.max(1)];
-        for start in 0..nnz {
-            if visited[start] {
-                continue;
-            }
-            // Lift the cycle's first row out; then walk the cycle,
-            // swapping each destination's old row into the carry.
-            carry[..self.g].copy_from_slice(self.row_at(start));
-            visited[start] = true;
-            let mut p = sigma(start);
-            while p != start {
-                let row = &mut self.data[p * self.g..(p + 1) * self.g];
-                for (c, slot) in carry[..self.g].iter_mut().zip(row) {
-                    std::mem::swap(c, slot);
-                }
-                visited[p] = true;
-                p = sigma(p);
-            }
-            self.data[start * self.g..(start + 1) * self.g].copy_from_slice(&carry[..self.g]);
-        }
-        self.order_mode = mode;
+        parallel_rows_mut_with(
+            &mut self.data,
+            self.g.max(1),
+            threads,
+            Schedule::Static,
+            &mut self.ratios,
+            |ratio, e, row| {
+                rescale_entry_row(
+                    row,
+                    x.index(e),
+                    mode,
+                    old_a,
+                    new_a,
+                    core_idx,
+                    core_vals,
+                    factors,
+                    ratio,
+                );
+            },
+        );
     }
 }
 
@@ -380,19 +328,21 @@ impl<E: PresElem> PresTable<E> {
 /// to its own scratch file and touched one slice-aligned **tile** at a
 /// time.
 ///
-/// Rows follow the swept mode's stream order exactly like [`PresTable`],
-/// so a windowed sweep over a [`SweepSource`] reads one
-/// contiguous byte range of the file per window ([`SpilledPresTable::
-/// load_tile`] into a pinned tile buffer). The per-mode rescale +
-/// reorder runs window-at-a-time too: each source tile is rescaled in
-/// parallel with the **identical** per-row arithmetic as the in-memory
-/// table ([`rescale_entry_row`]) and its rows scatter-written into a
-/// second file region in the next mode's stream order — sorted by
+/// Unlike the resident [`PresTable`], rows follow the swept mode's **stream
+/// order**, so a windowed sweep over a [`SweepSource`] reads one contiguous
+/// byte range of the file per window ([`SpilledPresTable::load_tile`] into
+/// a pinned tile buffer) — a file has no cheap row gather. The per-mode
+/// rescale + reorder runs window-at-a-time too: each source tile is
+/// rescaled in parallel with the **identical** per-row arithmetic as the
+/// in-memory table ([`rescale_entry_row`]) and its rows scatter-written
+/// into a second file region in the next mode's stream order — sorted by
 /// destination and coalesced, so consecutive destination rows share one
 /// write. The two regions ping-pong across modes — on disk, where
 /// capacity is not what Definition 7 meters; resident memory stays one
-/// tile plus its same-sized staging buffer and the `(dest, src)`
-/// permutation pairs (all counted in the window-capacity formula).
+/// tile plus its same-sized staging buffer, the `(dest, src)` permutation
+/// pairs (all counted in the window-capacity formula) and the next mode's
+/// `|Ω|`-word inverse entry map (booked by the placement gate alongside
+/// the tile).
 #[derive(Debug)]
 pub(crate) struct SpilledPresTable<E: PresElem> {
     file: ScratchFile,
@@ -415,6 +365,12 @@ pub(crate) struct SpilledPresTable<E: PresElem> {
     /// Staging buffer assembling runs of consecutive destination rows so
     /// each run costs one write instead of one per entry.
     staging: Vec<E>,
+    /// COO entry id → stream position in the mode the table is being
+    /// carried into, refilled from that mode's entry ids at the start of
+    /// every [`SpilledPresTable::rescale_and_reorder`].
+    next_positions: Vec<u32>,
+    /// Per-worker ratio buffers for the rescale.
+    ratios: Vec<Vec<f64>>,
     _spill: SpillReservation,
 }
 
@@ -467,6 +423,8 @@ impl<E: PresElem> SpilledPresTable<E> {
             tile: Vec::with_capacity(max_pos.saturating_mul(g)),
             perm: Vec::with_capacity(max_pos),
             staging: Vec::with_capacity(max_pos.saturating_mul(g)),
+            next_positions: vec![0; nnz],
+            ratios: ratio_buffers(threads, factors),
             _spill: spill,
         };
         let order = factors.len();
@@ -543,9 +501,7 @@ impl<E: PresElem> SpilledPresTable<E> {
             E::read(&self.file, off, &mut buf[..n]).map_err(|e| {
                 crate::PtuckerError::Checkpoint(format!("read spilled Pres table: {e}"))
             })?;
-            for e in &buf[..n] {
-                out.extend_from_slice(&e.to_f64().to_bits().to_le_bytes());
-            }
+            export_elems(&buf[..n], out);
             p += n;
         }
         Ok(())
@@ -560,26 +516,14 @@ impl<E: PresElem> SpilledPresTable<E> {
     /// scratch-file I/O failure.
     pub fn import_state(&mut self, bytes: &[u8]) -> Result<()> {
         let total = self.rows * self.g;
-        if bytes.len() != total * 8 {
-            return Err(crate::PtuckerError::Checkpoint(format!(
-                "checkpointed Pres table holds {} bytes, this fit's table needs {}",
-                bytes.len(),
-                total * 8
-            )));
-        }
-        let mut buf: Vec<E> = Vec::with_capacity(STREAM_CHUNK_ELEMS.min(total.max(1)));
+        check_state_len(bytes, total)?;
+        let mut buf = vec![E::default(); STREAM_CHUNK_ELEMS.min(total.max(1))];
         let mut p = 0usize;
-        let mut chunks = bytes.chunks_exact(8);
-        while p < total {
-            let n = (total - p).min(STREAM_CHUNK_ELEMS);
-            buf.clear();
-            for _ in 0..n {
-                let chunk = chunks.next().expect("length validated above");
-                let bits = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
-                buf.push(E::from_f64(f64::from_bits(bits)));
-            }
+        for chunk in bytes.chunks(buf.len() * 8) {
+            let n = chunk.len() / 8;
+            import_elems(&mut buf[..n], chunk);
             let off = self.regions[self.active] + p as u64 * E::PRECISION.value_bytes() as u64;
-            E::write(&self.file, off, &buf).map_err(|e| {
+            E::write(&self.file, off, &buf[..n]).map_err(|e| {
                 crate::PtuckerError::Checkpoint(format!("write spilled Pres table: {e}"))
             })?;
             p += n;
@@ -587,21 +531,21 @@ impl<E: PresElem> SpilledPresTable<E> {
         Ok(())
     }
 
-    /// The windowed analogue of [`PresTable::rescale_and_reorder`]: every
-    /// source-order tile is rescaled in parallel (identical per-row
+    /// The windowed rescale (Algorithm 3 lines 16–19) fused with the carry
+    /// into `next_mode`'s stream order: every source-order tile is
+    /// rescaled in parallel (the resident table's identical per-row
     /// arithmetic) and scatter-written into the inactive region in
     /// `next_mode`'s stream order; the regions then swap. `windows` is
-    /// the fit's shared sweep source, rewound to `mode` here; the
-    /// destination permutation comes from the plan's resident inverse
-    /// entry maps, so the sweep works over resident and spilled plans
-    /// alike.
+    /// the fit's shared sweep source: an ids-only sweep of `next_mode`
+    /// first refills the inverse entry map the scatter needs (4 bytes per
+    /// position — zero-copy on a resident plan), then the source is
+    /// rewound to `mode` for the tiles.
     ///
     /// # Errors
     /// [`crate::PtuckerError::Tensor`] (I/O) if scratch-file access fails.
     #[allow(clippy::too_many_arguments)]
     pub fn rescale_and_reorder(
         &mut self,
-        plan: &ModeStreams,
         factors: &[Matrix],
         old_a: &Matrix,
         mode: usize,
@@ -618,6 +562,12 @@ impl<E: PresElem> SpilledPresTable<E> {
         let new_a = &factors[mode];
         let src = self.active;
         let dst = 1 - src;
+        windows.rewind(next_mode);
+        while let Some(w) = windows.next_ids_window()? {
+            for (q, &e) in (w.base..).zip(w.entry_ids) {
+                self.next_positions[e as usize] = q as u32;
+            }
+        }
         let mut idx_buf = Vec::new();
         windows.rewind(mode);
         while let Some(w) = windows.next_window()? {
@@ -627,14 +577,17 @@ impl<E: PresElem> SpilledPresTable<E> {
             let src_off = self.row_off(src, w.base);
             E::read(&self.file, src_off, &mut self.tile)
                 .map_err(ptucker_tensor::TensorError::from)?;
-            parallel_rows_mut(
+            parallel_rows_mut_with(
                 &mut self.tile,
                 g.max(1),
                 threads,
                 Schedule::Static,
-                |p, row| {
+                &mut self.ratios,
+                |ratio, p, row| {
                     let idx = &idx_buf[p * order..(p + 1) * order];
-                    rescale_entry_row(row, idx, mode, old_a, new_a, core_idx, core_vals, factors);
+                    rescale_entry_row(
+                        row, idx, mode, old_a, new_a, core_idx, core_vals, factors, ratio,
+                    );
                 },
             );
             // Scatter the rescaled rows into the destination region in
@@ -643,10 +596,9 @@ impl<E: PresElem> SpilledPresTable<E> {
             // and written with one syscall, so a window costs O(runs)
             // writes rather than one per entry.
             self.perm.clear();
-            self.perm.extend((0..len).map(|p| {
-                let q = plan.position_of(next_mode, w.stream.entry_id(p));
-                (q as u32, p as u32)
-            }));
+            let next_positions = &self.next_positions;
+            self.perm
+                .extend((0..len).map(|p| (next_positions[w.stream.entry_id(p)], p as u32)));
             self.perm.sort_unstable();
             let mut i = 0;
             while i < len {
@@ -673,8 +625,6 @@ impl<E: PresElem> SpilledPresTable<E> {
     }
 }
 
-/// The run-blocked cached-δ arithmetic for one entry, operating on the
-/// entry's cached-product row wherever it lives — the in-memory
 /// Reconstructs every position's full multi-index from one window of the
 /// swept mode's stream into `out` (flat, `len·order`): the swept
 /// coordinate is the position's global slice (`w.slices.start` plus its
@@ -704,8 +654,17 @@ pub(crate) fn window_indices(w: &Window<'_>, order: usize, out: &mut Vec<usize>)
     }
 }
 
-/// [`PresTable`] and the windowed tile of a [`SpilledPresTable`] both call
-/// this, so the two execution paths are **bitwise identical** per row.
+/// The run-blocked cached-δ arithmetic for one entry, operating on the
+/// entry's cached-product row wherever it lives: a gathered row of the
+/// resident [`PresTable`] and a tile row of a [`SpilledPresTable`] both
+/// come through here, so the two execution paths are **bitwise identical**
+/// per row.
+///
+/// `others` holds the entry's packed other-mode indices in stream layout
+/// (ascending mode order, `mode` skipped); `a_row_old` is the *current*
+/// (pre-update) row `a⁽ⁿ⁾(iₙ, ·)`; `runs` is the core's run structure from
+/// `crate::delta::core_runs`. The direct-product fallback covers zero
+/// divisors (the paper's caveat).
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn cached_delta_for_entry<E: PresElem>(
@@ -799,6 +758,15 @@ pub(crate) fn cached_delta_for_entry<E: PresElem>(
 /// `Pres[α][β] *= a_new/a_old`, recomputed outright where `a_old = 0`.
 /// Shared by the in-memory and the spilled tables (bitwise-identical
 /// arithmetic on both paths).
+///
+/// The quotient depends on `β` only through `βₙ`, so it is formed once per
+/// column of the updated row into `ratio` (`Jₙ` divisions and one
+/// zero-divisor scan per table row, not `|G|` of each) and multiplied into
+/// every element — the same IEEE quotient into the same element as the
+/// literal per-element `slot * (new/old)`, so no bit moves. A row with a
+/// zero `a_old` takes the per-element path, recomputing exactly the
+/// elements the paper prescribes. `ratio` is the worker's reusable buffer
+/// of at least `Jₙ` doubles.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn rescale_entry_row<E: PresElem>(
@@ -810,19 +778,31 @@ pub(crate) fn rescale_entry_row<E: PresElem>(
     core_idx: &[usize],
     core_vals: &[f64],
     factors: &[Matrix],
+    ratio: &mut [f64],
 ) {
     let order = idx.len();
-    let i_n = idx[mode];
-    for (b, slot) in row.iter_mut().enumerate() {
-        let beta = &core_idx[b * order..(b + 1) * order];
-        let j_n = beta[mode];
-        let old = old_a[(i_n, j_n)];
-        if old != 0.0 {
-            // Widen, scale in f64, round back once — for f64 exactly the
-            // classic `*slot *= new/old`.
-            *slot = E::from_f64(slot.to_f64() * (new_a[(i_n, j_n)] / old));
-        } else {
-            *slot = E::from_f64(product(core_vals[b], beta, idx, factors));
+    let old = old_a.row(idx[mode]);
+    let new = new_a.row(idx[mode]);
+    let mut any_zero = false;
+    for ((r, &n), &o) in ratio.iter_mut().zip(new).zip(old) {
+        any_zero |= o == 0.0;
+        *r = n / o;
+    }
+    let betas = core_idx.chunks_exact(order);
+    if !any_zero {
+        // Widen, scale in f64, round back once — for f64 exactly the
+        // classic `*slot *= new/old`.
+        for (slot, beta) in row.iter_mut().zip(betas) {
+            *slot = E::from_f64(slot.to_f64() * ratio[beta[mode]]);
+        }
+    } else {
+        for ((slot, beta), &gv) in row.iter_mut().zip(betas).zip(core_vals) {
+            let j_n = beta[mode];
+            *slot = E::from_f64(if old[j_n] != 0.0 {
+                slot.to_f64() * ratio[j_n]
+            } else {
+                product(gv, beta, idx, factors)
+            });
         }
     }
 }
@@ -872,8 +852,9 @@ mod tests {
     use crate::delta::{accumulate_delta, core_runs};
     use proptest::prelude::*;
     use ptucker_memtrack::MemoryBudget;
+    use ptucker_tensor::ModeStreams;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn setup() -> (SparseTensor, Vec<Matrix>, CoreTensor, ModeStreams) {
         let mut rng = StdRng::seed_from_u64(21);
@@ -894,8 +875,16 @@ mod tests {
     }
 
     fn random_matrix(r: usize, c: usize, rng: &mut StdRng) -> Matrix {
-        use rand::Rng;
         Matrix::from_vec(r, c, (0..r * c).map(|_| rng.gen::<f64>()).collect()).unwrap()
+    }
+
+    fn compute<E: PresElem>(
+        x: &SparseTensor,
+        factors: &[Matrix],
+        core: &CoreTensor,
+        threads: usize,
+    ) -> PresTable<E> {
+        PresTable::compute(x, factors, core, threads, &MemoryBudget::unlimited()).unwrap()
     }
 
     /// Packs other-mode indices the way a `ModeStream` does.
@@ -907,37 +896,65 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn precompute_is_stream_ordered_and_matches_direct_products() {
-        // The tentpole contract: `Pres` in stream order equals `Pres` in
-        // COO order looked up through the stream's entry-id map.
-        let (x, factors, core, plan) = setup();
-        let pres =
-            PresTable::<f64>::compute(&x, &plan, &factors, &core, 2, &MemoryBudget::unlimited())
-                .unwrap();
-        assert_eq!(pres.order_mode(), 0);
-        let stream = plan.mode(0);
-        for p in 0..x.nnz() {
-            let idx = x.index(stream.entry_id(p));
-            for b in 0..core.nnz() {
-                let want = product(core.value(b), core.index(b), idx, &factors);
-                assert!((pres.row_at(p)[b] - want).abs() < 1e-12);
+    /// Every row `e` of the table against the fresh products of entry `e`,
+    /// within `tol` relative to the product (0 = bitwise against the
+    /// once-narrowed product).
+    fn assert_rows_are_products<E: PresElem>(
+        pres: &PresTable<E>,
+        x: &SparseTensor,
+        factors: &[Matrix],
+        core: &CoreTensor,
+        tol: f64,
+        tag: &str,
+    ) {
+        for e in 0..x.nnz() {
+            for (b, got) in pres.row(e).iter().enumerate() {
+                let want = product(core.value(b), core.index(b), x.index(e), factors);
+                if tol == 0.0 {
+                    let want = E::from_f64(want).to_f64();
+                    assert_eq!(got.to_f64().to_bits(), want.to_bits(), "{tag} e={e} b={b}");
+                } else {
+                    let err = (got.to_f64() - want).abs();
+                    assert!(
+                        err <= tol * want.abs().max(1e-300),
+                        "{tag} e={e} b={b}: {err}"
+                    );
+                }
             }
         }
+    }
+
+    /// The tentpole contract: row `e` of the table holds the products of
+    /// COO entry `e`, whatever the plan's stream orders are.
+    #[test]
+    fn precompute_is_entry_ordered_and_matches_direct_products() {
+        let (x, factors, core, _) = setup();
+        let pres = compute::<f64>(&x, &factors, &core, 2);
+        assert_rows_are_products(&pres, &x, &factors, &core, 0.0, "f64");
+    }
+
+    /// Mixed-precision contract at the table layer: an f32 table holds
+    /// exactly the f64 product narrowed once — no double rounding, no
+    /// f32 arithmetic. (`product` runs in f64; the cast is the only
+    /// lossy step.)
+    #[test]
+    fn f32_table_stores_once_narrowed_products_bitwise() {
+        let (x, factors, core, _) = setup();
+        let pres = compute::<f32>(&x, &factors, &core, 2);
+        assert_rows_are_products(&pres, &x, &factors, &core, 0.0, "f32");
     }
 
     #[test]
     fn cached_delta_matches_direct_delta() {
         let (x, factors, core, plan) = setup();
-        let mut pres =
-            PresTable::<f64>::compute(&x, &plan, &factors, &core, 1, &MemoryBudget::unlimited())
-                .unwrap();
+        let pres = compute::<f64>(&x, &factors, &core, 1);
         let runs = core_runs(core.flat_indices(), core.order());
         for mode in 0..2 {
-            pres.ensure_order(&x, &plan, mode);
             let stream = plan.mode(mode);
             for pos in 0..x.nnz() {
-                let idx = x.index(stream.entry_id(pos));
+                // The sweep's access path: stream position → entry id → row.
+                let e = stream.entry_id(pos);
+                let idx = x.index(e);
                 let j_n = core.dims()[mode];
                 let mut direct = vec![0.0; j_n];
                 accumulate_delta(
@@ -948,14 +965,13 @@ mod tests {
                     core.values(),
                     &factors,
                 );
-                let a_row: Vec<f64> = factors[mode].row(idx[mode]).to_vec();
                 let mut cached = vec![0.0; j_n];
-                pres.accumulate_delta_cached(
+                cached_delta_for_entry(
                     &mut cached,
-                    pos,
-                    &pack_others(idx, mode),
+                    pres.row(e),
+                    stream.others(pos),
                     mode,
-                    &a_row,
+                    factors[mode].row(idx[mode]),
                     core.flat_indices(),
                     core.values(),
                     &runs,
@@ -970,17 +986,12 @@ mod tests {
 
     #[test]
     fn cached_delta_zero_divisor_fallback() {
-        let (x, mut factors, core, plan) = setup();
+        let (x, mut factors, core, _) = setup();
         // Zero out one factor value so the division path is impossible.
         factors[0][(0, 1)] = 0.0;
-        let pres =
-            PresTable::<f64>::compute(&x, &plan, &factors, &core, 1, &MemoryBudget::unlimited())
-                .unwrap();
+        let pres = compute::<f64>(&x, &factors, &core, 1);
         let runs = core_runs(core.flat_indices(), core.order());
-        let stream = plan.mode(0);
-        // Find the stream position of COO entry 0 — entry (0,0).
-        let pos = stream.position_of(0);
-        let idx = x.index(0);
+        let idx = x.index(0); // entry (0,0)
         let mut direct = vec![0.0; 2];
         accumulate_delta(
             &mut direct,
@@ -990,14 +1001,13 @@ mod tests {
             core.values(),
             &factors,
         );
-        let a_row: Vec<f64> = factors[0].row(idx[0]).to_vec();
         let mut cached = vec![0.0; 2];
-        pres.accumulate_delta_cached(
+        cached_delta_for_entry(
             &mut cached,
-            pos,
+            pres.row(0),
             &pack_others(idx, 0),
             0,
-            &a_row,
+            factors[0].row(idx[0]),
             core.flat_indices(),
             core.values(),
             &runs,
@@ -1008,134 +1018,282 @@ mod tests {
         }
     }
 
+    /// After a factor update, the resident rescale leaves every row equal
+    /// to its entry's fresh products, and the spilled rescale + reorder
+    /// leaves every tile row equal to the products of the entry at that
+    /// position of the *next* mode's stream.
     #[test]
     fn rescale_and_reorder_keeps_table_consistent() {
         let (x, mut factors, core, plan) = setup();
-        let mut pres =
-            PresTable::<f64>::compute(&x, &plan, &factors, &core, 2, &MemoryBudget::unlimited())
+        let budget = MemoryBudget::unlimited();
+        let mut pres = compute::<f64>(&x, &factors, &core, 2);
+        let mut source = plan.sweep_source(0, 2, false);
+        let mut spilled =
+            SpilledPresTable::<f64>::compute(x.nnz(), &factors, &core, 2, &budget, &mut source)
                 .unwrap();
-        // Sweep mode 0 (no factor change yet), then "update" factor 0 and
-        // carry the table into mode 1's order, fused with the rescale.
         let old = factors[0].clone();
         let mut rng = StdRng::seed_from_u64(99);
         factors[0] = random_matrix(3, 2, &mut rng);
-        pres.rescale_and_reorder(&x, &plan, &factors, &old, 0, 1, &core, 2);
-        assert_eq!(pres.order_mode(), 1);
+        pres.rescale(&x, &factors, &old, 0, &core, 2);
+        assert_rows_are_products(&pres, &x, &factors, &core, 1e-10, "stale cache");
+        spilled
+            .rescale_and_reorder(&factors, &old, 0, 1, &core, 2, &mut source)
+            .unwrap();
+        assert_eq!(spilled.order_mode(), 1);
         let stream = plan.mode(1);
+        spilled.load_tile(0, x.nnz()).unwrap();
         for p in 0..x.nnz() {
             let idx = x.index(stream.entry_id(p));
-            for b in 0..core.nnz() {
+            for (b, got) in spilled.tile_row(p).iter().enumerate() {
                 let want = product(core.value(b), core.index(b), idx, &factors);
-                assert!(
-                    (pres.row_at(p)[b] - want).abs() < 1e-10,
-                    "stale cache at p={p} b={b}"
-                );
+                assert!((got - want).abs() < 1e-10, "stale tile at p={p} b={b}");
             }
         }
     }
 
     #[test]
     fn rescale_recomputes_after_zero_old_value() {
-        let (x, mut factors, core, plan) = setup();
+        let (x, mut factors, core, _) = setup();
         factors[0][(0, 0)] = 0.0;
-        let mut pres =
-            PresTable::<f64>::compute(&x, &plan, &factors, &core, 1, &MemoryBudget::unlimited())
-                .unwrap();
+        let mut pres = compute::<f64>(&x, &factors, &core, 1);
         let old = factors[0].clone();
         factors[0][(0, 0)] = 0.75; // zero → nonzero: division impossible
-        pres.rescale_and_reorder(&x, &plan, &factors, &old, 0, 1, &core, 1);
-        let stream = plan.mode(1);
-        for p in 0..x.nnz() {
-            let idx = x.index(stream.entry_id(p));
-            for b in 0..core.nnz() {
-                let want = product(core.value(b), core.index(b), idx, &factors);
-                assert!((pres.row_at(p)[b] - want).abs() < 1e-12);
+        pres.rescale(&x, &factors, &old, 0, &core, 1);
+        assert_rows_are_products(&pres, &x, &factors, &core, 1e-12, "zero-old");
+    }
+
+    /// The literal Algorithm-3 rescale: one quotient and one zero test per
+    /// core entry — what `rescale_entry_row` must reproduce bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn per_element_rescale<E: PresElem>(
+        row: &mut [E],
+        idx: &[usize],
+        mode: usize,
+        old_a: &Matrix,
+        new_a: &Matrix,
+        core_idx: &[usize],
+        core_vals: &[f64],
+        factors: &[Matrix],
+    ) {
+        let order = idx.len();
+        let i_n = idx[mode];
+        for (b, slot) in row.iter_mut().enumerate() {
+            let beta = &core_idx[b * order..(b + 1) * order];
+            let j_n = beta[mode];
+            let old = old_a[(i_n, j_n)];
+            *slot = if old != 0.0 {
+                E::from_f64(slot.to_f64() * (new_a[(i_n, j_n)] / old))
+            } else {
+                E::from_f64(product(core_vals[b], beta, idx, factors))
+            };
+        }
+    }
+
+    fn hoisted_matches_per_element<E: PresElem>() {
+        const HOSTILE: [f64; 8] = [
+            0.0,
+            -0.0,
+            5e-324,
+            f64::MIN_POSITIVE / 4.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -1.75,
+        ];
+        let j = HOSTILE.len();
+        let mut rng = StdRng::seed_from_u64(0x405);
+        let dims = [4usize, 3, 3];
+        let core = CoreTensor::random_dense(vec![j, j, j], &mut rng).unwrap();
+        let (core_idx, core_vals) = (core.flat_indices(), core.values());
+        let mut ratio = vec![0.0; j];
+        for mode in 0..3 {
+            let mut factors: Vec<Matrix> = dims
+                .iter()
+                .map(|&d| random_matrix(d, j, &mut rng))
+                .collect();
+            let mut old_a = random_matrix(dims[mode], j, &mut rng);
+            // Row 0: every hostile value in `old` (zeros included → the
+            // per-element recompute path) against rotated hostile `new`s;
+            // row 1: hostile but zero-free `old` (the hoisted fast path);
+            // row 2: benign `old`, hostile `new`; row 3 (mode 0): benign.
+            for c in 0..j {
+                old_a[(0, c)] = HOSTILE[c];
+                factors[mode][(0, c)] = HOSTILE[(c + 3) % j];
+                old_a[(1, c)] = HOSTILE[2 + c % (j - 2)];
+                factors[mode][(1, c)] = HOSTILE[(c + 5) % j];
+                factors[mode][(2, c)] = HOSTILE[c];
             }
-        }
-    }
-
-    #[test]
-    fn ensure_order_round_trips() {
-        let (x, factors, core, plan) = setup();
-        let mut pres =
-            PresTable::<f64>::compute(&x, &plan, &factors, &core, 1, &MemoryBudget::unlimited())
-                .unwrap();
-        let snapshot = pres.data.clone();
-        pres.ensure_order(&x, &plan, 1);
-        assert_eq!(pres.order_mode(), 1);
-        pres.ensure_order(&x, &plan, 0);
-        assert_eq!(pres.order_mode(), 0);
-        // Pure permutations there and back: bitwise identical.
-        for (a, b) in pres.data.iter().zip(&snapshot) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn budget_violation_is_oom() {
-        let (x, factors, core, plan) = setup();
-        let tiny = MemoryBudget::new(16); // far below |Ω|*|G|*8 bytes
-        let err = PresTable::<f64>::compute(&x, &plan, &factors, &core, 1, &tiny).unwrap_err();
-        assert!(matches!(err, crate::PtuckerError::OutOfMemory(_)));
-    }
-
-    /// Mixed-precision contract at the table layer: an f32 table holds
-    /// exactly the f64 product narrowed once — no double rounding, no
-    /// f32 arithmetic. (`product` runs in f64; the cast is the only
-    /// lossy step.)
-    #[test]
-    fn f32_table_stores_once_narrowed_products_bitwise() {
-        let (x, factors, core, plan) = setup();
-        let pres =
-            PresTable::<f32>::compute(&x, &plan, &factors, &core, 2, &MemoryBudget::unlimited())
-                .unwrap();
-        let stream = plan.mode(0);
-        for p in 0..x.nnz() {
-            let idx = x.index(stream.entry_id(p));
-            for b in 0..core.nnz() {
-                let want = product(core.value(b), core.index(b), idx, &factors) as f32;
-                assert_eq!(pres.row_at(p)[b].to_bits(), want.to_bits());
-            }
-        }
-    }
-
-    /// The f32 resident table and the f32 spilled tiles must expose the
-    /// same bits for every row — spilling is storage, not arithmetic.
-    /// (Hybrid layout: plan in RAM, table on disk, 2-position windows.)
-    #[test]
-    fn f32_spilled_tiles_match_resident_table_bitwise() {
-        let (x, factors, core, plan) = setup();
-        let budget = MemoryBudget::unlimited();
-        let resident = PresTable::<f32>::compute(&x, &plan, &factors, &core, 2, &budget).unwrap();
-        let mut source = plan.sweep_source(0, 2, false);
-        let mut spilled =
-            SpilledPresTable::<f32>::compute(x.nnz(), &factors, &core, 2, &budget, &mut source)
-                .unwrap();
-        source.rewind(0);
-        while let Some(w) = source.next_window().unwrap() {
-            let (base, len) = (w.base, w.stream.len());
-            spilled.load_tile(base, len).unwrap();
-            for off in 0..len {
-                for (a, b) in resident
-                    .row_at(base + off)
-                    .iter()
-                    .zip(spilled.tile_row(off))
-                {
-                    assert_eq!(a.to_bits(), b.to_bits());
+            for i_n in 0..dims[mode] {
+                let mut idx = [1usize, 2, 0];
+                idx[mode] = i_n;
+                let row: Vec<E> = (0..core.nnz())
+                    .map(|b| match b % 7 {
+                        0 => E::from_f64(HOSTILE[b % j]),
+                        _ => E::from_f64(rng.gen::<f64>() - 0.5),
+                    })
+                    .collect();
+                let mut want = row.clone();
+                per_element_rescale(
+                    &mut want,
+                    &idx,
+                    mode,
+                    &old_a,
+                    &factors[mode],
+                    core_idx,
+                    core_vals,
+                    &factors,
+                );
+                let mut got = row;
+                rescale_entry_row(
+                    &mut got,
+                    &idx,
+                    mode,
+                    &old_a,
+                    &factors[mode],
+                    core_idx,
+                    core_vals,
+                    &factors,
+                    &mut ratio,
+                );
+                for (b, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g.to_f64().to_bits(),
+                        w.to_f64().to_bits(),
+                        "mode {mode} row {i_n} b {b}: {g:?} vs {w:?}"
+                    );
                 }
             }
         }
     }
 
+    /// The hoisted ratio is a loop-invariant move, not an arithmetic
+    /// change: over rows with zero, −0.0, subnormal, ±Inf and NaN in `old`
+    /// and `new` (zero-old → recompute), every element comes out with the
+    /// bits of the literal per-element `slot * (new/old)`.
+    #[test]
+    fn hoisted_ratio_is_bitwise_per_element_rescale() {
+        hoisted_matches_per_element::<f64>();
+        hoisted_matches_per_element::<f32>();
+    }
+
+    #[test]
+    fn budget_violation_is_oom() {
+        let (x, factors, core, _) = setup();
+        let tiny = MemoryBudget::new(16); // far below |Ω|*|G|*8 bytes
+        let err = PresTable::<f64>::compute(&x, &factors, &core, 1, &tiny).unwrap_err();
+        assert!(matches!(err, crate::PtuckerError::OutOfMemory(_)));
+    }
+
+    /// Drives a resident table and a spilled one (hybrid layout: plan in
+    /// RAM, table on disk, 2-position windows) through `cycles` full mode
+    /// cycles of real factor updates. After every rescale the resident rows
+    /// must track the fresh products within `tol`, and every spilled tile
+    /// row must carry the bits of the resident row of the same entry —
+    /// the two layouts differ in where rows live, never in what they hold.
+    fn resident_and_spilled_agree_through_cycles<E: PresElem>(
+        x: &SparseTensor,
+        plan: &ModeStreams,
+        mut factors: Vec<Matrix>,
+        core: &CoreTensor,
+        cycles: usize,
+        tol: f64,
+        rng: &mut StdRng,
+    ) -> (PresTable<E>, SpilledPresTable<E>) {
+        let budget = MemoryBudget::unlimited();
+        let order = x.order();
+        let mut resident = compute::<E>(x, &factors, core, 2);
+        let mut source = plan.sweep_source(0, 2, false);
+        let mut spilled =
+            SpilledPresTable::<E>::compute(x.nnz(), &factors, core, 2, &budget, &mut source)
+                .unwrap();
+        for step in 0..cycles * order {
+            let mode = step % order;
+            source.rewind(mode);
+            while let Some(w) = source.next_window().unwrap() {
+                spilled.load_tile(w.base, w.stream.len()).unwrap();
+                for p in 0..w.stream.len() {
+                    let want = resident.row(w.stream.entry_id(p));
+                    for (a, b) in want.iter().zip(spilled.tile_row(p)) {
+                        assert_eq!(
+                            a.to_f64().to_bits(),
+                            b.to_f64().to_bits(),
+                            "step {step} position {}",
+                            w.base + p
+                        );
+                    }
+                }
+            }
+            let old = factors[mode].clone();
+            factors[mode] = random_matrix(old.rows(), old.cols(), rng);
+            resident.rescale(x, &factors, &old, mode, core, 2);
+            spilled
+                .rescale_and_reorder(
+                    &factors,
+                    &old,
+                    mode,
+                    (mode + 1) % order,
+                    core,
+                    2,
+                    &mut source,
+                )
+                .unwrap();
+            assert_rows_are_products(&resident, x, &factors, core, tol, "cycle");
+        }
+        (resident, spilled)
+    }
+
+    /// The f32 resident table and the f32 spilled tiles must expose the
+    /// same bits for every entry, through two full rescale cycles —
+    /// spilling is storage, not arithmetic.
+    #[test]
+    fn f32_spilled_tiles_match_resident_table_bitwise() {
+        let (x, factors, core, plan) = setup();
+        let mut rng = StdRng::seed_from_u64(7);
+        resident_and_spilled_agree_through_cycles::<f32>(
+            &x, &plan, factors, &core, 2, 1e-5, &mut rng,
+        );
+    }
+
+    /// Checkpoint layout: after a full rescale cycle the entry-ordered
+    /// resident table and the stream-ordered spilled one export the same
+    /// bytes (mode 0's stream order), and importing them into a fresh
+    /// table reproduces the exporter bit for bit.
+    #[test]
+    fn export_import_round_trips_through_mode0_stream_order() {
+        let (x, factors, core, plan) = setup();
+        let mut rng = StdRng::seed_from_u64(11);
+        let (resident, spilled) = resident_and_spilled_agree_through_cycles::<f64>(
+            &x,
+            &plan,
+            factors.clone(),
+            &core,
+            1,
+            1e-9,
+            &mut rng,
+        );
+        assert_eq!(spilled.order_mode(), 0);
+        let (mut from_resident, mut from_spilled) = (Vec::new(), Vec::new());
+        resident.export_state(plan.mode(0), &mut from_resident);
+        spilled.export_state(&mut from_spilled).unwrap();
+        assert_eq!(from_resident, from_spilled, "checkpoint bytes differ");
+        let mut fresh = compute::<f64>(&x, &factors, &core, 1);
+        fresh.import_state(plan.mode(0), &from_spilled).unwrap();
+        for (a, b) in fresh.data.iter().zip(&resident.data) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        assert!(fresh
+            .import_state(plan.mode(0), &from_spilled[8..])
+            .is_err());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        // Satellite property: the stream-ordered table equals the
-        // COO-ordered products through the entry-id map, for every mode
-        // order it is carried into and through full rescale cycles.
+        // Satellite property: over random tensors, the entry-ordered table
+        // equals the direct products of its entries and the spilled tiles
+        // carry its rows' bits, through full rescale cycles, f64 and f32.
         #[test]
-        fn stream_ordered_table_equals_coo_ordered_products(seed in 0..u64::MAX) {
-            use rand::Rng;
+        fn entry_ordered_table_equals_direct_products(seed in 0..u64::MAX) {
             let mut rng = StdRng::seed_from_u64(seed);
             let dims = [4usize, 3, 3];
             let nnz = rng.gen_range(4..20usize);
@@ -1146,37 +1304,12 @@ mod tests {
                 .collect();
             let core = CoreTensor::random_dense(vec![2, 2, 2], &mut rng).unwrap();
             let plan = ModeStreams::build(&x).unwrap();
-            let mut pres = PresTable::<f64>::compute(
-                &x,
-                &plan,
-                &factors,
-                &core,
-                1,
-                &MemoryBudget::unlimited(),
-            )
-            .unwrap();
-            // Walk the driver's cyclic order with identity rescales, plus
-            // one arbitrary jump via ensure_order.
-            for mode in 0..3usize {
-                pres.ensure_order(&x, &plan, mode);
-                let stream = plan.mode(mode);
-                for p in 0..x.nnz() {
-                    let idx = x.index(stream.entry_id(p));
-                    for b in 0..core.nnz() {
-                        let want = product(core.value(b), core.index(b), idx, &factors);
-                        prop_assert!(
-                            (pres.row_at(p)[b] - want).abs() < 1e-12,
-                            "mode {} p {} b {}",
-                            mode,
-                            p,
-                            b
-                        );
-                    }
-                }
-                let old = factors[mode].clone();
-                let next = (mode + 1) % 3;
-                pres.rescale_and_reorder(&x, &plan, &factors, &old, mode, next, &core, 2);
-            }
+            resident_and_spilled_agree_through_cycles::<f64>(
+                &x, &plan, factors.clone(), &core, 2, 1e-9, &mut rng,
+            );
+            resident_and_spilled_agree_through_cycles::<f32>(
+                &x, &plan, factors, &core, 2, 1e-4, &mut rng,
+            );
         }
     }
 }

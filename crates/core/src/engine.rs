@@ -168,11 +168,6 @@ pub struct ModeContext<'a> {
     /// The window's streamed slice layout (values + packed other-mode
     /// indices, slice-major; slices and positions window-local).
     pub stream: StreamView<'a>,
-    /// Global stream position of the view's local position 0. Kernels with
-    /// fit-wide per-position state in stream order (the resident `Pres`
-    /// table) address it at `base + local`; for a full-stream view this is
-    /// 0 and local positions *are* global.
-    pub base: usize,
     /// All factor matrices (`factors[mode]` emptied for the sweep).
     pub factors: &'a [Matrix],
     /// The core's flat index storage (`|G| × N`, lexicographic order).
@@ -204,16 +199,15 @@ impl<'a> ModeContext<'a> {
         mode: usize,
         opts: &FitOptions,
     ) -> Self {
-        Self::for_view(plan.mode(mode).view(), 0, factors, core, mode, opts)
+        Self::for_view(plan.mode(mode).view(), factors, core, mode, opts)
     }
 
     /// Assembles the context for a sweep over an arbitrary [`StreamView`]
     /// of `mode` — the whole resident stream, or one slice-aligned window
     /// of any [`SweepSource`], whose slices and positions are then
-    /// window-local with global position `base + local`.
+    /// window-local.
     pub fn for_view(
         stream: StreamView<'a>,
-        base: usize,
         factors: &'a [Matrix],
         core: &'a CoreTensor,
         mode: usize,
@@ -221,7 +215,6 @@ impl<'a> ModeContext<'a> {
     ) -> Self {
         Self::with_runs(
             stream,
-            base,
             factors,
             core,
             mode,
@@ -236,7 +229,6 @@ impl<'a> ModeContext<'a> {
     /// `core_runs` of this `core`.
     pub(crate) fn with_runs(
         stream: StreamView<'a>,
-        base: usize,
         factors: &'a [Matrix],
         core: &'a CoreTensor,
         mode: usize,
@@ -249,7 +241,6 @@ impl<'a> ModeContext<'a> {
         );
         ModeContext {
             stream,
-            base,
             factors,
             core_idx: core.flat_indices(),
             core_vals: core.values(),
@@ -278,8 +269,7 @@ impl<'a> ModeContext<'a> {
 pub trait RowUpdateKernel: Sync {
     /// One-time setup before the first iteration (e.g. the Cache variant's
     /// `|Ω|×|G|` table precompute — the step that can exceed the memory
-    /// budget). `plan` is the fit's mode-major execution plan; kernels
-    /// that keep per-entry state in stream order lay it out here. `sweep`
+    /// budget). `plan` is the fit's mode-major execution plan; `sweep`
     /// is the fit's shared window source (rewind it as needed);
     /// `spill_aux` is the placement gate's verdict on this kernel's
     /// auxiliary state — `true` means it must go to disk (the plan is
@@ -304,9 +294,7 @@ pub trait RowUpdateKernel: Sync {
     }
 
     /// Called before each mode's row sweep, with the factors still in their
-    /// pre-update state (snapshot here what `post_mode` will need; kernels
-    /// with stream-ordered state re-align it to `mode`'s order here if the
-    /// call sequence ever deviates from the driver's cyclic one).
+    /// pre-update state (snapshot here what `post_mode` will need).
     ///
     /// # Errors
     /// Kernel-specific; the default never fails.
@@ -351,9 +339,8 @@ pub trait RowUpdateKernel: Sync {
     ) -> bool;
 
     /// Called after `factors[mode]` has been replaced with its updated
-    /// values (e.g. the Cache variant rescales its table here and carries
-    /// it into the next mode's stream order, windowed through `sweep` when
-    /// the table is spilled).
+    /// values (e.g. the Cache variant rescales its table here, windowed
+    /// through `sweep` when the table is spilled).
     ///
     /// # Errors
     /// Kernel-specific (spilled-state I/O); the default never fails.
@@ -393,12 +380,14 @@ pub trait RowUpdateKernel: Sync {
     /// this: the Cache variant's incrementally rescaled `Pres` table
     /// drifts bitwise from a fresh rebuild (the ratio rescale rounds
     /// differently than the outright product), so a bitwise resume must
-    /// carry its exact element values. The default writes nothing.
+    /// carry its exact element values. `plan` is the fit's execution plan,
+    /// for state whose checkpoint layout is defined in stream order. The
+    /// default writes nothing.
     ///
     /// # Errors
     /// [`crate::PtuckerError::Checkpoint`] (state unavailable) or I/O
     /// failures reading spilled state.
-    fn save_aux(&self, _out: &mut Vec<u8>) -> Result<()> {
+    fn save_aux(&self, _plan: &ModeStreams, _out: &mut Vec<u8>) -> Result<()> {
         Ok(())
     }
 
@@ -412,7 +401,7 @@ pub trait RowUpdateKernel: Sync {
     /// # Errors
     /// [`crate::PtuckerError::Checkpoint`] on any mismatch between the
     /// bytes and the kernel's prepared state.
-    fn load_aux(&mut self, bytes: &[u8]) -> Result<()> {
+    fn load_aux(&mut self, _plan: &ModeStreams, bytes: &[u8]) -> Result<()> {
         if bytes.is_empty() {
             Ok(())
         } else {
@@ -515,7 +504,6 @@ enum TableStore<E: PresElem> {
 impl<E: PresElem> TableStore<E> {
     fn compute(
         x: &FitInput<'_>,
-        plan: &ModeStreams,
         factors: &[Matrix],
         core: &CoreTensor,
         opts: &FitOptions,
@@ -536,29 +524,12 @@ impl<E: PresElem> TableStore<E> {
         } else {
             TableStore::Resident(PresTable::compute(
                 x.expect_resident("the resident Pres table"),
-                plan,
                 factors,
                 core,
                 opts.threads,
                 &opts.budget,
             )?)
         })
-    }
-
-    fn align(&mut self, x: &FitInput<'_>, plan: &ModeStreams, mode: usize) {
-        match self {
-            // No-op in the driver's cyclic sweep (post_mode already left
-            // the table in this mode's order); re-aligns it for direct API
-            // users that sweep modes in other patterns.
-            TableStore::Resident(table) => {
-                table.ensure_order(x.expect_resident("the resident Pres table"), plan, mode)
-            }
-            TableStore::Spilled(table) => debug_assert_eq!(
-                table.order_mode(),
-                mode,
-                "the driver sweeps cyclically, so the spilled table is pre-aligned"
-            ),
-        }
     }
 
     fn begin_window(&mut self, w: &Window<'_>) -> Result<()> {
@@ -568,59 +539,44 @@ impl<E: PresElem> TableStore<E> {
         Ok(())
     }
 
-    /// The per-entry cached-δ accumulation, addressed globally for a
-    /// resident table and tile-locally for a spilled one — the identical
-    /// run-blocked arithmetic (`cache::cached_delta_for_entry`) either way.
-    #[allow(clippy::too_many_arguments)]
+    /// The cached-δ accumulation for window-local position `pos`: a
+    /// resident table is entry-ordered and reached through the stream's
+    /// entry id, a spilled tile is window-local like `pos` itself — the
+    /// identical run-blocked arithmetic (`cache::cached_delta_for_entry`)
+    /// either way.
     #[inline]
     fn delta(
         &self,
+        ctx: &ModeContext<'_>,
         delta: &mut [f64],
-        base: usize,
         pos: usize,
         others: &[u32],
-        mode: usize,
         old_row: &[f64],
-        core_idx: &[usize],
-        core_vals: &[f64],
-        runs: &[u32],
-        factors: &[Matrix],
     ) {
-        match self {
-            TableStore::Resident(t) => t.accumulate_delta_cached(
-                delta,
-                base + pos,
-                others,
-                mode,
-                old_row,
-                core_idx,
-                core_vals,
-                runs,
-                factors,
-            ),
-            TableStore::Spilled(t) => cached_delta_for_entry(
-                delta,
-                t.tile_row(pos),
-                others,
-                mode,
-                old_row,
-                core_idx,
-                core_vals,
-                runs,
-                factors,
-            ),
-        }
+        let pres = match self {
+            TableStore::Resident(t) => t.row(ctx.stream.entry_id(pos)),
+            TableStore::Spilled(t) => t.tile_row(pos),
+        };
+        cached_delta_for_entry(
+            delta,
+            pres,
+            others,
+            ctx.mode,
+            old_row,
+            ctx.core_idx,
+            ctx.core_vals,
+            &ctx.runs,
+            ctx.factors,
+        );
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn rescale_and_reorder(
+    fn rescale(
         &mut self,
         x: &FitInput<'_>,
-        plan: &ModeStreams,
         factors: &[Matrix],
         old: &Matrix,
         mode: usize,
-        next: usize,
         core: &CoreTensor,
         threads: usize,
         sweep: &mut SweepSource<'_>,
@@ -628,36 +584,39 @@ impl<E: PresElem> TableStore<E> {
         match self {
             TableStore::Resident(table) => {
                 let x = x.expect_resident("the resident Pres table");
-                table.rescale_and_reorder(x, plan, factors, old, mode, next, core, threads);
+                table.rescale(x, factors, old, mode, core, threads);
                 Ok(())
             }
             TableStore::Spilled(table) => {
-                table.rescale_and_reorder(plan, factors, old, mode, next, core, threads, sweep)
+                let next = (mode + 1) % factors.len();
+                table.rescale_and_reorder(factors, old, mode, next, core, threads, sweep)
             }
         }
     }
 
-    fn order_mode(&self) -> usize {
-        match self {
-            TableStore::Resident(table) => table.order_mode(),
-            TableStore::Spilled(table) => table.order_mode(),
-        }
-    }
-
-    fn export_state(&self, out: &mut Vec<u8>) -> Result<()> {
+    /// Checkpoint elements in mode 0's stream order on either placement
+    /// (where a spilled table sits at every iteration boundary), so
+    /// resident and spilled checkpoints are the same bytes.
+    fn export_state(&self, plan: &ModeStreams, out: &mut Vec<u8>) -> Result<()> {
         match self {
             TableStore::Resident(table) => {
-                table.export_state(out);
+                table.export_state(plan.mode(0), out);
                 Ok(())
             }
-            TableStore::Spilled(table) => table.export_state(out),
+            TableStore::Spilled(table) => {
+                debug_assert_eq!(table.order_mode(), 0, "checkpoints cut between iterations");
+                table.export_state(out)
+            }
         }
     }
 
-    fn import_state(&mut self, bytes: &[u8]) -> Result<()> {
+    fn import_state(&mut self, plan: &ModeStreams, bytes: &[u8]) -> Result<()> {
         match self {
-            TableStore::Resident(table) => table.import_state(bytes),
-            TableStore::Spilled(table) => table.import_state(bytes),
+            TableStore::Resident(table) => table.import_state(plan.mode(0), bytes),
+            TableStore::Spilled(table) => {
+                debug_assert_eq!(table.order_mode(), 0, "resumes start an iteration");
+                table.import_state(bytes)
+            }
         }
     }
 }
@@ -671,29 +630,35 @@ enum AnyTable {
     F32(TableStore<f32>),
 }
 
+/// The checkpoint tag of the table's element precision.
+const AUX_TAG_F64: u8 = 0;
+const AUX_TAG_F32: u8 = 1;
+
 /// The P-Tucker-Cache kernel: owns the `Pres` table of all
 /// `(entry, core-entry)` products, replacing the `N−1` multiplications per
 /// pair with one division (Theorem 5) at `O(|Ω|·|G|)` memory (Theorem 6).
 ///
-/// The table is kept **in the stream order of the mode being swept**: the
-/// sweep reads it front to back with no entry-id indirection, and the
-/// per-mode rescale (Algorithm 3 lines 16–19, still parallel) is followed
-/// by an in-place cycle-chase permutation that carries the table into the
-/// *next* mode's stream order — no second table-sized buffer, so
-/// Theorem 6's memory bound is preserved (see
-/// `PresTable::rescale_and_reorder`).
+/// A resident table keeps **one fixed row order — COO entry order — for
+/// the whole fit**: the sweep gathers each position's `|G|`-element row
+/// through the stream's entry id, and the per-mode rescale (Algorithm 3
+/// lines 16–19) is one parallel pass over the rows in place. No row is
+/// ever moved and no second table-sized buffer exists, so Theorem 6's
+/// memory bound holds as stated.
 ///
 /// When the placement gate rules the table out of RAM it spills to its own
-/// scratch file: [`RowUpdateKernel::begin_window`]
-/// pages in each window's tile, and the rescale+reorder runs
-/// tile-at-a-time into a ping-pong file region. The per-row arithmetic
-/// (`cache::cached_delta_for_entry`) is shared between both placements, so
-/// resident, hybrid-spilled and fully spilled fits agree **bitwise**.
+/// scratch file, stream-ordered for sequential reads:
+/// [`RowUpdateKernel::begin_window`] pages in each window's tile, and the
+/// rescale runs tile-at-a-time, scattering into a ping-pong file region in
+/// the next mode's order. The per-row arithmetic
+/// (`cache::cached_delta_for_entry`, `cache::rescale_entry_row`) is shared
+/// between both placements, so resident, hybrid-spilled and fully spilled
+/// fits agree **bitwise**.
 #[derive(Debug, Default)]
 pub struct CachedKernel {
     table: Option<AnyTable>,
-    /// Pre-update snapshot of the mode's factor, for the table rescale.
-    old_factor: Option<Matrix>,
+    /// Pre-update snapshot of the swept mode's factor, for the table
+    /// rescale; one buffer reused by every mode of every iteration.
+    old_factor: Matrix,
 }
 
 impl CachedKernel {
@@ -707,7 +672,7 @@ impl RowUpdateKernel for CachedKernel {
     fn prepare_fit(
         &mut self,
         x: &FitInput<'_>,
-        plan: &ModeStreams,
+        _plan: &ModeStreams,
         factors: &[Matrix],
         core: &CoreTensor,
         opts: &FitOptions,
@@ -716,10 +681,10 @@ impl RowUpdateKernel for CachedKernel {
     ) -> Result<()> {
         self.table = Some(match opts.precision {
             StoragePrecision::F64 => AnyTable::F64(TableStore::compute(
-                x, plan, factors, core, opts, sweep, spill_aux,
+                x, factors, core, opts, sweep, spill_aux,
             )?),
             StoragePrecision::F32 => AnyTable::F32(TableStore::compute(
-                x, plan, factors, core, opts, sweep, spill_aux,
+                x, factors, core, opts, sweep, spill_aux,
             )?),
         });
         Ok(())
@@ -727,19 +692,14 @@ impl RowUpdateKernel for CachedKernel {
 
     fn prepare_mode(
         &mut self,
-        x: &FitInput<'_>,
-        plan: &ModeStreams,
+        _x: &FitInput<'_>,
+        _plan: &ModeStreams,
         factors: &[Matrix],
         mode: usize,
         _core: &CoreTensor,
         _opts: &FitOptions,
     ) -> Result<()> {
-        self.old_factor = Some(factors[mode].clone());
-        match self.table.as_mut() {
-            Some(AnyTable::F64(table)) => table.align(x, plan, mode),
-            Some(AnyTable::F32(table)) => table.align(x, plan, mode),
-            None => {}
-        }
+        self.old_factor.clone_from(&factors[mode]);
         Ok(())
     }
 
@@ -762,111 +722,61 @@ impl RowUpdateKernel for CachedKernel {
             .table
             .as_ref()
             .expect("CachedKernel::prepare_fit must run before update_row");
-        run_row(ctx, scratch, i, row, |delta, pos, others, old_row| {
-            // Stream-ordered table: position `pos` of the sweep owns row
-            // `pos` of the table, so the whole sweep reads the |Ω|×|G|
-            // elements strictly sequentially. A resident table is addressed
-            // globally; a spilled tile is window-local like `pos` itself.
-            match table {
-                AnyTable::F64(t) => t.delta(
-                    delta,
-                    ctx.base,
-                    pos,
-                    others,
-                    ctx.mode,
-                    old_row,
-                    ctx.core_idx,
-                    ctx.core_vals,
-                    &ctx.runs,
-                    ctx.factors,
-                ),
-                AnyTable::F32(t) => t.delta(
-                    delta,
-                    ctx.base,
-                    pos,
-                    others,
-                    ctx.mode,
-                    old_row,
-                    ctx.core_idx,
-                    ctx.core_vals,
-                    &ctx.runs,
-                    ctx.factors,
-                ),
-            }
-        })
+        run_row(
+            ctx,
+            scratch,
+            i,
+            row,
+            |delta, pos, others, old_row| match table {
+                AnyTable::F64(t) => t.delta(ctx, delta, pos, others, old_row),
+                AnyTable::F32(t) => t.delta(ctx, delta, pos, others, old_row),
+            },
+        )
     }
 
     fn post_mode(
         &mut self,
         x: &FitInput<'_>,
-        plan: &ModeStreams,
+        _plan: &ModeStreams,
         factors: &[Matrix],
         mode: usize,
         core: &CoreTensor,
         opts: &FitOptions,
         sweep: &mut SweepSource<'_>,
     ) -> Result<()> {
-        let old = self
-            .old_factor
-            .take()
-            .expect("CachedKernel::prepare_mode must run before post_mode");
-        let next = (mode + 1) % plan.order();
+        let old = &self.old_factor;
         match self.table.as_mut() {
-            Some(AnyTable::F64(table)) => {
-                table.rescale_and_reorder(
-                    x,
-                    plan,
-                    factors,
-                    &old,
-                    mode,
-                    next,
-                    core,
-                    opts.threads,
-                    sweep,
-                )?;
-            }
-            Some(AnyTable::F32(table)) => {
-                table.rescale_and_reorder(
-                    x,
-                    plan,
-                    factors,
-                    &old,
-                    mode,
-                    next,
-                    core,
-                    opts.threads,
-                    sweep,
-                )?;
-            }
-            None => {}
+            Some(AnyTable::F64(t)) => t.rescale(x, factors, old, mode, core, opts.threads, sweep),
+            Some(AnyTable::F32(t)) => t.rescale(x, factors, old, mode, core, opts.threads, sweep),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// Checkpoint section: `[order_mode: u8][precision: u8]` followed by
-    /// every table element widened to `f64` little-endian bits — exact
-    /// for both precisions, so the round trip is lossless.
-    fn save_aux(&self, out: &mut Vec<u8>) -> Result<()> {
+    /// Checkpoint section: `[order_mode = 0: u8][precision: u8]` followed
+    /// by every table element widened to `f64` little-endian bits, rows in
+    /// mode 0's stream order — exact for both precisions, so the round
+    /// trip is lossless, and the same bytes whether the table is resident
+    /// or spilled.
+    fn save_aux(&self, plan: &ModeStreams, out: &mut Vec<u8>) -> Result<()> {
         let table = self.table.as_ref().ok_or_else(|| {
             crate::PtuckerError::Checkpoint(
                 "CachedKernel has no table to checkpoint (prepare_fit has not run)".into(),
             )
         })?;
+        out.push(0);
         match table {
             AnyTable::F64(t) => {
-                out.push(t.order_mode() as u8);
-                out.push(0);
-                t.export_state(out)
+                out.push(AUX_TAG_F64);
+                t.export_state(plan, out)
             }
             AnyTable::F32(t) => {
-                out.push(t.order_mode() as u8);
-                out.push(1);
-                t.export_state(out)
+                out.push(AUX_TAG_F32);
+                t.export_state(plan, out)
             }
         }
     }
 
-    fn load_aux(&mut self, bytes: &[u8]) -> Result<()> {
+    fn load_aux(&mut self, plan: &ModeStreams, bytes: &[u8]) -> Result<()> {
         let ck = crate::PtuckerError::Checkpoint;
         let table = self
             .table
@@ -879,9 +789,9 @@ impl RowUpdateKernel for CachedKernel {
                     .into(),
             ));
         };
-        let (have_mode, want_precision) = match table {
-            AnyTable::F64(t) => (t.order_mode(), 0u8),
-            AnyTable::F32(t) => (t.order_mode(), 1u8),
+        let want_precision = match table {
+            AnyTable::F64(_) => AUX_TAG_F64,
+            AnyTable::F32(_) => AUX_TAG_F32,
         };
         if *precision != want_precision {
             return Err(ck(format!(
@@ -889,15 +799,15 @@ impl RowUpdateKernel for CachedKernel {
                  {want_precision}"
             )));
         }
-        if *order_mode as usize != have_mode {
+        if *order_mode != 0 {
             return Err(ck(format!(
-                "checkpointed Pres table is in mode {order_mode}'s stream order, the prepared \
-                 table is in mode {have_mode}'s"
+                "checkpointed Pres table is in mode {order_mode}'s stream order; checkpoints \
+                 are cut between iterations, in mode 0's"
             )));
         }
         match table {
-            AnyTable::F64(t) => t.import_state(elems),
-            AnyTable::F32(t) => t.import_state(elems),
+            AnyTable::F64(t) => t.import_state(plan, elems),
+            AnyTable::F32(t) => t.import_state(plan, elems),
         }
     }
 }
@@ -1153,8 +1063,6 @@ mod tests {
         let mut s1 = Scratch::for_options(&opts);
         let mut s2 = Scratch::for_options(&opts);
         for mode in 0..3 {
-            // Re-align the stream-ordered table to this mode (the fit
-            // driver's prepare_mode contract).
             cached
                 .prepare_mode(&input, &plan, &factors, mode, &core, &opts)
                 .unwrap();

@@ -8,11 +8,30 @@ use std::ops::{Index, IndexMut};
 /// dense matrices (`Jₙ×Jₙ` normal-equation matrices, `Iₙ×Jₙ` factor blocks,
 /// and `J^{N-1}` Gram matrices for the HOOI baselines). Storage is a single
 /// contiguous `Vec<f64>` to keep the hot row-update kernel cache-friendly.
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq, Default)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Reuses `self`'s allocation (the derive's `clone_from` would
+    /// reallocate) — callers snapshotting a matrix per step into one
+    /// retained buffer stay allocation-free once it has grown to size.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Matrix {
