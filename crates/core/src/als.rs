@@ -433,8 +433,7 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
     // the *stricter* reading for its own plan: it is per-fit derived data
     // the budget must be able to refuse, so P-Tucker's reported peak (and
     // OOM boundary) includes it. A spilled plan books its resident floor
-    // (offsets + inverse entry maps) unchecked and its file bytes on the
-    // spill meter.
+    // (the slice offsets) unchecked and its file bytes on the spill meter.
     let mut plan_reservation = None;
     let plan = match input {
         // Disk-resident entries: the plan can only come from the external
@@ -471,6 +470,13 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
     let mut scratch_pool: Vec<Scratch> = (0..opts.threads.max(1))
         .map(|_| Scratch::new(j_max))
         .collect();
+
+    // A spilled Pres table carries the one inverse entry map of the fit
+    // (|Ω| words, for its reorder scatter): part of the out-of-core floor,
+    // booked before the window capacity is cut from what is left.
+    let _table_map = place
+        .spill_table
+        .then(|| opts.budget.reserve_unchecked(nnz * 4));
 
     // Window capacity from what is left of the budget. Each windowed
     // stream position costs its plan bytes (value + packed indices +
@@ -1522,10 +1528,10 @@ mod tests {
                 .prefetch(prefetch)
                 .budget(budget)
         };
-        // Half the plan: after the spilled plan's resident floor
-        // (~N·|Ω|·4 B of inverse maps) the leftover budget still yields
-        // double-buffered windows of ~400 KiB — comfortably past
-        // PREFETCH_MIN_WINDOW_BYTES even at the halved prefetch capacity.
+        // Half the plan: the spilled plan's resident floor is only its
+        // slice offsets, so the budget yields double-buffered windows of
+        // ~500 KiB — comfortably past PREFETCH_MIN_WINDOW_BYTES even at
+        // the halved prefetch capacity.
         // (On a single-CPU host prefetch auto-disables regardless; the
         // bitwise claims below hold either way.)
         let budget_bytes = ModeStreams::bytes_for(&x) / 2;

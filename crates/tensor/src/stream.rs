@@ -27,8 +27,7 @@
 //! resident ([`ModeStreams::build`]) or the bulk arrays — values, packed
 //! other-mode indices and entry ids — live in an unlinked
 //! [`ScratchFile`](ptucker_memtrack::ScratchFile) and only the per-mode
-//! slice offsets and inverse entry maps stay in RAM
-//! ([`ModeStreams::build_spilled`]).
+//! slice offsets stay in RAM ([`ModeStreams::build_spilled`]).
 //!
 //! Consumers never branch on the placement. [`ModeStreams::sweep_source`]
 //! yields a [`SweepSource`]: a lending iterator of **slice-aligned
@@ -186,7 +185,9 @@ impl<'a> ValuesView<'a> {
 /// The streamed slice layout of one mode: values and packed other-mode
 /// indices in slice-major order, plus the stream-position → COO entry-id
 /// map for consumers that keep per-entry state in COO order (e.g. the
-/// P-Tucker-Cache `Pres` table).
+/// resident P-Tucker-Cache `Pres` table). The inverse map is not stored:
+/// its one consumer (the spilled `Pres` table's reorder scatter) derives
+/// it from the entry ids of the mode it needs.
 #[derive(Debug, Clone)]
 pub struct ModeStream {
     mode: usize,
@@ -202,12 +203,6 @@ pub struct ModeStream {
     others: Vec<u32>,
     /// Stream position → COO entry id.
     entry_ids: Vec<u32>,
-    /// COO entry id → stream position (the inverse of `entry_ids`).
-    /// Consumers that keep per-entry state *in this stream's order* — the
-    /// stream-ordered `Pres` table of P-Tucker-Cache — use it to compute
-    /// the permutation that carries that state from one mode's order to
-    /// another's.
-    entry_positions: Vec<u32>,
 }
 
 impl ModeStream {
@@ -220,12 +215,10 @@ impl ModeStream {
         let mut values = ValueStore::with_capacity(precision, nnz);
         let mut others = Vec::with_capacity(nnz * other_count);
         let mut entry_ids = Vec::with_capacity(nnz);
-        let mut entry_positions = vec![0u32; nnz];
         offsets.push(0);
         for i in 0..dim {
             for &e in x.slice(mode, i) {
                 let idx = x.index(e);
-                entry_positions[e] = values.len() as u32;
                 values.push(x.value(e));
                 for (k, &ik) in idx.iter().enumerate() {
                     if k != mode {
@@ -243,7 +236,6 @@ impl ModeStream {
             values,
             others,
             entry_ids,
-            entry_positions,
         }
     }
 
@@ -309,13 +301,6 @@ impl ModeStream {
     #[inline]
     pub fn entry_id(&self, p: usize) -> usize {
         self.entry_ids[p] as usize
-    }
-
-    /// The stream position holding COO entry `e` (inverse of
-    /// [`ModeStream::entry_id`]).
-    #[inline]
-    pub fn position_of(&self, e: usize) -> usize {
-        self.entry_positions[e] as usize
     }
 
     /// The whole stream as a [`StreamView`] (slices and positions global).
@@ -459,8 +444,8 @@ pub enum StreamStore {
     InMemory(Vec<ModeStream>),
     /// The bulk arrays (values, packed other-mode indices, entry ids) of
     /// every mode live in a per-fit scratch file; RAM holds only the
-    /// per-mode slice offsets and inverse entry maps. Consumed through
-    /// [`SweepSource`] / [`SliceWindows`].
+    /// per-mode slice offsets. Consumed through [`SweepSource`] /
+    /// [`SliceWindows`].
     Spilled {
         /// The unlinked per-fit scratch file holding every mode's
         /// sections.
@@ -478,18 +463,14 @@ pub enum StreamStore {
 
 /// A mode's stream whose bulk arrays live in the plan's scratch file.
 ///
-/// RAM keeps the slice offsets (`Iₙ+1` words) and the COO-entry-id →
-/// stream-position inverse map (`|Ω|` packed `u32`s — needed by consumers
-/// that permute stream-ordered state between modes, like the Cached
-/// variant's spilled `Pres` table). Everything per-position — values,
-/// packed other-mode indices, entry ids — is read back window-at-a-time
-/// through [`SliceWindows`].
+/// RAM keeps only the slice offsets (`Iₙ+1` words). Everything
+/// per-position — values, packed other-mode indices, entry ids — is read
+/// back window-at-a-time through [`SliceWindows`].
 #[derive(Debug)]
 pub struct SpilledModeStream {
     mode: usize,
     other_count: usize,
     offsets: Vec<usize>,
-    entry_positions: Vec<u32>,
     max_slice_len: usize,
     /// Byte offsets of this mode's sections in the plan's scratch file:
     /// the interleaved per-position records, and the ids-only copy.
@@ -545,12 +526,6 @@ impl SpilledModeStream {
     #[inline]
     pub fn max_slice_len(&self) -> usize {
         self.max_slice_len
-    }
-
-    /// The global stream position holding COO entry `e`.
-    #[inline]
-    pub fn position_of(&self, e: usize) -> usize {
-        self.entry_positions[e] as usize
     }
 
     /// Number of slice-aligned windows a sweep with `cap_positions` of
@@ -754,7 +729,7 @@ impl ModeStreams {
     /// `Pres` table's build/rescale), which keep their 4-bytes-per-
     /// position read volume.
     ///
-    /// The resident metadata (offsets + inverse entry maps) is booked with
+    /// The resident metadata (the slice offsets) is booked with
     /// [`MemoryBudget::reserve_unchecked`] — it is the irreducible floor
     /// of the out-of-core path — and the file bytes with
     /// [`MemoryBudget::record_spill`]; both guards live inside the
@@ -792,7 +767,6 @@ impl ModeStreams {
         for mode in 0..order {
             let dim = x.dims()[mode];
             let mut offsets = Vec::with_capacity(dim + 1);
-            let mut entry_positions = vec![0u32; nnz];
             let rec_off = file.reserve_region(nnz as u64 * stride as u64)?;
             let ids_off = file.reserve_region(nnz as u64 * 4)?;
             let mut written = 0usize;
@@ -800,7 +774,6 @@ impl ModeStreams {
             offsets.push(0);
             for i in 0..dim {
                 for &e in x.slice(mode, i) {
-                    entry_positions[e] = (written + ibuf.len()) as u32;
                     match precision {
                         StoragePrecision::F64 => {
                             rbuf.extend_from_slice(&x.value(e).to_le_bytes());
@@ -837,7 +810,6 @@ impl ModeStreams {
                 mode,
                 other_count,
                 offsets,
-                entry_positions,
                 max_slice_len,
                 rec_off,
                 ids_off,
@@ -874,9 +846,9 @@ impl ModeStreams {
     ///
     /// The output is **bitwise identical** to
     /// [`ModeStreams::build_spilled_at`] over the resident tensor at the
-    /// same precision — same record bytes, same slice offsets, same
-    /// inverse entry maps — so a fit from a `CooScratch` source follows
-    /// the exact trajectory of its in-RAM twin.
+    /// same precision — same record bytes, same slice offsets — so a fit
+    /// from a `CooScratch` source follows the exact trajectory of its
+    /// in-RAM twin.
     ///
     /// # Errors
     /// [`TensorError::InvalidDims`] as for [`ModeStreams::build`], or
@@ -908,11 +880,11 @@ impl ModeStreams {
         // triple per record.
         let run_rec = 4 + stride;
         let sort_cost = run_rec + std::mem::size_of::<(u32, u32, u32)>();
-        // Book the plan's resident floor (offsets + inverse entry maps)
-        // *before* sizing the sort arena: the maps are allocated inside
-        // the per-mode loop below, and sizing the arena from a budget the
-        // floor is about to consume would overshoot the tracked peak.
-        let resident = budget.reserve_unchecked(Self::resident_bytes_for_dims(&dims, nnz));
+        // Book the plan's resident floor (the slice offsets) *before*
+        // sizing the sort arena: they are allocated inside the per-mode
+        // loop below, and sizing the arena from a budget the floor is
+        // about to consume would overshoot the tracked peak.
+        let resident = budget.reserve_unchecked(Self::resident_bytes_for_dims(&dims));
         let arena_bytes = (budget.available() / 2).clamp(MIN_SORT_BYTES, MAX_SORT_BYTES);
         let run_entries = (arena_bytes / sort_cost).max(1).min(nnz.max(1));
         // The sort arena doubles as the merge pass's read buffers, so one
@@ -930,7 +902,6 @@ impl ModeStreams {
         for mode in 0..order {
             let dim = dims[mode];
             let mut offsets = Vec::with_capacity(dim + 1);
-            let mut entry_positions = vec![0u32; nnz];
             let rec_off = file.reserve_region(nnz as u64 * stride as u64)?;
             let ids_off = file.reserve_region(nnz as u64 * 4)?;
             offsets.push(0);
@@ -1014,7 +985,6 @@ impl ModeStreams {
                 while offsets.len() <= key as usize {
                     offsets.push(out_pos);
                 }
-                entry_positions[eid as usize] = out_pos as u32;
                 {
                     let c = &cursors[ri];
                     let a = c.pos * run_rec;
@@ -1056,7 +1026,6 @@ impl ModeStreams {
                 mode,
                 other_count,
                 offsets,
-                entry_positions,
                 max_slice_len,
                 rec_off,
                 ids_off,
@@ -1119,17 +1088,6 @@ impl ModeStreams {
     #[inline]
     pub fn store(&self) -> &StreamStore {
         &self.store
-    }
-
-    /// The stream position of COO entry `e` in `mode`'s layout, on either
-    /// placement (resident streams and spilled plans both keep the inverse
-    /// entry map in RAM).
-    #[inline]
-    pub fn position_of(&self, mode: usize, e: usize) -> usize {
-        match &self.store {
-            StreamStore::InMemory(streams) => streams[mode].position_of(e),
-            StreamStore::Spilled { modes, .. } => modes[mode].position_of(e),
-        }
     }
 
     /// The largest slice's position count across **all** modes — the
@@ -1306,8 +1264,7 @@ impl ModeStreams {
     /// Bytes the fully resident plan for `x` will occupy — computable
     /// *before* building, so callers can reserve against a memory budget
     /// first. Per mode: `|Ω|` values (8 B), `(N−1)·|Ω|` packed indices
-    /// (4 B), `|Ω|` entry ids plus `|Ω|` inverse positions (4 B each) and
-    /// `Iₙ+1` offsets (8 B). Defaults to f64 values; see
+    /// (4 B), `|Ω|` entry ids (4 B) and `Iₙ+1` offsets (8 B). Defaults to f64 values; see
     /// [`ModeStreams::bytes_for_at`].
     pub fn bytes_for(x: &SparseTensor) -> usize {
         Self::bytes_for_at(x, StoragePrecision::F64)
@@ -1326,21 +1283,20 @@ impl ModeStreams {
     /// [`SparseTensor`] to pass) use these `_dims` variants.
     pub fn bytes_for_dims(dims: &[usize], nnz: usize, precision: StoragePrecision) -> usize {
         let order = dims.len();
-        let per_mode_entries = nnz * precision.value_bytes() + (order - 1) * nnz * 4 + 2 * nnz * 4;
+        let per_mode_entries = nnz * precision.value_bytes() + (order - 1) * nnz * 4 + nnz * 4;
         let offsets: usize = dims.iter().map(|&d| (d + 1) * 8).sum();
         order * per_mode_entries + offsets
     }
 
-    /// RAM bytes a **spilled** plan for `x` keeps resident: per-mode slice
-    /// offsets plus the inverse entry maps.
+    /// RAM bytes a **spilled** plan for `x` keeps resident: the per-mode
+    /// slice offsets.
     pub fn resident_bytes_for(x: &SparseTensor) -> usize {
-        Self::resident_bytes_for_dims(x.dims(), x.nnz())
+        Self::resident_bytes_for_dims(x.dims())
     }
 
     /// [`ModeStreams::resident_bytes_for`] from the shape alone.
-    pub fn resident_bytes_for_dims(dims: &[usize], nnz: usize) -> usize {
-        let offsets: usize = dims.iter().map(|&d| (d + 1) * 8).sum();
-        offsets + dims.len() * nnz * 4
+    pub fn resident_bytes_for_dims(dims: &[usize]) -> usize {
+        dims.iter().map(|&d| (d + 1) * 8).sum()
     }
 
     /// Scratch-file bytes a spilled plan for `x` writes: per mode, the
@@ -2043,8 +1999,6 @@ mod tests {
                 let e = s.entry_id(p);
                 assert!(!seen[e]);
                 seen[e] = true;
-                assert_eq!(s.position_of(e), p, "inverse map round-trips");
-                assert_eq!(plan.position_of(n, e), p);
             }
             assert!(seen.iter().all(|&b| b));
         }
@@ -2054,8 +2008,9 @@ mod tests {
     fn bytes_estimate_is_positive_and_scales_with_order() {
         let x = sample();
         let b = ModeStreams::bytes_for(&x);
-        // 3 modes × (4·8 + 2·4·4 + 2·4·4) B entries + offsets.
-        assert_eq!(b, 3 * (32 + 32 + 32) + (4 + 3 + 3) * 8);
+        // 3 modes × (4·8 values + 2·4·4 packed indices + 4·4 entry ids) B
+        // + offsets.
+        assert_eq!(b, 3 * (32 + 32 + 16) + (4 + 3 + 3) * 8);
     }
 
     #[test]
@@ -2227,9 +2182,6 @@ mod tests {
                 let full = resident.mode(n);
                 let sp = spilled.spilled_mode(n);
                 assert_eq!(sp.len(), x.nnz());
-                for e in 0..x.nnz() {
-                    assert_eq!(sp.position_of(e), full.position_of(e));
-                }
                 // Tiny capacity: every window is exactly one slice.
                 let mut w = spilled.windows(n, 1, prefetch);
                 assert_eq!(w.window_count(), x.dims()[n]);
@@ -2441,17 +2393,13 @@ mod tests {
     }
 
     /// Asserts two spilled plans present byte-identical sweeps: same
-    /// offsets, inverse maps, value bits, packed indices and entry ids.
+    /// offsets, value bits, packed indices and entry ids.
     fn assert_spilled_plans_bitwise(a: &ModeStreams, b: &ModeStreams, nnz: usize, tag: &str) {
         assert_eq!(a.order(), b.order(), "{tag}");
         for n in 0..a.order() {
             let sa = a.spilled_mode(n);
             let sb = b.spilled_mode(n);
             assert_eq!(sa.offsets, sb.offsets, "{tag} mode {n} offsets");
-            assert_eq!(
-                sa.entry_positions, sb.entry_positions,
-                "{tag} mode {n} inverse maps"
-            );
             assert_eq!(sa.max_slice_len(), sb.max_slice_len(), "{tag} mode {n}");
             let mut wa = a.windows(n, 3, false);
             let mut wb = b.windows(n, 3, false);
