@@ -2,14 +2,15 @@
 //! routines P-Tucker leans on (Cholesky/LU/QR/eigen at the paper's J
 //! sizes), the engine's row update — **COO gather baseline vs the
 //! prefix-reused scalar kernel vs the run-blocked micro-kernel** for the
-//! Direct path, the Cached kernel's sweep with a **COO-ordered vs
-//! stream-ordered Pres table**, and the CSF TTMc against a brute-force
-//! Kronecker accumulation.
+//! Direct path, the Cached kernel's sweep and its **full mode cycle**
+//! (every mode's sweep *plus* `post_mode` rescale, through the real
+//! `CachedKernel` — what a Cache iteration pays), and the CSF TTMc
+//! against a brute-force Kronecker accumulation.
 //!
 //! Besides the stdout report, the run emits `BENCH_kernels.json` at the
-//! workspace root: the gather/scalar/blocked and COO-vs-stream cached
-//! medians at J ∈ {5, 10, 20}, the perf artifact CI (and future PRs)
-//! regress against. The `gather_ns`/`stream_direct_ns`/`speedup` fields
+//! workspace root: the gather/scalar/blocked medians and the
+//! `cache_mode_cycle` series at J ∈ {5, 10, 20}, the perf artifact CI (and
+//! future PRs) regress against. The `gather_ns`/`stream_direct_ns`/`speedup` fields
 //! keep their PR 2 meaning (`stream_direct` is whatever kernel
 //! `PTucker::fit` actually runs) so the trajectory stays comparable. A
 //! `windowed_fit` series prices the out-of-core path: the same Direct
@@ -245,91 +246,64 @@ impl RowUpdateFixture {
         }
     }
 
-    /// The pre-PR Cached sweep: the Pres table in **COO entry order**,
-    /// indirected through the stream's entry-id map per position — exactly
-    /// the access pattern the stream-ordered table removed, hand-rolled
-    /// over a locally built table.
-    fn coo_cached_row_sweep(&self, table: &[f64], scratch: &mut Scratch, row: &mut [f64]) {
-        let j = self.j;
-        let order = self.x.order();
-        let g = self.core.nnz();
-        let core_idx = self.core.flat_indices();
-        let core_vals = self.core.values();
-        let stream = self.plan.mode(0);
-        let values = stream.values();
-        let others_flat = stream.others_flat();
-        let k_others = stream.other_count();
-        for i in 0..self.x.dims()[0] {
-            row.copy_from_slice(self.factors[0].row(i));
-            let range = stream.slice_range(i);
-            if range.is_empty() {
-                row.fill(0.0);
-                continue;
-            }
-            {
-                let (delta, c, b_upper) = scratch.accumulators(j);
-                for pos in range {
-                    let e = stream.entry_id(pos);
-                    let others = &others_flat[pos * k_others..(pos + 1) * k_others];
-                    let pres = &table[e * g..(e + 1) * g];
-                    delta.fill(0.0);
-                    let old_row = self.factors[0].row(i);
-                    for (b, &cached) in pres.iter().enumerate() {
-                        let beta = &core_idx[b * order..(b + 1) * order];
-                        let j_n = beta[0];
-                        let a = old_row[j_n];
-                        if a != 0.0 {
-                            delta[j_n] += cached / a;
-                        } else {
-                            let mut w = core_vals[b];
-                            for k in 1..order {
-                                w *= self.factors[k][(others[k - 1] as usize, beta[k])];
-                                if w == 0.0 {
-                                    break;
-                                }
-                            }
-                            delta[j_n] += w;
-                        }
-                    }
-                    let xv = values.at(pos);
-                    for j1 in 0..j {
-                        let d1 = delta[j1];
-                        c[j1] += xv * d1;
-                        if d1 == 0.0 {
-                            continue;
-                        }
-                        for j2 in j1..j {
-                            b_upper[j1 * j + j2] += d1 * delta[j2];
-                        }
-                    }
-                }
-            }
-            black_box(scratch.solve(j, self.opts.lambda, row));
-        }
+    /// A Cached kernel with its Pres table built for this fixture.
+    fn cached_kernel(&self) -> CachedKernel {
+        let mut cached = CachedKernel::new();
+        let mut sweep = self.plan.sweep_source(0, usize::MAX, false);
+        cached
+            .prepare_fit(
+                &ptucker::FitInput::Resident(&self.x),
+                &self.plan,
+                &self.factors,
+                &self.core,
+                &self.opts,
+                &mut sweep,
+                false,
+            )
+            .unwrap();
+        cached
     }
 
-    /// Builds the COO-ordered `|Ω|×|G|` Pres table the pre-PR cached sweep
-    /// reads (through public APIs; the engine's own table is stream-ordered
-    /// and private).
-    fn build_coo_table(&self) -> Vec<f64> {
-        let g = self.core.nnz();
-        let order = self.x.order();
-        let mut table = vec![0.0f64; self.x.nnz() * g];
-        for e in 0..self.x.nnz() {
-            let idx = self.x.index(e);
-            for b in 0..g {
-                let beta = self.core.index(b);
-                let mut w = self.core.value(b);
-                for k in 0..order {
-                    w *= self.factors[k][(idx[k], beta[k])];
-                    if w == 0.0 {
-                        break;
-                    }
+    /// One full mode cycle of the Cache variant as a fit pays for it: per
+    /// mode, `prepare_mode`, the row sweep installing the new factor, then
+    /// `post_mode` (the table rescale) — the driver's own hook sequence on
+    /// the real kernel, so any table layout is charged for the sweep *and*
+    /// for whatever it makes `post_mode` do. Returns the seconds spent in
+    /// `post_mode`.
+    fn cache_mode_cycle(
+        &self,
+        kernel: &mut CachedKernel,
+        factors: &mut [Matrix],
+        scratch: &mut Scratch,
+    ) -> f64 {
+        let input = ptucker::FitInput::Resident(&self.x);
+        let mut sweep = self.plan.sweep_source(0, usize::MAX, false);
+        let mut post = 0.0;
+        for mode in 0..self.x.order() {
+            kernel
+                .prepare_mode(&input, &self.plan, factors, mode, &self.core, &self.opts)
+                .unwrap();
+            // As in the driver: the mode's rows are updated in place
+            // (each row enters holding its old values) while the other
+            // factors are shared.
+            let (rows, j) = (factors[mode].rows(), factors[mode].cols());
+            let mut data = std::mem::take(&mut factors[mode]).into_vec();
+            {
+                let ctx = ModeContext::new(&self.plan, factors, &self.core, mode, &self.opts);
+                for (i, row) in data.chunks_mut(j).enumerate() {
+                    black_box(kernel.update_row(&ctx, scratch, i, row));
                 }
-                table[e * g + b] = w;
             }
+            factors[mode] = Matrix::from_vec(rows, j, data).unwrap();
+            let t = Instant::now();
+            kernel
+                .post_mode(
+                    &input, &self.plan, factors, mode, &self.core, &self.opts, &mut sweep,
+                )
+                .unwrap();
+            post += t.elapsed().as_secs_f64();
         }
-        table
+        post
     }
 }
 
@@ -338,9 +312,9 @@ impl RowUpdateFixture {
 /// the paper's rank scales. `gather` is the replaced COO entry-id path;
 /// `scalar_lex` is PR 2's prefix-reused scalar kernel on the plan;
 /// `stream_direct` is the run-blocked micro-kernel `PTucker::fit` runs
-/// now; `coo_cached`/`stream_cached` compare the Cached sweep with a
-/// COO-ordered vs stream-ordered Pres table. A regression here is a
-/// regression in every fit.
+/// now; `stream_cached` is the Cached kernel's mode-0 sweep and
+/// `cache_mode_cycle` its whole mode cycle (sweeps + `post_mode`
+/// rescales). A regression here is a regression in every fit.
 fn bench_row_update(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
     let mut group = c.benchmark_group("row_update");
@@ -366,30 +340,17 @@ fn bench_row_update(c: &mut Criterion) {
             b.iter(|| fx.stream_row_sweep(&DirectKernel, &mut scratch, &mut row))
         });
 
-        let coo_table = fx.build_coo_table();
-        group.bench_with_input(BenchmarkId::new("coo_cached", j), &j, |b, _| {
-            let mut scratch = Scratch::new(j);
-            let mut row = vec![0.0; j];
-            b.iter(|| fx.coo_cached_row_sweep(&coo_table, &mut scratch, &mut row))
-        });
-
-        let mut cached = CachedKernel::new();
-        let mut sweep = fx.plan.sweep_source(0, usize::MAX, false);
-        cached
-            .prepare_fit(
-                &ptucker::FitInput::Resident(&fx.x),
-                &fx.plan,
-                &fx.factors,
-                &fx.core,
-                &fx.opts,
-                &mut sweep,
-                false,
-            )
-            .unwrap();
+        let mut cached = fx.cached_kernel();
         group.bench_with_input(BenchmarkId::new("stream_cached", j), &j, |b, _| {
             let mut scratch = Scratch::new(j);
             let mut row = vec![0.0; j];
             b.iter(|| fx.stream_row_sweep(&cached, &mut scratch, &mut row))
+        });
+
+        group.bench_with_input(BenchmarkId::new("cache_mode_cycle", j), &j, |b, _| {
+            let mut scratch = Scratch::new(j);
+            let mut factors = fx.factors.clone();
+            b.iter(|| fx.cache_mode_cycle(&mut cached, &mut factors, &mut scratch))
         });
     }
     group.finish();
@@ -462,14 +423,15 @@ fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
 /// Writes the kernel perf artifact (`BENCH_kernels.json` at the workspace
 /// root): per J, the median ns of one full mode-0 row sweep on
 ///
-/// * the COO gather baseline, PR 2's prefix-reused scalar kernel and the
-///   run-blocked micro-kernel (`stream_direct` — what `PTucker::fit`
-///   runs), with `speedup` = gather/blocked (the PR 2 series, directly
-///   comparable) and `speedup_vs_scalar` = scalar/blocked, and
-/// * the Cached sweep with a COO-ordered vs stream-ordered Pres table.
+/// the COO gather baseline, PR 2's prefix-reused scalar kernel and the
+/// run-blocked micro-kernel (`stream_direct` — what `PTucker::fit`
+/// runs), with `speedup` = gather/blocked (the PR 2 series, directly
+/// comparable) and `speedup_vs_scalar` = scalar/blocked; and, per J and
+/// storage precision, `cache_mode_cycle`: the median ns of one full Cache
+/// mode cycle (every mode's sweep plus its `post_mode`) with the share
+/// `post_mode` took.
 ///
-/// Acceptance bars: `speedup ≥ 1.5` at J = 20 and a cached-sweep speedup
-/// above 1 at every J.
+/// Acceptance bar: `speedup ≥ 1.5` at J = 20.
 fn write_artifact() {
     let mut rng = StdRng::seed_from_u64(3);
     let mut lines = Vec::new();
@@ -494,35 +456,44 @@ fn write_artifact() {
              \"stream_direct_ns\": {stream:.1}, \"speedup\": {speedup:.3}, \
              \"speedup_vs_scalar\": {vs_scalar:.3}}}"
         ));
+    }
 
-        let coo_table = fx.build_coo_table();
-        let coo = median_ns(15, || {
-            fx.coo_cached_row_sweep(&coo_table, &mut scratch, &mut row)
-        });
-        let mut cached = CachedKernel::new();
-        let mut sweep = fx.plan.sweep_source(0, usize::MAX, false);
-        cached
-            .prepare_fit(
-                &ptucker::FitInput::Resident(&fx.x),
-                &fx.plan,
-                &fx.factors,
-                &fx.core,
-                &fx.opts,
-                &mut sweep,
-                false,
-            )
-            .unwrap();
-        let streamed = median_ns(15, || fx.stream_row_sweep(&cached, &mut scratch, &mut row));
-        let cached_speedup = coo / streamed;
-        println!(
-            "artifact cached_sweep j={j}: coo {coo:.0} ns, stream {streamed:.0} ns, \
-             speedup {cached_speedup:.2}x"
-        );
-        lines.push(format!(
-            "    {{\"bench\": \"cached_sweep_mode0\", \"j\": {j}, \
-             \"coo_table_ns\": {coo:.1}, \"stream_table_ns\": {streamed:.1}, \
-             \"speedup\": {cached_speedup:.3}}}"
-        ));
+    // What a Cache iteration pays: every mode's sweep plus its post_mode
+    // rescale, through the real CachedKernel at both storage precisions.
+    // The cycles run back to back on evolving factors, exactly like
+    // consecutive ALS iterations (the work per cycle does not change).
+    for &j in &[5usize, 10, 20] {
+        for precision in [StoragePrecision::F64, StoragePrecision::F32] {
+            let mut rng = StdRng::seed_from_u64(3);
+            let fx = RowUpdateFixture::new_at(j, &mut rng, precision);
+            let mut cached = fx.cached_kernel();
+            let mut factors = fx.factors.clone();
+            let mut scratch = Scratch::new(j);
+            fx.cache_mode_cycle(&mut cached, &mut factors, &mut scratch);
+            let mut samples: Vec<(f64, f64)> = (0..15)
+                .map(|_| {
+                    let t = Instant::now();
+                    let post = fx.cache_mode_cycle(&mut cached, &mut factors, &mut scratch);
+                    (t.elapsed().as_secs_f64() * 1e9, post * 1e9)
+                })
+                .collect();
+            samples.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let (cycle, post) = samples[samples.len() / 2];
+            let post_share = post / cycle;
+            let tag = match precision {
+                StoragePrecision::F64 => "f64",
+                StoragePrecision::F32 => "f32",
+            };
+            println!(
+                "artifact cache_mode_cycle j={j} {tag}: cycle {cycle:.0} ns, \
+                 post_mode {post:.0} ns ({post_share:.2} of the cycle)"
+            );
+            lines.push(format!(
+                "    {{\"bench\": \"cache_mode_cycle\", \"j\": {j}, \
+                 \"precision\": \"{tag}\", \"cycle_ns\": {cycle:.1}, \
+                 \"post_mode_ns\": {post:.1}, \"post_share\": {post_share:.3}}}"
+            ));
+        }
     }
 
     // Out-of-core overhead: the same Direct fit in-memory vs through
@@ -799,19 +770,7 @@ fn write_artifact() {
         {
             let mut rng = StdRng::seed_from_u64(3);
             let fx = RowUpdateFixture::new_at(j, &mut rng, precision);
-            let mut cached = CachedKernel::new();
-            let mut sweep = fx.plan.sweep_source(0, usize::MAX, false);
-            cached
-                .prepare_fit(
-                    &ptucker::FitInput::Resident(&fx.x),
-                    &fx.plan,
-                    &fx.factors,
-                    &fx.core,
-                    &fx.opts,
-                    &mut sweep,
-                    false,
-                )
-                .unwrap();
+            let cached = fx.cached_kernel();
             let mut scratch = Scratch::new(j);
             let mut row = vec![0.0; j];
             sweep_ns[slot] = median_ns(15, || fx.stream_row_sweep(&cached, &mut scratch, &mut row));

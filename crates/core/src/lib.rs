@@ -66,12 +66,14 @@
 //!   runtime CPU detection). The downstream `B += δδᵀ` / `c += x·δ`
 //!   accumulation rides the same `syr`/`axpy` primitives, as does cp-ALS.
 //!
-//!   The Cached kernel keeps its `Pres` table in the **stream order of the
-//!   mode being swept** (`cache.rs`): a sweep reads the `|Ω|×|G|` doubles
-//!   strictly sequentially with no entry-id indirection; the per-mode
-//!   rescale stays parallel and a memory-bound in-place cycle-chase
-//!   permutation then carries the table into the next mode's order — no
-//!   second table-sized buffer, preserving Theorem 6's memory bound.
+//!   The Cached kernel keeps its resident `Pres` table in **COO entry
+//!   order for the whole fit** (`cache.rs`): a sweep gathers the
+//!   `|G|`-element row behind each stream position through the stream's
+//!   entry id, and the per-mode rescale is one parallel pass over the rows
+//!   where they lie, with the `a_new/a_old` quotient formed once per
+//!   column of the updated row. The table is never permuted and has no
+//!   second buffer, so Theorem 6's memory bound holds as stated; only the
+//!   spilled table (a file has no cheap gather) is stream-ordered.
 //! * **Scratch** ([`engine::Scratch`]): a per-thread arena holding every
 //!   per-row intermediate (δ, `c`, the `B` triangle, the solver workspace
 //!   and pivots). One arena is allocated per worker at fit start — metered

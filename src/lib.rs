@@ -59,11 +59,11 @@
 //!   guarantees lexicographic entry order, so the core decomposes into
 //!   runs sharing their first `N−1` coordinates, and each run costs one
 //!   shared prefix product plus a contiguous `dot`/`axpy` micro-kernel
-//!   over the packed core values. The Cached variant stores its `Pres`
-//!   table in the swept mode's stream order (sequential sweeps; a
-//!   parallel rescale plus an in-place cycle-chase reorder between
-//!   modes). When the working set exceeds the memory budget,
-//!   `PTucker::fit` switches to the **out-of-core driver**: the plan and
+//!   over the packed core values. The Cached variant keeps its resident
+//!   `Pres` table in COO entry order for the whole fit (a per-entry row
+//!   gather in the sweep, one in-place parallel rescale per mode — the
+//!   table is never permuted). When the working set exceeds the memory
+//!   budget, `PTucker::fit` switches to the **out-of-core driver**: the plan and
 //!   the Pres table spill to scratch files and every mode sweep runs
 //!   window-by-window over slice-aligned chunks, reproducing the
 //!   in-memory trajectory bitwise (see `ARCHITECTURE.md`). The net
