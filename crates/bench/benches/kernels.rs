@@ -2,15 +2,19 @@
 //! routines P-Tucker leans on (Cholesky/LU/QR/eigen at the paper's J
 //! sizes), the engine's row update — **COO gather baseline vs the
 //! prefix-reused scalar kernel vs the run-blocked micro-kernel** for the
-//! Direct path, the Cached kernel's sweep and its **full mode cycle**
-//! (every mode's sweep *plus* `post_mode` rescale, through the real
-//! `CachedKernel` — what a Cache iteration pays), and the CSF TTMc
-//! against a brute-force Kronecker accumulation.
+//! Direct path (per-entry tail dots: these series price the *kernel*),
+//! the Direct kernel's **full mode cycle** (every mode's sweep plus the
+//! residual pass through the real `DirectKernel`, with the tail-dot table
+//! used vs refused — what a Direct iteration pays), the Cached kernel's
+//! sweep and its **full mode cycle** (every mode's sweep *plus*
+//! `post_mode` rescale, through the real `CachedKernel` — what a Cache
+//! iteration pays), and the CSF TTMc against a brute-force Kronecker
+//! accumulation.
 //!
 //! Besides the stdout report, the run emits `BENCH_kernels.json` at the
 //! workspace root: the gather/scalar/blocked medians and the
-//! `cache_mode_cycle` series at J ∈ {5, 10, 20}, the perf artifact CI (and
-//! future PRs) regress against. The `gather_ns`/`stream_direct_ns`/`speedup` fields
+//! `direct_mode_cycle` / `cache_mode_cycle` series at J ∈ {5, 10, 20},
+//! the perf artifact CI (and future PRs) regress against. The `gather_ns`/`stream_direct_ns`/`speedup` fields
 //! keep their PR 2 meaning (`stream_direct` is whatever kernel
 //! `PTucker::fit` actually runs) so the trajectory stays comparable. A
 //! `windowed_fit` series prices the out-of-core path: the same Direct
@@ -28,7 +32,7 @@
 //! per-request p50/p99 latency and per-query throughput.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
-use ptucker::engine::{CachedKernel, DirectKernel, ModeContext, RowUpdateKernel, Scratch};
+use ptucker::engine::{CachedKernel, DirectKernel, ModeContext, RowUpdateKernel, RunPlan, Scratch};
 use ptucker::{FitOptions, MemoryBudget, PTucker, StoragePrecision, Variant};
 use ptucker_baselines::CsfTensor;
 use ptucker_linalg::kernels;
@@ -80,6 +84,9 @@ struct RowUpdateFixture {
     plan: ModeStreams,
     factors: Vec<Matrix>,
     core: CoreTensor,
+    /// The core's run metadata, **without** a tail-dot table: the
+    /// single-sweep series price the per-entry kernel.
+    runs: RunPlan,
     opts: FitOptions,
     j: usize,
 }
@@ -110,6 +117,7 @@ impl RowUpdateFixture {
             x,
             plan,
             factors,
+            runs: RunPlan::new(&core),
             core,
             opts,
             j,
@@ -177,7 +185,14 @@ impl RowUpdateFixture {
         scratch: &mut Scratch,
         row: &mut [f64],
     ) {
-        let ctx = ModeContext::new(&self.plan, &self.factors, &self.core, 0, &self.opts);
+        let ctx = ModeContext::new(
+            &self.plan,
+            &self.factors,
+            &self.core,
+            &self.runs,
+            0,
+            &self.opts,
+        );
         for i in 0..self.x.dims()[0] {
             row.copy_from_slice(self.factors[0].row(i));
             black_box(kernel.update_row(&ctx, scratch, i, row));
@@ -246,6 +261,63 @@ impl RowUpdateFixture {
         }
     }
 
+    /// One mode's row sweep as the driver runs it: the mode's rows are
+    /// updated in place (each row enters holding its old values) while the
+    /// other factors are shared, then the new factor is installed.
+    fn sweep_mode<K: RowUpdateKernel>(
+        &self,
+        kernel: &K,
+        runs: &RunPlan,
+        factors: &mut [Matrix],
+        mode: usize,
+        scratch: &mut Scratch,
+    ) {
+        let (rows, j) = (factors[mode].rows(), factors[mode].cols());
+        let mut data = std::mem::take(&mut factors[mode]).into_vec();
+        {
+            let ctx = ModeContext::new(&self.plan, factors, &self.core, runs, mode, &self.opts);
+            for (i, row) in data.chunks_mut(j).enumerate() {
+                black_box(kernel.update_row(&ctx, scratch, i, row));
+            }
+        }
+        factors[mode] = Matrix::from_vec(rows, j, data).unwrap();
+    }
+
+    /// One full mode cycle of the Direct variant as a fit pays for it:
+    /// every mode's row sweep installing the new factor, the tail-dot
+    /// table refilled after the last mode's (when `memoize` — the driver's
+    /// refresh point), then the residual pass over every entry. `runs` is
+    /// the caller's plan of this core: memoized against the incoming
+    /// `factors` when `memoize`, plain otherwise (the budget refused the
+    /// table and every lookup is a per-entry dot). Returns the seconds
+    /// spent filling the table.
+    fn direct_mode_cycle(
+        &self,
+        runs: &mut RunPlan,
+        memoize: bool,
+        factors: &mut [Matrix],
+        scratch: &mut Scratch,
+    ) -> f64 {
+        let order = self.x.order();
+        let mut fill = 0.0;
+        for mode in 0..order {
+            self.sweep_mode(&DirectKernel, runs, factors, mode, scratch);
+        }
+        if memoize {
+            let t = Instant::now();
+            runs.memoize_tail(&self.core, &factors[order - 1], 1);
+            fill = t.elapsed().as_secs_f64();
+        }
+        let sse: f64 = (0..self.x.nnz())
+            .map(|e| {
+                let d = self.x.value(e) - runs.reconstruct(self.x.index(e), &self.core, factors);
+                d * d
+            })
+            .sum();
+        black_box(sse);
+        fill
+    }
+
     /// A Cached kernel with its Pres table built for this fixture.
     fn cached_kernel(&self) -> CachedKernel {
         let mut cached = CachedKernel::new();
@@ -283,18 +355,7 @@ impl RowUpdateFixture {
             kernel
                 .prepare_mode(&input, &self.plan, factors, mode, &self.core, &self.opts)
                 .unwrap();
-            // As in the driver: the mode's rows are updated in place
-            // (each row enters holding its old values) while the other
-            // factors are shared.
-            let (rows, j) = (factors[mode].rows(), factors[mode].cols());
-            let mut data = std::mem::take(&mut factors[mode]).into_vec();
-            {
-                let ctx = ModeContext::new(&self.plan, factors, &self.core, mode, &self.opts);
-                for (i, row) in data.chunks_mut(j).enumerate() {
-                    black_box(kernel.update_row(&ctx, scratch, i, row));
-                }
-            }
-            factors[mode] = Matrix::from_vec(rows, j, data).unwrap();
+            self.sweep_mode(&*kernel, &self.runs, factors, mode, scratch);
             let t = Instant::now();
             kernel
                 .post_mode(
@@ -311,10 +372,13 @@ impl RowUpdateFixture {
 /// normal equations over each row's slice, solve in the scratch arena) at
 /// the paper's rank scales. `gather` is the replaced COO entry-id path;
 /// `scalar_lex` is PR 2's prefix-reused scalar kernel on the plan;
-/// `stream_direct` is the run-blocked micro-kernel `PTucker::fit` runs
-/// now; `stream_cached` is the Cached kernel's mode-0 sweep and
-/// `cache_mode_cycle` its whole mode cycle (sweeps + `post_mode`
-/// rescales). A regression here is a regression in every fit.
+/// `stream_direct` is the run-blocked micro-kernel with per-entry tail
+/// dots (what `PTucker::fit` runs when the tail-dot table is refused);
+/// `direct_mode_cycle[_refused]` is the Direct kernel's whole mode cycle
+/// plus the residual pass, with and without the table; `stream_cached` is
+/// the Cached kernel's mode-0 sweep and `cache_mode_cycle` its whole mode
+/// cycle (sweeps + `post_mode` rescales). A regression here is a
+/// regression in every fit.
 fn bench_row_update(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
     let mut group = c.benchmark_group("row_update");
@@ -339,6 +403,21 @@ fn bench_row_update(c: &mut Criterion) {
             let mut row = vec![0.0; j];
             b.iter(|| fx.stream_row_sweep(&DirectKernel, &mut scratch, &mut row))
         });
+
+        for (name, memoize) in [
+            ("direct_mode_cycle", true),
+            ("direct_mode_cycle_refused", false),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, j), &j, |b, _| {
+                let mut scratch = Scratch::new(j);
+                let mut factors = fx.factors.clone();
+                let mut runs = fx.runs.clone();
+                if memoize {
+                    runs.memoize_tail(&fx.core, &factors[2], 1);
+                }
+                b.iter(|| fx.direct_mode_cycle(&mut runs, memoize, &mut factors, &mut scratch))
+            });
+        }
 
         let mut cached = fx.cached_kernel();
         group.bench_with_input(BenchmarkId::new("stream_cached", j), &j, |b, _| {
@@ -426,7 +505,10 @@ fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
 /// the COO gather baseline, PR 2's prefix-reused scalar kernel and the
 /// run-blocked micro-kernel (`stream_direct` — what `PTucker::fit`
 /// runs), with `speedup` = gather/blocked (the PR 2 series, directly
-/// comparable) and `speedup_vs_scalar` = scalar/blocked; and, per J and
+/// comparable) and `speedup_vs_scalar` = scalar/blocked; per J,
+/// `direct_mode_cycle`: the median ns of one full Direct mode cycle (every
+/// mode's sweep plus the residual pass) with the tail-dot table used and
+/// refused, and the share of the cycle the table fill took; and, per J and
 /// storage precision, `cache_mode_cycle`: the median ns of one full Cache
 /// mode cycle (every mode's sweep plus its `post_mode`) with the share
 /// `post_mode` took.
@@ -455,6 +537,53 @@ fn write_artifact() {
              \"gather_ns\": {gather:.1}, \"scalar_lex_ns\": {scalar:.1}, \
              \"stream_direct_ns\": {stream:.1}, \"speedup\": {speedup:.3}, \
              \"speedup_vs_scalar\": {vs_scalar:.3}}}"
+        ));
+    }
+
+    // What a Direct iteration pays: every mode's sweep plus the residual
+    // pass through the real DirectKernel, with the tail-dot table used
+    // (refilled once per cycle, like the driver) and refused. The fill is
+    // `I_N·|G|` multiply-adds against the sweeps' `N·|Ω|·|G|`, so
+    // `fill_share` grows with `I_N/|Ω|`: on this fixture (`I_N·n_runs` =
+    // 16·J² against 400 entries) the driver's size rule — a *memory* bound,
+    // one double per observed entry — admits the table at J = 5 only, and
+    // J = 10, 20 price a table several times larger than that bound.
+    for &j in &[5usize, 10, 20] {
+        let mut rng = StdRng::seed_from_u64(3);
+        let fx = RowUpdateFixture::new(j, &mut rng);
+        let mut scratch = Scratch::new(j);
+        let mut cycle_of = |memoize: bool| {
+            let mut factors = fx.factors.clone();
+            let mut runs = fx.runs.clone();
+            if memoize {
+                runs.memoize_tail(&fx.core, &factors[2], 1);
+            }
+            fx.direct_mode_cycle(&mut runs, memoize, &mut factors, &mut scratch);
+            let mut samples: Vec<(f64, f64)> = (0..15)
+                .map(|_| {
+                    let t = Instant::now();
+                    let fill = fx.direct_mode_cycle(&mut runs, memoize, &mut factors, &mut scratch);
+                    (t.elapsed().as_secs_f64() * 1e9, fill * 1e9)
+                })
+                .collect();
+            samples.sort_by(|a, b| a.0.total_cmp(&b.0));
+            samples[samples.len() / 2]
+        };
+        let (refused, _) = cycle_of(false);
+        let (used, fill) = cycle_of(true);
+        let fill_share = fill / used;
+        let speedup = refused / used;
+        let admitted = 16 * j * j <= fx.x.nnz();
+        println!(
+            "artifact direct_mode_cycle j={j}: table used {used:.0} ns (fill {fill:.0} ns, \
+             {fill_share:.3} of the cycle), refused {refused:.0} ns, speedup {speedup:.2}x, \
+             size rule admits: {admitted}"
+        );
+        lines.push(format!(
+            "    {{\"bench\": \"direct_mode_cycle\", \"j\": {j}, \
+             \"table_used_ns\": {used:.1}, \"table_refused_ns\": {refused:.1}, \
+             \"fill_ns\": {fill:.1}, \"fill_share\": {fill_share:.3}, \
+             \"speedup\": {speedup:.3}, \"rule_admits\": {admitted}}}"
         ));
     }
 

@@ -36,10 +36,17 @@
 //! streamed twin [`sum_squared_error_scratch`]) reads only COO and the
 //! model — never the plan or a window — so spilled fits compute the
 //! residual without materializing anything; its inner loop is the
-//! run-blocked [`crate::delta::reconstruct_entry_blocked`] micro-kernel.
+//! run-blocked [`RunPlan::reconstruct`] micro-kernel.
+//!
+//! The driver also owns the one piece of state *derived from the model*:
+//! the core's [`RunPlan`] (`FitRuns`), built once per core and borrowed by
+//! every sweep, window and error pass, carrying the **tail-dot table**
+//! whenever the size rule (`tail_table_bytes`) and the budget admit it —
+//! refreshed after mode `N−1`'s update, after a truncating `post_iter`,
+//! after a resume and after the final QR; never checkpointed.
 
 use crate::checkpoint::FitCheckpoint;
-use crate::delta::{core_runs, reconstruct_entry_blocked, solve_row};
+use crate::delta::{solve_row, RunPlan, MAX_PREFIX_ORDER};
 use crate::engine::{
     ApproxKernel, CachedKernel, DirectKernel, ModeContext, RowUpdateKernel, Scratch,
 };
@@ -50,7 +57,7 @@ use crate::{
     TuckerDecomposition, Variant,
 };
 use ptucker_linalg::Matrix;
-use ptucker_memtrack::BudgetPolicy;
+use ptucker_memtrack::{BudgetPolicy, Reservation};
 use ptucker_sched::{parallel_reduce, parallel_rows_mut_scheduled, Schedule};
 use ptucker_tensor::{CooScratch, CoreTensor, ModeStreams, SparseTensor, SweepSource};
 use rand::rngs::StdRng;
@@ -352,6 +359,74 @@ pub(crate) fn in_memory_bytes(dims: &[usize], nnz: usize, opts: &FitOptions) -> 
     resident_floor_bytes(dims, nnz, opts).saturating_add(table_bytes(nnz, opts))
 }
 
+/// Bytes of the tail-dot table `T[i_N][r]` a fit of this shape would
+/// memoize (`I_N · Π_{k<N} J_k` doubles — the initial dense core has the
+/// most runs a core of these ranks can have, so this bounds every later,
+/// truncated one), or 0 when the size rule says not to: the table is used
+/// iff `2 ≤ N ≤ 16` (the run-blocked kernel's orders) and it holds **no
+/// more than one double per observed entry**, which keeps the derived data
+/// within the order of the plan the engine already books. Whether the
+/// budget then accepts the booking is the driver's second test; a refused
+/// table costs nothing but the speedup — the lookup falls back to the
+/// per-entry `dot` that would have filled it.
+pub(crate) fn tail_table_bytes(dims: &[usize], nnz: usize, ranks: &[usize]) -> usize {
+    let order = dims.len();
+    if !(2..=MAX_PREFIX_ORDER).contains(&order) {
+        return 0;
+    }
+    let n_runs = ranks[..order - 1]
+        .iter()
+        .fold(1usize, |p, &j| p.saturating_mul(j));
+    match dims[order - 1].checked_mul(n_runs) {
+        Some(cells) if cells <= nnz => cells * std::mem::size_of::<f64>(),
+        _ => 0,
+    }
+}
+
+/// The driver's owner of the state derived from the model's core: the
+/// [`RunPlan`] every sweep, window and error pass borrows, and the budget's
+/// booking of its tail-dot table (`None`: the size rule or the budget
+/// refused it, and the plan stays unmemoized for the whole fit).
+struct FitRuns {
+    plan: RunPlan,
+    table: Option<Reservation>,
+}
+
+impl FitRuns {
+    fn new(
+        core: &CoreTensor,
+        factors: &[Matrix],
+        table: Option<Reservation>,
+        threads: usize,
+    ) -> Self {
+        let mut runs = FitRuns {
+            plan: RunPlan::new(core),
+            table,
+        };
+        runs.refresh(false, core, factors, threads);
+        runs
+    }
+
+    /// Brings the derived state up to date after one of its inputs
+    /// changed: the core (`core_changed` — its run structure is rebuilt)
+    /// or the tail factor `factors[N−1]` (the table alone is refilled).
+    fn refresh(
+        &mut self,
+        core_changed: bool,
+        core: &CoreTensor,
+        factors: &[Matrix],
+        threads: usize,
+    ) {
+        if core_changed {
+            self.plan = RunPlan::new(core);
+        }
+        if self.table.is_some() {
+            self.plan
+                .memoize_tail(core, &factors[factors.len() - 1], threads);
+        }
+    }
+}
+
 /// The placement gate: all-resident when everything fits; hybrid (table
 /// only) when the floor fits but the Cache table does not; full spill
 /// otherwise. A disk-resident input always takes the full spill — its
@@ -478,6 +553,17 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
         .spill_table
         .then(|| opts.budget.reserve_unchecked(nnz * 4));
 
+    // The tail-dot table (`tail_table_bytes`: at most one double per
+    // observed entry, usually kilobytes). On a windowed fit it joins the
+    // out-of-core floor here, before the window capacity is cut from what
+    // is left, so the windows shrink by it instead of the peak growing. A
+    // resident fit books it *after* the kernel's own checked reservations
+    // (below), out of whatever they left: a budget that fitted the fit
+    // before still fits it, without the table.
+    let tail_bytes = tail_table_bytes(dims, nnz, &opts.ranks);
+    let mut tail_booking =
+        (place.windowed() && tail_bytes > 0).then(|| opts.budget.reserve_unchecked(tail_bytes));
+
     // Window capacity from what is left of the budget. Each windowed
     // stream position costs its plan bytes (value + packed indices +
     // entry id — only if the plan is spilled) plus its Pres tile doubles
@@ -557,6 +643,9 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
         &mut sweep,
         place.spill_table,
     )?;
+    if !place.windowed() && tail_bytes > 0 {
+        tail_booking = opts.budget.reserve(tail_bytes).ok();
+    }
 
     let mut iterations: Vec<IterStats> = Vec::with_capacity(opts.max_iters);
     let mut prev_err = f64::INFINITY;
@@ -617,6 +706,10 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
         start_iter = ckpt.next_iter;
     }
 
+    // Derived from the model the loop starts from — the fresh
+    // initialization or the checkpoint's — and never saved.
+    let mut runs = FitRuns::new(&core, &factors, tail_booking, opts.threads);
+
     for iter in start_iter..opts.max_iters {
         let t_iter = Instant::now();
 
@@ -630,12 +723,18 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
                 &mut factors,
                 n,
                 &core,
+                &runs.plan,
                 opts,
                 &mut kernel,
                 &mut scratch_pool,
                 &mut sweep,
                 sync,
             )?;
+            if n == order - 1 {
+                // The tail factor moved: the table every other mode's
+                // sweep and the error pass look up is refilled from it.
+                runs.refresh(false, &core, &factors, opts.threads);
+            }
             kernel.post_mode(input, &plan, &factors, n, &core, opts, &mut sweep)?;
         }
 
@@ -645,18 +744,25 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
         // depends on the error being window-independent. A disk-resident
         // input streams the same arithmetic over bounded COO segments.
         let err = match input {
-            FitInput::Resident(x) => {
-                sum_squared_error_raw(x, &factors, &core, opts.threads, Schedule::Static)
-            }
+            FitInput::Resident(x) => sum_squared_error_raw(
+                x,
+                &factors,
+                &core,
+                &runs.plan,
+                opts.threads,
+                Schedule::Static,
+            ),
             FitInput::Scratch(src) => {
-                sum_squared_error_scratch(src, &factors, &core, opts.threads)?
+                sum_squared_error_scratch(src, &factors, &core, &runs.plan, opts.threads)?
             }
         }
         .sqrt();
 
         // Step 5: per-iteration kernel hook — Approx truncation
         // (Algorithm 2 lines 5–6).
-        kernel.post_iter(input, &factors, &mut core, opts)?;
+        if kernel.post_iter(input, &factors, &mut core, opts)? {
+            runs.refresh(true, &core, &factors, opts.threads);
+        }
 
         iterations.push(IterStats {
             iter,
@@ -722,8 +828,8 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
     drop(sweep);
 
     finish_fit(
-        input, factors, core, opts, iterations, converged, prefetch, io_read0, io_write0, t_start,
-        sync,
+        input, factors, core, runs, opts, iterations, converged, prefetch, io_read0, io_write0,
+        t_start, sync,
     )
 }
 
@@ -737,6 +843,7 @@ fn finish_fit<S: FitSync>(
     input: &FitInput<'_>,
     mut factors: Vec<Matrix>,
     mut core: CoreTensor,
+    mut runs: FitRuns,
     opts: &FitOptions,
     iterations: Vec<IterStats>,
     converged: bool,
@@ -764,11 +871,20 @@ fn finish_fit<S: FitSync>(
         }
     }
 
+    // QR rewrote every factor and the core with them.
+    runs.refresh(true, &core, &factors, opts.threads);
     let final_error = match input {
-        FitInput::Resident(x) => {
-            sum_squared_error_raw(x, &factors, &core, opts.threads, Schedule::Static)
+        FitInput::Resident(x) => sum_squared_error_raw(
+            x,
+            &factors,
+            &core,
+            &runs.plan,
+            opts.threads,
+            Schedule::Static,
+        ),
+        FitInput::Scratch(src) => {
+            sum_squared_error_scratch(src, &factors, &core, &runs.plan, opts.threads)?
         }
-        FitInput::Scratch(src) => sum_squared_error_scratch(src, &factors, &core, opts.threads)?,
     }
     .sqrt();
     let mut stats = FitStats {
@@ -863,7 +979,7 @@ fn sweep_rows<K: RowUpdateKernel>(
     kernel: &mut K,
     scratch_pool: &mut [Scratch],
     sweep: &mut SweepSource<'_>,
-    runs: &[u32],
+    runs: &RunPlan,
     rows: Range<usize>,
     j_n: usize,
     data: &mut [f64],
@@ -873,7 +989,7 @@ fn sweep_rows<K: RowUpdateKernel>(
     while let Some(w) = sweep.next_window()? {
         kernel.begin_window(&w)?;
         let k: &K = kernel;
-        let ctx = ModeContext::with_runs(w.stream, factors, core, mode, opts, runs.to_vec());
+        let ctx = ModeContext::for_view(w.stream, factors, core, runs, mode, opts);
         let window_rows = &mut data[w.slices.start * j_n..w.slices.end * j_n];
         parallel_rows_mut_scheduled(
             window_rows,
@@ -898,6 +1014,7 @@ fn update_factor<K: RowUpdateKernel, S: FitSync>(
     factors: &mut [Matrix],
     mode: usize,
     core: &CoreTensor,
+    runs: &RunPlan,
     opts: &FitOptions,
     kernel: &mut K,
     scratch_pool: &mut [Scratch],
@@ -916,9 +1033,6 @@ fn update_factor<K: RowUpdateKernel, S: FitSync>(
     // row values, which live in `data`).
     let a_n = std::mem::replace(&mut factors[mode], Matrix::zeros(0, 0));
     let mut data = a_n.into_vec();
-    // Run structure once per mode sweep; every window's context shares it
-    // (a clone is one small memcpy, not a core rescan).
-    let runs = core_runs(core.flat_indices(), core.order());
     let local_ok = sweep_rows(
         factors,
         mode,
@@ -927,7 +1041,7 @@ fn update_factor<K: RowUpdateKernel, S: FitSync>(
         kernel,
         scratch_pool,
         sweep,
-        &runs,
+        runs,
         owned,
         j_n,
         &mut data,
@@ -952,7 +1066,7 @@ fn update_factor<K: RowUpdateKernel, S: FitSync>(
                 kernel,
                 scratch_pool,
                 sweep,
-                &runs,
+                runs,
                 rows,
                 j_n,
                 buf,
@@ -973,30 +1087,28 @@ fn update_factor<K: RowUpdateKernel, S: FitSync>(
 /// decomposition (borrowed factors/core; used inside the fit loop).
 ///
 /// The reconstruction inner loop is the run-blocked micro-kernel
-/// ([`reconstruct_entry_blocked`]): one shared prefix product per run of
-/// lexicographic core entries, the run tail one contiguous
-/// [`ptucker_linalg::kernels::dot`] — the run structure is computed once
-/// per call and shared by every entry. Reads only COO and the model, so
-/// the residual costs the same on every plan placement: spilled fits
-/// never touch their scratch files here.
+/// ([`RunPlan::reconstruct`]): one shared head product per run of
+/// lexicographic core entries times the run's tail dot — looked up when
+/// `runs` (the [`RunPlan`] of `core`, borrowed from the driver: no run
+/// detection per pass) carries the tail-dot table, one contiguous
+/// [`ptucker_linalg::kernels::dot`] otherwise; the same bits either way.
+/// Reads only COO and the model, so the residual costs the same on every
+/// plan placement: spilled fits never touch their scratch files.
 pub(crate) fn sum_squared_error_raw(
     x: &SparseTensor,
     factors: &[Matrix],
     core: &CoreTensor,
+    runs: &RunPlan,
     threads: usize,
     schedule: Schedule,
 ) -> f64 {
-    let core_idx = core.flat_indices();
-    let core_vals = core.values();
-    let runs = core_runs(core_idx, core.order());
     parallel_reduce(
         x.nnz(),
         threads,
         schedule,
         || 0.0f64,
         |acc, e| {
-            let rec = reconstruct_entry_blocked(x.index(e), core_idx, core_vals, &runs, factors);
-            let d = x.value(e) - rec;
+            let d = x.value(e) - runs.reconstruct(x.index(e), core, factors);
             acc + d * d
         },
         |a, b| a + b,
@@ -1006,18 +1118,16 @@ pub(crate) fn sum_squared_error_raw(
 /// [`sum_squared_error_raw`] over a disk-resident COO source: the same
 /// run-blocked reconstruction streamed through bounded COO segments. Uses
 /// the static block schedule (see [`scratch_fold_blocks`]) — deterministic
-/// at every thread count, bitwise-equal to the resident pass under
-/// `Schedule::Static` at `threads ≤ 2` (the driver always measures the
-/// residual statically, so resident and disk-to-disk trajectories match).
+/// at every thread count and bitwise-equal to the resident pass under
+/// `Schedule::Static` (the driver always measures the residual statically,
+/// so resident and disk-to-disk trajectories match).
 pub(crate) fn sum_squared_error_scratch(
     src: &CooScratch,
     factors: &[Matrix],
     core: &CoreTensor,
+    runs: &RunPlan,
     threads: usize,
 ) -> Result<f64> {
-    let core_idx = core.flat_indices();
-    let core_vals = core.values();
-    let runs = core_runs(core_idx, core.order());
     let order = src.order();
     let (sse, _idx) = scratch_fold_blocks(
         src,
@@ -1027,8 +1137,7 @@ pub(crate) fn sum_squared_error_scratch(
             for (slot, &i) in idx.iter_mut().zip(ints) {
                 *slot = i as usize;
             }
-            let rec = reconstruct_entry_blocked(idx, core_idx, core_vals, &runs, factors);
-            let d = xv - rec;
+            let d = xv - runs.reconstruct(idx, core, factors);
             *acc += d * d;
         },
         |(a, idx), (b, _)| (a + b, idx),
@@ -1134,7 +1243,7 @@ pub(crate) fn refit_core_observed(
 /// [`refit_core_observed`] over a disk-resident COO source: the identical
 /// normal-equation accumulation streamed through bounded COO segments
 /// ([`scratch_fold_blocks`] — static blocking, so bitwise-equal to the
-/// resident refit under `Schedule::Static` at `threads ≤ 2`).
+/// resident refit under `Schedule::Static`).
 pub(crate) fn refit_core_observed_scratch(
     src: &CooScratch,
     factors: &[Matrix],
@@ -1785,6 +1894,176 @@ mod tests {
         for depth in [2, 4] {
             assert_bitwise_equal(&base, &fit_at(depth), &format!("depth {depth}"));
         }
+    }
+
+    /// The tail-dot table is an execution detail, never a semantic: a fit
+    /// whose budget has no room left for it (exactly the pre-change working
+    /// set — under either policy, so a `Strict` fit that fitted before
+    /// still fits) falls back to per-entry dots and walks the memoized
+    /// fit's trajectory **bitwise**, as does the spilled fit, which books
+    /// the table with its out-of-core floor. And the accounting is pinned,
+    /// not loosened: the memoized fit's peak is the refused fit's peak plus
+    /// exactly the table.
+    #[test]
+    fn refused_tail_table_gives_the_memoized_fit_bitwise() {
+        let x = planted();
+        for variant in [
+            Variant::Default,
+            Variant::Approx {
+                truncation_rate: 0.2,
+            },
+        ] {
+            let opts = base_opts().variant(variant);
+            let need = in_memory_bytes(x.dims(), x.nnz(), &opts);
+            let table = tail_table_bytes(x.dims(), x.nnz(), &opts.ranks);
+            assert_eq!(table, 10 * 4 * 8, "I_N = 10 rows × 2·2 runs");
+            let fit = |budget: MemoryBudget| {
+                PTucker::new(opts.clone().budget(budget))
+                    .unwrap()
+                    .fit(&x)
+                    .unwrap()
+            };
+            let memoized = fit(MemoryBudget::unlimited());
+            assert_eq!(memoized.stats.peak_intermediate_bytes, need + table);
+            for (tag, budget) in [
+                ("spill-policy", MemoryBudget::new(need)),
+                (
+                    "strict",
+                    MemoryBudget::with_policy(need, BudgetPolicy::Strict),
+                ),
+            ] {
+                let refused = fit(budget);
+                assert_eq!(refused.stats.peak_spilled_bytes, 0, "{variant:?} {tag}");
+                assert_eq!(
+                    refused.stats.peak_intermediate_bytes, need,
+                    "{variant:?} {tag}: the table must have been refused"
+                );
+                assert_bitwise_equal(&memoized, &refused, &format!("{variant:?} {tag}"));
+            }
+            let spilled = fit(spill_budget());
+            assert!(spilled.stats.peak_spilled_bytes > 0);
+            assert_bitwise_equal(&memoized, &spilled, &format!("{variant:?} spilled"));
+        }
+    }
+
+    /// The size rule's other arm: a tail dimension too long for the
+    /// entries that would amortize it (`I_N·n_runs > |Ω|`) never gets a
+    /// table, on any placement — resident and spilled both run the
+    /// per-entry fallback, and agree bitwise.
+    #[test]
+    fn long_tail_dimension_refuses_the_table_on_every_placement() {
+        let mut rng = StdRng::seed_from_u64(77);
+        let x = planted_lowrank(&[9, 8, 120], &[2, 2, 2], 400, 0.01, &mut rng).tensor;
+        assert_eq!(tail_table_bytes(x.dims(), x.nnz(), &[2, 2, 2]), 0);
+        assert!(
+            tail_table_bytes(x.dims(), 480, &[2, 2, 2]) > 0,
+            "120·4 ≤ 480"
+        );
+        assert_eq!(
+            tail_table_bytes(&[50], 1000, &[2]),
+            0,
+            "order 1 has no head"
+        );
+        for variant in [
+            Variant::Default,
+            Variant::Approx {
+                truncation_rate: 0.2,
+            },
+        ] {
+            let opts = base_opts().max_iters(3).variant(variant);
+            let need = in_memory_bytes(x.dims(), x.nnz(), &opts);
+            let resident = PTucker::new(opts.clone()).unwrap().fit(&x).unwrap();
+            assert_eq!(resident.stats.peak_intermediate_bytes, need, "{variant:?}");
+            let spilled = PTucker::new(opts.budget(spill_budget()))
+                .unwrap()
+                .fit(&x)
+                .unwrap();
+            assert!(spilled.stats.peak_spilled_bytes > 0);
+            assert_bitwise_equal(&resident, &spilled, &format!("{variant:?}"));
+        }
+    }
+
+    /// `parallel_reduce(Static)` combines block-ascending, so the passes
+    /// built on it are reproducible at **every** thread count — run to run,
+    /// and against their streamed twins (which always folded that way).
+    #[test]
+    fn static_passes_are_bitwise_reproducible_at_four_threads() {
+        let x = planted();
+        let fit = PTucker::new(base_opts().max_iters(2))
+            .unwrap()
+            .fit(&x)
+            .unwrap();
+        let (factors, core) = (&fit.decomposition.factors, &fit.decomposition.core);
+        let runs = RunPlan::new(core);
+        let src = ptucker_tensor::CooScratch::from_tensor(&x, &MemoryBudget::unlimited()).unwrap();
+        let threads = 4;
+        let sse = sum_squared_error_scratch(&src, factors, core, &runs, threads).unwrap();
+        let r = crate::approx::partial_errors_scratch(&src, factors, core, threads).unwrap();
+        for rep in 0..20 {
+            let again = sum_squared_error_raw(&x, factors, core, &runs, threads, Schedule::Static);
+            assert_eq!(again.to_bits(), sse.to_bits(), "residual, repeat {rep}");
+            let again = crate::approx::partial_errors(&x, factors, core, threads, Schedule::Static);
+            for (a, b) in again.iter().zip(&r) {
+                assert_eq!(a.to_bits(), b.to_bits(), "R(β), repeat {rep}");
+            }
+        }
+    }
+
+    /// Whether this build's `dot`/`axpy` run the explicit FMA kernels on
+    /// this CPU: they round once per multiply-add where the scalar tier
+    /// rounds twice, so the two have different (each deterministic)
+    /// trajectories. `None` for `simd-avx512` without `simd`, which no CI
+    /// leg builds.
+    fn fma_tier() -> Option<bool> {
+        if cfg!(feature = "simd-avx512") && !cfg!(feature = "simd") {
+            return None;
+        }
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            return Some(true);
+        }
+        Some(false)
+    }
+
+    /// **Frozen trajectory.** The per-iteration errors of a small Direct
+    /// fit, pinned to the bits the kernels produced *before* the tail
+    /// contraction was memoized (captured at the parent commit, once per
+    /// kernel tier). The bitwise suites prove placements agree with each
+    /// other; this proves the whole family has not drifted — a later
+    /// kernel change that reassociates one sum fails here first.
+    #[test]
+    fn direct_fit_trajectory_is_frozen() {
+        const SCALAR: [u64; 6] = [
+            0x3fdfc3b91fe72125,
+            0x3fd191425b14967a,
+            0x3fd1407f9ff35bcc,
+            0x3fd111923f9e2e2b,
+            0x3fd0fe4619f0fea6,
+            0x3fd0fe4619f0fea3,
+        ];
+        const FMA: [u64; 6] = [
+            0x3fdfc3b91fe72126,
+            0x3fd191425b149670,
+            0x3fd1407f9ff35b96,
+            0x3fd111923f9e2e7f,
+            0x3fd0fe4619f0febf,
+            0x3fd0fe4619f0fec2,
+        ];
+        let Some(fma) = fma_tier() else { return };
+        let want = if fma { FMA } else { SCALAR };
+        let x = planted();
+        assert!(tail_table_bytes(x.dims(), x.nnz(), &[2, 2, 2]) > 0);
+        let fit = PTucker::new(base_opts()).unwrap().fit(&x).unwrap();
+        let got: Vec<u64> = fit
+            .stats
+            .iterations
+            .iter()
+            .map(|it| it.reconstruction_error)
+            .chain([fit.stats.final_error])
+            .map(f64::to_bits)
+            .collect();
+        let hex = |v: &[u64]| v.iter().map(|b| format!("{b:#018x}")).collect::<Vec<_>>();
+        assert_eq!(hex(&got), hex(&want), "fma tier: {fma}");
     }
 
     proptest! {

@@ -82,9 +82,9 @@ pub fn partial_errors(
 /// Uses the static block schedule regardless of the fit's configured
 /// schedule — each worker folds a contiguous entry block sequentially, so
 /// the pass is deterministic at every thread count and bitwise-identical
-/// to the resident [`partial_errors`] under `Schedule::Static` at
-/// `threads ≤ 2` (the per-entry arithmetic is the same run-blocked
-/// micro-kernel; only the partial-combine order differs beyond that).
+/// to the resident [`partial_errors`] under `Schedule::Static` (the same
+/// run-blocked per-entry arithmetic, the same blocks, the same
+/// block-ascending combine).
 pub fn partial_errors_scratch(
     src: &CooScratch,
     factors: &[Matrix],
@@ -274,7 +274,7 @@ mod tests {
         let (x, factors, core) = setup();
         let budget = ptucker_memtrack::MemoryBudget::new(usize::MAX);
         let src = CooScratch::from_tensor(&x, &budget).unwrap();
-        for threads in [1, 2] {
+        for threads in [1, 2, 3, 4] {
             let resident = partial_errors(&x, &factors, &core, threads, Schedule::Static);
             let streamed = partial_errors_scratch(&src, &factors, &core, threads).unwrap();
             assert_eq!(resident.len(), streamed.len());

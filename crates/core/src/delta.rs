@@ -6,7 +6,7 @@
 //! The row update accumulates `B += δδᵀ` and `c += X_α δ` over all entries
 //! in the row's slice `Ω⁽ⁿ⁾ᵢₙ`, which is the whole of Theorem 1.
 //!
-//! Three implementations of the same definition live here:
+//! Four implementations of the same definition live here:
 //!
 //! * [`accumulate_delta`] — the reference *gather* kernel: full `N−1`
 //!   product per `(entry, core-entry)` pair from the entry's COO
@@ -20,15 +20,14 @@
 //!   Test-gated: it is the scalar baseline the blocked kernel must
 //!   reproduce (and the bench crate hand-rolls it for its
 //!   scalar-vs-blocked comparison).
-//! * [`accumulate_delta_blocked`] — the **run-blocked micro-kernel** the
-//!   engine runs on. `CoreTensor`'s lexicographic invariant means the core
-//!   entry list decomposes into maximal *runs* sharing their first `N−1`
-//!   coordinates (for a dense core: runs of length `J_N`, one per
-//!   `(β₁…β_{N−1})` prefix). [`core_runs`] finds the run boundaries once
-//!   per mode sweep; the kernel then computes **one shared prefix product
-//!   per run** (still prefix-reused across run heads) and processes the
-//!   run's tail as a single contiguous pass over the packed `core_vals`
-//!   slice:
+//! * [`accumulate_delta_blocked`] — the **run-blocked micro-kernel**.
+//!   `CoreTensor`'s lexicographic invariant means the core entry list
+//!   decomposes into maximal *runs* sharing their first `N−1` coordinates
+//!   (for a dense core: runs of length `J_N`, one per `(β₁…β_{N−1})`
+//!   prefix; [`core_runs`] finds the boundaries). The kernel computes **one
+//!   shared prefix product per run** (still prefix-reused across run heads)
+//!   and processes the run's tail as a single contiguous pass over the
+//!   packed `core_vals` slice:
 //!
 //!   * update mode = tail coordinate: `δ[β_N..] += w · g[β_N..]` — an
 //!     [`axpy`](ptucker_linalg::kernels::axpy) into the δ vector;
@@ -37,13 +36,51 @@
 //!     the pinned tail factor row.
 //!
 //!   Both primitives are the chunked/SIMD micro-kernels from
-//!   `ptucker_linalg::kernels`, so the inner loop saturates the FMA units
-//!   instead of chasing a per-entry prefix stack. Runs whose tail
-//!   coordinates are non-contiguous (truncated cores) take an indexed
-//!   variant of the same loop.
+//!   `ptucker_linalg::kernels`; runs whose tail coordinates are
+//!   non-contiguous (truncated cores) take an indexed variant of the same
+//!   loop. Test-gated since the memoized kernel below replaced it: it is
+//!   the per-entry baseline [`delta_for_entry`] and [`RunPlan::reconstruct`]
+//!   must reproduce **bitwise**.
+//! * [`delta_for_entry`] / [`RunPlan::reconstruct`] — what the engine, the
+//!   residual pass and the serving path run on: the run-blocked kernel over
+//!   a [`RunPlan`], with the **tail contraction memoized**.
+//!
+//!   *What is hoisted.* Everything about a run that does not depend on the
+//!   observed entry — its bounds, head coordinates, first tail coordinate
+//!   and contiguity, and which runs share an `N−2`-coordinate parent — is
+//!   computed once per core into the [`RunPlan`], not per entry.
+//!
+//!   *What is memoized.* The run's tail dot
+//!   `Σ_{β_N} g[r, β_N]·a⁽ᴺ⁾(i_N, β_N)` depends on the observed entry
+//!   **only through its tail index `i_N`**, so
+//!   [`RunPlan::memoize_tail`] evaluates it once per (tail-factor row,
+//!   run) into a table `T[i_N][r]` — `I_N × n_runs` doubles, the paper's
+//!   Cache idea at `O(I_N·|G|/J_N)` memory instead of `O(|Ω|·|G|)` — and
+//!   every entry of every mode `n ≠ N−1` then does
+//!   `δ[βₙ] += w_r · T[i_N][r]`: `|G|/J_N` multiply-adds per entry instead
+//!   of `|G|`. The reconstruction does `x̂ += w_r · T[i_N][r]` likewise.
+//!
+//!   *Why it is bitwise.* The table is filled by the one function the
+//!   unmemoized lookup calls per entry (`RunPlan::tail_dot` — the same
+//!   `dot` over the same slices, the same indexed loop for truncated runs),
+//!   and the kernel multiplies the same `w_r` into it and adds into the
+//!   same accumulator in the same run order with the same `w == 0` skip.
+//!   A loop-invariant moved out of a loop: no floating-point operation
+//!   changes, under any SIMD tier. Without a table (the caller decides —
+//!   see `als`'s budget rule) the lookup *is* that per-entry `dot`.
+//!
+//!   *Why mode `N−1` is not.* Its δ never touches the tail factor — that
+//!   is the factor being updated. The run tail is the `axpy`
+//!   `δ[β_N] += w_r·g[r, β_N]`: core values scaled by the entry-dependent
+//!   `w_r` and summed over runs, per δ slot. No entry-independent
+//!   contraction is left to look up, and anything precomputed across runs
+//!   would have to be summed before `w_r` multiplies in — a reassociation,
+//!   not a hoist. The tail mode rides the hoisted run metadata only.
 
 use ptucker_linalg::kernels::{axpy, dot, syr_in_place};
 use ptucker_linalg::Matrix;
+use ptucker_sched::{parallel_rows_mut, Schedule};
+use ptucker_tensor::CoreTensor;
 
 /// Deepest core order served by the stack-allocated prefix buffers of
 /// [`accumulate_delta_blocked`] (and the test-gated
@@ -58,9 +95,9 @@ pub(crate) const MAX_PREFIX_ORDER: usize = 16;
 /// run `r` spans entries `runs[r]..runs[r+1]`.
 ///
 /// The run structure depends only on the core (not on the mode being
-/// updated or the observed entry), so it is computed once per mode sweep
-/// by `engine::ModeContext::new` and shared by every row update — `O(N·|G|)`
-/// comparisons amortized over the whole sweep, nothing in the row loop.
+/// updated or the observed entry), so it is computed once per core — by
+/// [`RunPlan::new`], which every sweep, window and residual pass of the
+/// fit then borrows — `O(N·|G|)` comparisons, nothing in the row loop.
 ///
 /// For a dense lexicographic core the runs have length `J_N` exactly; for
 /// an order-1 core (no prefix coordinates) the whole entry list is one run.
@@ -82,6 +119,377 @@ pub(crate) fn core_runs(core_idx: &[usize], order: usize) -> Vec<u32> {
     }
     runs.push(g as u32);
     runs
+}
+
+/// Everything about a core's runs that does **not** depend on the observed
+/// entry, computed once per core and borrowed by every kernel call: the run
+/// bounds (a run is a maximal sequence of lexicographic core entries
+/// sharing their first `N−1` coordinates), each run's first tail coordinate
+/// and contiguity, and the grouping of runs under their shared
+/// `N−2`-coordinate *parent* (for a dense core: groups of `J_{N−1}` runs).
+///
+/// Optionally also the **tail-dot table** ([`RunPlan::memoize_tail`]):
+/// `T[i][r] = Σ_{β_N} g[r, β_N]·a⁽ᴺ⁾(i, β_N)`, the contraction of run `r`'s
+/// core values with row `i` of the last factor — `I_N × n_runs` doubles.
+/// An observed entry reaches it only through its last index, so the δ of
+/// every mode but the last, and the reconstruction, look it up instead of
+/// recomputing it per entry: `|G|/J_N` multiply-adds instead of `|G|`, the
+/// same operands in the same order — **bitwise** the unmemoized result
+/// (the source's `delta` module docs carry the argument).
+///
+/// The metadata is derived from the core's *index* structure, the table
+/// from its *values* and the tail factor: whoever owns the plan rebuilds it
+/// when the core is truncated and re-memoizes when the core or
+/// `factors[N−1]` changes (the fit driver after mode `N−1`'s update, after
+/// a truncating `post_iter`, after a resume and after the final QR; a
+/// `Predictor` never — its model is immutable).
+#[derive(Debug, Clone)]
+pub struct RunPlan {
+    order: usize,
+    /// Run `r` spans core entries `offsets[r]..offsets[r+1]`.
+    offsets: Vec<u32>,
+    /// Per run: its first (smallest) tail coordinate.
+    t0: Vec<u32>,
+    /// Per run: its tail coordinates are exactly `t0..t0+len` (always, on a
+    /// dense core; truncation can leave gaps).
+    contiguous: Vec<bool>,
+    /// Per run: its `(N−1)`-th coordinate — the one head coordinate that
+    /// varies inside a group (all zero at order 1, which has no head).
+    inner: Vec<u32>,
+    /// Group `g` spans runs `groups[g]..groups[g+1]`: a maximal sequence of
+    /// consecutive runs sharing their first `N−2` coordinates.
+    groups: Vec<u32>,
+    /// Per group: those `N−2` parent coordinates, flat.
+    parents: Vec<u32>,
+    /// Per group: how many leading parent coordinates equal the previous
+    /// group's (0 for the first) — the prefix products still valid.
+    shared: Vec<u32>,
+    /// `T[i_N][r]`, row-major `I_N × n_runs`; empty = not memoized.
+    tail_dots: Vec<f64>,
+}
+
+/// Where one observed entry's run tail dots come from: its row of the
+/// memoized table, or — the very function that fills the table — a `dot`
+/// against its tail factor row per run.
+#[derive(Clone, Copy)]
+enum Tail<'a> {
+    Memo(&'a [f64]),
+    Row(&'a [f64]),
+}
+
+impl Tail<'_> {
+    /// Run `r`'s tail dot for this entry.
+    #[inline(always)]
+    fn dot(self, runs: &RunPlan, r: usize, core_idx: &[usize], core_vals: &[f64]) -> f64 {
+        match self {
+            Tail::Memo(dots) => dots[r],
+            Tail::Row(row) => runs.tail_dot(r, core_idx, core_vals, row),
+        }
+    }
+}
+
+impl RunPlan {
+    /// Derives the run metadata of `core` — `O(N·|G|)`, once per core.
+    pub fn new(core: &CoreTensor) -> Self {
+        debug_assert!(
+            core.is_lexicographic(),
+            "CoreTensor's lex invariant feeds the run-blocked kernel"
+        );
+        let order = core.order();
+        let core_idx = core.flat_indices();
+        let offsets = core_runs(core_idx, order);
+        let n_runs = offsets.len() - 1;
+        let last = order.saturating_sub(1);
+        let np = order.saturating_sub(2);
+        let mut plan = RunPlan {
+            order,
+            t0: Vec::with_capacity(n_runs),
+            contiguous: Vec::with_capacity(n_runs),
+            inner: Vec::with_capacity(n_runs),
+            groups: Vec::new(),
+            parents: Vec::new(),
+            shared: Vec::new(),
+            tail_dots: Vec::new(),
+            offsets,
+        };
+        let mut prev: &[usize] = &[];
+        for r in 0..n_runs {
+            let (base, end) = plan.run(r);
+            let head = &core_idx[base * order..base * order + last];
+            let t0 = core_idx[base * order + last];
+            // Strictly ascending tail coordinates are contiguous iff the
+            // endpoints span exactly `len` values (dense cores always do).
+            plan.contiguous
+                .push(core_idx[(end - 1) * order + last] - t0 + 1 == end - base);
+            plan.t0.push(t0 as u32);
+            plan.inner
+                .push(if order >= 2 { head[np] as u32 } else { 0 });
+            let parent = &head[..np];
+            if r == 0 || parent != prev {
+                plan.groups.push(r as u32);
+                let shared = parent.iter().zip(prev).take_while(|(a, b)| a == b).count();
+                plan.shared.push(shared as u32);
+                plan.parents.extend(parent.iter().map(|&c| c as u32));
+                prev = parent;
+            }
+        }
+        plan.groups.push(n_runs as u32);
+        plan
+    }
+
+    /// Number of runs (for a dense core: `|G| / J_N`).
+    pub fn n_runs(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The run boundaries in offset form (`core_runs`).
+    pub(crate) fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
+    /// Whether [`RunPlan::memoize_tail`] has filled the tail-dot table.
+    pub fn is_memoized(&self) -> bool {
+        !self.tail_dots.is_empty()
+    }
+
+    /// Fills the tail-dot table `T[i][r]` for every row `i` of
+    /// `tail_factor` (`factors[N−1]`) and every run `r`, in parallel over
+    /// the rows, through the very function an unmemoized lookup calls per
+    /// entry (`tail_dot`). Call
+    /// again whenever `core`'s values or `tail_factor` change; `core` must
+    /// be the core this plan was built from.
+    pub fn memoize_tail(&mut self, core: &CoreTensor, tail_factor: &Matrix, threads: usize) {
+        let n_runs = self.n_runs();
+        debug_assert_eq!(
+            core.nnz(),
+            self.offsets[n_runs] as usize,
+            "not this plan's core"
+        );
+        if n_runs == 0 || tail_factor.rows() == 0 {
+            return;
+        }
+        let mut table = std::mem::take(&mut self.tail_dots);
+        table.resize(tail_factor.rows() * n_runs, 0.0);
+        let (core_idx, core_vals) = (core.flat_indices(), core.values());
+        let plan = &*self;
+        parallel_rows_mut(&mut table, n_runs, threads, Schedule::Static, |i, out| {
+            let tail_row = tail_factor.row(i);
+            for (r, slot) in out.iter_mut().enumerate() {
+                *slot = plan.tail_dot(r, core_idx, core_vals, tail_row);
+            }
+        });
+        self.tail_dots = table;
+    }
+
+    /// Reconstructs one cell `x̂_α = Σ_β G_β Πₖ a⁽ᵏ⁾(iₖ, βₖ)` of the model
+    /// `(core, factors)` with the run-blocked kernel: one shared head
+    /// product per run (all `N` factor rows pinned — no mode is skipped),
+    /// times the run's tail dot, looked up when memoized — the same bits
+    /// either way (bitwise the test-gated `reconstruct_entry_blocked`). The
+    /// inner loop of the residual `Σ (X_α − x̂_α)²` and of a served point
+    /// query. `core` must be the core this plan was built from.
+    ///
+    /// Reads only the entry's COO multi-index and the model, so the
+    /// residual pass needs neither the execution plan nor any window —
+    /// spilled fits compute it without touching their scratch files.
+    #[inline]
+    pub fn reconstruct(&self, index: &[usize], core: &CoreTensor, factors: &[Matrix]) -> f64 {
+        let (core_idx, core_vals) = (core.flat_indices(), core.values());
+        let order = factors.len();
+        if order > MAX_PREFIX_ORDER {
+            return reconstruct_entry_scalar(index, core_idx, core_vals, factors);
+        }
+        let last = order - 1;
+        let mut rows: [&[f64]; MAX_PREFIX_ORDER] = [&[]; MAX_PREFIX_ORDER];
+        for (k, factor) in factors[..last].iter().enumerate() {
+            rows[k] = factor.row(index[k]);
+        }
+        let tail = self.tail(index[last], &factors[last]);
+        let mut rec = 0.0;
+        self.for_each_run(&rows, usize::MAX, |_, r, w| {
+            rec += w * tail.dot(self, r, core_idx, core_vals)
+        });
+        rec
+    }
+
+    #[inline]
+    fn run(&self, r: usize) -> (usize, usize) {
+        (self.offsets[r] as usize, self.offsets[r + 1] as usize)
+    }
+
+    /// Run `r`'s tail contraction `Σ_{β_N} g[r, β_N]·a⁽ᴺ⁾(i_N, β_N)`
+    /// against one tail factor row: a contiguous [`dot`] over the packed
+    /// core values, or the indexed loop for a truncated run. The **only**
+    /// place the tail dot is computed — the table filler and the
+    /// unmemoized lookup both come through here.
+    #[inline]
+    fn tail_dot(&self, r: usize, core_idx: &[usize], core_vals: &[f64], tail_row: &[f64]) -> f64 {
+        let (base, end) = self.run(r);
+        let vals = &core_vals[base..end];
+        let t0 = self.t0[r] as usize;
+        if self.contiguous[r] {
+            dot(vals, &tail_row[t0..t0 + vals.len()])
+        } else {
+            let last = self.order - 1;
+            let mut acc = 0.0;
+            for (t, &g) in vals.iter().enumerate() {
+                acc += g * tail_row[core_idx[(base + t) * self.order + last]];
+            }
+            acc
+        }
+    }
+
+    /// Run `r`'s tail scatter when the update mode *is* the tail
+    /// coordinate: `δ[β_N] += w · g[r, β_N]`, an [`axpy`] (indexed for a
+    /// truncated run).
+    #[inline]
+    fn tail_axpy(
+        &self,
+        r: usize,
+        w: f64,
+        core_idx: &[usize],
+        core_vals: &[f64],
+        delta: &mut [f64],
+    ) {
+        let (base, end) = self.run(r);
+        let vals = &core_vals[base..end];
+        let t0 = self.t0[r] as usize;
+        if self.contiguous[r] {
+            axpy(w, vals, &mut delta[t0..t0 + vals.len()]);
+        } else {
+            let last = self.order - 1;
+            for (t, &g) in vals.iter().enumerate() {
+                delta[core_idx[(base + t) * self.order + last]] += w * g;
+            }
+        }
+    }
+
+    /// The tail-dot source for an entry whose tail index is `i`.
+    #[inline]
+    fn tail<'a>(&'a self, i: usize, tail_factor: &'a Matrix) -> Tail<'a> {
+        if self.is_memoized() {
+            let n = self.n_runs();
+            Tail::Memo(&self.tail_dots[i * n..(i + 1) * n])
+        } else {
+            Tail::Row(tail_factor.row(i))
+        }
+    }
+
+    /// Walks the runs for one entry: `on_run(g, r, w)` for every run `r`
+    /// (of group `g`) whose shared head product
+    /// `w = Π_{k<N−1, k≠skip} a⁽ᵏ⁾(iₖ, βₖ)` is nonzero, in run order. The
+    /// product over the group's `N−2` parent coordinates is prefix-reused
+    /// across groups sharing leading ones and formed once per group; each
+    /// run multiplies in its one own coordinate. `rows[k]` is the entry's
+    /// pinned factor row of mode `k` (`rows[skip]` is never read: that
+    /// mode's factor contributes `1.0`, as does order 1's missing head).
+    #[inline(always)]
+    fn for_each_run(
+        &self,
+        rows: &[&[f64]; MAX_PREFIX_ORDER],
+        skip: usize,
+        mut on_run: impl FnMut(usize, usize, f64),
+    ) {
+        let np = self.order.saturating_sub(2);
+        let inner_row = (self.order >= 2 && skip != np).then(|| rows[np]);
+        let mut prefix = [1.0f64; MAX_PREFIX_ORDER];
+        for g in 0..self.shared.len() {
+            let parent = &self.parents[g * np..(g + 1) * np];
+            for d in self.shared[g] as usize..np {
+                let a = if d == skip {
+                    1.0
+                } else {
+                    rows[d][parent[d] as usize]
+                };
+                prefix[d + 1] = prefix[d] * a;
+            }
+            let pp = prefix[np];
+            for r in self.groups[g] as usize..self.groups[g + 1] as usize {
+                let w = pp * inner_row.map_or(1.0, |row| row[self.inner[r] as usize]);
+                if w != 0.0 {
+                    on_run(g, r, w);
+                }
+            }
+        }
+    }
+}
+
+/// Pins the factor rows of one streamed entry: `a⁽ᵏ⁾(iₖ, ·)` for every
+/// `k ≠ mode`, from its packed other-mode indices.
+#[inline]
+fn pin_other_rows<'a>(
+    others: &[u32],
+    mode: usize,
+    factors: &'a [Matrix],
+) -> [&'a [f64]; MAX_PREFIX_ORDER] {
+    let mut rows: [&[f64]; MAX_PREFIX_ORDER] = [&[]; MAX_PREFIX_ORDER];
+    let mut slot = 0;
+    for (k, factor) in factors.iter().enumerate() {
+        if k == mode {
+            continue;
+        }
+        rows[k] = factor.row(others[slot] as usize);
+        slot += 1;
+    }
+    rows
+}
+
+/// Accumulates δ for one streamed entry into `delta` (cleared first) with
+/// the run-blocked kernel over a [`RunPlan`] — what every Direct/Approx
+/// row update and every served δ runs on. Bitwise
+/// [`accumulate_delta_blocked`], whether or not the plan carries a
+/// tail-dot table (module docs).
+///
+/// `others` holds the entry's packed other-mode indices (ascending mode
+/// order, `mode` skipped) as produced by `ptucker_tensor::ModeStream`;
+/// `runs` must be the [`RunPlan`] of this core, its table (if any)
+/// memoized against the current `factors[N−1]`. `factors[mode]` is never
+/// read (it is the row data being updated and may be an empty placeholder
+/// during the sweep).
+#[inline]
+pub(crate) fn delta_for_entry(
+    delta: &mut [f64],
+    others: &[u32],
+    mode: usize,
+    core_idx: &[usize],
+    core_vals: &[f64],
+    runs: &RunPlan,
+    factors: &[Matrix],
+) {
+    delta.fill(0.0);
+    let order = factors.len();
+    debug_assert_eq!(others.len(), order - 1);
+    if order > MAX_PREFIX_ORDER {
+        accumulate_delta_deep(delta, others, mode, core_idx, core_vals, factors);
+        return;
+    }
+    let last = order - 1;
+    let rows = pin_other_rows(others, mode, factors);
+    if mode == last {
+        // δ[β_N] += w · g[β_N]: the entry-dependent `w` sits inside each
+        // slot's sum over runs, so there is nothing to memoize.
+        runs.for_each_run(&rows, mode, |_, r, w| {
+            runs.tail_axpy(r, w, core_idx, core_vals, delta)
+        });
+        return;
+    }
+    // δ[βₙ] += w · (run tail dot): looked up, or computed by the function
+    // that fills the table.
+    let tail = runs.tail(others[last - 1] as usize, &factors[last]);
+    let tail_dot = |r: usize| tail.dot(runs, r, core_idx, core_vals);
+    if mode == last - 1 {
+        // The update mode is the run's own coordinate: one slot per run.
+        runs.for_each_run(&rows, mode, |_, r, w| {
+            delta[runs.inner[r] as usize] += w * tail_dot(r)
+        });
+    } else {
+        // The update mode is a parent coordinate: a whole group adds into
+        // one slot, in run order.
+        let np = last - 1;
+        runs.for_each_run(&rows, mode, |g, r, w| {
+            delta[runs.parents[g * np + mode] as usize] += w * tail_dot(r)
+        });
+    }
 }
 
 /// Accumulates δ for one observed entry into `delta` (cleared first) by
@@ -217,13 +625,13 @@ pub(crate) fn accumulate_delta_lex(
 /// the **run-blocked micro-kernel**: one shared prefix product per run of
 /// core entries (runs precomputed by [`core_runs`]), the run tail processed
 /// as a contiguous `dot`/`axpy` over the packed `core_vals` slice. See the
-/// module docs for the blocking argument.
+/// module docs for the blocking argument. Test-gated: the per-entry
+/// baseline [`delta_for_entry`] must reproduce bitwise.
 ///
 /// `others` holds the entry's packed other-mode indices (ascending mode
 /// order, `mode` skipped) as produced by `ptucker_tensor::ModeStream`;
 /// `runs` must be `core_runs(core_idx, factors.len())` for the same core.
-/// `factors[mode]` is never read (it is the row data being updated and may
-/// be an empty placeholder during the sweep).
+#[cfg(test)]
 #[inline]
 pub(crate) fn accumulate_delta_blocked(
     delta: &mut [f64],
@@ -308,19 +716,13 @@ pub(crate) fn accumulate_delta_blocked(
     }
 }
 
-/// Reconstructs one observed entry, `x̂_α = Σ_β G_β Πₖ a⁽ᵏ⁾(iₖ, βₖ)`, with
-/// the **run-blocked micro-kernel**: one shared prefix product per run of
-/// core entries (all `N` factor rows pinned once — no mode is skipped
-/// here), the run tail a single contiguous [`dot`] of the packed core
-/// values against the tail factor row. This is the reconstruction inner
-/// loop of the residual `Σ (X_α − x̂_α)²` — structurally the same blocking
-/// as [`accumulate_delta_blocked`], accumulated into one scalar instead of
-/// a δ vector.
-///
-/// `runs` must be [`core_runs`] of the same core. Reads only the entry's
-/// COO multi-index and the factors, so the residual pass needs neither the
-/// execution plan nor any window — spilled fits compute it without
-/// touching their scratch files.
+/// Reconstructs one observed entry with the **run-blocked micro-kernel**:
+/// one shared prefix product per run of core entries (all `N` factor rows
+/// pinned once — no mode is skipped here), the run tail a single
+/// contiguous [`dot`] of the packed core values against the tail factor
+/// row. Test-gated: the per-entry baseline [`RunPlan::reconstruct`] must
+/// reproduce bitwise. `runs` must be [`core_runs`] of the same core.
+#[cfg(test)]
 #[inline]
 pub(crate) fn reconstruct_entry_blocked(
     entry_idx: &[usize],
@@ -378,7 +780,8 @@ pub(crate) fn reconstruct_entry_blocked(
 }
 
 /// Scalar per-core-entry reconstruction: the deep-order (> 16) fallback of
-/// [`reconstruct_entry_blocked`] and its equivalence baseline in tests.
+/// [`RunPlan::reconstruct`] and the blocked kernels' equivalence baseline
+/// in tests.
 fn reconstruct_entry_scalar(
     entry_idx: &[usize],
     core_idx: &[usize],
@@ -401,7 +804,7 @@ fn reconstruct_entry_scalar(
     rec
 }
 
-/// Like [`reconstruct_entry_blocked`], but also records each core entry's
+/// A run-blocked reconstruction that also records each core entry's
 /// individual contribution `c_{αβ}` into `contrib` (size `|G|`) and
 /// returns their sum `x̂_α` — the quantities P-Tucker-Approx's partial
 /// reconstruction error `R(β)` (Eq. 13) needs per observed entry. One
@@ -859,6 +1262,194 @@ mod tests {
                         b,
                         g
                     );
+                }
+            }
+        }
+    }
+
+    /// `to_bits()` with every NaN folded to one pattern: which payload an
+    /// operation with two NaN inputs propagates is the one thing IEEE (and
+    /// Rust) leave to the instruction's operand order.
+    fn bits(v: f64) -> u64 {
+        if v.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    #[test]
+    fn run_plan_groups_dense_cores_by_parent() {
+        let core = CoreTensor::dense_from_fn(vec![2, 3, 4, 5], |_| 1.0).unwrap();
+        let plan = RunPlan::new(&core);
+        // 2·3·4 runs of J_N = 5, in 2·3 groups of J_{N−1} = 4 runs.
+        assert_eq!(plan.n_runs(), 24);
+        assert_eq!(plan.groups, (0..=6).map(|g| g * 4).collect::<Vec<u32>>());
+        assert_eq!(plan.parents, vec![0, 0, 0, 1, 0, 2, 1, 0, 1, 1, 1, 2]);
+        assert_eq!(plan.shared, vec![0u32, 1, 1, 0, 1, 1]);
+        assert_eq!(plan.inner, [0u32, 1, 2, 3].repeat(6));
+        assert!(plan.contiguous.iter().all(|&c| c) && plan.t0.iter().all(|&t| t == 0));
+        assert_eq!(plan.offsets(), core_runs(core.flat_indices(), 4));
+        assert!(!plan.is_memoized());
+    }
+
+    #[test]
+    fn run_plan_degenerate_orders() {
+        // Order 1: one headless run in one group. Order 2: one group whose
+        // runs vary in their only head coordinate. Empty: no runs at all.
+        let one = CoreTensor::dense_from_fn(vec![5], |_| 1.0).unwrap();
+        let plan = RunPlan::new(&one);
+        assert_eq!((plan.n_runs(), plan.groups.clone()), (1, vec![0, 1]));
+        let mut two = CoreTensor::dense_from_fn(vec![3, 4], |_| 1.0).unwrap();
+        two.retain_by_id(|e| e != 5); // (1,1): run 1 keeps tails {0, 2, 3}
+        let plan = RunPlan::new(&two);
+        assert_eq!(plan.groups, vec![0, 3]);
+        assert_eq!(plan.inner, vec![0, 1, 2]);
+        assert_eq!(plan.contiguous, vec![true, false, true]);
+        let empty = CoreTensor::from_entries(vec![2, 2], vec![]).unwrap();
+        let plan = RunPlan::new(&empty);
+        assert_eq!((plan.n_runs(), plan.groups.clone()), (0, vec![0]));
+    }
+
+    #[test]
+    fn run_plan_kernels_at_order_one_and_on_placeholder_factors() {
+        // Order 1: no head, no table — the whole core is one axpy.
+        let core = CoreTensor::from_entries(
+            vec![4],
+            vec![(vec![0], 2.0), (vec![2], -1.0), (vec![3], 0.5)],
+        )
+        .unwrap();
+        let runs = RunPlan::new(&core);
+        let factors = vec![Matrix::zeros(0, 0)];
+        let mut delta = vec![9.0; 4];
+        delta_for_entry(
+            &mut delta,
+            &[],
+            0,
+            core.flat_indices(),
+            core.values(),
+            &runs,
+            &factors,
+        );
+        assert_eq!(delta, vec![2.0, 0.0, -1.0, 0.5]);
+        let a = vec![Matrix::from_rows(&[&[1.0, 5.0, 2.0, 4.0]])];
+        let rec = runs.reconstruct(&[0], &core, &a);
+        assert_eq!(rec, 2.0 - 2.0 + 2.0);
+
+        // During a sweep factors[mode] is an empty placeholder: neither
+        // kernel flavor may touch it.
+        let core = CoreTensor::dense_from_fn(vec![2, 2], |i| (i[0] + 2 * i[1]) as f64).unwrap();
+        let factors = vec![
+            Matrix::zeros(0, 0),
+            Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]),
+        ];
+        let mut runs = RunPlan::new(&core);
+        for memoized in [false, true] {
+            if memoized {
+                runs.memoize_tail(&core, &factors[1], 2);
+            }
+            let mut delta = vec![9.0; 2];
+            delta_for_entry(
+                &mut delta,
+                &[1u32],
+                0,
+                core.flat_indices(),
+                core.values(),
+                &runs,
+                &factors,
+            );
+            // δ(j0) = Σ_{j1} G(j0,j1)·a1[1, j1]: [0·3+2·4, 1·3+3·4].
+            assert_eq!(delta, vec![8.0, 15.0], "memoized: {memoized}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Tentpole property: the RunPlan kernels — tail dots looked up in
+        // the memo table, or computed per entry when there is none — equal
+        // the per-entry blocked kernels **bit for bit**, δ for every mode
+        // and the reconstruction, on random sparse cores (ragged,
+        // non-contiguous and single-entry runs) at every order the table
+        // serves, with hostile values (±0, subnormals, ±Inf, NaN) in the
+        // factor rows so the `w == 0` skip and the Inf·0 paths are hit.
+        #[test]
+        fn tail_memo_is_bitwise_blocked(
+            order in 2..=MAX_PREFIX_ORDER,
+            seed in 0..u64::MAX,
+        ) {
+            const HOSTILE: [f64; 8] = [
+                0.0,
+                -0.0,
+                5e-324,
+                -2.5e-310,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+                1.0,
+            ];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dims: Vec<usize> = (0..order).map(|_| rng.gen_range(1..4usize)).collect();
+            let mut cells = std::collections::BTreeSet::new();
+            for _ in 0..rng.gen_range(1..60usize) {
+                cells.insert(dims.iter().map(|&d| rng.gen_range(0..d)).collect::<Vec<usize>>());
+            }
+            let entries: Vec<(Vec<usize>, f64)> = cells
+                .into_iter()
+                .map(|idx| (idx, rng.gen::<f64>() * 2.0 - 1.0))
+                .collect();
+            let mut core = CoreTensor::from_entries(dims.clone(), entries).unwrap();
+            if rng.gen::<f64>() < 0.5 {
+                // A truncation pass on top of the sampling, as Approx does.
+                let kill = rng.gen_range(2..5usize);
+                core.retain_by_id(|e| e % kill != 1 || e == 0);
+            }
+            let i_dims: Vec<usize> = (0..order).map(|_| rng.gen_range(1..4usize)).collect();
+            let factors: Vec<Matrix> = i_dims
+                .iter()
+                .zip(&dims)
+                .map(|(&i_n, &j_n)| {
+                    let data = (0..i_n * j_n)
+                        .map(|_| {
+                            if rng.gen::<f64>() < 0.2 {
+                                HOSTILE[rng.gen_range(0..HOSTILE.len())]
+                            } else {
+                                rng.gen::<f64>() * 2.0 - 1.0
+                            }
+                        })
+                        .collect();
+                    Matrix::from_vec(i_n, j_n, data).unwrap()
+                })
+                .collect();
+            let (core_idx, core_vals) = (core.flat_indices(), core.values());
+            let offsets = core_runs(core_idx, order);
+            let plain = RunPlan::new(&core);
+            let mut memo = plain.clone();
+            memo.memoize_tail(&core, &factors[order - 1], 1 + (seed % 3) as usize);
+            prop_assert!(memo.is_memoized() && !plain.is_memoized());
+            for _ in 0..4 {
+                let entry: Vec<usize> = i_dims.iter().map(|&d| rng.gen_range(0..d)).collect();
+                let want = reconstruct_entry_blocked(&entry, core_idx, core_vals, &offsets, &factors);
+                for (tag, plan) in [("memo", &memo), ("plain", &plain)] {
+                    let got = plan.reconstruct(&entry, &core, &factors);
+                    prop_assert_eq!(bits(got), bits(want), "{} reconstruct {:?}", tag, &entry);
+                }
+                for mode in 0..order {
+                    let others = pack_others(&entry, mode);
+                    let mut want = vec![0.0; dims[mode]];
+                    accumulate_delta_blocked(
+                        &mut want, &others, mode, core_idx, core_vals, &offsets, &factors,
+                    );
+                    for (tag, plan) in [("memo", &memo), ("plain", &plain)] {
+                        let mut got = vec![7.0; dims[mode]];
+                        delta_for_entry(&mut got, &others, mode, core_idx, core_vals, plan, &factors);
+                        for (g, w) in got.iter().zip(&want) {
+                            prop_assert_eq!(
+                                bits(*g), bits(*w),
+                                "{} order {} mode {} entry {:?}", tag, order, mode, &entry
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -34,11 +34,17 @@
 //! prefix product per run of lexicographic core entries, the run tail a
 //! contiguous `dot`/`axpy` micro-kernel over the packed core values (see
 //! `crate::delta` and `ptucker_linalg::kernels`). The plan is built
-//! once per fit and metered against the memory budget; the run structure
-//! is computed once per mode sweep in [`ModeContext::new`].
+//! once per fit and metered against the memory budget. The core's run
+//! structure lives in a [`RunPlan`] the fit driver builds **once per
+//! core** (again only when Approx truncates it) and every [`ModeContext`]
+//! *borrows*; when the driver's budget rule admits it the plan also
+//! carries the **tail-dot table**, and Direct/Approx sweeps of every mode
+//! but the last then do `|G|/J_N` multiply-adds per entry instead of `|G|`
+//! — bit for bit the same δ (`crate::delta` has the argument).
 
 use crate::cache::{cached_delta_for_entry, PresElem, PresTable, SpilledPresTable};
-use crate::delta::{accumulate_delta_blocked, accumulate_normal_eq, core_runs};
+pub use crate::delta::RunPlan;
+use crate::delta::{accumulate_normal_eq, delta_for_entry};
 use crate::{approx, FitInput, FitOptions, Result, StoragePrecision};
 use ptucker_linalg::{cholesky_solve_in_place, lu_solve_in_place, Matrix};
 use ptucker_memtrack::Reservation;
@@ -174,11 +180,12 @@ pub struct ModeContext<'a> {
     pub core_idx: &'a [usize],
     /// The core's values (`|G|`).
     pub core_vals: &'a [f64],
-    /// Run boundaries of the core's lexicographic entry list (offsets into
-    /// the entry ids; see `crate::delta`): computed once per mode sweep
-    /// here so the blocked δ kernel spends nothing on run detection inside
-    /// the row loop.
-    pub runs: Vec<u32>,
+    /// The core's entry-independent run metadata (see `crate::delta`) —
+    /// built once per core by whoever owns it and *borrowed* here, so
+    /// neither a sweep nor a window rescans the core — plus, when its owner
+    /// memoized one, the tail-dot table the δ kernel looks up for every
+    /// mode but the last.
+    pub runs: &'a RunPlan,
     /// The mode being updated.
     pub mode: usize,
     /// Rank `Jₙ` of the mode being updated.
@@ -191,54 +198,33 @@ pub struct ModeContext<'a> {
 
 impl<'a> ModeContext<'a> {
     /// Assembles the context for updating `factors[mode]` on a fully
-    /// resident plan (one full-stream window; positions global).
+    /// resident plan (one full-stream window; positions global). `runs`
+    /// must be the [`RunPlan`] of `core`.
     pub fn new(
         plan: &'a ModeStreams,
         factors: &'a [Matrix],
         core: &'a CoreTensor,
+        runs: &'a RunPlan,
         mode: usize,
         opts: &FitOptions,
     ) -> Self {
-        Self::for_view(plan.mode(mode).view(), factors, core, mode, opts)
+        Self::for_view(plan.mode(mode).view(), factors, core, runs, mode, opts)
     }
 
     /// Assembles the context for a sweep over an arbitrary [`StreamView`]
     /// of `mode` — the whole resident stream, or one slice-aligned window
     /// of any [`SweepSource`], whose slices and positions are then
-    /// window-local.
+    /// window-local. Borrows everything: building one per window allocates
+    /// nothing. `runs` must be the [`RunPlan`] of `core`, any tail-dot
+    /// table in it memoized against the current `factors[N−1]`.
     pub fn for_view(
         stream: StreamView<'a>,
         factors: &'a [Matrix],
         core: &'a CoreTensor,
+        runs: &'a RunPlan,
         mode: usize,
         opts: &FitOptions,
     ) -> Self {
-        Self::with_runs(
-            stream,
-            factors,
-            core,
-            mode,
-            opts,
-            core_runs(core.flat_indices(), core.order()),
-        )
-    }
-
-    /// [`ModeContext::for_view`] with a precomputed run structure — for
-    /// the fit driver, which sweeps many windows of the same mode and
-    /// computes `core_runs` once for the whole sweep. `runs` must be
-    /// `core_runs` of this `core`.
-    pub(crate) fn with_runs(
-        stream: StreamView<'a>,
-        factors: &'a [Matrix],
-        core: &'a CoreTensor,
-        mode: usize,
-        opts: &FitOptions,
-        runs: Vec<u32>,
-    ) -> Self {
-        debug_assert!(
-            core.is_lexicographic(),
-            "CoreTensor's lex invariant feeds the run-blocked kernel"
-        );
         ModeContext {
             stream,
             factors,
@@ -360,7 +346,9 @@ pub trait RowUpdateKernel: Sync {
     /// Called once per outer iteration after the reconstruction error is
     /// measured (e.g. the Approx variant truncates the core here, streaming
     /// the `R(β)` pass from disk when the fit's input is a COO scratch
-    /// file).
+    /// file). Returns whether it **changed the core**: the driver then
+    /// rebuilds the state it derives from it (the [`RunPlan`] and its
+    /// tail-dot table).
     ///
     /// # Errors
     /// Kernel-specific (streamed-input I/O); the default never fails.
@@ -370,8 +358,8 @@ pub trait RowUpdateKernel: Sync {
         _factors: &[Matrix],
         _core: &mut CoreTensor,
         _opts: &FitOptions,
-    ) -> Result<()> {
-        Ok(())
+    ) -> Result<bool> {
+        Ok(false)
     }
 
     /// Serializes the kernel's auxiliary fit state into `out`, for a
@@ -460,8 +448,11 @@ pub(crate) fn run_row(
 /// The default P-Tucker kernel: δ recomputed from the factors for every
 /// entry — `O(T·J²)` intermediate memory (Theorem 4). On the mode-major
 /// plan the recompute is **run-blocked**: one shared prefix product per
-/// run of core entries, the run tail processed as a contiguous `dot`/`axpy`
-/// micro-kernel over the packed core values (see `crate::delta`).
+/// run of core entries, times the run's tail contraction — a contiguous
+/// `dot`/`axpy` micro-kernel over the packed core values, or, for every
+/// mode but the last, a lookup in the context's tail-dot table when its
+/// [`RunPlan`] carries one (`I_N·|G|/J_N` more doubles, bit for bit the
+/// same δ; see `crate::delta`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DirectKernel;
 
@@ -474,13 +465,13 @@ impl RowUpdateKernel for DirectKernel {
         row: &mut [f64],
     ) -> bool {
         run_row(ctx, scratch, i, row, |delta, _pos, others, _old_row| {
-            accumulate_delta_blocked(
+            delta_for_entry(
                 delta,
                 others,
                 ctx.mode,
                 ctx.core_idx,
                 ctx.core_vals,
-                &ctx.runs,
+                ctx.runs,
                 ctx.factors,
             )
         })
@@ -565,7 +556,7 @@ impl<E: PresElem> TableStore<E> {
             old_row,
             ctx.core_idx,
             ctx.core_vals,
-            &ctx.runs,
+            ctx.runs.offsets(),
             ctx.factors,
         );
     }
@@ -877,19 +868,19 @@ impl RowUpdateKernel for ApproxKernel {
         factors: &[Matrix],
         core: &mut CoreTensor,
         opts: &FitOptions,
-    ) -> Result<()> {
-        if self.truncation_rate > 0.0 {
-            let r = match x {
-                FitInput::Resident(x) => {
-                    approx::partial_errors(x, factors, core, opts.threads, opts.schedule)
-                }
-                FitInput::Scratch(src) => {
-                    approx::partial_errors_scratch(src, factors, core, opts.threads)?
-                }
-            };
-            approx::truncate_noisy(core, &r, self.truncation_rate);
+    ) -> Result<bool> {
+        if self.truncation_rate <= 0.0 {
+            return Ok(false);
         }
-        Ok(())
+        let r = match x {
+            FitInput::Resident(x) => {
+                approx::partial_errors(x, factors, core, opts.threads, opts.schedule)
+            }
+            FitInput::Scratch(src) => {
+                approx::partial_errors_scratch(src, factors, core, opts.threads)?
+            }
+        };
+        Ok(approx::truncate_noisy(core, &r, self.truncation_rate) > 0)
     }
 }
 
@@ -1032,9 +1023,10 @@ mod tests {
     fn direct_kernel_matches_dense_reference() {
         let (x, factors, core, opts) = setup();
         let plan = ModeStreams::build(&x).unwrap();
+        let runs = RunPlan::new(&core);
         let mut scratch = Scratch::for_options(&opts);
         for mode in 0..3 {
-            let ctx = ModeContext::new(&plan, &factors, &core, mode, &opts);
+            let ctx = ModeContext::new(&plan, &factors, &core, &runs, mode, &opts);
             for i in 0..x.dims()[mode] {
                 let mut row = factors[mode].row(i).to_vec();
                 assert!(DirectKernel.update_row(&ctx, &mut scratch, i, &mut row));
@@ -1054,6 +1046,7 @@ mod tests {
     fn cached_kernel_matches_direct_kernel() {
         let (x, factors, core, opts) = setup();
         let plan = ModeStreams::build(&x).unwrap();
+        let runs = RunPlan::new(&core);
         let mut cached = CachedKernel::new();
         let mut sweep = plan.sweep_source(0, usize::MAX, false);
         let input = FitInput::Resident(&x);
@@ -1066,7 +1059,7 @@ mod tests {
             cached
                 .prepare_mode(&input, &plan, &factors, mode, &core, &opts)
                 .unwrap();
-            let ctx = ModeContext::new(&plan, &factors, &core, mode, &opts);
+            let ctx = ModeContext::new(&plan, &factors, &core, &runs, mode, &opts);
             for i in 0..x.dims()[mode] {
                 let mut direct_row = factors[mode].row(i).to_vec();
                 let mut cached_row = factors[mode].row(i).to_vec();
@@ -1084,7 +1077,8 @@ mod tests {
         // A reused arena must give bitwise-identical results to a fresh one.
         let (x, factors, core, opts) = setup();
         let plan = ModeStreams::build(&x).unwrap();
-        let ctx = ModeContext::new(&plan, &factors, &core, 0, &opts);
+        let runs = RunPlan::new(&core);
+        let ctx = ModeContext::new(&plan, &factors, &core, &runs, 0, &opts);
         let mut reused = Scratch::for_options(&opts);
         // Dirty the arena on another row first.
         let mut sink = factors[0].row(1).to_vec();
@@ -1111,14 +1105,15 @@ mod tests {
             Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]),
         ];
         let core = CoreTensor::dense_from_fn(vec![2, 2], |_| 1.0).unwrap();
+        let runs = RunPlan::new(&core);
         let opts = FitOptions::new(vec![2, 2]).lambda(0.0);
-        let ctx = ModeContext::new(&plan, &factors, &core, 0, &opts);
+        let ctx = ModeContext::new(&plan, &factors, &core, &runs, 0, &opts);
         let mut scratch = Scratch::for_options(&opts);
         let mut row = vec![0.5, 0.5];
         assert!(!DirectKernel.update_row(&ctx, &mut scratch, 0, &mut row));
         // With regularization the same system solves.
         let opts = FitOptions::new(vec![2, 2]).lambda(0.1);
-        let ctx = ModeContext::new(&plan, &factors, &core, 0, &opts);
+        let ctx = ModeContext::new(&plan, &factors, &core, &runs, 0, &opts);
         let mut row = vec![0.5, 0.5];
         assert!(DirectKernel.update_row(&ctx, &mut scratch, 0, &mut row));
     }

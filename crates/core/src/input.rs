@@ -98,13 +98,11 @@ impl<'a> From<&'a CooScratch> for FitInput<'a> {
 /// `b` folds `static_block(n, t, b)` sequentially from `init()` through its
 /// own bounded segment cursor, and the partials combine in block order.
 ///
-/// Per-worker arithmetic is therefore identical to the resident static
-/// schedule; only the combine order is pinned (block-ascending) where the
-/// resident reducer combines in completion order. At `threads ≤ 2` the two
-/// are bitwise-equal for commutative combines (IEEE `a + b` is
-/// bitwise-commutative), which is what the bitwise trajectory tests pin; at
-/// higher thread counts this streamed fold is the *more* deterministic of
-/// the two.
+/// Per-worker arithmetic and the block-ascending combine are therefore
+/// both identical to the resident static schedule's: the streamed fold is
+/// **bitwise-equal** to `parallel_reduce(…, Schedule::Static, …)` over the
+/// same entries at every thread count, which is what the resident ≡
+/// disk-to-disk trajectory tests pin.
 ///
 /// `fold` receives each entry's raw `u32` multi-index and its value; state
 /// that needs `usize` indices keeps a conversion buffer inside `T`.

@@ -57,14 +57,23 @@
 //!   The δ accumulation itself is **run-blocked** (`delta.rs`):
 //!   `CoreTensor`'s lexicographic invariant decomposes the core entry list
 //!   into maximal runs sharing their first `N−1` coordinates (for a dense
-//!   core, runs of length `J_N`). Run boundaries are found once per mode
-//!   sweep; each run then costs one shared prefix product (still
+//!   core, runs of length `J_N`). The run structure lives in one
+//!   [`engine::RunPlan`] per core, built by the fit driver (again only
+//!   when Approx truncates the core) and borrowed by every sweep, window
+//!   and error pass; each run then costs one shared prefix product (still
 //!   prefix-reused across run heads) plus a single contiguous `dot` or
 //!   `axpy` micro-kernel over the packed core values
 //!   (`ptucker_linalg::kernels` — chunked scalar code that autovectorizes,
 //!   or the explicit AVX2+FMA path behind the **`simd`** feature with
-//!   runtime CPU detection). The downstream `B += δδᵀ` / `c += x·δ`
-//!   accumulation rides the same `syr`/`axpy` primitives, as does cp-ALS.
+//!   runtime CPU detection). The run's `dot` depends on the observed
+//!   entry only through its last index, so the plan also carries a
+//!   **tail-dot table** (`I_N × |G|/J_N` doubles, metered in the budget;
+//!   used iff it holds at most one double per observed entry and the
+//!   budget has room) that every mode's sweep but the last and the
+//!   residual pass *look up* instead — `|G|/J_N` multiply-adds per entry
+//!   instead of `|G|`, bit for bit the same fit. The downstream
+//!   `B += δδᵀ` / `c += x·δ` accumulation rides the same `syr`/`axpy`
+//!   primitives, as does cp-ALS.
 //!
 //!   The Cached kernel keeps its resident `Pres` table in **COO entry
 //!   order for the whole fit** (`cache.rs`): a sweep gathers the

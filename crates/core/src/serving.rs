@@ -1,18 +1,20 @@
 //! The read-path seam between a fitted model and a query server.
 //!
 //! A [`Predictor`] wraps a [`TuckerDecomposition`] together with the one
-//! piece of derived state the run-blocked kernels need — the core's run
-//! boundaries (the delta module's `core_runs`) — and exposes the two
-//! serving primitives:
+//! piece of derived state the run-blocked kernels need — the core's
+//! [`RunPlan`] (run metadata, plus the **tail-dot table** when it is no
+//! larger than the factors it sits beside: the model is immutable, so it
+//! is filled once at construction and never refreshed) — and exposes the
+//! two serving primitives:
 //!
 //! * **point reconstruction** ([`Predictor::predict`]): one entry
 //!   `x̂_α = Σ_β G_β Πₙ a⁽ⁿ⁾(iₙ, βₙ)` through the same
-//!   `reconstruct_entry_blocked` micro-kernel the fit's residual pass
-//!   runs on, so a served prediction is **bitwise identical** to the
-//!   value the trainer would compute;
+//!   [`RunPlan::reconstruct`] micro-kernel the fit's residual pass runs on
+//!   (`|G|/J_N` multiply-adds with the table), so a served prediction is
+//!   **bitwise identical** to the value the trainer would compute;
 //! * **mode sweep scoring** ([`Predictor::scores_into`]): given the
 //!   query's other-mode indices, one δ accumulation
-//!   (`accumulate_delta_blocked` — the δ is *independent of the target
+//!   (`delta_for_entry` — the δ is *independent of the target
 //!   row*) followed by a row-per-candidate `dot` against the target
 //!   mode's factor — `O(|G| + Iₙ·Jₙ)` for all `Iₙ` candidates instead of
 //!   `O(Iₙ·|G|·N)` naive reconstructions. This is the top-K
@@ -40,7 +42,9 @@
 //! named [`PtuckerError::Model`], never a panic.
 
 use crate::checkpoint::{fnv1a, put_f64, put_u64, Cur};
-use crate::delta::{accumulate_delta_blocked, core_runs, reconstruct_entry_blocked};
+#[cfg(test)]
+use crate::delta::{core_runs, reconstruct_entry_blocked};
+use crate::delta::{delta_for_entry, RunPlan, MAX_PREFIX_ORDER};
 use crate::{PtuckerError, Result, StoragePrecision, TuckerDecomposition};
 use ptucker_linalg::kernels::{dot, dot_f32_f64};
 use ptucker_linalg::Matrix;
@@ -225,16 +229,17 @@ impl TuckerDecomposition {
     }
 }
 
-/// A [`TuckerDecomposition`] prepared for serving: core run boundaries
-/// precomputed once, optional f32 factor copies for the scoring sweep.
-/// See the [module docs](self) for the two query primitives and their
-/// cost model.
+/// A [`TuckerDecomposition`] prepared for serving: the core's run plan
+/// (and tail-dot table) precomputed once, optional f32 factor copies for
+/// the scoring sweep. See the [module docs](self) for the two query
+/// primitives and their cost model.
 #[derive(Debug, Clone)]
 pub struct Predictor {
     decomposition: TuckerDecomposition,
-    /// `core_runs` of the decomposition's core — the blocking structure
-    /// every query rides.
-    runs: Vec<u32>,
+    /// The [`RunPlan`] of the decomposition's core — the blocking
+    /// structure every query rides — with its tail-dot table memoized
+    /// when that is no larger than the factor storage.
+    runs: RunPlan,
     /// Row-major f32 copy of each factor under
     /// [`StoragePrecision::F32`]; empty in f64 mode.
     factors_f32: Vec<Vec<f32>>,
@@ -281,7 +286,22 @@ impl Predictor {
                 )));
             }
         }
-        let runs = core_runs(decomposition.core.flat_indices(), order);
+        let mut runs = RunPlan::new(&decomposition.core);
+        // Memoize the tail dots while they stay within the model's own
+        // footprint (`I_N·n_runs` doubles against `Σ Iₙ·Jₙ`): a few
+        // hundred KB buys point queries and every δ but mode `N−1`'s a
+        // `J_N`-fold shorter inner loop.
+        let tail = &decomposition.factors[order - 1];
+        let factor_cells: usize = decomposition
+            .factors
+            .iter()
+            .map(|a| a.as_slice().len())
+            .sum();
+        if (2..=MAX_PREFIX_ORDER).contains(&order)
+            && tail.rows().saturating_mul(runs.n_runs()) <= factor_cells
+        {
+            runs.memoize_tail(&decomposition.core, tail, 1);
+        }
         let factors_f32 = match precision {
             StoragePrecision::F64 => Vec::new(),
             StoragePrecision::F32 => decomposition
@@ -323,9 +343,9 @@ impl Predictor {
         self.decomposition.factors.len()
     }
 
-    /// Reconstructs one cell through the run-blocked kernel — bitwise
-    /// identical to the trainer's residual-pass reconstruction of the
-    /// same cell, and allocation-free.
+    /// Reconstructs one cell through the run-blocked kernel (tail dots
+    /// looked up when memoized) — bitwise identical to the trainer's
+    /// residual-pass reconstruction of the same cell, and allocation-free.
     ///
     /// # Panics
     /// Panics (in debug builds) on wrong arity; out-of-range indices
@@ -333,13 +353,8 @@ impl Predictor {
     /// first when the index is untrusted.
     pub fn predict(&self, index: &[usize]) -> f64 {
         debug_assert_eq!(index.len(), self.order());
-        reconstruct_entry_blocked(
-            index,
-            self.decomposition.core.flat_indices(),
-            self.decomposition.core.values(),
-            &self.runs,
-            &self.decomposition.factors,
-        )
+        self.runs
+            .reconstruct(index, &self.decomposition.core, &self.decomposition.factors)
     }
 
     /// Accumulates the query's δ vector into `delta` (cleared first):
@@ -353,7 +368,7 @@ impl Predictor {
     pub fn delta_into(&self, others: &[u32], mode: usize, delta: &mut [f64]) {
         debug_assert_eq!(others.len(), self.order() - 1);
         debug_assert_eq!(delta.len(), self.decomposition.core.dims()[mode]);
-        accumulate_delta_blocked(
+        delta_for_entry(
             delta,
             others,
             mode,

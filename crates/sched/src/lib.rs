@@ -319,6 +319,14 @@ where
 /// results are merged with `combine`. This is how P-Tucker computes the
 /// reconstruction error (Section III-D: "each thread computes the error
 /// separately ... at the end, P-TUCKER aggregates the partial error").
+///
+/// Partials land in **worker-indexed slots and combine in ascending worker
+/// order**, never in completion order. Under [`Schedule::Static`] worker
+/// `b` folds exactly [`static_block`]`(n, t, b)`, so the result is a pure
+/// function of `(n, threads)` and the closures — bitwise reproducible run
+/// to run at every thread count, floating-point sums included. Under
+/// [`Schedule::Dynamic`] which indices a worker claims is still a race, so
+/// only order-insensitive combines are reproducible there.
 pub fn parallel_reduce<T, I, F, C>(
     n: usize,
     threads: usize,
@@ -344,21 +352,20 @@ where
         }
         return acc;
     }
-    let partials: Mutex<Vec<T>> = Mutex::new(Vec::with_capacity(t));
+    let slots: Vec<Mutex<Option<T>>> = (0..t).map(|_| Mutex::new(None)).collect();
     match schedule.normalized() {
         Schedule::Static => {
             crossbeam::scope(|s| {
-                for b in 0..t {
+                for (b, slot) in slots.iter().enumerate() {
                     let (lo, hi) = static_block(n, t, b);
                     let init = &init;
                     let fold = &fold;
-                    let partials = &partials;
                     s.spawn(move |_| {
                         let mut acc = init();
                         for i in lo..hi {
                             acc = fold(acc, i);
                         }
-                        partials.lock().push(acc);
+                        *slot.lock() = Some(acc);
                     });
                 }
             })
@@ -367,10 +374,9 @@ where
         Schedule::Dynamic { chunk } => {
             let counter = AtomicUsize::new(0);
             crossbeam::scope(|s| {
-                for _ in 0..t {
+                for slot in &slots {
                     let init = &init;
                     let fold = &fold;
-                    let partials = &partials;
                     let counter = &counter;
                     s.spawn(move |_| {
                         let mut acc = init();
@@ -384,14 +390,17 @@ where
                                 acc = fold(acc, i);
                             }
                         }
-                        partials.lock().push(acc);
+                        *slot.lock() = Some(acc);
                     });
                 }
             })
             .expect("worker panicked in parallel_reduce(dynamic)");
         }
     }
-    partials.into_inner().into_iter().fold(init(), combine)
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every worker fills its slot"))
+        .fold(init(), combine)
 }
 
 /// Updates the rows of a row-major matrix in parallel and in place.
@@ -889,6 +898,35 @@ mod tests {
                 );
                 let want: f64 = (0..10_000).map(|i| (i as f64).sqrt()).sum();
                 assert!((got - want).abs() < 1e-6, "t={threads}: {got} vs {want}");
+            }
+        }
+    }
+
+    /// Static partials combine block-ascending, whatever order the workers
+    /// finish in: an order-*sensitive* combine (list concatenation) must
+    /// reproduce `0..n` exactly, with the early blocks made the slowest.
+    #[test]
+    fn static_reduce_combines_in_block_order() {
+        for threads in [2, 3, 4, 7] {
+            for _ in 0..10 {
+                let got = parallel_reduce(
+                    100,
+                    threads,
+                    Schedule::Static,
+                    Vec::new,
+                    |mut acc: Vec<usize>, i| {
+                        if i < 100 / threads {
+                            std::thread::yield_now();
+                        }
+                        acc.push(i);
+                        acc
+                    },
+                    |mut a, b| {
+                        a.extend(b);
+                        a
+                    },
+                );
+                assert_eq!(got, (0..100).collect::<Vec<_>>(), "t={threads}");
             }
         }
     }
