@@ -43,7 +43,8 @@
 //!   must reproduce **bitwise**.
 //! * [`delta_for_entry`] / [`RunPlan::reconstruct`] — what the engine, the
 //!   residual pass and the serving path run on: the run-blocked kernel over
-//!   a [`RunPlan`], with the **tail contraction memoized**.
+//!   a [`RunPlan`], with the **tail contraction memoized** (in a fit; a
+//!   `Predictor`'s plan carries the metadata only).
 //!
 //!   *What is hoisted.* Everything about a run that does not depend on the
 //!   observed entry — its bounds, head coordinates, first tail coordinate
@@ -142,7 +143,7 @@ pub(crate) fn core_runs(core_idx: &[usize], order: usize) -> Vec<u32> {
 /// when the core is truncated and re-memoizes when the core or
 /// `factors[N−1]` changes (the fit driver after mode `N−1`'s update, after
 /// a truncating `post_iter`, after a resume and after the final QR; a
-/// `Predictor` never — its model is immutable).
+/// `Predictor` keeps the metadata only and never memoizes).
 #[derive(Debug, Clone)]
 pub struct RunPlan {
     order: usize,

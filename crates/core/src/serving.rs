@@ -2,16 +2,14 @@
 //!
 //! A [`Predictor`] wraps a [`TuckerDecomposition`] together with the one
 //! piece of derived state the run-blocked kernels need — the core's
-//! [`RunPlan`] (run metadata, plus the **tail-dot table** when it is no
-//! larger than the factors it sits beside: the model is immutable, so it
-//! is filled once at construction and never refreshed) — and exposes the
-//! two serving primitives:
+//! [`RunPlan`] (the entry-independent run metadata, built once: the model
+//! is immutable) — and exposes the two serving primitives:
 //!
 //! * **point reconstruction** ([`Predictor::predict`]): one entry
 //!   `x̂_α = Σ_β G_β Πₙ a⁽ⁿ⁾(iₙ, βₙ)` through the same
-//!   [`RunPlan::reconstruct`] micro-kernel the fit's residual pass runs on
-//!   (`|G|/J_N` multiply-adds with the table), so a served prediction is
-//!   **bitwise identical** to the value the trainer would compute;
+//!   [`RunPlan::reconstruct`] micro-kernel the fit's residual pass runs
+//!   on, so a served prediction is **bitwise identical** to the value the
+//!   trainer would compute;
 //! * **mode sweep scoring** ([`Predictor::scores_into`]): given the
 //!   query's other-mode indices, one δ accumulation
 //!   (`delta_for_entry` — the δ is *independent of the target
@@ -23,6 +21,12 @@
 //! Both paths write into caller-owned buffers and allocate nothing, so a
 //! server can pin one scratch arena per worker thread and keep its query
 //! hot path allocation-free.
+//!
+//! The plan carries **no tail-dot table** here: a query pays the
+//! per-entry tail `dot` that the fit's table memoizes — the same function,
+//! so the bits agree either way. (Memoizing it per model makes a point
+//! query about three times cheaper; CHANGES.md, PR 13, records why that
+//! was measured and then withdrawn.)
 //!
 //! The storage-precision hook mirrors the fit engine's: a predictor built
 //! with [`StoragePrecision::F32`] keeps an f32 copy of each factor and
@@ -44,7 +48,7 @@
 use crate::checkpoint::{fnv1a, put_f64, put_u64, Cur};
 #[cfg(test)]
 use crate::delta::{core_runs, reconstruct_entry_blocked};
-use crate::delta::{delta_for_entry, RunPlan, MAX_PREFIX_ORDER};
+use crate::delta::{delta_for_entry, RunPlan};
 use crate::{PtuckerError, Result, StoragePrecision, TuckerDecomposition};
 use ptucker_linalg::kernels::{dot, dot_f32_f64};
 use ptucker_linalg::Matrix;
@@ -230,15 +234,14 @@ impl TuckerDecomposition {
 }
 
 /// A [`TuckerDecomposition`] prepared for serving: the core's run plan
-/// (and tail-dot table) precomputed once, optional f32 factor copies for
-/// the scoring sweep. See the [module docs](self) for the two query
-/// primitives and their cost model.
+/// precomputed once, optional f32 factor copies for the scoring sweep.
+/// See the [module docs](self) for the two query primitives and their
+/// cost model.
 #[derive(Debug, Clone)]
 pub struct Predictor {
     decomposition: TuckerDecomposition,
     /// The [`RunPlan`] of the decomposition's core — the blocking
-    /// structure every query rides — with its tail-dot table memoized
-    /// when that is no larger than the factor storage.
+    /// structure every query rides (metadata only, no tail-dot table).
     runs: RunPlan,
     /// Row-major f32 copy of each factor under
     /// [`StoragePrecision::F32`]; empty in f64 mode.
@@ -286,22 +289,7 @@ impl Predictor {
                 )));
             }
         }
-        let mut runs = RunPlan::new(&decomposition.core);
-        // Memoize the tail dots while they stay within the model's own
-        // footprint (`I_N·n_runs` doubles against `Σ Iₙ·Jₙ`): a few
-        // hundred KB buys point queries and every δ but mode `N−1`'s a
-        // `J_N`-fold shorter inner loop.
-        let tail = &decomposition.factors[order - 1];
-        let factor_cells: usize = decomposition
-            .factors
-            .iter()
-            .map(|a| a.as_slice().len())
-            .sum();
-        if (2..=MAX_PREFIX_ORDER).contains(&order)
-            && tail.rows().saturating_mul(runs.n_runs()) <= factor_cells
-        {
-            runs.memoize_tail(&decomposition.core, tail, 1);
-        }
+        let runs = RunPlan::new(&decomposition.core);
         let factors_f32 = match precision {
             StoragePrecision::F64 => Vec::new(),
             StoragePrecision::F32 => decomposition
@@ -343,9 +331,9 @@ impl Predictor {
         self.decomposition.factors.len()
     }
 
-    /// Reconstructs one cell through the run-blocked kernel (tail dots
-    /// looked up when memoized) — bitwise identical to the trainer's
-    /// residual-pass reconstruction of the same cell, and allocation-free.
+    /// Reconstructs one cell through the run-blocked kernel — bitwise
+    /// identical to the trainer's residual-pass reconstruction of the
+    /// same cell, and allocation-free.
     ///
     /// # Panics
     /// Panics (in debug builds) on wrong arity; out-of-range indices

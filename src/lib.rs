@@ -62,8 +62,8 @@
 //!   over the packed core values — with the run structure hoisted into
 //!   one `RunPlan` per core and the `dot` memoized per (last-factor row,
 //!   run) in a small budget-metered table that every sweep but the last
-//!   mode's, the residual pass and the query server look up, bit for bit
-//!   the per-entry result. The Cached variant keeps its resident
+//!   mode's and the residual pass look up, bit for bit the per-entry
+//!   result. The Cached variant keeps its resident
 //!   `Pres` table in COO entry order for the whole fit (a per-entry row
 //!   gather in the sweep, one in-place parallel rescale per mode — the
 //!   table is never permuted). When the working set exceeds the memory
