@@ -325,7 +325,6 @@ impl RowUpdateFixture {
         cached
             .prepare_fit(
                 &ptucker::FitInput::Resident(&self.x),
-                &self.plan,
                 &self.factors,
                 &self.core,
                 &self.opts,
@@ -352,15 +351,11 @@ impl RowUpdateFixture {
         let mut sweep = self.plan.sweep_source(0, usize::MAX, false);
         let mut post = 0.0;
         for mode in 0..self.x.order() {
-            kernel
-                .prepare_mode(&input, &self.plan, factors, mode, &self.core, &self.opts)
-                .unwrap();
+            kernel.prepare_mode(factors, mode).unwrap();
             self.sweep_mode(&*kernel, &self.runs, factors, mode, scratch);
             let t = Instant::now();
             kernel
-                .post_mode(
-                    &input, &self.plan, factors, mode, &self.core, &self.opts, &mut sweep,
-                )
+                .post_mode(&input, factors, mode, &self.core, &self.opts, &mut sweep)
                 .unwrap();
             post += t.elapsed().as_secs_f64();
         }

@@ -6,7 +6,7 @@
 //! generate ~80% of the total reconstruction error — the justification for
 //! P-Tucker-Approx's truncation rule.
 
-use ptucker::{approx, FitOptions, PTucker, Schedule};
+use ptucker::{approx, FitInput, FitOptions, PTucker};
 use ptucker_bench::{print_header, HarnessArgs};
 use ptucker_datagen::realworld;
 use rand::rngs::StdRng;
@@ -38,7 +38,8 @@ fn main() {
     .fit(&x)
     .expect("fit");
     let d = fit.decomposition;
-    let r = approx::partial_errors(&x, &d.factors, &d.core, args.threads, Schedule::dynamic());
+    let r = approx::partial_errors(&FitInput::from(&x), &d.factors, &d.core, args.threads)
+        .expect("R(β) over a resident tensor");
 
     // Distribution of R(β): sorted descending, report deciles.
     let mut sorted = r.clone();

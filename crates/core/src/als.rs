@@ -23,8 +23,8 @@
 //!   themselves never become resident: the plan is built from a
 //!   [`CooScratch`] file by external sort
 //!   ([`ModeStreams::build_external`]), and every whole-tensor pass (the
-//!   residual, the Approx `R(β)` ranking, the checkpoint fingerprint)
-//!   streams bounded COO segments instead of indexing an entry array.
+//!   residual, the Approx `R(β)` ranking, the core refit, the checkpoint
+//!   fingerprint) walks bounded COO segments of it.
 //!
 //! The per-row kernel code, the RNG sequence, the error measurement and
 //! the convergence test are byte-identical across placements, so spilled
@@ -32,10 +32,12 @@
 //! [`BudgetPolicy::Strict`] the gate is bypassed, every reservation is
 //! checked, and overflow surfaces as the paper's O.O.M. outcome.
 //!
-//! The reconstruction-error pass ([`sum_squared_error_raw`], or its
-//! streamed twin [`sum_squared_error_scratch`]) reads only COO and the
-//! model — never the plan or a window — so spilled fits compute the
-//! residual without materializing anything; its inner loop is the
+//! Each whole-tensor pass is written **once**, over the statically blocked
+//! [`FitInput::fold_entries`] — the same bits from a resident tensor and a
+//! scratch file, under every [`FitOptions::schedule`] (which steers only
+//! the `|Ω_i|`-skewed row sweeps). The reconstruction-error pass reads only
+//! COO and the model — never the plan or a window — so spilled fits compute
+//! the residual without materializing anything; its inner loop is the
 //! run-blocked [`RunPlan::reconstruct`] micro-kernel.
 //!
 //! The driver also owns the one piece of state *derived from the model*:
@@ -50,7 +52,6 @@ use crate::delta::{solve_row, RunPlan, MAX_PREFIX_ORDER};
 use crate::engine::{
     ApproxKernel, CachedKernel, DirectKernel, ModeContext, RowUpdateKernel, Scratch,
 };
-use crate::input::scratch_fold_blocks;
 use crate::sync::{FitSync, LocalSync};
 use crate::{
     FitInput, FitOptions, FitResult, FitStats, IterStats, PtuckerError, Result,
@@ -58,7 +59,7 @@ use crate::{
 };
 use ptucker_linalg::Matrix;
 use ptucker_memtrack::{BudgetPolicy, Reservation};
-use ptucker_sched::{parallel_reduce, parallel_rows_mut_scheduled, Schedule};
+use ptucker_sched::parallel_rows_mut_scheduled;
 use ptucker_tensor::{CooScratch, CoreTensor, ModeStreams, SparseTensor, SweepSource};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -180,13 +181,10 @@ impl PTucker {
     /// scratch file, the execution plan is built from it by external sort
     /// ([`ModeStreams::build_external`] — sorted runs + K-way merge, all
     /// within the [`crate::MemoryBudget`]), and every whole-tensor pass
-    /// (the residual, the Approx `R(β)` ranking, the checkpoint
-    /// fingerprint) streams bounded COO segments. Resident memory is
-    /// bounded by the budget regardless of `|Ω|`; the trajectory is
-    /// **bitwise identical** to [`PTucker::fit`] on the same entries
-    /// (with [`Schedule::Static`] for the Approx variant's `R(β)` pass
-    /// and the optional core refit, whose streamed twins use static
-    /// blocking).
+    /// (the residual, the Approx `R(β)` ranking, the core refit, the
+    /// checkpoint fingerprint) walks bounded COO segments. Resident memory
+    /// is bounded by the budget regardless of `|Ω|`; the trajectory is
+    /// **bitwise identical** to [`PTucker::fit`] on the same entries.
     ///
     /// # Errors
     /// Everything [`PTucker::fit`] returns, plus
@@ -213,8 +211,8 @@ impl PTucker {
 
     /// [`PTucker::fit_scratch_with_sync`] continuing from an in-memory
     /// [`FitCheckpoint`] (see [`PTucker::fit_with_sync_resume`]). The
-    /// fingerprint is streamed from the scratch file and matches the
-    /// resident flavor byte for byte, so checkpoints written by a
+    /// fingerprint hashes the scratch file's entries to the value a
+    /// resident tensor of them gives, so checkpoints written by a
     /// resident fit of the same entries resume a disk-to-disk fit and
     /// vice versa.
     ///
@@ -441,7 +439,7 @@ fn placement(input: &FitInput<'_>, opts: &FitOptions) -> Placement {
     }
     let (dims, nnz) = (input.dims(), input.nnz());
     let table = table_bytes(nnz, opts);
-    if matches!(input, FitInput::Scratch(_)) {
+    if input.resident().is_none() {
         return Placement {
             spill_plan: true,
             spill_table: table > 0,
@@ -475,7 +473,7 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
     sync: &mut S,
     resume: Option<FitCheckpoint>,
 ) -> Result<FitResult> {
-    if matches!(input, FitInput::Scratch(_)) && opts.budget.policy() != BudgetPolicy::Spill {
+    if input.resident().is_none() && opts.budget.policy() != BudgetPolicy::Spill {
         return Err(PtuckerError::InvalidConfig(
             "a disk-resident COO source requires BudgetPolicy::Spill — the Strict policy \
              declares everything resident, which a scratch-file input can never be"
@@ -634,15 +632,7 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
     // table here (Algorithm 3 lines 1–4) — resident when it fits,
     // streamed to its own scratch file when the gate said to spill it;
     // the Approx variant reserves its per-thread R(β) buffers.
-    kernel.prepare_fit(
-        input,
-        &plan,
-        &factors,
-        &core,
-        opts,
-        &mut sweep,
-        place.spill_table,
-    )?;
+    kernel.prepare_fit(input, &factors, &core, opts, &mut sweep, place.spill_table)?;
     if !place.windowed() && tail_bytes > 0 {
         tail_booking = opts.budget.reserve(tail_bytes).ok();
     }
@@ -658,7 +648,7 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
     // only the sync layer asks for a snapshot (`FitSync::end_iter`).
     let mut fingerprint: Option<u64> =
         if resume.is_some() || opts.checkpoint_path.is_some() || opts.resume_from.is_some() {
-            Some(fingerprint_input(input, opts)?)
+            Some(FitCheckpoint::fingerprint(input, opts)?)
         } else {
             None
         };
@@ -717,7 +707,7 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
         // Algorithm 3).
         for n in 0..order {
             sync.begin_mode(iter, n)?;
-            kernel.prepare_mode(input, &plan, &factors, n, &core, opts)?;
+            kernel.prepare_mode(&factors, n)?;
             update_factor(
                 dims[n],
                 &mut factors,
@@ -735,28 +725,14 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
                 // sweep and the error pass look up is refilled from it.
                 runs.refresh(false, &core, &factors, opts.threads);
             }
-            kernel.post_mode(input, &plan, &factors, n, &core, opts, &mut sweep)?;
+            kernel.post_mode(input, &factors, n, &core, opts, &mut sweep)?;
         }
 
         // Step 4: reconstruction error (Algorithm 2 line 4), parallel
         // with static scheduling (Section III-D, section 3). COO-based on
         // every placement — the bitwise spilled ≡ resident guarantee
-        // depends on the error being window-independent. A disk-resident
-        // input streams the same arithmetic over bounded COO segments.
-        let err = match input {
-            FitInput::Resident(x) => sum_squared_error_raw(
-                x,
-                &factors,
-                &core,
-                &runs.plan,
-                opts.threads,
-                Schedule::Static,
-            ),
-            FitInput::Scratch(src) => {
-                sum_squared_error_scratch(src, &factors, &core, &runs.plan, opts.threads)?
-            }
-        }
-        .sqrt();
+        // depends on the error being window-independent.
+        let err = sum_squared_error(input, &factors, &core, &runs.plan, opts.threads)?.sqrt();
 
         // Step 5: per-iteration kernel hook — Approx truncation
         // (Algorithm 2 lines 5–6).
@@ -786,38 +762,33 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
         // serializer (a fault-tolerant coordinator seeds respawned
         // workers with it). A converged iteration breaks above and never
         // checkpoints — resuming re-runs the converging iteration
-        // deterministically and stops at the same place.
+        // deterministically and stops at the same place. The snapshot is
+        // the fit's full state: the model, the convergence bookkeeping and
+        // the kernel's auxiliary state (the Cache variant's incrementally
+        // rescaled `Pres` table, which no rebuild reproduces bitwise).
+        let mut snapshot = || -> Result<FitCheckpoint> {
+            let fingerprint = match fingerprint {
+                Some(fp) => fp,
+                None => *fingerprint.insert(FitCheckpoint::fingerprint(input, opts)?),
+            };
+            let mut kernel_aux = Vec::new();
+            kernel.save_aux(&plan, &mut kernel_aux)?;
+            Ok(FitCheckpoint {
+                fingerprint,
+                next_iter: iter + 1,
+                prev_err,
+                iterations: iterations.clone(),
+                factors: factors.clone(),
+                core: core.clone(),
+                kernel_aux,
+            })
+        };
         if let Some(path) = &opts.checkpoint_path {
             if (iter + 1) % opts.checkpoint_every.max(1) == 0 {
-                let fp = ensure_fingerprint(&mut fingerprint, input, opts)?;
-                snapshot_checkpoint(
-                    &kernel,
-                    &plan,
-                    fp,
-                    iter + 1,
-                    prev_err,
-                    &iterations,
-                    &factors,
-                    &core,
-                )?
-                .store(path)?;
+                snapshot()?.store(path)?;
             }
         }
-        let mut make_checkpoint = || {
-            let fp = ensure_fingerprint(&mut fingerprint, input, opts)?;
-            snapshot_checkpoint(
-                &kernel,
-                &plan,
-                fp,
-                iter + 1,
-                prev_err,
-                &iterations,
-                &factors,
-                &core,
-            )
-            .map(|c| c.encode())
-        };
-        sync.end_iter(iter, &mut make_checkpoint)?;
+        sync.end_iter(iter, &mut || snapshot().map(|c| c.encode()))?;
     }
     // Release kernel state (notably the Cache table's budget reservation
     // or scratch file), the arenas and the sweep buffers before the
@@ -861,32 +832,12 @@ fn finish_fit<S: FitSync>(
     }
 
     if opts.refit_core {
-        match input {
-            FitInput::Resident(x) => {
-                refit_core_observed(x, &factors, &mut core, opts.threads, opts.schedule);
-            }
-            FitInput::Scratch(src) => {
-                refit_core_observed_scratch(src, &factors, &mut core, opts.threads)?;
-            }
-        }
+        refit_core_observed(input, &factors, &mut core, opts.threads)?;
     }
 
     // QR rewrote every factor and the core with them.
     runs.refresh(true, &core, &factors, opts.threads);
-    let final_error = match input {
-        FitInput::Resident(x) => sum_squared_error_raw(
-            x,
-            &factors,
-            &core,
-            &runs.plan,
-            opts.threads,
-            Schedule::Static,
-        ),
-        FitInput::Scratch(src) => {
-            sum_squared_error_scratch(src, &factors, &core, &runs.plan, opts.threads)?
-        }
-    }
-    .sqrt();
+    let final_error = sum_squared_error(input, &factors, &core, &runs.plan, opts.threads)?.sqrt();
     let mut stats = FitStats {
         iterations,
         converged,
@@ -904,34 +855,6 @@ fn finish_fit<S: FitSync>(
     Ok(FitResult {
         decomposition: TuckerDecomposition { factors, core },
         stats,
-    })
-}
-
-/// Serializes the fit's full current state at an iteration boundary —
-/// the model, the convergence bookkeeping, and the kernel's auxiliary
-/// state (the Cache variant's incrementally rescaled `Pres` table, which
-/// no rebuild can reproduce bitwise).
-#[allow(clippy::too_many_arguments)]
-fn snapshot_checkpoint<K: RowUpdateKernel>(
-    kernel: &K,
-    plan: &ModeStreams,
-    fingerprint: u64,
-    next_iter: usize,
-    prev_err: f64,
-    iterations: &[IterStats],
-    factors: &[Matrix],
-    core: &CoreTensor,
-) -> Result<FitCheckpoint> {
-    let mut kernel_aux = Vec::new();
-    kernel.save_aux(plan, &mut kernel_aux)?;
-    Ok(FitCheckpoint {
-        fingerprint,
-        next_iter,
-        prev_err,
-        iterations: iterations.to_vec(),
-        factors: factors.to_vec(),
-        core: core.clone(),
-        kernel_aux,
     })
 }
 
@@ -956,9 +879,9 @@ fn init_factors(dims: &[usize], ranks: &[usize], rng: &mut StdRng) -> Vec<Matrix
 /// [`Scratch`] arena from `scratch_pool` — the loop performs no heap
 /// allocation.
 ///
-/// Scheduling: [`Schedule::Dynamic`] pulls row chunks from a shared queue
+/// Scheduling: [`crate::Schedule::Dynamic`] pulls row chunks from a shared queue
 /// (the paper's Section III-D answer to slice-size skew);
-/// [`Schedule::Static`] partitions rows into contiguous blocks balanced
+/// [`crate::Schedule::Static`] partitions rows into contiguous blocks balanced
 /// by `|Ω⁽ⁿ⁾ᵢ|` — the same imbalance fix without queue contention. Rows
 /// are independent and each row's arithmetic is self-contained, so every
 /// schedule and every window partition produces identical factors.
@@ -1084,7 +1007,10 @@ fn update_factor<K: RowUpdateKernel, S: FitSync>(
 }
 
 /// Sum of squared residuals `Σ_{α∈Ω} (X_α − x̂_α)²` without materializing a
-/// decomposition (borrowed factors/core; used inside the fit loop).
+/// decomposition (borrowed factors/core; used inside the fit loop), over
+/// the input's statically blocked entry fold — deterministic at every
+/// thread count, and the same bits from a resident tensor and a scratch
+/// file.
 ///
 /// The reconstruction inner loop is the run-blocked micro-kernel
 /// ([`RunPlan::reconstruct`]): one shared head product per run of
@@ -1093,81 +1019,23 @@ fn update_factor<K: RowUpdateKernel, S: FitSync>(
 /// detection per pass) carries the tail-dot table, one contiguous
 /// [`ptucker_linalg::kernels::dot`] otherwise; the same bits either way.
 /// Reads only COO and the model, so the residual costs the same on every
-/// plan placement: spilled fits never touch their scratch files.
-pub(crate) fn sum_squared_error_raw(
-    x: &SparseTensor,
-    factors: &[Matrix],
-    core: &CoreTensor,
-    runs: &RunPlan,
-    threads: usize,
-    schedule: Schedule,
-) -> f64 {
-    parallel_reduce(
-        x.nnz(),
-        threads,
-        schedule,
-        || 0.0f64,
-        |acc, e| {
-            let d = x.value(e) - runs.reconstruct(x.index(e), core, factors);
-            acc + d * d
-        },
-        |a, b| a + b,
-    )
-}
-
-/// [`sum_squared_error_raw`] over a disk-resident COO source: the same
-/// run-blocked reconstruction streamed through bounded COO segments. Uses
-/// the static block schedule (see [`scratch_fold_blocks`]) — deterministic
-/// at every thread count and bitwise-equal to the resident pass under
-/// `Schedule::Static` (the driver always measures the residual statically,
-/// so resident and disk-to-disk trajectories match).
-pub(crate) fn sum_squared_error_scratch(
-    src: &CooScratch,
+/// plan placement: spilled fits never touch their plan's scratch file.
+pub(crate) fn sum_squared_error(
+    input: &FitInput<'_>,
     factors: &[Matrix],
     core: &CoreTensor,
     runs: &RunPlan,
     threads: usize,
 ) -> Result<f64> {
-    let order = src.order();
-    let (sse, _idx) = scratch_fold_blocks(
-        src,
+    input.fold_entries(
         threads,
-        || (0.0f64, vec![0usize; order]),
-        |(acc, idx), ints, xv| {
-            for (slot, &i) in idx.iter_mut().zip(ints) {
-                *slot = i as usize;
-            }
+        || 0.0f64,
+        |acc, idx, xv| {
             let d = xv - runs.reconstruct(idx, core, factors);
             *acc += d * d;
         },
-        |(a, idx), (b, _)| (a + b, idx),
-    )?;
-    Ok(sse)
-}
-
-/// The checkpoint fingerprint for either input flavor — identical hash
-/// bytes, so resident and disk-to-disk fits of the same entries share
-/// checkpoints.
-fn fingerprint_input(input: &FitInput<'_>, opts: &FitOptions) -> Result<u64> {
-    match input {
-        FitInput::Resident(x) => Ok(FitCheckpoint::fingerprint(x, opts)),
-        FitInput::Scratch(src) => FitCheckpoint::fingerprint_scratch(src, opts),
-    }
-}
-
-/// Lazily computes (and caches) the fit fingerprint — the streamed flavor
-/// is fallible, so this replaces `Option::get_or_insert_with`.
-fn ensure_fingerprint(
-    fingerprint: &mut Option<u64>,
-    input: &FitInput<'_>,
-    opts: &FitOptions,
-) -> Result<u64> {
-    if let Some(fp) = *fingerprint {
-        return Ok(fp);
-    }
-    let fp = fingerprint_input(input, opts)?;
-    *fingerprint = Some(fp);
-    Ok(fp)
+        |a, b| a + b,
+    )
 }
 
 /// Extension: re-estimates the core weights as the exact observed-entry
@@ -1181,28 +1049,24 @@ fn ensure_fingerprint(
 /// error. Cost is `O(|Ω|·|G|²)` — affordable for the small/truncated cores
 /// this extension targets, and the reason it is off by default.
 pub(crate) fn refit_core_observed(
-    x: &SparseTensor,
+    input: &FitInput<'_>,
     factors: &[Matrix],
     core: &mut CoreTensor,
     threads: usize,
-    schedule: Schedule,
-) {
+) -> Result<()> {
     let g = core.nnz();
     if g == 0 {
-        return;
+        return Ok(());
     }
-    let order = x.order();
+    let order = input.order();
     let core_idx = core.flat_indices().to_vec();
-    // Accumulate (PᵀP upper triangle, Pᵀx) in one parallel pass; each worker
-    // carries a contribution buffer for the current entry's p_{α·} row.
-    let (ptp, ptx, _buf) = parallel_reduce(
-        x.nnz(),
+    // Accumulate (PᵀP upper triangle, Pᵀx) in one pass over the entries;
+    // each worker carries a contribution buffer for the current entry's
+    // p_{α·} row.
+    let (ptp, ptx, _buf) = input.fold_entries(
         threads,
-        schedule,
         || (vec![0.0f64; g * g], vec![0.0f64; g], vec![0.0f64; g]),
-        |(mut ptp, mut ptx, mut p), e| {
-            let idx = x.index(e);
-            let xv = x.value(e);
+        |(ptp, ptx, p), idx, xv| {
             for (b, slot) in p.iter_mut().enumerate() {
                 let beta = &core_idx[b * order..(b + 1) * order];
                 let mut w = 1.0;
@@ -1225,7 +1089,6 @@ pub(crate) fn refit_core_observed(
                     ptp[row + b2] += p1 * p[b2];
                 }
             }
-            (ptp, ptx, p)
         },
         |(mut a1, mut a2, buf), (b1, b2, _)| {
             for (x, y) in a1.iter_mut().zip(&b1) {
@@ -1236,88 +1099,16 @@ pub(crate) fn refit_core_observed(
             }
             (a1, a2, buf)
         },
-    );
-    apply_core_refit(core, g, &ptp, &ptx);
-}
-
-/// [`refit_core_observed`] over a disk-resident COO source: the identical
-/// normal-equation accumulation streamed through bounded COO segments
-/// ([`scratch_fold_blocks`] — static blocking, so bitwise-equal to the
-/// resident refit under `Schedule::Static`).
-pub(crate) fn refit_core_observed_scratch(
-    src: &CooScratch,
-    factors: &[Matrix],
-    core: &mut CoreTensor,
-    threads: usize,
-) -> Result<()> {
-    let g = core.nnz();
-    if g == 0 {
-        return Ok(());
-    }
-    let order = src.order();
-    let core_idx = core.flat_indices().to_vec();
-    let (ptp, ptx, _bufs) = scratch_fold_blocks(
-        src,
-        threads,
-        || {
-            (
-                vec![0.0f64; g * g],
-                vec![0.0f64; g],
-                (vec![0.0f64; g], vec![0usize; order]),
-            )
-        },
-        |(ptp, ptx, (p, idx)), ints, xv| {
-            for (slot, &i) in idx.iter_mut().zip(ints) {
-                *slot = i as usize;
-            }
-            for (b, slot) in p.iter_mut().enumerate() {
-                let beta = &core_idx[b * order..(b + 1) * order];
-                let mut w = 1.0;
-                for (k, factor) in factors.iter().enumerate() {
-                    w *= factor[(idx[k], beta[k])];
-                    if w == 0.0 {
-                        break;
-                    }
-                }
-                *slot = w;
-            }
-            for b1 in 0..g {
-                let p1 = p[b1];
-                ptx[b1] += xv * p1;
-                if p1 == 0.0 {
-                    continue;
-                }
-                let row = b1 * g;
-                for b2 in b1..g {
-                    ptp[row + b2] += p1 * p[b2];
-                }
-            }
-        },
-        |(mut a1, mut a2, bufs), (b1, b2, _)| {
-            for (x, y) in a1.iter_mut().zip(&b1) {
-                *x += y;
-            }
-            for (x, y) in a2.iter_mut().zip(&b2) {
-                *x += y;
-            }
-            (a1, a2, bufs)
-        },
     )?;
-    apply_core_refit(core, g, &ptp, &ptx);
-    Ok(())
-}
-
-/// The refit's solve step, shared by both input flavors: ridge the normal
-/// equations and install the solution.
-fn apply_core_refit(core: &mut CoreTensor, g: usize, ptp: &[f64], ptx: &[f64]) {
     // Ridge scaled to the problem: keeps the system SPD even when some core
     // entry is unidentifiable from Ω (its optimal weight then shrinks to 0).
     let max_diag = (0..g).fold(0.0f64, |m, b| m.max(ptp[b * g + b]));
     let ridge = (1e-10 * max_diag).max(1e-12);
-    if let Some(new_vals) = solve_row(ptp, ptx, ridge) {
+    if let Some(new_vals) = solve_row(&ptp, &ptx, ridge) {
         core.values_mut().copy_from_slice(&new_vals);
     }
     // On the (singular, λ≈0) failure path the core is left unchanged.
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1388,7 +1179,7 @@ mod tests {
             .tol(0.0)
             .threads(2)
             .seed(33);
-        let input = FitInput::Resident(&x);
+        let input = FitInput::from(&x);
         let reference = run_fit(
             &input,
             &opts,
@@ -1428,7 +1219,7 @@ mod tests {
         let plan_bytes = ptucker_tensor::ModeStreams::bytes_for(&x);
         let opts = FitOptions::new(vec![2, 2, 2]).max_iters(1).seed(1);
         let fit = run_fit(
-            &FitInput::Resident(&x),
+            &FitInput::from(&x),
             &opts,
             DirectKernel,
             &mut LocalSync,
@@ -1449,7 +1240,7 @@ mod tests {
                     BudgetPolicy::Strict,
                 ));
         let err = run_fit(
-            &FitInput::Resident(&x),
+            &FitInput::from(&x),
             &tiny,
             DirectKernel,
             &mut LocalSync,
@@ -1729,11 +1520,10 @@ mod tests {
 
     /// Tentpole acceptance: the **disk-to-disk** fit — observed entries in
     /// a COO scratch file, plan built by external sort, residual / `R(β)` /
-    /// fingerprint passes streamed — reproduces the resident fit
-    /// **bitwise** for all three kernels, under a budget forcing windowed
-    /// sweeps. The Approx leg pins `Schedule::Static`: its resident `R(β)`
-    /// and refit passes honor `opts.schedule`, while the streamed twins
-    /// always use static blocking.
+    /// core-refit passes walking segments of it — reproduces the resident
+    /// fit **bitwise** for all three kernels, under a budget forcing
+    /// windowed sweeps and the default dynamic row schedule (the
+    /// whole-tensor passes are statically blocked whatever the schedule).
     #[test]
     fn disk_to_disk_fit_matches_resident_bitwise_for_all_kernels() {
         let x = planted();
@@ -1744,10 +1534,7 @@ mod tests {
                 truncation_rate: 0.2,
             },
         ] {
-            let opts = base_opts()
-                .variant(variant)
-                .schedule(Schedule::Static)
-                .refit_core(true);
+            let opts = base_opts().variant(variant).refit_core(true);
             let resident = PTucker::new(opts.clone()).unwrap().fit(&x).unwrap();
             let budget = spill_budget();
             let src = ptucker_tensor::CooScratch::from_tensor(&x, &budget).unwrap();
@@ -1773,7 +1560,7 @@ mod tests {
     /// uninterrupted resident trajectory — bitwise.
     fn assert_checkpoint_crosses_disk_boundary(variant: Variant, ckpt_from_disk: bool) {
         let x = planted();
-        let opts = base_opts().variant(variant).schedule(Schedule::Static);
+        let opts = base_opts().variant(variant).refit_core(true);
         let full = PTucker::new(opts.clone()).unwrap().fit(&x).unwrap();
         let budget = spill_budget();
         let src = ptucker_tensor::CooScratch::from_tensor(&x, &budget).unwrap();
@@ -1983,9 +1770,10 @@ mod tests {
         }
     }
 
-    /// `parallel_reduce(Static)` combines block-ascending, so the passes
-    /// built on it are reproducible at **every** thread count — run to run,
-    /// and against their streamed twins (which always folded that way).
+    /// The whole-tensor passes fold statically blocked entries and combine
+    /// worker-ascending, so they are reproducible at **every** thread count
+    /// — run to run, and between a resident tensor and a scratch file of
+    /// the same entries. Called the way the fit calls them.
     #[test]
     fn static_passes_are_bitwise_reproducible_at_four_threads() {
         let x = planted();
@@ -1996,16 +1784,25 @@ mod tests {
         let (factors, core) = (&fit.decomposition.factors, &fit.decomposition.core);
         let runs = RunPlan::new(core);
         let src = ptucker_tensor::CooScratch::from_tensor(&x, &MemoryBudget::unlimited()).unwrap();
+        let (resident, disk) = (FitInput::from(&x), FitInput::from(&src));
         let threads = 4;
-        let sse = sum_squared_error_scratch(&src, factors, core, &runs, threads).unwrap();
-        let r = crate::approx::partial_errors_scratch(&src, factors, core, threads).unwrap();
+        let sse = sum_squared_error(&disk, factors, core, &runs, threads).unwrap();
+        let r = crate::approx::partial_errors(&disk, factors, core, threads).unwrap();
         for rep in 0..20 {
-            let again = sum_squared_error_raw(&x, factors, core, &runs, threads, Schedule::Static);
+            let again = sum_squared_error(&resident, factors, core, &runs, threads).unwrap();
             assert_eq!(again.to_bits(), sse.to_bits(), "residual, repeat {rep}");
-            let again = crate::approx::partial_errors(&x, factors, core, threads, Schedule::Static);
+            let again = crate::approx::partial_errors(&resident, factors, core, threads).unwrap();
+            assert_eq!(again.len(), r.len());
             for (a, b) in again.iter().zip(&r) {
                 assert_eq!(a.to_bits(), b.to_bits(), "R(β), repeat {rep}");
             }
+        }
+        let mut refit_resident = core.clone();
+        let mut refit_disk = core.clone();
+        refit_core_observed(&resident, factors, &mut refit_resident, threads).unwrap();
+        refit_core_observed(&disk, factors, &mut refit_disk, threads).unwrap();
+        for (a, b) in refit_resident.values().iter().zip(refit_disk.values()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "core refit");
         }
     }
 

@@ -14,14 +14,15 @@
 //! hurt the most and are truncated (top `p·|G|` per iteration).
 
 use crate::delta::{core_runs, entry_contributions_blocked};
-use crate::input::scratch_fold_blocks;
-use crate::Result;
+use crate::{FitInput, Result};
 use ptucker_linalg::Matrix;
-use ptucker_sched::{parallel_reduce, Schedule};
-use ptucker_tensor::{CooScratch, CoreTensor, SparseTensor};
+use ptucker_tensor::CoreTensor;
 
 /// Computes `R(β)` (Eq. 13) for every retained core entry, in parallel over
-/// the observed entries. Returned in core-entry order.
+/// the observed entries of `input` — resident or on disk, through the one
+/// statically blocked [`FitInput::fold_entries`]. Returned in core-entry
+/// order; a pure function of the arguments (the same bits run to run, from
+/// either input flavor, in every replica of a sharded fit).
 ///
 /// The per-entry contribution pass is the run-blocked micro-kernel
 /// (`delta::entry_contributions_blocked`): one shared prefix
@@ -33,60 +34,11 @@ use ptucker_tensor::{CooScratch, CoreTensor, SparseTensor};
 /// constant, though the paper's note that P-Tucker-Approx "may require few
 /// iterations to run faster than P-Tucker due to overheads from
 /// calculating R(β)" still applies.
-pub fn partial_errors(
-    x: &SparseTensor,
-    factors: &[Matrix],
-    core: &CoreTensor,
-    threads: usize,
-    schedule: Schedule,
-) -> Vec<f64> {
-    let g = core.nnz();
-    let core_idx = core.flat_indices();
-    let core_vals = core.values();
-    let runs = core_runs(core_idx, core.order());
-    let (racc, _buf) = parallel_reduce(
-        x.nnz(),
-        threads,
-        schedule,
-        || (vec![0.0f64; g], vec![0.0f64; g]),
-        |(mut racc, mut contrib), e| {
-            let xv = x.value(e);
-            let full = entry_contributions_blocked(
-                x.index(e),
-                core_idx,
-                core_vals,
-                &runs,
-                factors,
-                &mut contrib,
-            );
-            for (r, &c) in racc.iter_mut().zip(contrib.iter()) {
-                // (X - rest - c)² - (X - rest)² with rest = full - c.
-                *r += c * (c - 2.0 * xv + 2.0 * (full - c));
-            }
-            (racc, contrib)
-        },
-        |(mut a, buf), (b, _)| {
-            for (x, y) in a.iter_mut().zip(&b) {
-                *x += y;
-            }
-            (a, buf)
-        },
-    );
-    racc
-}
-
-/// [`partial_errors`] over a disk-resident COO source: streams bounded
-/// segments of the scratch file instead of indexing a resident entry
-/// array, holding one segment buffer per worker.
 ///
-/// Uses the static block schedule regardless of the fit's configured
-/// schedule — each worker folds a contiguous entry block sequentially, so
-/// the pass is deterministic at every thread count and bitwise-identical
-/// to the resident [`partial_errors`] under `Schedule::Static` (the same
-/// run-blocked per-entry arithmetic, the same blocks, the same
-/// block-ascending combine).
-pub fn partial_errors_scratch(
-    src: &CooScratch,
+/// # Errors
+/// [`crate::PtuckerError::Tensor`] if a disk-resident input cannot be read.
+pub fn partial_errors(
+    input: &FitInput<'_>,
     factors: &[Matrix],
     core: &CoreTensor,
     threads: usize,
@@ -95,15 +47,10 @@ pub fn partial_errors_scratch(
     let core_idx = core.flat_indices();
     let core_vals = core.values();
     let runs = core_runs(core_idx, core.order());
-    let order = src.order();
-    let (racc, _bufs) = scratch_fold_blocks(
-        src,
+    let (racc, _contrib) = input.fold_entries(
         threads,
-        || (vec![0.0f64; g], (vec![0.0f64; g], vec![0usize; order])),
-        |(racc, (contrib, idx)), ints, xv| {
-            for (slot, &i) in idx.iter_mut().zip(ints) {
-                *slot = i as usize;
-            }
+        || (vec![0.0f64; g], vec![0.0f64; g]),
+        |(racc, contrib), idx, xv| {
             let full =
                 entry_contributions_blocked(idx, core_idx, core_vals, &runs, factors, contrib);
             for (r, &c) in racc.iter_mut().zip(contrib.iter()) {
@@ -111,11 +58,11 @@ pub fn partial_errors_scratch(
                 *r += c * (c - 2.0 * xv + 2.0 * (full - c));
             }
         },
-        |(mut a, bufs), (b, _)| {
+        |(mut a, buf), (b, _)| {
             for (x, y) in a.iter_mut().zip(&b) {
                 *x += y;
             }
-            (a, bufs)
+            (a, buf)
         },
     )?;
     Ok(racc)
@@ -132,12 +79,10 @@ pub fn truncate_noisy(core: &mut CoreTensor, r: &[f64], truncation_rate: f64) ->
         return 0;
     }
     let mut ids: Vec<usize> = (0..g).collect();
-    // Descending R(β); ties broken by id for determinism.
-    ids.sort_by(|&a, &b| {
-        r[b].partial_cmp(&r[a])
-            .expect("R(β) values are finite")
-            .then(a.cmp(&b))
-    });
+    // Descending R(β) in the IEEE total order (a NaN from a degenerate
+    // model ranks by its sign bit instead of panicking); ties broken by id
+    // for determinism.
+    ids.sort_by(|&a, &b| r[b].total_cmp(&r[a]).then(a.cmp(&b)));
     let mut kill = vec![false; g];
     for &id in &ids[..remove] {
         kill[id] = true;
@@ -149,6 +94,7 @@ pub fn truncate_noisy(core: &mut CoreTensor, r: &[f64], truncation_rate: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptucker_tensor::SparseTensor;
 
     fn setup() -> (SparseTensor, Vec<Matrix>, CoreTensor) {
         let x = SparseTensor::new(
@@ -195,7 +141,7 @@ mod tests {
     #[test]
     fn partial_errors_match_bruteforce() {
         let (x, factors, core) = setup();
-        let r = partial_errors(&x, &factors, &core, 2, Schedule::Static);
+        let r = partial_errors(&FitInput::from(&x), &factors, &core, 2).unwrap();
         for b in 0..core.nnz() {
             let want = r_bruteforce(&x, &factors, &core, b);
             assert!(
@@ -209,7 +155,7 @@ mod tests {
     #[test]
     fn removing_highest_r_entry_reduces_error_most() {
         let (x, factors, core) = setup();
-        let r = partial_errors(&x, &factors, &core, 1, Schedule::Static);
+        let r = partial_errors(&FitInput::from(&x), &factors, &core, 1).unwrap();
         // Find the entry with max R; removing it should give the smallest
         // error among all single-entry removals.
         let best_by_r = (0..core.nnz())
@@ -243,7 +189,7 @@ mod tests {
     #[test]
     fn truncation_removes_expected_count() {
         let (x, factors, mut core) = setup();
-        let r = partial_errors(&x, &factors, &core, 1, Schedule::Static);
+        let r = partial_errors(&FitInput::from(&x), &factors, &core, 1).unwrap();
         let removed = truncate_noisy(&mut core, &r, 0.5);
         assert_eq!(removed, 2);
         assert_eq!(core.nnz(), 2);
@@ -253,7 +199,7 @@ mod tests {
     fn truncation_keeps_at_least_one_entry() {
         let (x, factors, mut core) = setup();
         for _ in 0..10 {
-            let r = partial_errors(&x, &factors, &core, 1, Schedule::Static);
+            let r = partial_errors(&FitInput::from(&x), &factors, &core, 1).unwrap();
             truncate_noisy(&mut core, &r, 0.9);
         }
         assert!(core.nnz() >= 1);
@@ -262,7 +208,7 @@ mod tests {
     #[test]
     fn truncation_small_core_noop() {
         let (x, factors, mut core) = setup();
-        let r = partial_errors(&x, &factors, &core, 1, Schedule::Static);
+        let r = partial_errors(&FitInput::from(&x), &factors, &core, 1).unwrap();
         // p*|G| < 1 → floor 0 → nothing removed.
         let removed = truncate_noisy(&mut core, &r, 0.1);
         assert_eq!(removed, 0);
@@ -270,25 +216,10 @@ mod tests {
     }
 
     #[test]
-    fn scratch_partial_errors_match_resident_bitwise() {
-        let (x, factors, core) = setup();
-        let budget = ptucker_memtrack::MemoryBudget::new(usize::MAX);
-        let src = CooScratch::from_tensor(&x, &budget).unwrap();
-        for threads in [1, 2, 3, 4] {
-            let resident = partial_errors(&x, &factors, &core, threads, Schedule::Static);
-            let streamed = partial_errors_scratch(&src, &factors, &core, threads).unwrap();
-            assert_eq!(resident.len(), streamed.len());
-            for (a, b) in resident.iter().zip(&streamed) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn parallel_matches_serial() {
         let (x, factors, core) = setup();
-        let serial = partial_errors(&x, &factors, &core, 1, Schedule::Static);
-        let par = partial_errors(&x, &factors, &core, 4, Schedule::dynamic());
+        let serial = partial_errors(&FitInput::from(&x), &factors, &core, 1).unwrap();
+        let par = partial_errors(&FitInput::from(&x), &factors, &core, 4).unwrap();
         for (a, b) in serial.iter().zip(&par) {
             assert!((a - b).abs() < 1e-12);
         }

@@ -37,9 +37,9 @@
 //! previous checkpoint intact, never a truncated one. The containing
 //! directory is fsynced best-effort after the rename.
 
-use crate::{FitOptions, IterStats, PtuckerError, Result, StoragePrecision, Variant};
+use crate::{FitInput, FitOptions, IterStats, PtuckerError, Result, StoragePrecision, Variant};
 use ptucker_linalg::Matrix;
-use ptucker_tensor::{CooScratch, CoreTensor, SparseTensor};
+use ptucker_tensor::CoreTensor;
 use std::io::Write;
 use std::path::Path;
 
@@ -116,45 +116,29 @@ pub struct FitCheckpoint {
 impl FitCheckpoint {
     /// The configuration fingerprint stored in (and checked against)
     /// every checkpoint: FNV-1a over the tensor's dims, nnz, entries and
-    /// values, plus the fit's ranks, seed, variant, precision and λ —
-    /// everything that must match for a resumed trajectory to be the
-    /// same fit.
-    pub fn fingerprint(x: &SparseTensor, opts: &FitOptions) -> u64 {
+    /// values (in entry order), plus the fit's ranks, seed, variant,
+    /// precision and λ — everything that must match for a resumed
+    /// trajectory to be the same fit. A resident tensor and a scratch file
+    /// holding the same entries hash the identical byte sequence, so a
+    /// checkpoint written on one side of the resident/disk boundary
+    /// resumes on the other.
+    ///
+    /// # Errors
+    /// [`PtuckerError::Tensor`] if a disk-resident input cannot be read.
+    pub fn fingerprint(input: &FitInput<'_>, opts: &FitOptions) -> Result<u64> {
         let mut h = Fnv::new();
-        Self::fingerprint_config(&mut h, x.dims(), opts);
-        h.u64(x.nnz() as u64);
-        for e in 0..x.nnz() {
-            for &i in x.index(e) {
+        Self::fingerprint_config(&mut h, input.dims(), opts);
+        h.u64(input.nnz() as u64);
+        input.for_each_entry(0..input.nnz(), |idx, v| {
+            for &i in idx {
                 h.u64(i as u64);
             }
-            h.f64(x.value(e));
-        }
-        h.0
-    }
-
-    /// [`FitCheckpoint::fingerprint`] for a disk-resident COO source:
-    /// hashes the identical byte sequence (configuration header, nnz,
-    /// then each entry's indices and value in entry order), streamed
-    /// through one bounded segment buffer — so a fit resumed from a
-    /// scratch file accepts checkpoints written by the equivalent
-    /// resident fit and vice versa.
-    pub fn fingerprint_scratch(src: &CooScratch, opts: &FitOptions) -> Result<u64> {
-        let mut h = Fnv::new();
-        Self::fingerprint_config(&mut h, src.dims(), opts);
-        h.u64(src.nnz() as u64);
-        let mut cur = src.segments(8 << 10);
-        while let Some(seg) = cur.next_segment().map_err(PtuckerError::Tensor)? {
-            for e in 0..seg.len() {
-                for &i in seg.index(e) {
-                    h.u64(i as u64);
-                }
-                h.f64(seg.value(e));
-            }
-        }
+            h.f64(v);
+        })?;
         Ok(h.0)
     }
 
-    /// The configuration prefix both fingerprint flavors share: dims,
+    /// The configuration prefix of the fingerprint: dims,
     /// ranks, seed, variant, precision, λ and the sampling stride, in a
     /// fixed order.
     fn fingerprint_config(h: &mut Fnv, dims: &[usize], opts: &FitOptions) {
@@ -572,21 +556,21 @@ mod tests {
         use ptucker_tensor::SparseTensor;
         let x = SparseTensor::new(vec![2, 2], vec![(vec![0, 0], 1.0), (vec![1, 1], 2.0)]).unwrap();
         let opts = FitOptions::new(vec![2, 2]).seed(7);
-        let base = FitCheckpoint::fingerprint(&x, &opts);
-        assert_eq!(base, FitCheckpoint::fingerprint(&x, &opts.clone()));
-        assert_ne!(base, FitCheckpoint::fingerprint(&x, &opts.clone().seed(8)));
-        assert_ne!(
-            base,
-            FitCheckpoint::fingerprint(&x, &opts.clone().lambda(0.5))
-        );
+        let fp = |x: &SparseTensor, o: &FitOptions| {
+            FitCheckpoint::fingerprint(&FitInput::from(x), o).unwrap()
+        };
+        let base = fp(&x, &opts);
+        assert_eq!(base, fp(&x, &opts.clone()));
+        assert_ne!(base, fp(&x, &opts.clone().seed(8)));
+        assert_ne!(base, fp(&x, &opts.clone().lambda(0.5)));
         let y = SparseTensor::new(vec![2, 2], vec![(vec![0, 0], 1.0), (vec![1, 1], 2.5)]).unwrap();
-        assert_ne!(base, FitCheckpoint::fingerprint(&y, &opts));
+        assert_ne!(base, fp(&y, &opts));
     }
 
     #[test]
     fn scratch_fingerprint_matches_resident() {
         use ptucker_memtrack::MemoryBudget;
-        use ptucker_tensor::SparseTensor;
+        use ptucker_tensor::{CooScratch, SparseTensor};
         let x = SparseTensor::new(
             vec![4, 3, 2],
             vec![
@@ -599,13 +583,9 @@ mod tests {
         let opts = FitOptions::new(vec![2, 2, 2]).seed(9);
         let budget = MemoryBudget::new(usize::MAX);
         let src = CooScratch::from_tensor(&x, &budget).unwrap();
-        assert_eq!(
-            FitCheckpoint::fingerprint(&x, &opts),
-            FitCheckpoint::fingerprint_scratch(&src, &opts).unwrap()
-        );
-        assert_ne!(
-            FitCheckpoint::fingerprint(&x, &opts),
-            FitCheckpoint::fingerprint_scratch(&src, &opts.clone().seed(10)).unwrap()
-        );
+        let resident = FitCheckpoint::fingerprint(&FitInput::from(&x), &opts).unwrap();
+        let disk = |o: &FitOptions| FitCheckpoint::fingerprint(&FitInput::from(&src), o).unwrap();
+        assert_eq!(resident, disk(&opts));
+        assert_ne!(resident, disk(&opts.clone().seed(10)));
     }
 }

@@ -48,9 +48,7 @@ use crate::delta::{accumulate_normal_eq, delta_for_entry};
 use crate::{approx, FitInput, FitOptions, Result, StoragePrecision};
 use ptucker_linalg::{cholesky_solve_in_place, lu_solve_in_place, Matrix};
 use ptucker_memtrack::Reservation;
-#[cfg(test)]
-use ptucker_tensor::SparseTensor;
-use ptucker_tensor::{CoreTensor, ModeStreams, StreamView, SweepSource, Window};
+use ptucker_tensor::{CoreTensor, ModeStreams, SparseTensor, StreamView, SweepSource, Window};
 
 /// Per-thread scratch arena for the row update: every buffer the inner loop
 /// touches, allocated once and reused for every row the owning worker
@@ -255,21 +253,21 @@ impl<'a> ModeContext<'a> {
 pub trait RowUpdateKernel: Sync {
     /// One-time setup before the first iteration (e.g. the Cache variant's
     /// `|Ω|×|G|` table precompute — the step that can exceed the memory
-    /// budget). `plan` is the fit's mode-major execution plan; `sweep`
-    /// is the fit's shared window source (rewind it as needed);
-    /// `spill_aux` is the placement gate's verdict on this kernel's
-    /// auxiliary state — `true` means it must go to disk (the plan is
-    /// spilled, or the state alone overflows a Spill-policy budget:
-    /// **hybrid spilling**).
+    /// budget). `sweep` is the shared window source over the fit's
+    /// mode-major execution plan (rewind it as needed); `spill_aux` is the
+    /// placement gate's verdict on this kernel's auxiliary state — `true`
+    /// means it must go to disk (the plan is spilled, or the state alone
+    /// overflows a Spill-policy budget: **hybrid spilling**).
     ///
     /// # Errors
     /// [`crate::PtuckerError::OutOfMemory`] if the kernel's resident
-    /// auxiliary state exceeds the intermediate-data budget, or
-    /// [`crate::PtuckerError::Tensor`] on spilled-state I/O failure.
+    /// auxiliary state exceeds the intermediate-data budget,
+    /// [`crate::PtuckerError::Tensor`] on spilled-state I/O failure, or
+    /// [`crate::PtuckerError::InvalidConfig`] if resident auxiliary state
+    /// (`spill_aux = false`) is asked of a disk-resident input.
     fn prepare_fit(
         &mut self,
         _x: &FitInput<'_>,
-        _plan: &ModeStreams,
         _factors: &[Matrix],
         _core: &CoreTensor,
         _opts: &FitOptions,
@@ -284,15 +282,7 @@ pub trait RowUpdateKernel: Sync {
     ///
     /// # Errors
     /// Kernel-specific; the default never fails.
-    fn prepare_mode(
-        &mut self,
-        _x: &FitInput<'_>,
-        _plan: &ModeStreams,
-        _factors: &[Matrix],
-        _mode: usize,
-        _core: &CoreTensor,
-        _opts: &FitOptions,
-    ) -> Result<()> {
+    fn prepare_mode(&mut self, _factors: &[Matrix], _mode: usize) -> Result<()> {
         Ok(())
     }
 
@@ -333,7 +323,6 @@ pub trait RowUpdateKernel: Sync {
     fn post_mode(
         &mut self,
         _x: &FitInput<'_>,
-        _plan: &ModeStreams,
         _factors: &[Matrix],
         _mode: usize,
         _core: &CoreTensor,
@@ -344,14 +333,13 @@ pub trait RowUpdateKernel: Sync {
     }
 
     /// Called once per outer iteration after the reconstruction error is
-    /// measured (e.g. the Approx variant truncates the core here, streaming
-    /// the `R(β)` pass from disk when the fit's input is a COO scratch
-    /// file). Returns whether it **changed the core**: the driver then
-    /// rebuilds the state it derives from it (the [`RunPlan`] and its
-    /// tail-dot table).
+    /// measured (e.g. the Approx variant truncates the core here, ranking
+    /// by an `R(β)` pass over the fit's input). Returns whether it
+    /// **changed the core**: the driver then rebuilds the state it derives
+    /// from it (the [`RunPlan`] and its tail-dot table).
     ///
     /// # Errors
-    /// Kernel-specific (streamed-input I/O); the default never fails.
+    /// Kernel-specific (disk-resident-input I/O); the default never fails.
     fn post_iter(
         &mut self,
         _x: &FitInput<'_>,
@@ -478,6 +466,19 @@ impl RowUpdateKernel for DirectKernel {
     }
 }
 
+/// The resident tensor behind state that indexes COO entries at random.
+/// The driver's placement gate never pairs such state with a disk-resident
+/// input, but the hooks are public: a caller that does gets the error, not
+/// a panic.
+fn require_resident<'a>(x: &FitInput<'a>, what: &str) -> Result<&'a SparseTensor> {
+    x.resident().ok_or_else(|| {
+        crate::PtuckerError::InvalidConfig(format!(
+            "{what} needs a resident tensor, but the fit's input is a COO scratch file — a \
+             disk-resident input takes the spilled placement"
+        ))
+    })
+}
+
 /// Where a [`CachedKernel`]'s `Pres` table lives — decided once per fit by
 /// the placement gate. Generic over the table's element type `E`, the
 /// fit's storage precision.
@@ -514,7 +515,7 @@ impl<E: PresElem> TableStore<E> {
             )?)
         } else {
             TableStore::Resident(PresTable::compute(
-                x.expect_resident("the resident Pres table"),
+                require_resident(x, "the resident Pres table (spill_aux = false)")?,
                 factors,
                 core,
                 opts.threads,
@@ -574,7 +575,7 @@ impl<E: PresElem> TableStore<E> {
     ) -> Result<()> {
         match self {
             TableStore::Resident(table) => {
-                let x = x.expect_resident("the resident Pres table");
+                let x = require_resident(x, "the resident Pres table")?;
                 table.rescale(x, factors, old, mode, core, threads);
                 Ok(())
             }
@@ -663,7 +664,6 @@ impl RowUpdateKernel for CachedKernel {
     fn prepare_fit(
         &mut self,
         x: &FitInput<'_>,
-        _plan: &ModeStreams,
         factors: &[Matrix],
         core: &CoreTensor,
         opts: &FitOptions,
@@ -681,15 +681,7 @@ impl RowUpdateKernel for CachedKernel {
         Ok(())
     }
 
-    fn prepare_mode(
-        &mut self,
-        _x: &FitInput<'_>,
-        _plan: &ModeStreams,
-        factors: &[Matrix],
-        mode: usize,
-        _core: &CoreTensor,
-        _opts: &FitOptions,
-    ) -> Result<()> {
+    fn prepare_mode(&mut self, factors: &[Matrix], mode: usize) -> Result<()> {
         self.old_factor.clone_from(&factors[mode]);
         Ok(())
     }
@@ -728,7 +720,6 @@ impl RowUpdateKernel for CachedKernel {
     fn post_mode(
         &mut self,
         x: &FitInput<'_>,
-        _plan: &ModeStreams,
         factors: &[Matrix],
         mode: usize,
         core: &CoreTensor,
@@ -828,7 +819,6 @@ impl RowUpdateKernel for ApproxKernel {
     fn prepare_fit(
         &mut self,
         _x: &FitInput<'_>,
-        _plan: &ModeStreams,
         _factors: &[Matrix],
         core: &CoreTensor,
         opts: &FitOptions,
@@ -872,14 +862,7 @@ impl RowUpdateKernel for ApproxKernel {
         if self.truncation_rate <= 0.0 {
             return Ok(false);
         }
-        let r = match x {
-            FitInput::Resident(x) => {
-                approx::partial_errors(x, factors, core, opts.threads, opts.schedule)
-            }
-            FitInput::Scratch(src) => {
-                approx::partial_errors_scratch(src, factors, core, opts.threads)?
-            }
-        };
+        let r = approx::partial_errors(x, factors, core, opts.threads)?;
         Ok(approx::truncate_noisy(core, &r, self.truncation_rate) > 0)
     }
 }
@@ -900,14 +883,13 @@ impl RowUpdateKernel for GatherReferenceKernel {
     fn prepare_fit(
         &mut self,
         x: &FitInput<'_>,
-        _plan: &ModeStreams,
         _factors: &[Matrix],
         _core: &CoreTensor,
         _opts: &FitOptions,
         _sweep: &mut SweepSource<'_>,
         _spill_aux: bool,
     ) -> Result<()> {
-        self.x = Some(x.expect_resident("the gather reference kernel").clone());
+        self.x = Some(require_resident(x, "the gather reference kernel")?.clone());
         Ok(())
     }
 
@@ -1049,16 +1031,14 @@ mod tests {
         let runs = RunPlan::new(&core);
         let mut cached = CachedKernel::new();
         let mut sweep = plan.sweep_source(0, usize::MAX, false);
-        let input = FitInput::Resident(&x);
+        let input = FitInput::from(&x);
         cached
-            .prepare_fit(&input, &plan, &factors, &core, &opts, &mut sweep, false)
+            .prepare_fit(&input, &factors, &core, &opts, &mut sweep, false)
             .unwrap();
         let mut s1 = Scratch::for_options(&opts);
         let mut s2 = Scratch::for_options(&opts);
         for mode in 0..3 {
-            cached
-                .prepare_mode(&input, &plan, &factors, mode, &core, &opts)
-                .unwrap();
+            cached.prepare_mode(&factors, mode).unwrap();
             let ctx = ModeContext::new(&plan, &factors, &core, &runs, mode, &opts);
             for i in 0..x.dims()[mode] {
                 let mut direct_row = factors[mode].row(i).to_vec();
@@ -1070,6 +1050,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The hooks are public, so a resident `Pres` table asked of a
+    /// disk-resident input is a caller error with a typed outcome — in
+    /// `prepare_fit` (the table build) and in `post_mode` (its rescale).
+    #[test]
+    fn resident_table_hooks_refuse_a_disk_resident_input() {
+        let (x, factors, core, opts) = setup();
+        let plan = ModeStreams::build(&x).unwrap();
+        let mut sweep = plan.sweep_source(0, usize::MAX, false);
+        let src =
+            ptucker_tensor::CooScratch::from_tensor(&x, &crate::MemoryBudget::unlimited()).unwrap();
+        let disk = FitInput::from(&src);
+        let err = CachedKernel::new()
+            .prepare_fit(&disk, &factors, &core, &opts, &mut sweep, false)
+            .unwrap_err();
+        assert!(
+            matches!(&err, crate::PtuckerError::InvalidConfig(m) if m.contains("resident Pres table")),
+            "{err}"
+        );
+        let mut cached = CachedKernel::new();
+        cached
+            .prepare_fit(
+                &FitInput::from(&x),
+                &factors,
+                &core,
+                &opts,
+                &mut sweep,
+                false,
+            )
+            .unwrap();
+        cached.prepare_mode(&factors, 0).unwrap();
+        let err = cached
+            .post_mode(&disk, &factors, 0, &core, &opts, &mut sweep)
+            .unwrap_err();
+        assert!(
+            matches!(err, crate::PtuckerError::InvalidConfig(_)),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1136,12 +1155,7 @@ mod tests {
         let mut kernel = ApproxKernel::new(0.0);
         // post_iter with rate 0 must leave the core untouched.
         kernel
-            .post_iter(
-                &FitInput::Resident(&x),
-                &factors,
-                &mut core_for_approx,
-                &opts,
-            )
+            .post_iter(&FitInput::from(&x), &factors, &mut core_for_approx, &opts)
             .unwrap();
         assert_eq!(core_for_approx.nnz(), core.nnz());
         let _ = Variant::Approx {

@@ -1,24 +1,21 @@
 //! The fit's input source: a resident COO tensor, or a disk-resident COO
-//! scratch file for fits whose observed entries never fit in memory.
+//! scratch file for fits whose observed entries never fit in memory — and
+//! the **one** fold every whole-tensor pass runs over either.
 //!
-//! [`FitInput::Scratch`] is the entry point of the disk-to-disk pipeline:
-//! the execution plan is built by external sort
-//! ([`ModeStreams::build_external`](ptucker_tensor::ModeStreams::build_external)),
-//! the residual and `R(β)` passes stream bounded COO segments instead of
-//! indexing a resident entry array, and the only whole-tensor state the fit
-//! ever holds resident is one window ring of the active mode's stream.
+//! The residual (Algorithm 2 line 4), the Approx `R(β)` ranking (Eq. 13),
+//! the core refit and the checkpoint fingerprint are all a fold over `Ω`
+//! in entry order; [`FitInput::fold_entries`] is that fold, statically
+//! blocked as Section III-D schedules these uniform-cost sections. A
+//! resident tensor is its one-segment case; a [`CooScratch`] is walked in
+//! bounded segments, so a disk-to-disk fit never holds more of the tensor
+//! than one window ring of the active mode's stream. Which arm supplies
+//! the entries never shows in the result: every pass is **bitwise
+//! identical** across the two, at every thread count.
 
-use crate::error::PtuckerError;
 use crate::Result;
-use ptucker_sched::static_block;
-use ptucker_tensor::{CooScratch, SparseTensor};
-
-/// Entries per decoded segment when streaming a COO scratch file through a
-/// reduction pass. Segmentation never affects results — each worker folds
-/// its entry block sequentially regardless of how it is chunked — so this
-/// only balances syscall count against buffer size (~40 KiB/worker at
-/// order 3).
-pub(crate) const SCRATCH_SEG_ENTRIES: usize = 8 << 10;
+use ptucker_sched::try_reduce_blocks;
+use ptucker_tensor::{CooScratch, SparseTensor, COO_SEGMENT_ENTRIES};
+use std::ops::Range;
 
 /// Where a fit reads its observed entries from.
 ///
@@ -27,8 +24,8 @@ pub(crate) const SCRATCH_SEG_ENTRIES: usize = 8 << 10;
 /// is in memory and kernels may index it at random.
 /// [`Scratch`](FitInput::Scratch) is the disk-to-disk path: the observed
 /// entries live in an unlinked scratch file, the driver forces the spilled
-/// placement (plan and any kernel aux state on disk), and every pass that
-/// used to walk the entry array streams bounded segments instead.
+/// placement (plan and any kernel aux state on disk), and every pass over
+/// the entries walks bounded segments of it.
 #[derive(Debug, Clone, Copy)]
 pub enum FitInput<'a> {
     /// The observed entries are resident in memory.
@@ -67,17 +64,70 @@ impl<'a> FitInput<'a> {
         }
     }
 
-    /// The resident tensor a code path requires by construction. Only the
-    /// resident placements route into such paths (the driver forces the
-    /// spilled placement for scratch inputs), so a scratch input reaching
-    /// one is a driver bug, not a user error.
-    pub(crate) fn expect_resident(&self, what: &str) -> &'a SparseTensor {
+    /// Calls `f(multi-index, value)` for the entries `range`, in entry
+    /// order: a resident tensor is read in place, a scratch file decoded
+    /// [`COO_SEGMENT_ENTRIES`] entries at a time into buffers this call
+    /// owns. Fails only if reading the scratch file does.
+    pub(crate) fn for_each_entry(
+        &self,
+        range: Range<usize>,
+        mut f: impl FnMut(&[usize], f64),
+    ) -> Result<()> {
         match self {
-            FitInput::Resident(x) => x,
-            FitInput::Scratch(_) => unreachable!(
-                "{what} requires a resident tensor; the placement gate never routes a disk-resident input here"
-            ),
+            FitInput::Resident(x) => {
+                for e in range {
+                    f(x.index(e), x.value(e));
+                }
+            }
+            FitInput::Scratch(src) => {
+                let mut idx = vec![0usize; src.order()];
+                let mut cur = src.segments_range(range, COO_SEGMENT_ENTRIES);
+                while let Some(seg) = cur.next_segment()? {
+                    for i in 0..seg.len() {
+                        for (slot, &k) in idx.iter_mut().zip(seg.index(i)) {
+                            *slot = k as usize;
+                        }
+                        f(&idx, seg.value(i));
+                    }
+                }
+            }
         }
+        Ok(())
+    }
+
+    /// The whole-tensor fold: worker `b` of `threads` folds
+    /// `static_block(nnz, t, b)` in entry order from `init()`, and the
+    /// partials combine in worker order
+    /// ([`ptucker_sched::try_reduce_blocks`]). A pure function of the
+    /// entries, `threads` and the closures: the same bits from either
+    /// input flavor — those of `parallel_reduce(nnz, threads,
+    /// Schedule::Static, …)` over the resident entry array.
+    ///
+    /// # Errors
+    /// [`crate::PtuckerError::Tensor`] if reading the scratch file fails.
+    pub fn fold_entries<T, I, F, C>(
+        &self,
+        threads: usize,
+        init: I,
+        fold: F,
+        combine: C,
+    ) -> Result<T>
+    where
+        T: Send,
+        I: Fn() -> T + Sync,
+        F: Fn(&mut T, &[usize], f64) + Sync,
+        C: Fn(T, T) -> T,
+    {
+        try_reduce_blocks(
+            self.nnz(),
+            threads,
+            init,
+            |mut acc, block| {
+                self.for_each_entry(block, |idx, v| fold(&mut acc, idx, v))?;
+                Ok(acc)
+            },
+            combine,
+        )
     }
 }
 
@@ -93,72 +143,15 @@ impl<'a> From<&'a CooScratch> for FitInput<'a> {
     }
 }
 
-/// Streams a reduction over a COO scratch file with the same block
-/// structure as `parallel_reduce(n, threads, Schedule::Static, …)`: worker
-/// `b` folds `static_block(n, t, b)` sequentially from `init()` through its
-/// own bounded segment cursor, and the partials combine in block order.
-///
-/// Per-worker arithmetic and the block-ascending combine are therefore
-/// both identical to the resident static schedule's: the streamed fold is
-/// **bitwise-equal** to `parallel_reduce(…, Schedule::Static, …)` over the
-/// same entries at every thread count, which is what the resident ≡
-/// disk-to-disk trajectory tests pin.
-///
-/// `fold` receives each entry's raw `u32` multi-index and its value; state
-/// that needs `usize` indices keeps a conversion buffer inside `T`.
-pub(crate) fn scratch_fold_blocks<T, I, F, C>(
-    src: &CooScratch,
-    threads: usize,
-    init: I,
-    fold: F,
-    combine: C,
-) -> Result<T>
-where
-    T: Send,
-    I: Fn() -> T + Sync,
-    F: Fn(&mut T, &[u32], f64) + Sync,
-    C: Fn(T, T) -> T,
-{
-    let n = src.nnz();
-    let t = threads.max(1).min(n.max(1));
-    let run_block = |lo: usize, hi: usize| -> Result<T> {
-        let mut acc = init();
-        let mut cur = src.segments_range(lo..hi, SCRATCH_SEG_ENTRIES);
-        while let Some(seg) = cur.next_segment().map_err(PtuckerError::Tensor)? {
-            for i in 0..seg.len() {
-                fold(&mut acc, seg.index(i), seg.value(i));
-            }
-        }
-        Ok(acc)
-    };
-    if t <= 1 {
-        return run_block(0, n);
-    }
-    let parts: Vec<Result<T>> = std::thread::scope(|scope| {
-        let rb = &run_block;
-        let handles: Vec<_> = (0..t)
-            .map(|b| {
-                let (lo, hi) = static_block(n, t, b);
-                scope.spawn(move || rb(lo, hi))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scratch reduction worker panicked"))
-            .collect()
-    });
-    let mut acc = init();
-    for part in parts {
-        acc = combine(acc, part?);
-    }
-    Ok(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use ptucker_memtrack::MemoryBudget;
+    use ptucker_sched::{parallel_reduce, Schedule};
     use ptucker_tensor::CooScratchWriter;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn scratch(nnz: usize) -> (CooScratch, f64) {
         let budget = MemoryBudget::new(usize::MAX);
@@ -177,40 +170,19 @@ mod tests {
     fn block_fold_sums_every_entry_once() {
         let (src, want) = scratch(1000);
         for threads in [1, 2, 3, 8] {
-            let (sum, count) = scratch_fold_blocks(
-                &src,
-                threads,
-                || (0.0f64, 0usize),
-                |(s, c), _idx, v| {
-                    *s += v;
-                    *c += 1;
-                },
-                |(sa, ca), (sb, cb)| (sa + sb, ca + cb),
-            )
-            .unwrap();
+            let (sum, count) = FitInput::from(&src)
+                .fold_entries(
+                    threads,
+                    || (0.0f64, 0usize),
+                    |(s, c), _idx, v| {
+                        *s += v;
+                        *c += 1;
+                    },
+                    |(sa, ca), (sb, cb)| (sa + sb, ca + cb),
+                )
+                .unwrap();
             assert_eq!(count, 1000, "threads={threads}");
             assert!((sum - want).abs() < 1e-9, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn block_fold_is_deterministic_across_thread_counts() {
-        // Index-weighted sum is order-sensitive in general, but each block
-        // folds sequentially and combines in block order — repeated runs at
-        // the same thread count must agree bitwise.
-        let (src, _) = scratch(777);
-        for threads in [2, 4] {
-            let run = || {
-                scratch_fold_blocks(
-                    &src,
-                    threads,
-                    || 0.0f64,
-                    |s, idx, v| *s += v * (idx[0] as f64 + 1.0),
-                    |a, b| a + b,
-                )
-                .unwrap()
-            };
-            assert_eq!(run().to_bits(), run().to_bits());
         }
     }
 
@@ -222,5 +194,51 @@ mod tests {
         assert_eq!(input.order(), 3);
         assert_eq!(input.nnz(), 40);
         assert!(input.resident().is_none());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        // The one contract every whole-tensor pass rides: an
+        // order-sensitive fold (index-weighted sum — reassociating it, or
+        // visiting entries in another order, changes the bits) gives the
+        // same bits over a resident tensor and over a scratch file of its
+        // entries, and those are the bits of the static-schedule
+        // `parallel_reduce` over the resident entry array — at every
+        // thread count, empty tensors and more workers than entries
+        // included.
+        #[test]
+        fn fold_entries_is_bitwise_identical_across_inputs_and_to_static_parallel_reduce(
+            seed in 0..u64::MAX,
+            order in 1usize..5,
+            nnz in 0usize..400,
+            threads in 1usize..=8
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dims: Vec<usize> = (0..order).map(|k| 5 + (seed >> (8 * k)) as usize % 9).collect();
+            let cells: usize = dims.iter().product();
+            let x = ptucker_datagen::uniform_sparse(&dims, nnz.min(cells / 2), &mut rng);
+            let src = CooScratch::from_tensor(&x, &MemoryBudget::unlimited()).unwrap();
+            let weigh = |idx: &[usize], v: f64| {
+                idx.iter().enumerate().fold(v, |w, (k, &i)| w * (1.0 + (i + k) as f64 / 7.0))
+            };
+            let fold = |input: FitInput<'_>| {
+                input
+                    .fold_entries(threads, || 0.1f64, |s, idx, v| *s += weigh(idx, v), |a, b| a + b)
+                    .unwrap()
+            };
+            let reference = parallel_reduce(
+                x.nnz(),
+                threads,
+                Schedule::Static,
+                || 0.1f64,
+                |s, e| s + weigh(x.index(e), x.value(e)),
+                |a, b| a + b,
+            );
+            let resident = fold(FitInput::from(&x));
+            let disk = fold(FitInput::from(&src));
+            prop_assert_eq!(resident.to_bits(), reference.to_bits(), "resident vs parallel_reduce");
+            prop_assert_eq!(disk.to_bits(), resident.to_bits(), "disk vs resident");
+        }
     }
 }

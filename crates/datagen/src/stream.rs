@@ -17,6 +17,7 @@
 use ptucker_memtrack::MemoryBudget;
 use ptucker_tensor::{
     CooScratch, CooScratchWriter, Result, SparseTensor, StoragePrecision, TensorError,
+    COO_SEGMENT_ENTRIES,
 };
 use rand::Rng;
 use std::fs::File;
@@ -230,7 +231,7 @@ pub fn scratch_to_tensor(src: &CooScratch) -> Result<SparseTensor> {
     let order = src.order();
     let mut indices = Vec::with_capacity(src.nnz() * order);
     let mut values = Vec::with_capacity(src.nnz());
-    let mut cur = src.segments(8 << 10);
+    let mut cur = src.segments(COO_SEGMENT_ENTRIES);
     while let Some(seg) = cur.next_segment()? {
         for i in 0..seg.len() {
             indices.extend(seg.index(i).iter().map(|&k| k as usize));
@@ -311,6 +312,27 @@ mod tests {
         std::fs::write(&path, "# only comments\n\n").unwrap();
         let err = tsv_to_scratch(&path, StoragePrecision::F64, &budget).unwrap_err();
         assert!(matches!(err, TensorError::Parse { line: 0, .. }));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A non-finite value is the same typed error on both ingest paths —
+    /// the entry's position in file order — never a tensor that carries a
+    /// NaN into a fit.
+    #[test]
+    fn both_tsv_readers_reject_non_finite_values_identically() {
+        let budget = MemoryBudget::new(usize::MAX);
+        let path = tmp("nonfinite.tsv");
+        std::fs::write(&path, "1 1 1 0.5\n2 1 2 NaN\n1 2 2 inf\n").unwrap();
+        for precision in [StoragePrecision::F64, StoragePrecision::F32] {
+            let resident = crate::read_dataset(&path, precision).unwrap_err();
+            let disk = tsv_to_scratch(&path, precision, &budget).unwrap_err();
+            for err in [resident, disk] {
+                assert!(
+                    matches!(err, TensorError::NonFiniteValue { entry: 1 }),
+                    "{precision:?}: {err:?}"
+                );
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -18,7 +18,8 @@
 //!   atomic counter, exactly like `schedule(dynamic, chunk)`.
 //!
 //! Six entry points cover the paper's needs: [`parallel_for`] (indexed
-//! side-effect-free tasks), [`parallel_reduce`] (e.g. summing squared errors)
+//! side-effect-free tasks), [`parallel_reduce`] (e.g. summing squared errors;
+//! its static arm is the fallible block runner [`try_reduce_blocks`])
 //! and [`parallel_rows_mut`] (updating disjoint rows of a row-major matrix
 //! in place, which is exactly the row-wise ALS update), plus the
 //! per-thread-state variants [`parallel_rows_mut_with`] and
@@ -313,6 +314,52 @@ where
     }
 }
 
+/// The static-schedule reduction with a **fallible block body**: worker `b`
+/// runs `block(init(), static_block(n, t, b))` — handed its whole block as
+/// a range, so the body can stream it through a cursor it owns — and the
+/// partials combine from `init()` in ascending worker order (one effective
+/// thread returns its block's result as is). A pure function of
+/// `(n, threads)` and the closures: bitwise reproducible run to run. The
+/// engine of [`parallel_reduce`]'s static arm and of the fit's
+/// whole-tensor passes, whose entries may sit on disk.
+///
+/// # Errors
+/// The first failed block's error in worker order, after all have joined.
+pub fn try_reduce_blocks<T, E, I, B, C>(
+    n: usize,
+    threads: usize,
+    init: I,
+    block: B,
+    combine: C,
+) -> Result<T, E>
+where
+    T: Send,
+    E: Send,
+    I: Fn() -> T + Sync,
+    B: Fn(T, std::ops::Range<usize>) -> Result<T, E> + Sync,
+    C: Fn(T, T) -> T,
+{
+    let t = effective_threads(threads, n);
+    if t == 1 {
+        return block(init(), 0..n);
+    }
+    let slots: Vec<Mutex<Option<Result<T, E>>>> = (0..t).map(|_| Mutex::new(None)).collect();
+    crossbeam::scope(|s| {
+        for (b, slot) in slots.iter().enumerate() {
+            let (lo, hi) = static_block(n, t, b);
+            let (init, block) = (&init, &block);
+            s.spawn(move |_| *slot.lock() = Some(block(init(), lo..hi)));
+        }
+    })
+    .expect("worker panicked in try_reduce_blocks");
+    let mut acc = init();
+    for slot in slots {
+        let part = slot.into_inner().expect("every worker fills its slot")?;
+        acc = combine(acc, part);
+    }
+    Ok(acc)
+}
+
 /// Parallel fold-then-combine over `0..n`.
 ///
 /// Each worker folds its share with `fold` starting from `init()`; partial
@@ -322,11 +369,11 @@ where
 ///
 /// Partials land in **worker-indexed slots and combine in ascending worker
 /// order**, never in completion order. Under [`Schedule::Static`] worker
-/// `b` folds exactly [`static_block`]`(n, t, b)`, so the result is a pure
-/// function of `(n, threads)` and the closures — bitwise reproducible run
-/// to run at every thread count, floating-point sums included. Under
-/// [`Schedule::Dynamic`] which indices a worker claims is still a race, so
-/// only order-insensitive combines are reproducible there.
+/// `b` folds exactly [`static_block`]`(n, t, b)` ([`try_reduce_blocks`]), so
+/// the result is a pure function of `(n, threads)` and the closures — bitwise
+/// reproducible run to run at every thread count, floating-point sums
+/// included. Under [`Schedule::Dynamic`] which indices a worker claims is
+/// still a race, so only order-insensitive combines are reproducible there.
 pub fn parallel_reduce<T, I, F, C>(
     n: usize,
     threads: usize,
@@ -341,62 +388,49 @@ where
     F: Fn(T, usize) -> T + Sync,
     C: Fn(T, T) -> T,
 {
-    if n == 0 {
-        return init();
-    }
     let t = effective_threads(threads, n);
-    if t == 1 {
-        let mut acc = init();
-        for i in 0..n {
-            acc = fold(acc, i);
+    let chunk = match schedule.normalized() {
+        Schedule::Dynamic { chunk } if t > 1 => chunk,
+        // Static — and the one-worker case of either schedule, which is
+        // the same sequential fold.
+        _ => {
+            let folded = try_reduce_blocks(
+                n,
+                threads,
+                init,
+                |acc, block| Ok::<T, std::convert::Infallible>(block.fold(acc, &fold)),
+                combine,
+            );
+            return match folded {
+                Ok(acc) => acc,
+                Err(never) => match never {},
+            };
         }
-        return acc;
-    }
+    };
     let slots: Vec<Mutex<Option<T>>> = (0..t).map(|_| Mutex::new(None)).collect();
-    match schedule.normalized() {
-        Schedule::Static => {
-            crossbeam::scope(|s| {
-                for (b, slot) in slots.iter().enumerate() {
-                    let (lo, hi) = static_block(n, t, b);
-                    let init = &init;
-                    let fold = &fold;
-                    s.spawn(move |_| {
-                        let mut acc = init();
-                        for i in lo..hi {
-                            acc = fold(acc, i);
-                        }
-                        *slot.lock() = Some(acc);
-                    });
+    let counter = AtomicUsize::new(0);
+    crossbeam::scope(|s| {
+        for slot in &slots {
+            let init = &init;
+            let fold = &fold;
+            let counter = &counter;
+            s.spawn(move |_| {
+                let mut acc = init();
+                loop {
+                    let lo = counter.fetch_add(chunk, Ordering::Relaxed);
+                    if lo >= n {
+                        break;
+                    }
+                    let hi = (lo + chunk).min(n);
+                    for i in lo..hi {
+                        acc = fold(acc, i);
+                    }
                 }
-            })
-            .expect("worker panicked in parallel_reduce(static)");
+                *slot.lock() = Some(acc);
+            });
         }
-        Schedule::Dynamic { chunk } => {
-            let counter = AtomicUsize::new(0);
-            crossbeam::scope(|s| {
-                for slot in &slots {
-                    let init = &init;
-                    let fold = &fold;
-                    let counter = &counter;
-                    s.spawn(move |_| {
-                        let mut acc = init();
-                        loop {
-                            let lo = counter.fetch_add(chunk, Ordering::Relaxed);
-                            if lo >= n {
-                                break;
-                            }
-                            let hi = (lo + chunk).min(n);
-                            for i in lo..hi {
-                                acc = fold(acc, i);
-                            }
-                        }
-                        *slot.lock() = Some(acc);
-                    });
-                }
-            })
-            .expect("worker panicked in parallel_reduce(dynamic)");
-        }
-    }
+    })
+    .expect("worker panicked in parallel_reduce(dynamic)");
     slots
         .into_iter()
         .map(|slot| slot.into_inner().expect("every worker fills its slot"))
@@ -935,6 +969,34 @@ mod tests {
     fn parallel_reduce_empty_returns_init() {
         let got = parallel_reduce(0, 4, Schedule::Static, || 42, |a, _| a + 1, |a, b| a + b);
         assert_eq!(got, 42);
+    }
+
+    /// A failed block is reported only after every worker ran, and when
+    /// several fail the caller sees the lowest worker's error — the
+    /// outcome does not depend on which thread lost the race.
+    #[test]
+    fn try_reduce_blocks_reports_the_first_failed_block_in_worker_order() {
+        let ran = AtomicUsize::new(0);
+        let got: Result<usize, usize> = try_reduce_blocks(
+            100,
+            4,
+            || 0usize,
+            |acc, block| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                let b = block.start / 25;
+                if b % 2 == 1 {
+                    Err(b)
+                } else {
+                    Ok(acc + block.len())
+                }
+            },
+            |a, b| a + b,
+        );
+        assert_eq!(got, Err(1));
+        assert_eq!(ran.load(Ordering::Relaxed), 4);
+        let ok: Result<usize, ()> =
+            try_reduce_blocks(100, 4, || 0, |acc, b| Ok(acc + b.len()), |a, b| a + b);
+        assert_eq!(ok, Ok(100));
     }
 
     #[test]

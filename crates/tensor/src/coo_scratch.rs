@@ -36,6 +36,14 @@ pub fn coo_record_bytes(order: usize) -> usize {
 /// resident footprint to a constant.
 const WRITE_BUF_BYTES: usize = 256 << 10;
 
+/// Entries per decoded segment when a whole-source pass (a fit's
+/// whole-tensor folds, the external sort's run generation, a collect back
+/// to RAM) walks a [`CooScratch`]. Segmentation never affects what a pass
+/// sees — entries arrive in entry-id order however they are chunked — so
+/// this only balances syscall count against buffer size (~40 KiB per
+/// cursor at order 3).
+pub const COO_SEGMENT_ENTRIES: usize = 8 << 10;
+
 /// A sparse tensor stored as raw COO records in an unlinked scratch file.
 /// Built by [`CooScratchWriter`] (streaming ingest) or
 /// [`CooScratch::from_tensor`] (spilling a resident tensor); consumed by
@@ -187,8 +195,14 @@ impl CooScratchWriter {
     /// # Errors
     /// [`TensorError::InvalidDims`] on an index of the wrong arity, out of
     /// bounds, or when the entry count would exceed the `u32` entry-id
-    /// width; [`TensorError::Io`] on a flush failure.
+    /// width; [`TensorError::NonFiniteValue`] (naming this entry's
+    /// position in push order) for a NaN or infinite value — the same
+    /// rejection [`SparseTensor::from_flat`] gives the resident ingest;
+    /// [`TensorError::Io`] on a flush failure.
     pub fn push(&mut self, idx: &[usize], value: f64) -> Result<()> {
+        if !value.is_finite() {
+            return Err(TensorError::NonFiniteValue { entry: self.len() });
+        }
         if idx.len() != self.dims.len() {
             return Err(TensorError::InvalidDims(format!(
                 "index arity {} does not match order {}",

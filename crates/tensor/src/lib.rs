@@ -50,7 +50,9 @@ mod sparse;
 mod split;
 mod stream;
 
-pub use coo_scratch::{coo_record_bytes, CooScratch, CooScratchWriter, CooSegment, CooSegments};
+pub use coo_scratch::{
+    coo_record_bytes, CooScratch, CooScratchWriter, CooSegment, CooSegments, COO_SEGMENT_ENTRIES,
+};
 pub use core_tensor::CoreTensor;
 pub use dense::DenseTensor;
 pub use error::TensorError;

@@ -67,7 +67,7 @@
 //! ingest writers in `ptucker-datagen`, the whole path from raw data to
 //! fitted factors touches RAM only through bounded buffers.
 
-use crate::{CooScratch, Result, SparseTensor, StoragePrecision, TensorError};
+use crate::{CooScratch, Result, SparseTensor, StoragePrecision, TensorError, COO_SEGMENT_ENTRIES};
 use ptucker_memtrack::{MemoryBudget, Reservation, ScratchFile, SpillReservation};
 use ptucker_sched::Background;
 use std::cmp::Reverse;
@@ -657,6 +657,137 @@ fn window_extent(offsets: &[usize], lo: usize, cap: usize) -> usize {
     hi
 }
 
+/// The one writer of a spilled plan's scratch file — what
+/// [`ModeStreams::build_spilled_at`] and [`ModeStreams::build_external_at`]
+/// share: per mode, the interleaved per-position records and the ids-only
+/// copy go out through bounded flush buffers while the slice offsets are
+/// tallied. The builds differ only in where a mode's records come from (a
+/// resident slice walk, a K-way merge); both feed them in slice-major order.
+struct SpilledPlanWriter {
+    file: ScratchFile,
+    nnz: usize,
+    other_count: usize,
+    precision: StoragePrecision,
+    stride: usize,
+    rbuf: Vec<u8>,
+    ibuf: Vec<u32>,
+    /// Positions of the open mode already flushed.
+    written: usize,
+    /// The finished modes, then the open one.
+    modes: Vec<SpilledModeStream>,
+}
+
+impl SpilledPlanWriter {
+    /// Records (and ids) buffered per write.
+    const FLUSH: usize = 1024;
+
+    fn create(
+        budget: &MemoryBudget,
+        order: usize,
+        nnz: usize,
+        precision: StoragePrecision,
+    ) -> Result<Self> {
+        let stride = record_stride(order - 1, precision);
+        Ok(SpilledPlanWriter {
+            file: ScratchFile::create_tracked(budget)?,
+            nnz,
+            other_count: order - 1,
+            precision,
+            stride,
+            rbuf: Vec::with_capacity(Self::FLUSH * stride),
+            ibuf: Vec::with_capacity(Self::FLUSH),
+            written: 0,
+            modes: Vec::with_capacity(order),
+        })
+    }
+
+    /// Opens the next mode: reserves its two file sections.
+    fn begin_mode(&mut self, dim: usize) -> Result<()> {
+        let mut offsets = Vec::with_capacity(dim + 1);
+        offsets.push(0);
+        self.written = 0;
+        self.modes.push(SpilledModeStream {
+            mode: self.modes.len(),
+            other_count: self.other_count,
+            offsets,
+            max_slice_len: 0,
+            rec_off: self
+                .file
+                .reserve_region(self.nnz as u64 * self.stride as u64)?,
+            ids_off: self.file.reserve_region(self.nnz as u64 * 4)?,
+        });
+        Ok(())
+    }
+
+    /// Appends the open mode's next position, in slice `slice` (slices
+    /// arrive ascending): `fill` appends the record's `stride` bytes, whose
+    /// trailing field is `eid`.
+    fn emit(&mut self, slice: usize, eid: u32, fill: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+        let pos = self.written + self.ibuf.len();
+        let offsets = &mut self.modes.last_mut().expect("a mode is open").offsets;
+        while offsets.len() <= slice {
+            offsets.push(pos);
+        }
+        fill(&mut self.rbuf);
+        self.ibuf.push(eid);
+        if self.ibuf.len() == Self::FLUSH {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> Result<()> {
+        let (m, at) = (
+            self.modes.last().expect("a mode is open"),
+            self.written as u64,
+        );
+        self.file
+            .write_bytes(m.rec_off + at * self.stride as u64, &self.rbuf)?;
+        self.file.write_u32s(m.ids_off + at * 4, &self.ibuf)?;
+        self.written += self.ibuf.len();
+        self.rbuf.clear();
+        self.ibuf.clear();
+        Ok(())
+    }
+
+    /// Closes the open mode: the buffered tail goes out and the slice
+    /// offsets are completed (trailing empty slices included).
+    fn end_mode(&mut self, dim: usize) -> Result<()> {
+        if !self.ibuf.is_empty() {
+            self.flush()?;
+        }
+        debug_assert_eq!(self.written, self.nnz, "a mode holds every entry once");
+        let m = self.modes.last_mut().expect("a mode is open");
+        m.offsets.resize(dim + 1, self.written);
+        m.max_slice_len = m.offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        Ok(())
+    }
+
+    /// Seals the file into a plan: `resident` books the slice offsets, the
+    /// file bytes go on the spill meter.
+    fn finish(self, budget: &MemoryBudget, resident: Reservation) -> ModeStreams {
+        let spill = budget.record_spill(self.file.len() as usize);
+        ModeStreams {
+            store: StreamStore::Spilled {
+                file: Arc::new(self.file),
+                modes: self.modes,
+                _resident: resident,
+                _spill: spill,
+            },
+            precision: self.precision,
+        }
+    }
+}
+
+/// Appends `v` at the plan's storage precision — where a spilled record's
+/// value is quantized.
+fn put_value(out: &mut Vec<u8>, v: f64, precision: StoragePrecision) {
+    match precision {
+        StoragePrecision::F64 => out.extend_from_slice(&v.to_le_bytes()),
+        StoragePrecision::F32 => out.extend_from_slice(&(v as f32).to_le_bytes()),
+    }
+}
+
 /// The full mode-major execution plan: one stream per mode, resident or
 /// spilled (see [`StreamStore`]).
 #[derive(Debug)]
@@ -755,77 +886,26 @@ impl ModeStreams {
         precision: StoragePrecision,
     ) -> Result<Self> {
         Self::check_widths(x)?;
-        const FLUSH: usize = 1024;
-        let file = ScratchFile::create_tracked(budget)?;
-        let nnz = x.nnz();
-        let order = x.order();
-        let other_count = order - 1;
-        let stride = record_stride(other_count, precision);
-        let mut modes = Vec::with_capacity(order);
-        let mut rbuf: Vec<u8> = Vec::with_capacity(FLUSH * stride);
-        let mut ibuf: Vec<u32> = Vec::with_capacity(FLUSH);
-        for mode in 0..order {
-            let dim = x.dims()[mode];
-            let mut offsets = Vec::with_capacity(dim + 1);
-            let rec_off = file.reserve_region(nnz as u64 * stride as u64)?;
-            let ids_off = file.reserve_region(nnz as u64 * 4)?;
-            let mut written = 0usize;
-            let mut max_slice_len = 0usize;
-            offsets.push(0);
+        let mut out = SpilledPlanWriter::create(budget, x.order(), x.nnz(), precision)?;
+        for (mode, &dim) in x.dims().iter().enumerate() {
+            out.begin_mode(dim)?;
             for i in 0..dim {
                 for &e in x.slice(mode, i) {
-                    match precision {
-                        StoragePrecision::F64 => {
-                            rbuf.extend_from_slice(&x.value(e).to_le_bytes());
+                    out.emit(i, e as u32, |rec| {
+                        put_value(rec, x.value(e), precision);
+                        for (k, &ik) in x.index(e).iter().enumerate() {
+                            if k != mode {
+                                rec.extend_from_slice(&(ik as u32).to_le_bytes());
+                            }
                         }
-                        StoragePrecision::F32 => {
-                            rbuf.extend_from_slice(&(x.value(e) as f32).to_le_bytes());
-                        }
-                    }
-                    for (k, &ik) in x.index(e).iter().enumerate() {
-                        if k != mode {
-                            rbuf.extend_from_slice(&(ik as u32).to_le_bytes());
-                        }
-                    }
-                    rbuf.extend_from_slice(&(e as u32).to_le_bytes());
-                    ibuf.push(e as u32);
-                    if ibuf.len() == FLUSH {
-                        file.write_bytes(rec_off + written as u64 * stride as u64, &rbuf)?;
-                        file.write_u32s(ids_off + written as u64 * 4, &ibuf)?;
-                        written += ibuf.len();
-                        rbuf.clear();
-                        ibuf.clear();
-                    }
+                        rec.extend_from_slice(&(e as u32).to_le_bytes());
+                    })?;
                 }
-                offsets.push(written + ibuf.len());
-                max_slice_len = max_slice_len.max(x.slice_len(mode, i));
             }
-            if !ibuf.is_empty() {
-                file.write_bytes(rec_off + written as u64 * stride as u64, &rbuf)?;
-                file.write_u32s(ids_off + written as u64 * 4, &ibuf)?;
-                rbuf.clear();
-                ibuf.clear();
-            }
-            modes.push(SpilledModeStream {
-                mode,
-                other_count,
-                offsets,
-                max_slice_len,
-                rec_off,
-                ids_off,
-            });
+            out.end_mode(dim)?;
         }
         let resident = budget.reserve_unchecked(Self::resident_bytes_for(x));
-        let spill = budget.record_spill(file.len() as usize);
-        Ok(ModeStreams {
-            store: StreamStore::Spilled {
-                file: Arc::new(file),
-                modes,
-                _resident: resident,
-                _spill: spill,
-            },
-            precision,
-        })
+        Ok(out.finish(budget, resident))
     }
 
     /// Derives the spilled plan **from an on-disk COO source** by external
@@ -869,16 +949,13 @@ impl ModeStreams {
         precision: StoragePrecision,
     ) -> Result<Self> {
         Self::check_widths_dims(src.dims(), src.nnz())?;
-        const FLUSH: usize = 1024;
         let dims = src.dims().to_vec();
         let nnz = src.nnz();
         let order = dims.len();
-        let other_count = order - 1;
-        let stride = record_stride(other_count, precision);
         // A run record is the output payload behind a 4-byte slice-key
         // prefix; the sort arena also carries one (key, eid, arena slot)
         // triple per record.
-        let run_rec = 4 + stride;
+        let run_rec = 4 + record_stride(order - 1, precision);
         let sort_cost = run_rec + std::mem::size_of::<(u32, u32, u32)>();
         // Book the plan's resident floor (the slice offsets) *before*
         // sizing the sort arena: they are allocated inside the per-mode
@@ -890,21 +967,14 @@ impl ModeStreams {
         // The sort arena doubles as the merge pass's read buffers, so one
         // booking covers the build's transient RAM.
         let _sort_guard = budget.reserve_unchecked(run_entries * sort_cost);
-        let seg_entries = run_entries.min(8 << 10);
+        let seg_entries = run_entries.min(COO_SEGMENT_ENTRIES);
 
-        let file = ScratchFile::create_tracked(budget)?;
-        let mut modes = Vec::with_capacity(order);
-        let mut rbuf: Vec<u8> = Vec::with_capacity(FLUSH * stride);
-        let mut ibuf: Vec<u32> = Vec::with_capacity(FLUSH);
+        let mut out = SpilledPlanWriter::create(budget, order, nnz, precision)?;
         let mut arena: Vec<u8> = Vec::with_capacity(run_entries * run_rec);
         let mut keys: Vec<(u32, u32, u32)> = Vec::with_capacity(run_entries);
         let mut staging: Vec<u8> = Vec::new();
-        for mode in 0..order {
-            let dim = dims[mode];
-            let mut offsets = Vec::with_capacity(dim + 1);
-            let rec_off = file.reserve_region(nnz as u64 * stride as u64)?;
-            let ids_off = file.reserve_region(nnz as u64 * 4)?;
-            offsets.push(0);
+        for (mode, &dim) in dims.iter().enumerate() {
+            out.begin_mode(dim)?;
 
             // Pass 1 — sorted runs: stream the source, pack each entry
             // into its *output* record shape behind the slice key, sort
@@ -918,14 +988,7 @@ impl ModeStreams {
                     let e = (seg.base + i) as u32;
                     keys.push((idx[mode], e, keys.len() as u32));
                     arena.extend_from_slice(&idx[mode].to_le_bytes());
-                    match precision {
-                        StoragePrecision::F64 => {
-                            arena.extend_from_slice(&seg.value(i).to_le_bytes());
-                        }
-                        StoragePrecision::F32 => {
-                            arena.extend_from_slice(&(seg.value(i) as f32).to_le_bytes());
-                        }
-                    }
+                    put_value(&mut arena, seg.value(i), precision);
                     for (k, &ik) in idx.iter().enumerate() {
                         if k != mode {
                             arena.extend_from_slice(&ik.to_le_bytes());
@@ -955,10 +1018,10 @@ impl ModeStreams {
             let _run_guard = budget.record_spill(run_file.len() as usize);
 
             // Pass 2 — K-way merge of the sorted runs into the plan's
-            // sections, through the same bounded flush buffers the
-            // resident-source spill build uses. Ties on the slice key are
-            // broken by entry id, reproducing build_spilled's in-slice
-            // ascending-COO order — and with it, its exact bytes.
+            // sections, through the writer the resident-source spill build
+            // feeds too. Ties on the slice key are broken by entry id,
+            // reproducing build_spilled's in-slice ascending-COO order —
+            // and with it, its exact bytes.
             let per_run_recs = (run_entries / runs.len().max(1)).max(1);
             let mut cursors: Vec<RunCursor> = runs
                 .iter()
@@ -978,27 +1041,12 @@ impl ModeStreams {
                     heap.push(Reverse((key, eid, ri)));
                 }
             }
-            let mut written = 0usize;
-            let mut max_slice_len = 0usize;
             while let Some(Reverse((key, eid, ri))) = heap.pop() {
-                let out_pos = written + ibuf.len();
-                while offsets.len() <= key as usize {
-                    offsets.push(out_pos);
-                }
-                {
-                    let c = &cursors[ri];
-                    let a = c.pos * run_rec;
-                    rbuf.extend_from_slice(&c.buf[a + 4..a + run_rec]);
-                }
-                ibuf.push(eid);
-                if ibuf.len() == FLUSH {
-                    file.write_bytes(rec_off + written as u64 * stride as u64, &rbuf)?;
-                    file.write_u32s(ids_off + written as u64 * 4, &ibuf)?;
-                    written += ibuf.len();
-                    rbuf.clear();
-                    ibuf.clear();
-                }
                 let c = &mut cursors[ri];
+                let a = c.pos * run_rec;
+                out.emit(key as usize, eid, |rec| {
+                    rec.extend_from_slice(&c.buf[a + 4..a + run_rec])
+                })?;
                 c.pos += 1;
                 if c.pos * run_rec >= c.buf.len()
                     && !refill_run(&run_file, c, per_run_recs, run_rec)?
@@ -1008,39 +1056,9 @@ impl ModeStreams {
                 let (k2, e2) = peek_run(c, run_rec);
                 heap.push(Reverse((k2, e2, ri)));
             }
-            if !ibuf.is_empty() {
-                file.write_bytes(rec_off + written as u64 * stride as u64, &rbuf)?;
-                file.write_u32s(ids_off + written as u64 * 4, &ibuf)?;
-                written += ibuf.len();
-                rbuf.clear();
-                ibuf.clear();
-            }
-            debug_assert_eq!(written, nnz, "merge must emit every record");
-            while offsets.len() <= dim {
-                offsets.push(nnz);
-            }
-            for i in 0..dim {
-                max_slice_len = max_slice_len.max(offsets[i + 1] - offsets[i]);
-            }
-            modes.push(SpilledModeStream {
-                mode,
-                other_count,
-                offsets,
-                max_slice_len,
-                rec_off,
-                ids_off,
-            });
+            out.end_mode(dim)?;
         }
-        let spill = budget.record_spill(file.len() as usize);
-        Ok(ModeStreams {
-            store: StreamStore::Spilled {
-                file: Arc::new(file),
-                modes,
-                _resident: resident,
-                _spill: spill,
-            },
-            precision,
-        })
+        Ok(out.finish(budget, resident))
     }
 
     /// The storage precision of the plan's values.
