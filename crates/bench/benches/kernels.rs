@@ -4,8 +4,10 @@
 //! prefix-reused scalar kernel vs the run-blocked micro-kernel** for the
 //! Direct path (per-entry tail dots: these series price the *kernel*),
 //! the Direct kernel's **full mode cycle** (every mode's sweep plus the
-//! residual pass through the real `DirectKernel`, with the tail-dot table
-//! used vs refused — what a Direct iteration pays), the Cached kernel's
+//! residual pass through the real row routine, timed **per mode** and per
+//! observed entry, one entry at a time vs the shipped entry-block width, on
+//! a dense and on a truncated core, with the tail-dot table used vs
+//! refused — what a Direct iteration pays, and where), the Cached kernel's
 //! sweep and its **full mode cycle** (every mode's sweep *plus*
 //! `post_mode` rescale, through the real `CachedKernel` — what a Cache
 //! iteration pays), and the CSF TTMc against a brute-force Kronecker
@@ -32,7 +34,10 @@
 //! per-request p50/p99 latency and per-query throughput.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
-use ptucker::engine::{CachedKernel, DirectKernel, ModeContext, RowUpdateKernel, RunPlan, Scratch};
+use ptucker::engine::{
+    direct_update_row, CachedKernel, DirectKernel, ModeContext, ResidualLanes, RowUpdateKernel,
+    RunPlan, Scratch, LANES,
+};
 use ptucker::{FitOptions, MemoryBudget, PTucker, StoragePrecision, Variant};
 use ptucker_baselines::CsfTensor;
 use ptucker_linalg::kernels;
@@ -91,6 +96,39 @@ struct RowUpdateFixture {
     j: usize,
 }
 
+/// The Direct row update at an explicit entry-block width `E`:
+/// `DirectLanes::<LANES>` is `DirectKernel`, `DirectLanes::<1>` the
+/// one-entry-at-a-time loop its lanes reproduce bit for bit.
+struct DirectLanes<const E: usize>;
+
+impl<const E: usize> RowUpdateKernel for DirectLanes<E> {
+    fn update_row(
+        &self,
+        ctx: &ModeContext<'_>,
+        scratch: &mut Scratch,
+        i: usize,
+        row: &mut [f64],
+    ) -> bool {
+        direct_update_row::<E>(ctx, scratch, i, row)
+    }
+}
+
+/// Seconds one Direct mode cycle spent where.
+struct CycleTimes {
+    /// Per mode: its row sweep.
+    modes: Vec<f64>,
+    /// Refilling the tail-dot table (0 when refused).
+    fill: f64,
+    /// The residual pass.
+    residual: f64,
+}
+
+impl CycleTimes {
+    fn total(&self) -> f64 {
+        self.modes.iter().sum::<f64>() + self.fill + self.residual
+    }
+}
+
 impl RowUpdateFixture {
     fn new(j: usize, rng: &mut StdRng) -> Self {
         Self::new_at(j, rng, StoragePrecision::F64)
@@ -122,6 +160,16 @@ impl RowUpdateFixture {
             opts,
             j,
         }
+    }
+
+    /// The same fixture on a **truncated** core — every fifth core entry
+    /// dropped, as an Approx iteration leaves it: ragged and non-contiguous
+    /// runs, so mode `N−1` takes the through-memory tail and the tail dots
+    /// their indexed loop.
+    fn truncated(mut self) -> Self {
+        self.core.retain_by_id(|e| e % 5 != 1);
+        self.runs = RunPlan::new(&self.core);
+        self
     }
 
     /// The pre-plan baseline: δ gathered per entry id through the COO
@@ -283,39 +331,91 @@ impl RowUpdateFixture {
         factors[mode] = Matrix::from_vec(rows, j, data).unwrap();
     }
 
-    /// One full mode cycle of the Direct variant as a fit pays for it:
-    /// every mode's row sweep installing the new factor, the tail-dot
-    /// table refilled after the last mode's (when `memoize` — the driver's
-    /// refresh point), then the residual pass over every entry. `runs` is
-    /// the caller's plan of this core: memoized against the incoming
-    /// `factors` when `memoize`, plain otherwise (the budget refused the
-    /// table and every lookup is a per-entry dot). Returns the seconds
-    /// spent filling the table.
-    fn direct_mode_cycle(
+    /// One full mode cycle of the Direct variant as a fit pays for it, at
+    /// entry-block width `E`: every mode's row sweep installing the new
+    /// factor, the tail-dot table refilled after the last mode's (when
+    /// `memoize` — the driver's refresh point), then the residual pass over
+    /// every entry. `runs` is the caller's plan of this core: memoized
+    /// against the incoming `factors` when `memoize`, plain otherwise (the
+    /// budget refused the table and every lookup is a per-entry dot).
+    fn direct_mode_cycle<const E: usize>(
         &self,
         runs: &mut RunPlan,
         memoize: bool,
         factors: &mut [Matrix],
         scratch: &mut Scratch,
-    ) -> f64 {
+    ) -> CycleTimes {
         let order = self.x.order();
-        let mut fill = 0.0;
+        let mut times = CycleTimes {
+            modes: Vec::with_capacity(order),
+            fill: 0.0,
+            residual: 0.0,
+        };
         for mode in 0..order {
-            self.sweep_mode(&DirectKernel, runs, factors, mode, scratch);
+            let t = Instant::now();
+            self.sweep_mode(&DirectLanes::<E>, runs, factors, mode, scratch);
+            times.modes.push(t.elapsed().as_secs_f64());
         }
         if memoize {
             let t = Instant::now();
             runs.memoize_tail(&self.core, &factors[order - 1], 1);
-            fill = t.elapsed().as_secs_f64();
+            times.fill = t.elapsed().as_secs_f64();
         }
-        let sse: f64 = (0..self.x.nnz())
-            .map(|e| {
-                let d = self.x.value(e) - runs.reconstruct(self.x.index(e), &self.core, factors);
-                d * d
-            })
-            .sum();
-        black_box(sse);
-        fill
+        let t = Instant::now();
+        let mut residual = ResidualLanes::<E>::new(runs, &self.core, factors);
+        for e in 0..self.x.nnz() {
+            residual.push(self.x.index(e), self.x.value(e));
+        }
+        black_box(residual.finish());
+        times.residual = t.elapsed().as_secs_f64();
+        times
+    }
+
+    /// The median (by total) of 15 [`RowUpdateFixture::direct_mode_cycle`]s
+    /// run back to back on evolving factors, after one warm-up cycle.
+    fn median_direct_cycle<const E: usize>(&self, memoize: bool) -> CycleTimes {
+        let mut scratch = Scratch::new(self.j);
+        let mut factors = self.factors.clone();
+        let mut runs = self.runs.clone();
+        if memoize {
+            runs.memoize_tail(&self.core, &factors[self.x.order() - 1], 1);
+        }
+        self.direct_mode_cycle::<E>(&mut runs, memoize, &mut factors, &mut scratch);
+        let mut samples: Vec<CycleTimes> = (0..15)
+            .map(|_| self.direct_mode_cycle::<E>(&mut runs, memoize, &mut factors, &mut scratch))
+            .collect();
+        samples.sort_by(|a, b| a.total().total_cmp(&b.total()));
+        samples.swap_remove(samples.len() / 2)
+    }
+
+    /// One `direct_mode_cycle` artifact row: the table-used cycle at block
+    /// width `E` on this fixture's core, per mode and per observed entry.
+    fn direct_cycle_row<const E: usize>(&self, core: &str) -> (CycleTimes, String) {
+        let used = self.median_direct_cycle::<E>(true);
+        let per_entry = |secs: f64| secs * 1e9 / self.x.nnz() as f64;
+        let modes: Vec<String> = used
+            .modes
+            .iter()
+            .map(|&m| format!("{:.1}", per_entry(m)))
+            .collect();
+        println!(
+            "artifact direct_mode_cycle j={} {core} core, E={E}: {} ns per (entry, mode), \
+             residual {:.1} ns per entry, cycle {:.0} ns",
+            self.j,
+            modes.join(" / "),
+            per_entry(used.residual),
+            used.total() * 1e9
+        );
+        let row = format!(
+            "\"bench\": \"direct_mode_cycle\", \"j\": {}, \"core\": \"{core}\", \
+             \"lanes\": {E}, \"mode_ns_per_entry\": [{}], \"residual_ns_per_entry\": {:.1}, \
+             \"table_used_ns\": {:.1}",
+            self.j,
+            modes.join(", "),
+            per_entry(used.residual),
+            used.total() * 1e9
+        );
+        (used, row)
     }
 
     /// A Cached kernel with its Pres table built for this fixture.
@@ -370,7 +470,9 @@ impl RowUpdateFixture {
 /// `stream_direct` is the run-blocked micro-kernel with per-entry tail
 /// dots (what `PTucker::fit` runs when the tail-dot table is refused);
 /// `direct_mode_cycle[_refused]` is the Direct kernel's whole mode cycle
-/// plus the residual pass, with and without the table; `stream_cached` is
+/// plus the residual pass, with and without the table, and
+/// `direct_mode_cycle_single` the same cycle one entry at a time (the
+/// `E = 1` loop the shipped entry blocks reproduce); `stream_cached` is
 /// the Cached kernel's mode-0 sweep and `cache_mode_cycle` its whole mode
 /// cycle (sweeps + `post_mode` rescales). A regression here is a
 /// regression in every fit.
@@ -399,9 +501,10 @@ fn bench_row_update(c: &mut Criterion) {
             b.iter(|| fx.stream_row_sweep(&DirectKernel, &mut scratch, &mut row))
         });
 
-        for (name, memoize) in [
-            ("direct_mode_cycle", true),
-            ("direct_mode_cycle_refused", false),
+        for (name, memoize, single) in [
+            ("direct_mode_cycle", true, false),
+            ("direct_mode_cycle_refused", false, false),
+            ("direct_mode_cycle_single", true, true),
         ] {
             group.bench_with_input(BenchmarkId::new(name, j), &j, |b, _| {
                 let mut scratch = Scratch::new(j);
@@ -410,7 +513,18 @@ fn bench_row_update(c: &mut Criterion) {
                 if memoize {
                     runs.memoize_tail(&fx.core, &factors[2], 1);
                 }
-                b.iter(|| fx.direct_mode_cycle(&mut runs, memoize, &mut factors, &mut scratch))
+                b.iter(|| {
+                    if single {
+                        fx.direct_mode_cycle::<1>(&mut runs, memoize, &mut factors, &mut scratch)
+                    } else {
+                        fx.direct_mode_cycle::<LANES>(
+                            &mut runs,
+                            memoize,
+                            &mut factors,
+                            &mut scratch,
+                        )
+                    }
+                })
             });
         }
 
@@ -501,10 +615,14 @@ fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
 /// run-blocked micro-kernel (`stream_direct` — what `PTucker::fit`
 /// runs), with `speedup` = gather/blocked (the PR 2 series, directly
 /// comparable) and `speedup_vs_scalar` = scalar/blocked; per J,
-/// `direct_mode_cycle`: the median ns of one full Direct mode cycle (every
-/// mode's sweep plus the residual pass) with the tail-dot table used and
-/// refused, and the share of the cycle the table fill took; and, per J and
-/// storage precision, `cache_mode_cycle`: the median ns of one full Cache
+/// core shape (dense / truncated) and entry-block width (`lanes`: 1, 2
+/// and the shipped `LANES`), `direct_mode_cycle`: the median full Direct
+/// mode cycle (every mode's sweep plus the residual pass) with the
+/// tail-dot table used, as ns per (observed entry, mode) **for each mode**
+/// and ns per entry of the residual pass — the series the block width was
+/// chosen on — and, on the shipped-width dense row, the cycle with the
+/// table refused and the share the table fill took; and, per J and storage
+/// precision, `cache_mode_cycle`: the median ns of one full Cache
 /// mode cycle (every mode's sweep plus its `post_mode`) with the share
 /// `post_mode` took.
 ///
@@ -535,9 +653,14 @@ fn write_artifact() {
         ));
     }
 
-    // What a Direct iteration pays: every mode's sweep plus the residual
-    // pass through the real DirectKernel, with the tail-dot table used
-    // (refilled once per cycle, like the driver) and refused. The fill is
+    // What a Direct iteration pays, and where: every mode's sweep plus the
+    // residual pass through the real row routine, per mode and per observed
+    // entry, one entry at a time (`lanes` 1) against two and the shipped
+    // `LANES` per walk of the core — on the dense core and on a truncated
+    // one (ragged runs: mode N−1's through-memory tail). Mode N−1 is the
+    // last column: the δ tile at J = 5 and 10, the through-memory `axpy`
+    // tail at J = 20 (past the tile's widest instantiation). The
+    // shipped-width dense row also prices the table refused and its fill:
     // `I_N·|G|` multiply-adds against the sweeps' `N·|Ω|·|G|`, so
     // `fill_share` grows with `I_N/|Ω|`: on this fixture (`I_N·n_runs` =
     // 16·J² against 400 entries) the driver's size rule — a *memory* bound,
@@ -545,41 +668,33 @@ fn write_artifact() {
     // J = 10, 20 price a table several times larger than that bound.
     for &j in &[5usize, 10, 20] {
         let mut rng = StdRng::seed_from_u64(3);
-        let fx = RowUpdateFixture::new(j, &mut rng);
-        let mut scratch = Scratch::new(j);
-        let mut cycle_of = |memoize: bool| {
-            let mut factors = fx.factors.clone();
-            let mut runs = fx.runs.clone();
-            if memoize {
-                runs.memoize_tail(&fx.core, &factors[2], 1);
+        let dense = RowUpdateFixture::new(j, &mut rng);
+        let mut rng = StdRng::seed_from_u64(3);
+        let truncated = RowUpdateFixture::new(j, &mut rng).truncated();
+        for (core, fx) in [("dense", &dense), ("truncated", &truncated)] {
+            lines.push(format!("    {{{}}}", fx.direct_cycle_row::<1>(core).1));
+            lines.push(format!("    {{{}}}", fx.direct_cycle_row::<2>(core).1));
+            let (used, row) = fx.direct_cycle_row::<LANES>(core);
+            if core != "dense" {
+                lines.push(format!("    {{{row}}}"));
+                continue;
             }
-            fx.direct_mode_cycle(&mut runs, memoize, &mut factors, &mut scratch);
-            let mut samples: Vec<(f64, f64)> = (0..15)
-                .map(|_| {
-                    let t = Instant::now();
-                    let fill = fx.direct_mode_cycle(&mut runs, memoize, &mut factors, &mut scratch);
-                    (t.elapsed().as_secs_f64() * 1e9, fill * 1e9)
-                })
-                .collect();
-            samples.sort_by(|a, b| a.0.total_cmp(&b.0));
-            samples[samples.len() / 2]
-        };
-        let (refused, _) = cycle_of(false);
-        let (used, fill) = cycle_of(true);
-        let fill_share = fill / used;
-        let speedup = refused / used;
-        let admitted = 16 * j * j <= fx.x.nnz();
-        println!(
-            "artifact direct_mode_cycle j={j}: table used {used:.0} ns (fill {fill:.0} ns, \
-             {fill_share:.3} of the cycle), refused {refused:.0} ns, speedup {speedup:.2}x, \
-             size rule admits: {admitted}"
-        );
-        lines.push(format!(
-            "    {{\"bench\": \"direct_mode_cycle\", \"j\": {j}, \
-             \"table_used_ns\": {used:.1}, \"table_refused_ns\": {refused:.1}, \
-             \"fill_ns\": {fill:.1}, \"fill_share\": {fill_share:.3}, \
-             \"speedup\": {speedup:.3}, \"rule_admits\": {admitted}}}"
-        ));
+            let refused = fx.median_direct_cycle::<LANES>(false).total() * 1e9;
+            let (used, fill) = (used.total() * 1e9, used.fill * 1e9);
+            let fill_share = fill / used;
+            let speedup = refused / used;
+            let admitted = 16 * j * j <= fx.x.nnz();
+            println!(
+                "artifact direct_mode_cycle j={j}: table used {used:.0} ns (fill {fill:.0} ns, \
+                 {fill_share:.3} of the cycle), refused {refused:.0} ns, speedup {speedup:.2}x, \
+                 size rule admits: {admitted}"
+            );
+            lines.push(format!(
+                "    {{{row}, \"table_refused_ns\": {refused:.1}, \
+                 \"fill_ns\": {fill:.1}, \"fill_share\": {fill_share:.3}, \
+                 \"speedup\": {speedup:.3}, \"rule_admits\": {admitted}}}"
+            ));
+        }
     }
 
     // What a Cache iteration pays: every mode's sweep plus its post_mode

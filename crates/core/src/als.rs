@@ -48,7 +48,7 @@
 //! after a resume and after the final QR; never checkpointed.
 
 use crate::checkpoint::FitCheckpoint;
-use crate::delta::{solve_row, RunPlan, MAX_PREFIX_ORDER};
+use crate::delta::{solve_row, ResidualLanes, RunPlan, LANES, MAX_PREFIX_ORDER};
 use crate::engine::{
     ApproxKernel, CachedKernel, DirectKernel, ModeContext, RowUpdateKernel, Scratch,
 };
@@ -59,7 +59,7 @@ use crate::{
 };
 use ptucker_linalg::Matrix;
 use ptucker_memtrack::{BudgetPolicy, Reservation};
-use ptucker_sched::parallel_rows_mut_scheduled;
+use ptucker_sched::{parallel_rows_mut_scheduled, try_reduce_blocks};
 use ptucker_tensor::{CooScratch, CoreTensor, ModeStreams, SparseTensor, SweepSource};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -1027,12 +1027,14 @@ pub(crate) fn sum_squared_error(
     runs: &RunPlan,
     threads: usize,
 ) -> Result<f64> {
-    input.fold_entries(
+    try_reduce_blocks(
+        input.nnz(),
         threads,
         || 0.0f64,
-        |acc, idx, xv| {
-            let d = xv - runs.reconstruct(idx, core, factors);
-            *acc += d * d;
+        |acc, block| {
+            let mut lanes = ResidualLanes::<LANES>::new(runs, core, factors);
+            input.for_each_entry(block, |idx, xv| lanes.push(idx, xv))?;
+            Ok(acc + lanes.finish())
         },
         |a, b| a + b,
     )

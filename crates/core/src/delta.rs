@@ -41,10 +41,15 @@
 //!   loop. Test-gated since the memoized kernel below replaced it: it is
 //!   the per-entry baseline [`delta_for_entry`] and [`RunPlan::reconstruct`]
 //!   must reproduce **bitwise**.
-//! * [`delta_for_entry`] / [`RunPlan::reconstruct`] — what the engine, the
-//!   residual pass and the serving path run on: the run-blocked kernel over
-//!   a [`RunPlan`], with the **tail contraction memoized** (in a fit; a
-//!   `Predictor`'s plan carries the metadata only).
+//! * [`delta_for_block`] / [`RunPlan::reconstruct_block`] — what the
+//!   engine, the residual pass and the serving path run on: **the lane
+//!   walk** — the run-blocked kernel over a [`RunPlan`], advancing `E`
+//!   entries together through one walk of the core's groups and runs, with
+//!   the **tail contraction memoized** (in a fit; a `Predictor`'s plan
+//!   carries the metadata only). [`delta_for_entry`] and
+//!   [`RunPlan::reconstruct`] — a served query, an entry a row leaves over
+//!   after its full blocks — are its `E = 1` instantiation, not a second
+//!   kernel.
 //!
 //!   *What is hoisted.* Everything about a run that does not depend on the
 //!   observed entry — its bounds, head coordinates, first tail coordinate
@@ -77,11 +82,78 @@
 //!   contraction is left to look up, and anything precomputed across runs
 //!   would have to be summed before `w_r` multiplies in — a reassociation,
 //!   not a hoist. The tail mode rides the hoisted run metadata only.
+//!
+//!   *What is interleaved.* With the tail dots looked up, a δ is one
+//!   multiply-add per run — a dependent chain per entry, its length the
+//!   run count. The entries of a row are independent of each other, so
+//!   [`LANES`] of them advance through the walk together
+//!   (`RunPlan::for_each_group`): the group and run metadata is read once
+//!   per block, each lane keeps its own prefix-product stack and
+//!   accumulators, and the lanes' chains overlap in the pipeline. The
+//!   accumulators are locals, not δ slots in memory: a parent-coordinate
+//!   mode sums a group's runs into one value per lane and stores the slot
+//!   once per group; the reconstruction is one value per lane; mode `N−1`
+//!   on a dense core keeps each lane's whole δ — `J_N` doubles — in a
+//!   compile-time-sized tile for the length of the walk
+//!   (`RunPlan::tail_tile`). Only mode `N−2`, whose slot changes with
+//!   every run, and mode `N−1` on a truncated core (ragged runs) or past
+//!   the tile's widest instantiation add into the lane's δ in memory.
+//!
+//!   *Why each lane is bitwise the single-entry kernel.* Nothing is shared
+//!   between lanes but the integers that say which run comes next. Lane
+//!   `e` multiplies its own factor entries into its own prefix stack in
+//!   the depth order the `E = 1` walk uses, forms the same `w`, looks up
+//!   or computes the same tail dot, and adds the product into its own
+//!   accumulator in run order — the same operations on the same operands
+//!   in the same order, and `E = 1` *is* this function. Holding a slot's
+//!   running sum in a local instead of in `δ[slot]` between two adds does
+//!   not touch a bit. The `w == 0` skip is per lane; where the add is
+//!   unconditional (so that lanes pair up into vector operations) a
+//!   skipped run adds `-0.0`, which leaves every `f64` bit for bit as it
+//!   was (`term`).
+//!
+//!   *Why the tile is the scalar `axpy`, element by element.* The
+//!   through-memory tail calls [`axpy`](ptucker_linalg::kernels::axpy)
+//!   `(w, g[r, ·], δ)` per run; on the scalar tier that is
+//!   `δ[k] += w·g[k]` — multiply, round, add, round — for each `k`, and
+//!   the tile does exactly that to `acc[k]`
+//!   ([`axpy_tile`](ptucker_linalg::kernels::axpy_tile)) in the same run
+//!   order, storing `acc` to `δ` once at the end. A walk carries one or
+//!   two lanes' tiles (`TILE_DOUBLES`: what the vector registers hold), so
+//!   a block is two walks at the paper's ranks.
+//!
+//!   *What the FMA tiers do.* Under `simd`/`simd-avx512` on a CPU that has
+//!   them, `axpy` fuses each multiply-add into one rounding, which the
+//!   scalar tile would not reproduce — so there
+//!   ([`axpy_is_fused`](ptucker_linalg::kernels::axpy_is_fused)) mode
+//!   `N−1` keeps calling `axpy` per run and lane into the lane's δ in
+//!   memory: the tier's own `E = 1` bits, with the lanes still sharing the
+//!   walk. Every other path is tier-independent (`dot` is reached through
+//!   `RunPlan::tail_dot` only).
 
-use ptucker_linalg::kernels::{axpy, dot, syr_in_place};
+use ptucker_linalg::kernels::{axpy, axpy_is_fused, axpy_tile, dot, syr_in_place};
 use ptucker_linalg::Matrix;
 use ptucker_sched::{parallel_rows_mut, Schedule};
 use ptucker_tensor::CoreTensor;
+
+/// `E`: how many entries of a row the Direct sweep and the residual pass
+/// advance together through one walk of the core's runs. Picked by
+/// measurement on the `direct_mode_cycle` bench series (README has the
+/// table); not an option — every lane is bitwise the `E = 1` kernel, so
+/// the value moves time and nothing else.
+pub const LANES: usize = 4;
+
+/// Widest tail rank `J_N` whose mode-`N−1` δ is accumulated in a
+/// compile-time-sized tile (wider cores take the through-memory tail).
+const MAX_TILE: usize = 16;
+
+/// How many doubles of δ tile one walk keeps in locals: two lanes' tiles
+/// up to `J_N = 10` — what sixteen two-wide vector registers hold next to
+/// the operands — and one lane's beyond.
+const TILE_DOUBLES: usize = 20;
+
+/// One entry's pinned factor rows, indexed by mode.
+type Rows<'a> = [&'a [f64]; MAX_PREFIX_ORDER];
 
 /// Deepest core order served by the stack-allocated prefix buffers of
 /// [`accumulate_delta_blocked`] (and the test-gated
@@ -165,28 +237,12 @@ pub struct RunPlan {
     /// Per group: how many leading parent coordinates equal the previous
     /// group's (0 for the first) — the prefix products still valid.
     shared: Vec<u32>,
+    /// Every run's tail coordinates are exactly `0..J_N` (a dense core):
+    /// run `r` is the `r`-th `J_N`-chunk of the core values, which is what
+    /// the mode-`N−1` tile reads.
+    full_tails: bool,
     /// `T[i_N][r]`, row-major `I_N × n_runs`; empty = not memoized.
     tail_dots: Vec<f64>,
-}
-
-/// Where one observed entry's run tail dots come from: its row of the
-/// memoized table, or — the very function that fills the table — a `dot`
-/// against its tail factor row per run.
-#[derive(Clone, Copy)]
-enum Tail<'a> {
-    Memo(&'a [f64]),
-    Row(&'a [f64]),
-}
-
-impl Tail<'_> {
-    /// Run `r`'s tail dot for this entry.
-    #[inline(always)]
-    fn dot(self, runs: &RunPlan, r: usize, core_idx: &[usize], core_vals: &[f64]) -> f64 {
-        match self {
-            Tail::Memo(dots) => dots[r],
-            Tail::Row(row) => runs.tail_dot(r, core_idx, core_vals, row),
-        }
-    }
 }
 
 impl RunPlan {
@@ -210,9 +266,11 @@ impl RunPlan {
             groups: Vec::new(),
             parents: Vec::new(),
             shared: Vec::new(),
+            full_tails: true,
             tail_dots: Vec::new(),
             offsets,
         };
+        let tail_rank = core.dims().last().copied().unwrap_or(0);
         let mut prev: &[usize] = &[];
         for r in 0..n_runs {
             let (base, end) = plan.run(r);
@@ -220,8 +278,9 @@ impl RunPlan {
             let t0 = core_idx[base * order + last];
             // Strictly ascending tail coordinates are contiguous iff the
             // endpoints span exactly `len` values (dense cores always do).
-            plan.contiguous
-                .push(core_idx[(end - 1) * order + last] - t0 + 1 == end - base);
+            let contiguous = core_idx[(end - 1) * order + last] - t0 + 1 == end - base;
+            plan.full_tails &= contiguous && t0 == 0 && end - base == tail_rank;
+            plan.contiguous.push(contiguous);
             plan.t0.push(t0 as u32);
             plan.inner
                 .push(if order >= 2 { head[np] as u32 } else { 0 });
@@ -286,29 +345,75 @@ impl RunPlan {
     /// `(core, factors)` with the run-blocked kernel: one shared head
     /// product per run (all `N` factor rows pinned — no mode is skipped),
     /// times the run's tail dot, looked up when memoized — the same bits
-    /// either way (bitwise the test-gated `reconstruct_entry_blocked`). The
-    /// inner loop of the residual `Σ (X_α − x̂_α)²` and of a served point
-    /// query. `core` must be the core this plan was built from.
+    /// either way (bitwise the test-gated `reconstruct_entry_blocked`). A
+    /// served point query; the `E = 1` instantiation of
+    /// [`RunPlan::reconstruct_block`]. `core` must be the core this plan
+    /// was built from.
+    #[inline]
+    pub fn reconstruct(&self, index: &[usize], core: &CoreTensor, factors: &[Matrix]) -> f64 {
+        self.reconstruct_block([index], core, factors)[0]
+    }
+
+    /// Reconstructs `E` cells in one walk of the core's groups and runs:
+    /// lane `e` of the result is **bitwise** `reconstruct(index[e], …)`
+    /// (the lanes share the run metadata and nothing else; each keeps its
+    /// own prefix products, `w == 0` skips and accumulator, in run order).
+    /// The inner loop of the residual `Σ (X_α − x̂_α)²`.
     ///
-    /// Reads only the entry's COO multi-index and the model, so the
+    /// Reads only the entries' COO multi-indices and the model, so the
     /// residual pass needs neither the execution plan nor any window —
     /// spilled fits compute it without touching their scratch files.
     #[inline]
-    pub fn reconstruct(&self, index: &[usize], core: &CoreTensor, factors: &[Matrix]) -> f64 {
+    pub fn reconstruct_block<const E: usize>(
+        &self,
+        index: [&[usize]; E],
+        core: &CoreTensor,
+        factors: &[Matrix],
+    ) -> [f64; E] {
         let (core_idx, core_vals) = (core.flat_indices(), core.values());
         let order = factors.len();
         if order > MAX_PREFIX_ORDER {
-            return reconstruct_entry_scalar(index, core_idx, core_vals, factors);
+            return index.map(|idx| reconstruct_entry_scalar(idx, core_idx, core_vals, factors));
         }
         let last = order - 1;
-        let mut rows: [&[f64]; MAX_PREFIX_ORDER] = [&[]; MAX_PREFIX_ORDER];
-        for (k, factor) in factors[..last].iter().enumerate() {
-            rows[k] = factor.row(index[k]);
+        let rows = index.map(|idx| {
+            let mut rows: Rows<'_> = [&[]; MAX_PREFIX_ORDER];
+            for (k, factor) in factors[..last].iter().enumerate() {
+                rows[k] = factor.row(idx[k]);
+            }
+            rows
+        });
+        // The lanes' run tail dots: their rows of the memoized table, or —
+        // the very function that fills the table — a `dot` per run against
+        // their tail factor rows.
+        let tail_index = index.map(|idx| idx[last]);
+        if self.is_memoized() {
+            let dots = tail_index.map(|i| self.memo_row(i));
+            self.reconstruct_lanes(&rows, |e, r| dots[e][r])
+        } else {
+            let tail_rows = tail_index.map(|i| factors[last].row(i));
+            self.reconstruct_lanes(&rows, |e, r| {
+                self.tail_dot(r, core_idx, core_vals, tail_rows[e])
+            })
         }
-        let tail = self.tail(index[last], &factors[last]);
-        let mut rec = 0.0;
-        self.for_each_run(&rows, usize::MAX, |_, r, w| {
-            rec += w * tail.dot(self, r, core_idx, core_vals)
+    }
+
+    /// [`RunPlan::reconstruct_block`] over pinned rows, `tail_dot(e, r)`
+    /// being lane `e`'s tail dot of run `r`.
+    #[inline(always)]
+    fn reconstruct_lanes<const E: usize>(
+        &self,
+        rows: &[Rows<'_>; E],
+        tail_dot: impl Fn(usize, usize) -> f64,
+    ) -> [f64; E] {
+        let mut rec = [0.0; E];
+        self.for_each_group(rows, usize::MAX, |_, runs, weights| {
+            for r in runs {
+                let w = weights.of(r);
+                for e in 0..E {
+                    rec[e] += term(w[e], tail_dot(e, r));
+                }
+            }
         });
         rec
     }
@@ -323,7 +428,7 @@ impl RunPlan {
     /// core values, or the indexed loop for a truncated run. The **only**
     /// place the tail dot is computed — the table filler and the
     /// unmemoized lookup both come through here.
-    #[inline]
+    #[inline(always)]
     fn tail_dot(&self, r: usize, core_idx: &[usize], core_vals: &[f64], tail_row: &[f64]) -> f64 {
         let (base, end) = self.run(r);
         let vals = &core_vals[base..end];
@@ -340,78 +445,268 @@ impl RunPlan {
         }
     }
 
-    /// Run `r`'s tail scatter when the update mode *is* the tail
-    /// coordinate: `δ[β_N] += w · g[r, β_N]`, an [`axpy`] (indexed for a
-    /// truncated run).
+    /// Row `i` of the memoized tail-dot table: `T[i][·]`, one dot per run
+    /// (`n_runs` long to the optimizer too: one bounds check per run then
+    /// serves every lane's row).
     #[inline]
-    fn tail_axpy(
-        &self,
-        r: usize,
-        w: f64,
-        core_idx: &[usize],
-        core_vals: &[f64],
-        delta: &mut [f64],
-    ) {
-        let (base, end) = self.run(r);
-        let vals = &core_vals[base..end];
-        let t0 = self.t0[r] as usize;
-        if self.contiguous[r] {
-            axpy(w, vals, &mut delta[t0..t0 + vals.len()]);
-        } else {
-            let last = self.order - 1;
-            for (t, &g) in vals.iter().enumerate() {
-                delta[core_idx[(base + t) * self.order + last]] += w * g;
-            }
-        }
+    fn memo_row(&self, i: usize) -> &[f64] {
+        let n = self.n_runs();
+        &self.tail_dots[i * n..][..n]
     }
 
-    /// The tail-dot source for an entry whose tail index is `i`.
-    #[inline]
-    fn tail<'a>(&'a self, i: usize, tail_factor: &'a Matrix) -> Tail<'a> {
-        if self.is_memoized() {
-            let n = self.n_runs();
-            Tail::Memo(&self.tail_dots[i * n..(i + 1) * n])
-        } else {
-            Tail::Row(tail_factor.row(i))
-        }
-    }
-
-    /// Walks the runs for one entry: `on_run(g, r, w)` for every run `r`
-    /// (of group `g`) whose shared head product
-    /// `w = Π_{k<N−1, k≠skip} a⁽ᵏ⁾(iₖ, βₖ)` is nonzero, in run order. The
+    /// **The lane walk**: advances `E` entries together through the core's
+    /// groups, calling `on_group(g, runs, weights)` once per group `g` in
+    /// order, with the group's run range and the lanes' head products:
+    /// `weights.of(r)[e]` is lane `e`'s
+    /// `w = Π_{k<N−1, k≠skip} a⁽ᵏ⁾(iₖ, βₖ)` for run `r` of this group. The
     /// product over the group's `N−2` parent coordinates is prefix-reused
-    /// across groups sharing leading ones and formed once per group; each
-    /// run multiplies in its one own coordinate. `rows[k]` is the entry's
-    /// pinned factor row of mode `k` (`rows[skip]` is never read: that
-    /// mode's factor contributes `1.0`, as does order 1's missing head).
+    /// across groups sharing leading ones and formed once per group and
+    /// lane; each run multiplies in its one own coordinate. `rows[e][k]` is
+    /// lane `e`'s pinned factor row of mode `k` (`rows[e][skip]` is never
+    /// read: that mode's factor contributes `1.0`, as does order 1's
+    /// missing head). The caller skips a lane's run when its `w` is zero.
+    ///
+    /// The group and run metadata is read once per block; every floating-
+    /// point operation is per lane, on that lane's operands, in the order
+    /// the single-entry walk (`E = 1`, this very function) performs them.
     #[inline(always)]
-    fn for_each_run(
+    fn for_each_group<const E: usize>(
         &self,
-        rows: &[&[f64]; MAX_PREFIX_ORDER],
+        rows: &[Rows<'_>; E],
         skip: usize,
-        mut on_run: impl FnMut(usize, usize, f64),
+        mut on_group: impl FnMut(usize, std::ops::Range<usize>, RunWeights<'_, E>),
     ) {
         let np = self.order.saturating_sub(2);
-        let inner_row = (self.order >= 2 && skip != np).then(|| rows[np]);
-        let mut prefix = [1.0f64; MAX_PREFIX_ORDER];
+        // The lanes' rows re-sliced to one shared length (and the run
+        // coordinates to the table rows' `n_runs`), so one bounds check per
+        // run serves every lane.
+        let own = (self.order >= 2 && skip != np).then(|| {
+            let len = rows[0][np].len();
+            rows.map(|lane| &lane[np][..len])
+        });
+        let coord = &self.inner[..self.n_runs()];
+        let mut prefix = [[1.0f64; E]; MAX_PREFIX_ORDER];
         for g in 0..self.shared.len() {
             let parent = &self.parents[g * np..(g + 1) * np];
             for d in self.shared[g] as usize..np {
-                let a = if d == skip {
-                    1.0
-                } else {
-                    rows[d][parent[d] as usize]
-                };
-                prefix[d + 1] = prefix[d] * a;
-            }
-            let pp = prefix[np];
-            for r in self.groups[g] as usize..self.groups[g + 1] as usize {
-                let w = pp * inner_row.map_or(1.0, |row| row[self.inner[r] as usize]);
-                if w != 0.0 {
-                    on_run(g, r, w);
+                for e in 0..E {
+                    let a = if d == skip {
+                        1.0
+                    } else {
+                        rows[e][d][parent[d] as usize]
+                    };
+                    prefix[d + 1][e] = prefix[d][e] * a;
                 }
             }
+            on_group(
+                g,
+                self.groups[g] as usize..self.groups[g + 1] as usize,
+                RunWeights {
+                    parent: prefix[np],
+                    own: own.as_ref(),
+                    coord,
+                },
+            );
         }
+    }
+
+    /// δ of mode `N−1` for `E` entries into `lanes` (`E × J_N`, zeroed):
+    /// `δ[β_N] += w · g[r, β_N]` per run. A dense core on the scalar tier
+    /// keeps the lanes' δ in a `J_N`-wide tile of locals for the whole walk
+    /// ([`RunPlan::tail_tile`]); every other case — a truncated core, a
+    /// tail rank past [`MAX_TILE`], an FMA tier — adds each run into the
+    /// lane's δ in memory: [`axpy`] for a contiguous run, the indexed loop
+    /// for a ragged one.
+    #[inline]
+    fn tail_mode<const E: usize>(
+        &self,
+        lanes: &mut [f64],
+        rows: &[Rows<'_>; E],
+        core_idx: &[usize],
+        core_vals: &[f64],
+    ) {
+        let j = lanes.len() / E;
+        if self.full_tails && core_vals.len() == self.n_runs() * j && !axpy_is_fused() {
+            macro_rules! tile {
+                ($($w:literal)*) => {
+                    match j {
+                        $($w => {
+                            let n = if 2 * $w <= TILE_DOUBLES { 2 } else { 1 };
+                            for (lanes, rows) in lanes.chunks_mut(n * $w).zip(rows.chunks(n)) {
+                                match rows {
+                                    [a, b] => self.tail_tile::<2, $w>(lanes, &[*a, *b], core_vals),
+                                    [a] => self.tail_tile::<1, $w>(lanes, &[*a], core_vals),
+                                    _ => unreachable!("chunks of at most two"),
+                                }
+                            }
+                            return;
+                        })*
+                        _ => {}
+                    }
+                };
+            }
+            tile!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
+        }
+        let last = self.order - 1;
+        self.for_each_group(rows, last, |_, runs, weights| {
+            for r in runs {
+                let w = weights.of(r);
+                let (base, end) = self.run(r);
+                let vals = &core_vals[base..end];
+                let t0 = self.t0[r] as usize;
+                for (e, delta) in lanes.chunks_exact_mut(j).enumerate() {
+                    if w[e] == 0.0 {
+                        continue;
+                    }
+                    if self.contiguous[r] {
+                        axpy(w[e], vals, &mut delta[t0..t0 + vals.len()]);
+                    } else {
+                        for (t, &g) in vals.iter().enumerate() {
+                            delta[core_idx[(base + t) * self.order + last]] += w[e] * g;
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    /// [`RunPlan::tail_mode`] on a dense core of tail rank `W`, scalar
+    /// tier: the lanes' δ live in an `E × W` tile of locals — registers,
+    /// for the ranks the paper runs — through the whole walk and are stored
+    /// once at the end. Per run and lane the tile does
+    /// `acc[k] += w · g[k]`, multiply then add, element by element: exactly
+    /// the scalar [`axpy`] the through-memory tail calls, on the same
+    /// operands in the same run order, so the same bits.
+    #[inline]
+    fn tail_tile<const E: usize, const W: usize>(
+        &self,
+        lanes: &mut [f64],
+        rows: &[Rows<'_>; E],
+        core_vals: &[f64],
+    ) {
+        debug_assert!(W <= MAX_TILE && self.full_tails && lanes.len() == E * W);
+        // Every run is full: run `r` is the `r`-th `W`-chunk of the values.
+        let (run_vals, _) = core_vals.as_chunks::<W>();
+        let mut acc = [[0.0f64; W]; E];
+        self.for_each_group(rows, self.order - 1, |_, runs, weights| {
+            for r in runs {
+                let w = weights.of(r);
+                for e in 0..E {
+                    if w[e] != 0.0 {
+                        axpy_tile(w[e], &run_vals[r], &mut acc[e]);
+                    }
+                }
+            }
+        });
+        for (delta, acc) in lanes.chunks_exact_mut(W).zip(&acc) {
+            delta.copy_from_slice(acc);
+        }
+    }
+}
+
+/// What a run adds to a lane's accumulator: `w · t`, or — where the
+/// single-entry kernel *skips* the run because `w == 0` — `-0.0`, the one
+/// value whose addition leaves every `f64` (both zeros, infinities, NaN)
+/// bit for bit as it was. The skip without a branch per lane and run: with
+/// the add unconditional the lanes' multiply-adds pair up into two-wide
+/// vector operations.
+#[inline(always)]
+fn term(w: f64, t: f64) -> f64 {
+    let product = w * t;
+    if w != 0.0 {
+        product
+    } else {
+        -0.0
+    }
+}
+
+/// One group's head products for the `E` lanes of a walk
+/// ([`RunPlan::for_each_group`]): the product over the group's parent
+/// coordinates per lane, and what each run multiplies into it.
+struct RunWeights<'a, const E: usize> {
+    /// Per lane: the prefix product over the group's `N−2` parent
+    /// coordinates.
+    parent: [f64; E],
+    /// Per lane: the pinned factor row of mode `N−2`, the run's own
+    /// coordinate — `None` when that mode is skipped or absent (`1.0`).
+    own: Option<&'a [&'a [f64]; E]>,
+    /// Per run: its `(N−1)`-th coordinate.
+    coord: &'a [u32],
+}
+
+impl<const E: usize> RunWeights<'_, E> {
+    /// The lanes' head products `w` for run `r` of this group.
+    #[inline(always)]
+    fn of(&self, r: usize) -> [f64; E] {
+        let c = self.coord[r] as usize;
+        std::array::from_fn(|e| self.parent[e] * self.own.map_or(1.0, |rows| rows[e][c]))
+    }
+}
+
+/// The residual pass's block body: `Σ (x − x̂)²` over the entries pushed,
+/// **in push order**, with `E` reconstructions per walk of the core
+/// ([`RunPlan::reconstruct_block`]). Up to `E` entries wait in a pending
+/// buffer; a full buffer is reconstructed in one walk and its squares added
+/// first to last, and [`ResidualLanes::finish`] reconstructs what is left
+/// one entry at a time — so the sum is bitwise the per-entry fold's at
+/// every `E`. One multi-index buffer per accumulator, nothing per entry.
+#[derive(Debug)]
+pub struct ResidualLanes<'a, const E: usize> {
+    runs: &'a RunPlan,
+    core: &'a CoreTensor,
+    factors: &'a [Matrix],
+    /// The pending entries' multi-indices, `E × N` flat.
+    index: Vec<usize>,
+    /// The pending entries' observed values.
+    x: [f64; E],
+    pending: usize,
+    sse: f64,
+}
+
+impl<'a, const E: usize> ResidualLanes<'a, E> {
+    /// An empty accumulator over the model `(core, factors)`; `runs` must
+    /// be the [`RunPlan`] of `core`.
+    pub fn new(runs: &'a RunPlan, core: &'a CoreTensor, factors: &'a [Matrix]) -> Self {
+        ResidualLanes {
+            runs,
+            core,
+            factors,
+            index: vec![0; E * factors.len()],
+            x: [0.0; E],
+            pending: 0,
+            sse: 0.0,
+        }
+    }
+
+    /// Adds the observed entry `(index, x)`.
+    #[inline]
+    pub fn push(&mut self, index: &[usize], x: f64) {
+        let n = self.factors.len();
+        self.index[self.pending * n..(self.pending + 1) * n].copy_from_slice(index);
+        self.x[self.pending] = x;
+        self.pending += 1;
+        if self.pending == E {
+            self.pending = 0;
+            let block = std::array::from_fn(|e| &self.index[e * n..(e + 1) * n]);
+            let rec = self
+                .runs
+                .reconstruct_block::<E>(block, self.core, self.factors);
+            for e in 0..E {
+                let d = self.x[e] - rec[e];
+                self.sse += d * d;
+            }
+        }
+    }
+
+    /// The sum of squared residuals of everything pushed.
+    pub fn finish(mut self) -> f64 {
+        let n = self.factors.len();
+        for e in 0..self.pending {
+            let index = &self.index[e * n..(e + 1) * n];
+            let d = self.x[e] - self.runs.reconstruct(index, self.core, self.factors);
+            self.sse += d * d;
+        }
+        self.sse
     }
 }
 
@@ -436,17 +731,10 @@ fn pin_other_rows<'a>(
 }
 
 /// Accumulates δ for one streamed entry into `delta` (cleared first) with
-/// the run-blocked kernel over a [`RunPlan`] — what every Direct/Approx
-/// row update and every served δ runs on. Bitwise
+/// the run-blocked kernel over a [`RunPlan`] — what every served δ runs on,
+/// and the `E = 1` instantiation of [`delta_for_block`]. Bitwise
 /// [`accumulate_delta_blocked`], whether or not the plan carries a
 /// tail-dot table (module docs).
-///
-/// `others` holds the entry's packed other-mode indices (ascending mode
-/// order, `mode` skipped) as produced by `ptucker_tensor::ModeStream`;
-/// `runs` must be the [`RunPlan`] of this core, its table (if any)
-/// memoized against the current `factors[N−1]`. `factors[mode]` is never
-/// read (it is the row data being updated and may be an empty placeholder
-/// during the sweep).
 #[inline]
 pub(crate) fn delta_for_entry(
     delta: &mut [f64],
@@ -457,38 +745,103 @@ pub(crate) fn delta_for_entry(
     runs: &RunPlan,
     factors: &[Matrix],
 ) {
-    delta.fill(0.0);
+    delta_for_block([others], delta, mode, core_idx, core_vals, runs, factors);
+}
+
+/// Accumulates δ for `E` streamed entries into `lanes` (`E × J_mode`,
+/// lane-major, cleared first) in **one walk** of the core's groups and
+/// runs — what every Direct/Approx row update runs on. Lane `e` is
+/// **bitwise** [`delta_for_entry`] on `others[e]` (module docs).
+///
+/// `others[e]` holds lane `e`'s packed other-mode indices (ascending mode
+/// order, `mode` skipped) as produced by `ptucker_tensor::ModeStream`;
+/// `runs` must be the [`RunPlan`] of this core, its table (if any)
+/// memoized against the current `factors[N−1]`. `factors[mode]` is never
+/// read (it is the row data being updated and may be an empty placeholder
+/// during the sweep).
+#[inline]
+pub(crate) fn delta_for_block<const E: usize>(
+    others: [&[u32]; E],
+    lanes: &mut [f64],
+    mode: usize,
+    core_idx: &[usize],
+    core_vals: &[f64],
+    runs: &RunPlan,
+    factors: &[Matrix],
+) {
+    lanes.fill(0.0);
+    let j = lanes.len() / E;
     let order = factors.len();
-    debug_assert_eq!(others.len(), order - 1);
+    debug_assert!(others.iter().all(|o| o.len() == order - 1));
     if order > MAX_PREFIX_ORDER {
-        accumulate_delta_deep(delta, others, mode, core_idx, core_vals, factors);
+        for (delta, others) in lanes.chunks_exact_mut(j).zip(others) {
+            accumulate_delta_deep(delta, others, mode, core_idx, core_vals, factors);
+        }
         return;
     }
     let last = order - 1;
-    let rows = pin_other_rows(others, mode, factors);
+    let rows = others.map(|o| pin_other_rows(o, mode, factors));
     if mode == last {
         // δ[β_N] += w · g[β_N]: the entry-dependent `w` sits inside each
         // slot's sum over runs, so there is nothing to memoize.
-        runs.for_each_run(&rows, mode, |_, r, w| {
-            runs.tail_axpy(r, w, core_idx, core_vals, delta)
-        });
+        runs.tail_mode(lanes, &rows, core_idx, core_vals);
         return;
     }
-    // δ[βₙ] += w · (run tail dot): looked up, or computed by the function
-    // that fills the table.
-    let tail = runs.tail(others[last - 1] as usize, &factors[last]);
-    let tail_dot = |r: usize| tail.dot(runs, r, core_idx, core_vals);
-    if mode == last - 1 {
+    // δ[βₙ] += w · (run tail dot): looked up in the lanes' rows of the
+    // table, or computed by the function that fills it.
+    let tail_index = others.map(|o| o[last - 1] as usize);
+    if runs.is_memoized() {
+        let dots = tail_index.map(|i| runs.memo_row(i));
+        head_mode(lanes, mode, &rows, runs, |e, r| dots[e][r]);
+    } else {
+        let tail_rows = tail_index.map(|i| factors[last].row(i));
+        head_mode(lanes, mode, &rows, runs, |e, r| {
+            runs.tail_dot(r, core_idx, core_vals, tail_rows[e])
+        });
+    }
+}
+
+/// [`delta_for_block`] for a mode other than the last, `tail_dot(e, r)`
+/// being lane `e`'s tail dot of run `r`.
+#[inline(always)]
+fn head_mode<const E: usize>(
+    lanes: &mut [f64],
+    mode: usize,
+    rows: &[Rows<'_>; E],
+    runs: &RunPlan,
+    tail_dot: impl Fn(usize, usize) -> f64,
+) {
+    let j = lanes.len() / E;
+    let np = runs.order - 2;
+    if mode == np {
         // The update mode is the run's own coordinate: one slot per run.
-        runs.for_each_run(&rows, mode, |_, r, w| {
-            delta[runs.inner[r] as usize] += w * tail_dot(r)
+        runs.for_each_group(rows, mode, |_, group, weights| {
+            for r in group {
+                let w = weights.of(r);
+                let slot = runs.inner[r] as usize;
+                for e in 0..E {
+                    if w[e] != 0.0 {
+                        lanes[e * j + slot] += w[e] * tail_dot(e, r);
+                    }
+                }
+            }
         });
     } else {
-        // The update mode is a parent coordinate: a whole group adds into
-        // one slot, in run order.
-        let np = last - 1;
-        runs.for_each_run(&rows, mode, |g, r, w| {
-            delta[runs.parents[g * np + mode] as usize] += w * tail_dot(r)
+        // The update mode is a parent coordinate: the whole group adds into
+        // one slot, in run order — summed in a local per lane and stored
+        // once per group.
+        runs.for_each_group(rows, mode, |g, group, weights| {
+            let slot = runs.parents[g * np + mode] as usize;
+            let mut acc: [f64; E] = std::array::from_fn(|e| lanes[e * j + slot]);
+            for r in group {
+                let w = weights.of(r);
+                for e in 0..E {
+                    acc[e] += term(w[e], tail_dot(e, r));
+                }
+            }
+            for e in 0..E {
+                lanes[e * j + slot] = acc[e];
+            }
         });
     }
 }
@@ -1452,6 +1805,153 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Lane `e` of the `E`-lane kernels against the single-entry ones on
+    /// the same entry, bit for bit: δ for every mode, the reconstruction,
+    /// and the residual accumulator (whose pending buffer sees every fill).
+    fn assert_lanes_match_single<const E: usize>(
+        core: &CoreTensor,
+        factors: &[Matrix],
+        plan: &RunPlan,
+        entries: &[Vec<usize>],
+        tag: &str,
+    ) {
+        let (core_idx, core_vals) = (core.flat_indices(), core.values());
+        let block: [&[usize]; E] = std::array::from_fn(|e| entries[e % entries.len()].as_slice());
+        let got = plan.reconstruct_block(block, core, factors);
+        for e in 0..E {
+            let want = plan.reconstruct(block[e], core, factors);
+            assert_eq!(bits(got[e]), bits(want), "{tag} E={E} reconstruct lane {e}");
+        }
+        for mode in 0..core.order() {
+            let j = core.dims()[mode];
+            let others: [Vec<u32>; E] = std::array::from_fn(|e| pack_others(block[e], mode));
+            let mut lanes = vec![7.0; E * j];
+            delta_for_block::<E>(
+                std::array::from_fn(|e| others[e].as_slice()),
+                &mut lanes,
+                mode,
+                core_idx,
+                core_vals,
+                plan,
+                factors,
+            );
+            for e in 0..E {
+                let mut want = vec![3.0; j];
+                delta_for_entry(
+                    &mut want, &others[e], mode, core_idx, core_vals, plan, factors,
+                );
+                for (g, w) in lanes[e * j..(e + 1) * j].iter().zip(&want) {
+                    assert_eq!(bits(*g), bits(*w), "{tag} E={E} mode {mode} lane {e}");
+                }
+            }
+        }
+        // Every pending-buffer fill: 1..=2E+1 entries through the residual
+        // accumulator against the per-entry fold.
+        for n in 1..=2 * E + 1 {
+            let mut acc = ResidualLanes::<E>::new(plan, core, factors);
+            let mut want = 0.0f64;
+            for k in 0..n {
+                let (idx, x) = (&entries[k % entries.len()], 0.25 * k as f64 - 1.0);
+                acc.push(idx, x);
+                let d = x - plan.reconstruct(idx, core, factors);
+                want += d * d;
+            }
+            assert_eq!(
+                bits(acc.finish()),
+                bits(want),
+                "{tag} E={E} residual of {n}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Tentpole property: every lane of the block kernels is the
+        // single-entry kernel on that lane's entry, to the bit — δ for every
+        // mode (parent-coordinate, run-coordinate and tail; the tail through
+        // the tile on dense cores of narrow and wide tail rank, through
+        // memory otherwise), the reconstruction and the residual sum, at
+        // every block width up to the shipped one, with and without the
+        // tail-dot table, on dense, truncated and single-entry-run cores,
+        // with hostile values in the factors.
+        #[test]
+        fn lanes_are_bitwise_single_entry(
+            order in 1..=MAX_PREFIX_ORDER,
+            shape in 0..3usize,
+            seed in 0..u64::MAX,
+        ) {
+            const HOSTILE: [f64; 8] = [
+                0.0,
+                -0.0,
+                5e-324,
+                -2.5e-310,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+                1.0,
+            ];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut dims: Vec<usize> = (0..order).map(|_| rng.gen_range(1..4usize)).collect();
+            if order <= 3 {
+                // Tail ranks on both sides of the tile's widest instantiation.
+                dims[order - 1] = rng.gen_range(1..MAX_TILE + 3);
+            }
+            let value = |rng: &mut StdRng| rng.gen::<f64>() * 2.0 - 1.0;
+            let mut core = match shape {
+                // Dense: every run is the full tail (the tile's case).
+                0 if dims.iter().product::<usize>() <= 4096 => {
+                    let vals: Vec<f64> = (0..dims.iter().product()).map(|_| value(&mut rng)).collect();
+                    let mut next = vals.into_iter();
+                    CoreTensor::dense_from_fn(dims.clone(), |_| next.next().unwrap()).unwrap()
+                }
+                // Sparse sample: ragged, non-contiguous and single-entry runs.
+                _ => {
+                    let mut cells = std::collections::BTreeSet::new();
+                    for _ in 0..rng.gen_range(1..60usize) {
+                        cells.insert(dims.iter().map(|&d| rng.gen_range(0..d)).collect::<Vec<usize>>());
+                    }
+                    let entries = cells.into_iter().map(|idx| (idx, value(&mut rng))).collect();
+                    CoreTensor::from_entries(dims.clone(), entries).unwrap()
+                }
+            };
+            if shape == 2 {
+                // A truncation pass on top, as Approx does.
+                let kill = rng.gen_range(2..5usize);
+                core.retain_by_id(|e| e % kill != 1 || e == 0);
+            }
+            let i_dims: Vec<usize> = (0..order).map(|_| rng.gen_range(1..5usize)).collect();
+            let factors: Vec<Matrix> = i_dims
+                .iter()
+                .zip(&dims)
+                .map(|(&i_n, &j_n)| {
+                    let data = (0..i_n * j_n)
+                        .map(|_| {
+                            if rng.gen::<f64>() < 0.2 {
+                                HOSTILE[rng.gen_range(0..HOSTILE.len())]
+                            } else {
+                                value(&mut rng)
+                            }
+                        })
+                        .collect();
+                    Matrix::from_vec(i_n, j_n, data).unwrap()
+                })
+                .collect();
+            let entries: Vec<Vec<usize>> = (0..LANES + 1)
+                .map(|_| i_dims.iter().map(|&d| rng.gen_range(0..d)).collect())
+                .collect();
+            let plain = RunPlan::new(&core);
+            let mut memo = plain.clone();
+            memo.memoize_tail(&core, &factors[order - 1], 2);
+            for (tag, plan) in [("memo", &memo), ("plain", &plain)] {
+                assert_lanes_match_single::<1>(&core, &factors, plan, &entries, tag);
+                assert_lanes_match_single::<2>(&core, &factors, plan, &entries, tag);
+                assert_lanes_match_single::<3>(&core, &factors, plan, &entries, tag);
+                assert_lanes_match_single::<LANES>(&core, &factors, plan, &entries, tag);
             }
         }
     }

@@ -6,8 +6,9 @@
 //! loop two structural properties:
 //!
 //! 1. **Zero heap allocations per row.** All per-row intermediates (the δ
-//!    vector, the normal-equation accumulators `B`/`c`, the solver
-//!    workspace and pivot buffer) live in a [`Scratch`] arena. One arena is
+//!    vectors of one block of entries, the normal-equation accumulators
+//!    `B`/`c`, the solver workspace and pivot buffer) live in a
+//!    [`Scratch`] arena. One arena is
 //!    allocated per worker thread at the start of a fit — metered against
 //!    the [`ptucker_memtrack::MemoryBudget`] exactly as Theorem 4
 //!    prescribes (`O(T·J²)`) — and
@@ -33,7 +34,12 @@
 //! COO entry ids, and the δ accumulation is **run-blocked** — one shared
 //! prefix product per run of lexicographic core entries, the run tail a
 //! contiguous `dot`/`axpy` micro-kernel over the packed core values (see
-//! `crate::delta` and `ptucker_linalg::kernels`). The plan is built
+//! `crate::delta` and `ptucker_linalg::kernels`) — and, for Direct and
+//! Approx, **entry-blocked**: the row routine (`run_row`) feeds the kernel
+//! [`LANES`] stream positions at a time, the kernel advances them through
+//! one walk of the core's runs with every accumulator in a local, and the
+//! normal equations take the lanes' δ one by one in entry order — each
+//! lane bit for bit the one-entry-at-a-time loop. The plan is built
 //! once per fit and metered against the memory budget. The core's run
 //! structure lives in a [`RunPlan`] the fit driver builds **once per
 //! core** (again only when Approx truncates it) and every [`ModeContext`]
@@ -43,8 +49,8 @@
 //! — bit for bit the same δ (`crate::delta` has the argument).
 
 use crate::cache::{cached_delta_for_entry, PresElem, PresTable, SpilledPresTable};
-pub use crate::delta::RunPlan;
-use crate::delta::{accumulate_normal_eq, delta_for_entry};
+use crate::delta::{accumulate_normal_eq, delta_for_block, delta_for_entry};
+pub use crate::delta::{ResidualLanes, RunPlan, LANES};
 use crate::{approx, FitInput, FitOptions, Result, StoragePrecision};
 use ptucker_linalg::{cholesky_solve_in_place, lu_solve_in_place, Matrix};
 use ptucker_memtrack::Reservation;
@@ -58,7 +64,8 @@ use ptucker_tensor::{CoreTensor, ModeStreams, SparseTensor, StreamView, SweepSou
 /// modes; per-row methods operate on `..j` prefixes.
 #[derive(Debug, Clone)]
 pub struct Scratch {
-    /// δ⁽ⁿ⁾_α accumulator (Eq. 12), `j_max` doubles.
+    /// δ⁽ⁿ⁾_α accumulators (Eq. 12) for one block of entries, lane-major:
+    /// [`LANES`]`·j_max` doubles.
     delta: Vec<f64>,
     /// Right-hand side `c = Σ X_α δ`, `j_max` doubles.
     c: Vec<f64>,
@@ -77,7 +84,7 @@ impl Scratch {
     pub fn new(j_max: usize) -> Self {
         let j = j_max.max(1);
         Scratch {
-            delta: vec![0.0; j],
+            delta: vec![0.0; LANES * j],
             c: vec![0.0; j],
             b_upper: vec![0.0; j * j],
             solve: vec![0.0; j * j],
@@ -90,11 +97,13 @@ impl Scratch {
         Scratch::new(opts.ranks.iter().copied().max().unwrap_or(1))
     }
 
-    /// `f64`s held per thread (Theorem 4's `2J² + 2J`; the pivot buffer is
-    /// `usize`s and excluded, matching the paper's double-counting).
+    /// `f64`s held per thread: `2J² + (E+1)·J` with `E =` [`LANES`] —
+    /// Theorem 4's `2J² + 2J` with one δ per lane of the entry block, still
+    /// `O(J²)` (the pivot buffer is `usize`s and excluded, matching the
+    /// paper's double-counting).
     pub fn doubles(j_max: usize) -> usize {
         let j = j_max.max(1);
-        2 * j * j + 2 * j
+        2 * j * j + (LANES + 1) * j
     }
 
     /// Clears the `..j` accumulator prefixes for a fresh row.
@@ -390,20 +399,26 @@ pub trait RowUpdateKernel: Sync {
     }
 }
 
-/// The shared row routine: a linear walk of the row's streamed slice, δ
-/// production (kernel-specific), rank-1 normal-equation accumulation,
-/// in-arena solve. `delta_fn` receives `(δ buffer, stream position, packed
-/// other-mode indices, old row values)`. Within a slice the stream
+/// The shared row routine: a linear walk of the row's streamed slice in
+/// **blocks of `E` positions** (honouring the sampling stride; the entries
+/// a row leaves over after its full blocks go one at a time, as blocks of
+/// one), δ production for the block (kernel-specific), rank-1
+/// normal-equation accumulation **lane by lane in entry order**, in-arena
+/// solve. `delta_fn` receives `(δ lanes — one `j`-vector per position,
+/// lane-major —, the block's `E` or 1 stream positions, old row values)`
+/// and fills lane `e` with the δ of `positions[e]`. Within a slice the stream
 /// preserves COO entry order, so subsampling by `stride` visits the same
-/// entries the gather path visited.
+/// entries the gather path visited, and the accumulation order is the
+/// per-entry loop's at every `E`.
 #[inline]
-pub(crate) fn run_row(
+pub(crate) fn run_row<const E: usize>(
     ctx: &ModeContext<'_>,
     scratch: &mut Scratch,
     i: usize,
     row: &mut [f64],
-    delta_fn: impl Fn(&mut [f64], usize, &[u32], &[f64]),
+    delta_fn: impl Fn(&mut [f64], &[usize], &[f64]),
 ) -> bool {
+    const { assert!(E >= 1 && E <= LANES, "the arena holds LANES δ lanes") };
     let range = ctx.stream.slice_range(i);
     if range.is_empty() {
         // No observations for this row: the regularized minimizer is the
@@ -414,33 +429,45 @@ pub(crate) fn run_row(
     let j = ctx.j_n;
     scratch.begin_row(j);
     let values = ctx.stream.values();
-    let others = ctx.stream.others_flat();
-    let k = ctx.stream.other_count();
-    for pos in range.step_by(ctx.stride) {
-        delta_fn(
-            &mut scratch.delta[..j],
-            pos,
-            &others[pos * k..(pos + 1) * k],
-            &*row,
-        );
-        accumulate_normal_eq(
-            &mut scratch.b_upper[..j * j],
-            &mut scratch.c[..j],
-            &scratch.delta[..j],
-            values.at(pos),
-        );
+    let mut positions = range.step_by(ctx.stride);
+    let mut block = [0usize; E];
+    loop {
+        let mut n = 0;
+        for (slot, pos) in block.iter_mut().zip(&mut positions) {
+            *slot = pos;
+            n += 1;
+        }
+        // A full block is one call; what a row leaves over goes one entry
+        // at a time (a block of one).
+        let step = if n == E { E } else { 1 };
+        for block in block[..n].chunks(step) {
+            delta_fn(&mut scratch.delta[..step * j], block, &*row);
+            for (delta, &pos) in scratch.delta.chunks_exact(j).zip(block) {
+                accumulate_normal_eq(
+                    &mut scratch.b_upper[..j * j],
+                    &mut scratch.c[..j],
+                    delta,
+                    values.at(pos),
+                );
+            }
+        }
+        if n < E {
+            break;
+        }
     }
     scratch.solve(j, ctx.lambda, row)
 }
 
 /// The default P-Tucker kernel: δ recomputed from the factors for every
 /// entry — `O(T·J²)` intermediate memory (Theorem 4). On the mode-major
-/// plan the recompute is **run-blocked**: one shared prefix product per
-/// run of core entries, times the run's tail contraction — a contiguous
-/// `dot`/`axpy` micro-kernel over the packed core values, or, for every
-/// mode but the last, a lookup in the context's tail-dot table when its
-/// [`RunPlan`] carries one (`I_N·|G|/J_N` more doubles, bit for bit the
-/// same δ; see `crate::delta`).
+/// plan the recompute is **run-blocked and entry-blocked**: [`LANES`]
+/// entries of the row advance together through one walk of the core's runs
+/// — one shared prefix product per run and lane, times the run's tail
+/// contraction: a lookup in the context's tail-dot table for every mode but
+/// the last when its [`RunPlan`] carries one (`I_N·|G|/J_N` more doubles), a
+/// contiguous `dot` otherwise, and for the last mode a `J_N`-wide δ tile
+/// per lane. Each lane is bit for bit the single-entry kernel (see
+/// `crate::delta`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DirectKernel;
 
@@ -452,18 +479,36 @@ impl RowUpdateKernel for DirectKernel {
         i: usize,
         row: &mut [f64],
     ) -> bool {
-        run_row(ctx, scratch, i, row, |delta, _pos, others, _old_row| {
-            delta_for_entry(
-                delta,
-                others,
-                ctx.mode,
-                ctx.core_idx,
-                ctx.core_vals,
+        direct_update_row::<LANES>(ctx, scratch, i, row)
+    }
+}
+
+/// The Direct row update at an explicit block width `E ≤` [`LANES`]:
+/// [`DirectKernel`] is `E = LANES`, and `E = 1` is the single-entry loop
+/// every lane reproduces bit for bit — public so the `direct_mode_cycle`
+/// bench can price the two against each other through the real row routine.
+pub fn direct_update_row<const E: usize>(
+    ctx: &ModeContext<'_>,
+    scratch: &mut Scratch,
+    i: usize,
+    row: &mut [f64],
+) -> bool {
+    let others = |pos: usize| ctx.stream.others(pos);
+    run_row::<E>(ctx, scratch, i, row, |lanes, block, _old_row| {
+        let (mode, idx, vals) = (ctx.mode, ctx.core_idx, ctx.core_vals);
+        match block {
+            [pos] => delta_for_entry(lanes, others(*pos), mode, idx, vals, ctx.runs, ctx.factors),
+            _ => delta_for_block::<E>(
+                std::array::from_fn(|e| others(block[e])),
+                lanes,
+                mode,
+                idx,
+                vals,
                 ctx.runs,
                 ctx.factors,
-            )
-        })
-    }
+            ),
+        }
+    })
 }
 
 /// The resident tensor behind state that indexes COO entries at random.
@@ -705,16 +750,16 @@ impl RowUpdateKernel for CachedKernel {
             .table
             .as_ref()
             .expect("CachedKernel::prepare_fit must run before update_row");
-        run_row(
-            ctx,
-            scratch,
-            i,
-            row,
-            |delta, pos, others, old_row| match table {
+        // One entry per block: the cached δ is a gather through the
+        // entry's own Pres row, with nothing to share between entries.
+        run_row::<1>(ctx, scratch, i, row, |delta, block, old_row| {
+            let pos = block[0];
+            let others = ctx.stream.others(pos);
+            match table {
                 AnyTable::F64(t) => t.delta(ctx, delta, pos, others, old_row),
                 AnyTable::F32(t) => t.delta(ctx, delta, pos, others, old_row),
-            },
-        )
+            }
+        })
     }
 
     fn post_mode(
@@ -1110,6 +1155,60 @@ mod tests {
             DirectKernel.update_row(&ctx, &mut reused, i, &mut row_reused);
             for (a, b) in row_fresh.iter().zip(&row_reused) {
                 assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
+            }
+        }
+    }
+
+    /// Rows of every length around the block width — 1..=2·LANES+1 entries,
+    /// so every leftover count occurs — swept at stride 1 and 3, with and
+    /// without the tail-dot table: the block-fed row loop solves to the
+    /// bits of the one-entry-at-a-time loop.
+    #[test]
+    fn blocked_row_loop_is_bitwise_the_single_entry_loop() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let rows = 2 * LANES + 1;
+        let mut entries = Vec::new();
+        for i in 0..rows {
+            // Row `i` of mode 0 holds `i + 1` entries.
+            for k in 0..=i {
+                entries.push((vec![i, k % 5, (k / 5) % 3], rng.gen::<f64>() - 0.5));
+            }
+        }
+        let x = SparseTensor::new(vec![rows, 5, 3], entries).unwrap();
+        let factors: Vec<Matrix> = [rows, 5, 3]
+            .iter()
+            .map(|&d| {
+                Matrix::from_vec(d, 3, (0..d * 3).map(|_| rng.gen::<f64>()).collect()).unwrap()
+            })
+            .collect();
+        let core = CoreTensor::random_dense(vec![3, 3, 3], &mut rng).unwrap();
+        let plan = ModeStreams::build(&x).unwrap();
+        let mut runs = RunPlan::new(&core);
+        for memoize in [false, true] {
+            if memoize {
+                runs.memoize_tail(&core, &factors[2], 1);
+            }
+            for stride in [1, 3] {
+                let opts = FitOptions::new(vec![3, 3, 3])
+                    .lambda(0.01)
+                    .sample_stride(stride);
+                let mut scratch = Scratch::for_options(&opts);
+                for mode in 0..3 {
+                    let ctx = ModeContext::new(&plan, &factors, &core, &runs, mode, &opts);
+                    for i in 0..x.dims()[mode] {
+                        let mut single = factors[mode].row(i).to_vec();
+                        let mut blocked = single.clone();
+                        direct_update_row::<1>(&ctx, &mut scratch, i, &mut single);
+                        direct_update_row::<LANES>(&ctx, &mut scratch, i, &mut blocked);
+                        for (a, b) in single.iter().zip(&blocked) {
+                            assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "memo {memoize} stride {stride} mode {mode} row {i}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

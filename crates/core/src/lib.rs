@@ -71,7 +71,13 @@
 //!   used iff it holds at most one double per observed entry and the
 //!   budget has room) that every mode's sweep but the last and the
 //!   residual pass *look up* instead — `|G|/J_N` multiply-adds per entry
-//!   instead of `|G|`, bit for bit the same fit. The downstream
+//!   instead of `|G|`, bit for bit the same fit. On top of that the
+//!   kernel is **entry-blocked**: Direct and Approx sweeps and the residual
+//!   pass advance [`engine::LANES`] entries of a row through one walk of
+//!   the core's runs, every accumulator in a local (a group's runs summed
+//!   in a register; the last mode's δ in a `J_N`-wide tile per lane), each
+//!   lane bit for bit the one-entry walk — which is the same function at
+//!   block width 1, and what serving calls. The downstream
 //!   `B += δδᵀ` / `c += x·δ` accumulation rides the same `syr`/`axpy`
 //!   primitives, as does cp-ALS.
 //!

@@ -94,6 +94,35 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     axpy_scalar(alpha, x, y)
 }
 
+/// Whether [`axpy`] fuses each multiply-add into one rounding on this
+/// build and CPU — i.e. an explicit SIMD tier is compiled in and detected.
+/// `false` means [`axpy`] is the scalar tier, which [`axpy_tile`]
+/// reproduces bit for bit.
+#[inline]
+pub fn axpy_is_fused() -> bool {
+    #[cfg(all(feature = "simd-avx512", target_arch = "x86_64"))]
+    if avx512::enabled() {
+        return true;
+    }
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if avx2::enabled() {
+        return true;
+    }
+    false
+}
+
+/// The scalar tier's [`axpy`] at a compile-time width: `y[k] += α·x[k]`,
+/// multiply then add, element by element — what `axpy` computes whenever
+/// [`axpy_is_fused`] is `false`, so a caller that checked may keep `y` in
+/// locals across many calls (the δ tile of `ptucker`'s lane kernel) and
+/// get the bits of as many `axpy`s through memory.
+#[inline(always)]
+pub fn axpy_tile<const W: usize>(alpha: f64, x: &[f64; W], y: &mut [f64; W]) {
+    for k in 0..W {
+        y[k] += alpha * x[k];
+    }
+}
+
 /// Triangular rank-1 update `B ← B + δδᵀ` on the upper triangle of a
 /// row-major `j×j` buffer (lower triangle untouched) — the accumulation of
 /// the normal-equation matrix in Theorem 1. Rows with `δ(j₁) = 0`
@@ -393,7 +422,7 @@ mod avx2 {
     /// Whether this CPU supports the AVX2+FMA path. `std` caches the
     /// detection result, so the per-call cost is one predictable load.
     #[inline]
-    fn enabled() -> bool {
+    pub(super) fn enabled() -> bool {
         is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
     }
 
@@ -868,6 +897,24 @@ mod tests {
         }
         assert_eq!(y[13], want[13]);
         assert_eq!(y[14], want[14]);
+    }
+
+    #[test]
+    fn axpy_tile_is_bitwise_the_unfused_axpy() {
+        let x = [0.1, -2.5, 3.0e-310, f64::INFINITY, -0.0, 7.25];
+        let mut via_axpy = [1.0, -0.0, 5e-324, 2.0, 0.0, -3.5];
+        let mut tile = via_axpy;
+        for alpha in [0.3, -1e-300, 0.0, 2.0] {
+            axpy(alpha, &x, &mut via_axpy);
+            axpy_tile(alpha, &x, &mut tile);
+        }
+        if axpy_is_fused() {
+            // An FMA tier rounds once per element: callers keep `axpy`.
+            return;
+        }
+        for (a, t) in via_axpy.iter().zip(&tile) {
+            assert!(a.to_bits() == t.to_bits() || (a.is_nan() && t.is_nan()));
+        }
     }
 
     #[test]

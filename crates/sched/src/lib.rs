@@ -15,7 +15,10 @@
 //! * [`Schedule::Static`] assigns each of `T` workers one contiguous block,
 //!   exactly like `schedule(static)`.
 //! * [`Schedule::Dynamic`] lets workers pull fixed-size chunks from a shared
-//!   atomic counter, exactly like `schedule(dynamic, chunk)`.
+//!   atomic counter, exactly like `schedule(dynamic, chunk)`. The row
+//!   sweep ([`parallel_rows_mut_scheduled`]) treats the chunk as an upper
+//!   bound and clamps it to `ceil(rows / (4·workers))`, so a mode with few
+//!   rows is still served as at least four claims per worker.
 //!
 //! Six entry points cover the paper's needs: [`parallel_for`] (indexed
 //! side-effect-free tasks), [`parallel_reduce`] (e.g. summing squared errors;
@@ -173,6 +176,8 @@ pub enum Schedule {
 
 impl Schedule {
     /// The dynamic policy with a reasonable default chunk for row updates.
+    /// The chunk is an upper bound there: [`parallel_rows_mut_scheduled`]
+    /// shrinks it on modes too short to give every worker four claims.
     pub fn dynamic() -> Self {
         Schedule::Dynamic { chunk: 8 }
     }
@@ -654,9 +659,12 @@ pub fn parallel_rows_mut_balanced<S, F>(
 /// Schedule-dispatching row sweep: [`Schedule::Static`] routes to
 /// [`parallel_rows_mut_balanced`] with the given per-row `weight`
 /// (nnz-balanced contiguous blocks), [`Schedule::Dynamic`] to
-/// [`parallel_rows_mut_with`]'s chunked queue. This is the one place the
-/// engine-style "static means weight-balanced" policy lives, so every row
-/// loop (P-Tucker, CP-ALS, …) dispatches identically.
+/// [`parallel_rows_mut_with`]'s chunked queue, its chunk clamped to
+/// `ceil(rows / (4·workers))` (never below 1, never above the requested
+/// chunk) so a short mode still splits into at least four claims per
+/// worker. This is the one place the engine-style "static means
+/// weight-balanced, dynamic means enough claims to balance" policy lives,
+/// so every row loop (P-Tucker, CP-ALS, …) dispatches identically.
 ///
 /// # Panics
 /// As [`parallel_rows_mut_balanced`] / [`parallel_rows_mut_with`].
@@ -674,8 +682,23 @@ pub fn parallel_rows_mut_scheduled<S, F>(
 {
     match schedule.normalized() {
         Schedule::Static => parallel_rows_mut_balanced(data, row_len, threads, weight, states, f),
-        dynamic => parallel_rows_mut_with(data, row_len, threads, dynamic, states, f),
+        Schedule::Dynamic { chunk } => {
+            let n_rows = data.len() / row_len.max(1);
+            let chunk = balanced_chunk(chunk, n_rows, effective_threads(threads, n_rows));
+            let dynamic = Schedule::Dynamic { chunk };
+            parallel_rows_mut_with(data, row_len, threads, dynamic, states, f)
+        }
     }
+}
+
+/// The dynamic row sweep's chunk for `n_rows` rows on `workers` workers:
+/// the requested `chunk`, but never more than `ceil(n_rows / (4·workers))`
+/// (and never below 1), so every worker can expect at least four claims.
+/// A fixed chunk sized for long modes starves a short one — 24 rows in
+/// chunks of 8 are three claims, which two workers split 16 : 8. Rows are
+/// independent, so the clamp moves no bit of any result.
+fn balanced_chunk(chunk: usize, n_rows: usize, workers: usize) -> usize {
+    chunk.min(n_rows.div_ceil(4 * workers.max(1))).max(1)
 }
 
 /// Fold-only companion of [`parallel_reduce`] with **caller-provided
@@ -1319,6 +1342,39 @@ mod tests {
         let worker = Background::spawn(|x: u32| x + 1);
         worker.submit(1).unwrap();
         drop(worker);
+    }
+
+    #[test]
+    fn scheduled_dynamic_chunk_is_clamped_on_short_modes() {
+        // 24 rows, 2 workers, chunk 8: three claims would split 16 : 8.
+        // The clamp serves it as 8 groups of 3.
+        assert_eq!(balanced_chunk(8, 24, 2), 3);
+        assert!(24usize.div_ceil(balanced_chunk(8, 24, 2)) >= 8);
+        // Never above the request, never below 1, untouched on long modes.
+        assert_eq!(balanced_chunk(2, 24, 2), 2);
+        assert_eq!(balanced_chunk(8, 3, 2), 1);
+        assert_eq!(balanced_chunk(8, 0, 2), 1);
+        assert_eq!(balanced_chunk(8, 10_000, 2), 8);
+        // And the sweep still covers every row exactly once.
+        let mut data = vec![0.0f64; 24 * 2];
+        let mut states = vec![0usize; 2];
+        parallel_rows_mut_scheduled(
+            &mut data,
+            2,
+            2,
+            Schedule::Dynamic { chunk: 8 },
+            |_| 1,
+            &mut states,
+            |seen, i, row| {
+                *seen += 1;
+                row[0] += 1.0;
+                row[1] = i as f64;
+            },
+        );
+        assert_eq!(states.iter().sum::<usize>(), 24);
+        for (i, row) in data.chunks(2).enumerate() {
+            assert_eq!(row, [1.0, i as f64]);
+        }
     }
 
     #[test]

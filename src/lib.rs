@@ -63,7 +63,9 @@
 //!   one `RunPlan` per core and the `dot` memoized per (last-factor row,
 //!   run) in a small budget-metered table that every sweep but the last
 //!   mode's and the residual pass look up, bit for bit the per-entry
-//!   result. The Cached variant keeps its resident
+//!   result — and **entry-blocked**: four entries of a row advance through
+//!   one walk of the core's runs with every accumulator in a local, each
+//!   lane bit for bit the one-entry walk. The Cached variant keeps its resident
 //!   `Pres` table in COO entry order for the whole fit (a per-entry row
 //!   gather in the sweep, one in-place parallel rescale per mode — the
 //!   table is never permuted). When the working set exceeds the memory

@@ -161,8 +161,9 @@ fn oom_boundaries_by_method() {
     // CSF needs 40*16*8 = 5 KB → lives; P-Tucker needs ~KBs → lives.
     assert_eq!(fit_with(strict(300 << 10)), [true, false, true, false]);
     // P-Tucker's metered footprint is its mode-major plan (O(N·|Ω|)
-    // words, ~120 KB here) plus Theorem 4's T·(2J²+2J) doubles of scratch
-    // (~640 B): it must fit with the plan plus a little headroom…
+    // words, ~120 KB here) plus Theorem 4's T·(2J²+(E+1)·J) doubles of
+    // scratch (well under 1 KB): it must fit with the plan plus a little
+    // headroom…
     let plan_bytes = ptucker_suite::tensor::ModeStreams::bytes_for(&x);
     let fits = fit_with(strict(plan_bytes + (4 << 10)));
     assert!(
