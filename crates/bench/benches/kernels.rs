@@ -8,10 +8,11 @@
 //! observed entry, one entry at a time vs the shipped entry-block width, on
 //! a dense and on a truncated core, with the tail-dot table used vs
 //! refused — what a Direct iteration pays, and where), the Cached kernel's
-//! sweep and its **full mode cycle** (every mode's sweep *plus*
-//! `post_mode` rescale, through the real `CachedKernel` — what a Cache
-//! iteration pays), and the CSF TTMc against a brute-force Kronecker
-//! accumulation.
+//! sweep and its **full mode cycle** (every mode's sweep, timed per mode
+//! and per observed entry at one, two and the shipped number of `Pres`
+//! rows per walk, *plus* `post_mode` rescale, through the real
+//! `CachedKernel` — what a Cache iteration pays, and where), and the CSF
+//! TTMc against a brute-force Kronecker accumulation.
 //!
 //! Besides the stdout report, the run emits `BENCH_kernels.json` at the
 //! workspace root: the gather/scalar/blocked medians and the
@@ -110,6 +111,38 @@ impl<const E: usize> RowUpdateKernel for DirectLanes<E> {
         row: &mut [f64],
     ) -> bool {
         direct_update_row::<E>(ctx, scratch, i, row)
+    }
+}
+
+/// The Cache row update at an explicit entry-block width `E` over a built
+/// kernel: `CachedLanes::<LANES>` is `CachedKernel` itself,
+/// `CachedLanes::<1>` the one-entry-at-a-time loop its lanes reproduce bit
+/// for bit.
+struct CachedLanes<'a, const E: usize>(&'a CachedKernel);
+
+impl<const E: usize> RowUpdateKernel for CachedLanes<'_, E> {
+    fn update_row(
+        &self,
+        ctx: &ModeContext<'_>,
+        scratch: &mut Scratch,
+        i: usize,
+        row: &mut [f64],
+    ) -> bool {
+        self.0.update_row_lanes::<E>(ctx, scratch, i, row)
+    }
+}
+
+/// Seconds one Cache mode cycle spent where.
+struct CacheCycleTimes {
+    /// Per mode: its row sweep.
+    modes: Vec<f64>,
+    /// Every mode's `post_mode` (the table rescale), summed.
+    post: f64,
+}
+
+impl CacheCycleTimes {
+    fn total(&self) -> f64 {
+        self.modes.iter().sum::<f64>() + self.post
     }
 }
 
@@ -435,31 +468,79 @@ impl RowUpdateFixture {
         cached
     }
 
-    /// One full mode cycle of the Cache variant as a fit pays for it: per
-    /// mode, `prepare_mode`, the row sweep installing the new factor, then
-    /// `post_mode` (the table rescale) — the driver's own hook sequence on
-    /// the real kernel, so any table layout is charged for the sweep *and*
-    /// for whatever it makes `post_mode` do. Returns the seconds spent in
-    /// `post_mode`.
-    fn cache_mode_cycle(
+    /// One full mode cycle of the Cache variant as a fit pays for it, at
+    /// entry-block width `E`: per mode, `prepare_mode`, the row sweep
+    /// installing the new factor, then `post_mode` (the table rescale) — the
+    /// driver's own hook sequence on the real kernel, so any table layout is
+    /// charged for the sweep *and* for whatever it makes `post_mode` do.
+    fn cache_mode_cycle<const E: usize>(
         &self,
         kernel: &mut CachedKernel,
         factors: &mut [Matrix],
         scratch: &mut Scratch,
-    ) -> f64 {
+    ) -> CacheCycleTimes {
         let input = ptucker::FitInput::Resident(&self.x);
         let mut sweep = self.plan.sweep_source(0, usize::MAX, false);
-        let mut post = 0.0;
-        for mode in 0..self.x.order() {
+        let order = self.x.order();
+        let mut times = CacheCycleTimes {
+            modes: Vec::with_capacity(order),
+            post: 0.0,
+        };
+        for mode in 0..order {
             kernel.prepare_mode(factors, mode).unwrap();
-            self.sweep_mode(&*kernel, &self.runs, factors, mode, scratch);
+            let t = Instant::now();
+            self.sweep_mode(
+                &CachedLanes::<E>(kernel),
+                &self.runs,
+                factors,
+                mode,
+                scratch,
+            );
+            times.modes.push(t.elapsed().as_secs_f64());
             let t = Instant::now();
             kernel
                 .post_mode(&input, factors, mode, &self.core, &self.opts, &mut sweep)
                 .unwrap();
-            post += t.elapsed().as_secs_f64();
+            times.post += t.elapsed().as_secs_f64();
         }
-        post
+        times
+    }
+
+    /// One `cache_mode_cycle` artifact row: the median (by total) of 15
+    /// cycles at block width `E`, run back to back on evolving factors
+    /// exactly like consecutive ALS iterations (the work per cycle does not
+    /// change), after one warm-up cycle — sweeps per mode and per observed
+    /// entry, next to what `post_mode` took.
+    fn cache_cycle_row<const E: usize>(&self, tag: &str) -> String {
+        let mut cached = self.cached_kernel();
+        let mut factors = self.factors.clone();
+        let mut scratch = Scratch::new(self.j);
+        self.cache_mode_cycle::<E>(&mut cached, &mut factors, &mut scratch);
+        let mut samples: Vec<CacheCycleTimes> = (0..15)
+            .map(|_| self.cache_mode_cycle::<E>(&mut cached, &mut factors, &mut scratch))
+            .collect();
+        samples.sort_by(|a, b| a.total().total_cmp(&b.total()));
+        let median = samples.swap_remove(samples.len() / 2);
+        let (cycle, post) = (median.total() * 1e9, median.post * 1e9);
+        let post_share = post / cycle;
+        let modes: Vec<String> = median
+            .modes
+            .iter()
+            .map(|&m| format!("{:.1}", m * 1e9 / self.x.nnz() as f64))
+            .collect();
+        println!(
+            "artifact cache_mode_cycle j={} {tag}, E={E}: sweeps {} ns per (entry, mode), \
+             cycle {cycle:.0} ns, post_mode {post:.0} ns ({post_share:.2} of the cycle)",
+            self.j,
+            modes.join(" / ")
+        );
+        format!(
+            "    {{\"bench\": \"cache_mode_cycle\", \"j\": {}, \"precision\": \"{tag}\", \
+             \"lanes\": {E}, \"sweep_ns_per_entry\": [{}], \"cycle_ns\": {cycle:.1}, \
+             \"post_mode_ns\": {post:.1}, \"post_share\": {post_share:.3}}}",
+            self.j,
+            modes.join(", ")
+        )
     }
 }
 
@@ -538,7 +619,7 @@ fn bench_row_update(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("cache_mode_cycle", j), &j, |b, _| {
             let mut scratch = Scratch::new(j);
             let mut factors = fx.factors.clone();
-            b.iter(|| fx.cache_mode_cycle(&mut cached, &mut factors, &mut scratch))
+            b.iter(|| fx.cache_mode_cycle::<LANES>(&mut cached, &mut factors, &mut scratch))
         });
     }
     group.finish();
@@ -621,10 +702,12 @@ fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
 /// tail-dot table used, as ns per (observed entry, mode) **for each mode**
 /// and ns per entry of the residual pass — the series the block width was
 /// chosen on — and, on the shipped-width dense row, the cycle with the
-/// table refused and the share the table fill took; and, per J and storage
-/// precision, `cache_mode_cycle`: the median ns of one full Cache
-/// mode cycle (every mode's sweep plus its `post_mode`) with the share
-/// `post_mode` took.
+/// table refused and the share the table fill took; and, per J, storage
+/// precision and entry-block width (`lanes`: 1, 2 and the shipped
+/// `LANES`), `cache_mode_cycle`: the median full Cache mode cycle (every
+/// mode's sweep plus its `post_mode`) as ns per (observed entry, mode) for
+/// each mode's sweep — the series the Cache block width was chosen on —
+/// next to the cycle's total and the share `post_mode` took.
 ///
 /// Acceptance bar: `speedup ≥ 1.5` at J = 20.
 fn write_artifact() {
@@ -697,41 +780,22 @@ fn write_artifact() {
         }
     }
 
-    // What a Cache iteration pays: every mode's sweep plus its post_mode
-    // rescale, through the real CachedKernel at both storage precisions.
-    // The cycles run back to back on evolving factors, exactly like
-    // consecutive ALS iterations (the work per cycle does not change).
+    // What a Cache iteration pays, and where: every mode's sweep plus its
+    // post_mode rescale, through the real CachedKernel at both storage
+    // precisions, one entry at a time (`lanes` 1) against two and the
+    // shipped `LANES` Pres rows per walk of the core's runs. Mode N−1 is the
+    // last column: the divide tile at J = 5 and 10, the through-memory
+    // `div_add` at J = 20 (past the tile's widest instantiation).
     for &j in &[5usize, 10, 20] {
-        for precision in [StoragePrecision::F64, StoragePrecision::F32] {
+        for (precision, tag) in [
+            (StoragePrecision::F64, "f64"),
+            (StoragePrecision::F32, "f32"),
+        ] {
             let mut rng = StdRng::seed_from_u64(3);
             let fx = RowUpdateFixture::new_at(j, &mut rng, precision);
-            let mut cached = fx.cached_kernel();
-            let mut factors = fx.factors.clone();
-            let mut scratch = Scratch::new(j);
-            fx.cache_mode_cycle(&mut cached, &mut factors, &mut scratch);
-            let mut samples: Vec<(f64, f64)> = (0..15)
-                .map(|_| {
-                    let t = Instant::now();
-                    let post = fx.cache_mode_cycle(&mut cached, &mut factors, &mut scratch);
-                    (t.elapsed().as_secs_f64() * 1e9, post * 1e9)
-                })
-                .collect();
-            samples.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let (cycle, post) = samples[samples.len() / 2];
-            let post_share = post / cycle;
-            let tag = match precision {
-                StoragePrecision::F64 => "f64",
-                StoragePrecision::F32 => "f32",
-            };
-            println!(
-                "artifact cache_mode_cycle j={j} {tag}: cycle {cycle:.0} ns, \
-                 post_mode {post:.0} ns ({post_share:.2} of the cycle)"
-            );
-            lines.push(format!(
-                "    {{\"bench\": \"cache_mode_cycle\", \"j\": {j}, \
-                 \"precision\": \"{tag}\", \"cycle_ns\": {cycle:.1}, \
-                 \"post_mode_ns\": {post:.1}, \"post_share\": {post_share:.3}}}"
-            ));
+            lines.push(fx.cache_cycle_row::<1>(tag));
+            lines.push(fx.cache_cycle_row::<2>(tag));
+            lines.push(fx.cache_cycle_row::<LANES>(tag));
         }
     }
 

@@ -32,7 +32,38 @@
 //! [`crate::delta`]): within a run of core entries sharing their first
 //! `N−1` coordinates, a non-tail update mode has a constant divisor, so
 //! the run collapses to one contiguous sum over the cached products and a
-//! single division.
+//! single division. And it is **entry-blocked** like the Direct kernel's:
+//! [`cached_delta_for_block`] advances [`LANES`](crate::delta::LANES) `Pres`
+//! rows of one factor row through one walk of the core's runs, each lane
+//! bit for bit the one-entry loop.
+//!
+//! # Why lanes: the roofline
+//!
+//! Measured on the `resident_cache` benchmark workload (order 4, J = 4,
+//! 180 K entries, a 370 MB f64 table; the 2-vCPU 2.1 GHz VM this
+//! repository is grown on). One entry at a time, a mode's sweep read the
+//! table in ~0.065 s — 5.7 GB/s — while the rescale of the *same* table
+//! moves twice the bytes (read + write, 740 MB) in 0.033–0.043 s, 17–22 GB/s
+//! on the same two threads; and the un-laned δ cost the same ~750 ns per
+//! entry whether its rows were gathered through entry ids or streamed in
+//! order. So the sweep was **not** bandwidth-bound: it was bound by the
+//! dependency chain each run carries — a 4-add sum, a divide, then a δ slot
+//! read, added to and written back through memory before the next run of
+//! the same slot can start — exactly what lanes removed from Direct. With
+//! [`LANES`](crate::delta::LANES) chains in flight the per-mode sweeps went
+//! 0.069 / 0.067 / 0.078 / 0.080 s → 0.037 / 0.037 / 0.044 / 0.039 s; mode
+//! `N−1` now runs at the divider's throughput (a packed double-precision
+//! divide every ~4 cycles: 245 ns per 256-element row from cache, ~390 ns
+//! from DRAM), the other modes at ~390 ns per row against 310 ns from cache.
+//! The **rescale is now the largest Cache span** (`core.mode_post_s` ≈ 0.125 s
+//! of a ~0.33 s iteration) and *is* bandwidth-bound at two threads.
+//!
+//! Two designs were measured and dropped: an entry-major pass fusing a
+//! deferred rescale with δ into a per-entry δ buffer (bitwise, but 0.39 s
+//! per iteration against 0.35 s — the machine is compute-, not
+//! traffic-bound there), and compile-time run widths with register δ
+//! accumulators on the non-tail modes (0.075 → 0.068 s per sweep at one
+//! thread, nothing at two).
 //!
 //! The table is `|Ω|·|G|` elements of the fit's [`StoragePrecision`] —
 //! the dominant memory cost (Theorem 6), halved outright by f32 storage —
@@ -40,6 +71,8 @@
 //! element size, which is exactly how the Fig. 8(b) memory gap (≈29.5× at
 //! N = 10) is reproduced.
 
+use crate::delta::{MAX_TILE, TILE_DOUBLES};
+use crate::engine::ModeContext;
 use crate::Result;
 use ptucker_linalg::kernels::{div_add_nonzero, div_add_nonzero_f32, sum_widened};
 use ptucker_linalg::Matrix;
@@ -654,62 +687,129 @@ pub(crate) fn window_indices(w: &Window<'_>, order: usize, out: &mut Vec<usize>)
     }
 }
 
-/// The run-blocked cached-δ arithmetic for one entry, operating on the
-/// entry's cached-product row wherever it lives: a gathered row of the
-/// resident [`PresTable`] and a tile row of a [`SpilledPresTable`] both
-/// come through here, so the two execution paths are **bitwise identical**
-/// per row.
+/// The run-blocked, **entry-blocked** cached-δ arithmetic: the δ of `E`
+/// entries of one factor row into `lanes` (`E × Jₙ`, lane-major, cleared
+/// first), each from its own cached-product row — wherever that row lives:
+/// a gathered row of the resident [`PresTable`] and a tile row of a
+/// [`SpilledPresTable`] both come through here, so the two execution paths
+/// are **bitwise identical** per row.
 ///
-/// `others` holds the entry's packed other-mode indices in stream layout
-/// (ascending mode order, `mode` skipped); `a_row_old` is the *current*
-/// (pre-update) row `a⁽ⁿ⁾(iₙ, ·)`; `runs` is the core's run structure from
-/// `crate::delta::core_runs`. The direct-product fallback covers zero
-/// divisors (the paper's caveat).
+/// `pres[e]` is lane `e`'s `|G|` cached products and `others[e]` its packed
+/// other-mode indices in stream layout (ascending mode order, the update
+/// mode skipped); `a_row_old` is the *current* (pre-update) row
+/// `a⁽ⁿ⁾(iₙ, ·)`, which the lanes share because they sit in the same factor
+/// row; the mode, the core, its [`crate::delta::RunPlan`] and the factors
+/// come from `ctx`.
+///
+/// *What the lanes share.* One walk of the core's runs, and with it each
+/// run's δ slot, its divisor and the zero test on it. On a mode other than
+/// the last a run has one divisor, so the run collapses to a contiguous sum
+/// and a single division — and the block forms
+/// `q[e] = P::sum(pres_e[run]) / a` for every lane before adding any of them
+/// into the lanes' δ: `E` independent sum → divide chains in flight where
+/// the one-entry loop has one chain and a δ slot it reads, adds to and
+/// writes back through memory run after run. Mode `N−1`'s divisor varies
+/// along the run; on a dense core ([`RunPlan::full_tails`]) whose old row
+/// holds no zero — tested once per block, not once per run — each lane's
+/// whole δ stays in a `J_N`-wide tile of locals for the length of the row
+/// ([`tail_tile`]).
+///
+/// *Why each lane is bitwise the one-entry loop.* Lane `e` reads only its
+/// own `Pres` row and adds, in run order, the same quotients into its own
+/// δ: `P::sum` over the same slice divided by the same `a`, or — in the
+/// tile — `pres[t] / a[t]` then add, the element-wise operation
+/// [`PresElem::div_add`] performs on every SIMD tier (division has no fused
+/// form to diverge on). A zero divisor (the paper's caveat: "when a is 0,
+/// P-TUCKER-CACHE conducts the multiplications as P-TUCKER does") sends the
+/// same slots of every lane to the direct product: a non-tail run whose `a`
+/// is zero adds its `fallback_product`s one by one, a tail row with any
+/// zero leaves the tile for the per-run `div_add` + patch, truncated or
+/// non-contiguous runs divide element by element — each the arithmetic of
+/// the one-entry loop in its order, and `E = 1` *is* this function
+/// ([`cached_delta_for_entry`]).
+///
+/// [`RunPlan::full_tails`]: crate::delta::RunPlan
 #[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn cached_delta_for_entry<E: PresElem>(
-    delta: &mut [f64],
-    pres: &[E],
-    others: &[u32],
-    mode: usize,
+pub(crate) fn cached_delta_for_block<P: PresElem, const E: usize>(
+    lanes: &mut [f64],
+    pres: [&[P]; E],
+    others: [&[u32]; E],
     a_row_old: &[f64],
-    core_idx: &[usize],
-    core_vals: &[f64],
-    runs: &[u32],
-    factors: &[Matrix],
+    ctx: &ModeContext<'_>,
 ) {
-    delta.fill(0.0);
-    let order = factors.len();
+    lanes.fill(0.0);
+    let j = lanes.len() / E;
+    let (mode, runs, core_idx) = (ctx.mode, ctx.runs, ctx.core_idx);
+    let order = ctx.factors.len();
     let last = order - 1;
-    for r in 0..runs.len() - 1 {
-        let base = runs[r] as usize;
-        let end = runs[r + 1] as usize;
-        if mode == last {
-            // The divisor varies with the tail coordinate. For a
-            // contiguous tail (dense cores always), the run is one
-            // vectorizable `δ[t] += pres[t] / a_old[t]` pass — the `simd`
-            // feature's `_mm256_div_pd` path with the zero-divisor lanes
-            // blended out — and only runs that actually hit a zero divisor
-            // rescan for the direct-product fallback (the paper's caveat).
-            let len = end - base;
-            let t0 = core_idx[base * order + last];
-            let contiguous = core_idx[(end - 1) * order + last] - t0 + 1 == len;
-            if contiguous {
-                if E::div_add(
-                    &mut delta[t0..t0 + len],
-                    &pres[base..end],
-                    &a_row_old[t0..t0 + len],
-                ) {
+    // The lanes' rows re-sliced to one shared length, so one bounds check
+    // per run serves every lane.
+    let g = ctx.core_vals.len();
+    let pres = pres.map(|p| &p[..g]);
+    let fallback = |e: usize, b: usize| {
+        let beta = &core_idx[b * order..(b + 1) * order];
+        fallback_product(ctx.core_vals[b], beta, others[e], mode, ctx.factors)
+    };
+    if mode != last {
+        // Constant divisor over the run: one contiguous sum and one
+        // division per lane, all lanes' quotients formed before any is
+        // added.
+        for r in 0..runs.n_runs() {
+            let (base, end) = runs.run(r);
+            let slot = core_idx[base * order + mode];
+            let a = a_row_old[slot];
+            if a != 0.0 {
+                let q: [f64; E] = std::array::from_fn(|e| P::sum(&pres[e][base..end]) / a);
+                for e in 0..E {
+                    lanes[e * j + slot] += q[e];
+                }
+            } else {
+                for e in 0..E {
                     for b in base..end {
-                        let j_n = core_idx[b * order + last];
-                        if a_row_old[j_n] == 0.0 {
-                            delta[j_n] += fallback_product(
-                                core_vals[b],
-                                &core_idx[b * order..(b + 1) * order],
-                                others,
-                                mode,
-                                factors,
-                            );
+                        lanes[e * j + slot] += fallback(e, b);
+                    }
+                }
+            }
+        }
+        return;
+    }
+    // Mode N−1: the divisor varies with the tail coordinate.
+    if runs.full_tails() && g == runs.n_runs() * j && !a_row_old.contains(&0.0) {
+        macro_rules! tile {
+            ($($w:literal)*) => {
+                match j {
+                    $($w => {
+                        let n = if 2 * $w <= TILE_DOUBLES { 2 } else { 1 };
+                        for (lanes, pres) in lanes.chunks_mut(n * $w).zip(pres.chunks(n)) {
+                            match pres {
+                                [a, b] => tail_tile::<P, 2, $w>(lanes, [a, b], a_row_old),
+                                [a] => tail_tile::<P, 1, $w>(lanes, [a], a_row_old),
+                                _ => unreachable!("chunks of at most two"),
+                            }
+                        }
+                        return;
+                    })*
+                    _ => {}
+                }
+            };
+        }
+        tile!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
+    }
+    for r in 0..runs.n_runs() {
+        let (base, end) = runs.run(r);
+        let (t0, contiguous) = runs.tail(r);
+        for (e, delta) in lanes.chunks_exact_mut(j).enumerate() {
+            if contiguous {
+                // One vectorizable `δ[t] += pres[t] / a_old[t]` pass — the
+                // `simd` feature's `_mm256_div_pd` path with the
+                // zero-divisor lanes blended out — and only runs that
+                // actually hit a zero divisor rescan for the direct-product
+                // fallback.
+                let old = &a_row_old[t0..t0 + (end - base)];
+                if P::div_add(&mut delta[t0..t0 + old.len()], &pres[e][base..end], old) {
+                    for (b, &a) in (base..end).zip(old) {
+                        if a == 0.0 {
+                            delta[t0 + (b - base)] += fallback(e, b);
                         }
                     }
                 }
@@ -717,41 +817,63 @@ pub(crate) fn cached_delta_for_entry<E: PresElem>(
                 // Truncation gaps: per-entry divisions, still a linear
                 // pass over the cached slice.
                 for b in base..end {
-                    let j_n = core_idx[b * order + last];
-                    let a = a_row_old[j_n];
+                    let slot = core_idx[b * order + last];
+                    let a = a_row_old[slot];
                     if a != 0.0 {
-                        delta[j_n] += pres[b].to_f64() / a;
+                        delta[slot] += pres[e][b].to_f64() / a;
                     } else {
-                        delta[j_n] += fallback_product(
-                            core_vals[b],
-                            &core_idx[b * order..(b + 1) * order],
-                            others,
-                            mode,
-                            factors,
-                        );
+                        delta[slot] += fallback(e, b);
                     }
-                }
-            }
-        } else {
-            // Constant divisor over the run: one contiguous sum, one
-            // division.
-            let j_n = core_idx[base * order + mode];
-            let a = a_row_old[j_n];
-            if a != 0.0 {
-                delta[j_n] += E::sum(&pres[base..end]) / a;
-            } else {
-                for b in base..end {
-                    delta[j_n] += fallback_product(
-                        core_vals[b],
-                        &core_idx[b * order..(b + 1) * order],
-                        others,
-                        mode,
-                        factors,
-                    );
                 }
             }
         }
     }
+}
+
+/// Mode `N−1`'s cached δ for `T` lanes on a dense core of tail rank `W`
+/// whose old row `a` holds no zero: every run is the `r`-th `W`-chunk of a
+/// lane's `Pres` row, and the lanes' δ live in a `T × W` tile of locals —
+/// registers, at the paper's ranks — through the whole row, stored once at
+/// the end. Per run, lane and slot the tile does `acc[t] += pres[t] / a[t]`,
+/// divide then add: exactly what [`PresElem::div_add`] does to `δ[t]`
+/// through memory on every SIMD tier, in the same run order, so the same
+/// bits.
+#[inline]
+fn tail_tile<P: PresElem, const T: usize, const W: usize>(
+    lanes: &mut [f64],
+    pres: [&[P]; T],
+    a_row_old: &[f64],
+) {
+    debug_assert!(W <= MAX_TILE && lanes.len() == T * W);
+    let a: [f64; W] = std::array::from_fn(|t| a_row_old[t]);
+    let rows = pres.map(|p| p.as_chunks::<W>().0);
+    let n_runs = rows[0].len();
+    let rows = rows.map(|row| &row[..n_runs]);
+    let mut acc = [[0.0f64; W]; T];
+    for r in 0..n_runs {
+        for e in 0..T {
+            for t in 0..W {
+                acc[e][t] += rows[e][r][t].to_f64() / a[t];
+            }
+        }
+    }
+    for (delta, acc) in lanes.chunks_exact_mut(W).zip(&acc) {
+        delta.copy_from_slice(acc);
+    }
+}
+
+/// The cached δ of one entry — a leftover after a row's full blocks: the
+/// `E = 1` instantiation of [`cached_delta_for_block`], not a second
+/// kernel.
+#[inline]
+pub(crate) fn cached_delta_for_entry<P: PresElem>(
+    delta: &mut [f64],
+    pres: &[P],
+    others: &[u32],
+    a_row_old: &[f64],
+    ctx: &ModeContext<'_>,
+) {
+    cached_delta_for_block(delta, [pres], [others], a_row_old, ctx);
 }
 
 /// The Algorithm-3 lines 16–19 rescale for one entry's cached-product row:
@@ -849,7 +971,8 @@ fn fallback_product(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::{accumulate_delta, core_runs};
+    use crate::delta::{accumulate_delta, core_runs, RunPlan, LANES};
+    use crate::FitOptions;
     use proptest::prelude::*;
     use ptucker_memtrack::MemoryBudget;
     use ptucker_tensor::ModeStreams;
@@ -948,9 +1071,11 @@ mod tests {
     fn cached_delta_matches_direct_delta() {
         let (x, factors, core, plan) = setup();
         let pres = compute::<f64>(&x, &factors, &core, 1);
-        let runs = core_runs(core.flat_indices(), core.order());
+        let runs = RunPlan::new(&core);
+        let opts = FitOptions::new(core.dims().to_vec());
         for mode in 0..2 {
             let stream = plan.mode(mode);
+            let ctx = ModeContext::new(&plan, &factors, &core, &runs, mode, &opts);
             for pos in 0..x.nnz() {
                 // The sweep's access path: stream position → entry id → row.
                 let e = stream.entry_id(pos);
@@ -970,12 +1095,8 @@ mod tests {
                     &mut cached,
                     pres.row(e),
                     stream.others(pos),
-                    mode,
                     factors[mode].row(idx[mode]),
-                    core.flat_indices(),
-                    core.values(),
-                    &runs,
-                    &factors,
+                    &ctx,
                 );
                 for (c, d) in cached.iter().zip(&direct) {
                     assert!((c - d).abs() < 1e-10, "mode={mode} pos={pos}");
@@ -986,11 +1107,13 @@ mod tests {
 
     #[test]
     fn cached_delta_zero_divisor_fallback() {
-        let (x, mut factors, core, _) = setup();
+        let (x, mut factors, core, plan) = setup();
         // Zero out one factor value so the division path is impossible.
         factors[0][(0, 1)] = 0.0;
         let pres = compute::<f64>(&x, &factors, &core, 1);
-        let runs = core_runs(core.flat_indices(), core.order());
+        let runs = RunPlan::new(&core);
+        let opts = FitOptions::new(core.dims().to_vec());
+        let ctx = ModeContext::new(&plan, &factors, &core, &runs, 0, &opts);
         let idx = x.index(0); // entry (0,0)
         let mut direct = vec![0.0; 2];
         accumulate_delta(
@@ -1006,12 +1129,8 @@ mod tests {
             &mut cached,
             pres.row(0),
             &pack_others(idx, 0),
-            0,
             factors[0].row(idx[0]),
-            core.flat_indices(),
-            core.values(),
-            &runs,
-            &factors,
+            &ctx,
         );
         for (c, d) in cached.iter().zip(&direct) {
             assert!((c - d).abs() < 1e-12);
@@ -1286,6 +1405,228 @@ mod tests {
             .is_err());
     }
 
+    /// The literal single-entry cached-δ loop this module ran before the
+    /// lanes — run bounds from `core_runs`, tail coordinate and contiguity
+    /// re-derived from `core_idx` per run, the δ slot read-modify-written
+    /// through memory — kept verbatim as the reference every lane of
+    /// [`cached_delta_for_block`] must reproduce bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_cached_delta<E: PresElem>(
+        delta: &mut [f64],
+        pres: &[E],
+        others: &[u32],
+        mode: usize,
+        a_row_old: &[f64],
+        core_idx: &[usize],
+        core_vals: &[f64],
+        runs: &[u32],
+        factors: &[Matrix],
+    ) {
+        delta.fill(0.0);
+        let order = factors.len();
+        let last = order - 1;
+        for r in 0..runs.len() - 1 {
+            let base = runs[r] as usize;
+            let end = runs[r + 1] as usize;
+            if mode == last {
+                let len = end - base;
+                let t0 = core_idx[base * order + last];
+                let contiguous = core_idx[(end - 1) * order + last] - t0 + 1 == len;
+                if contiguous {
+                    if E::div_add(
+                        &mut delta[t0..t0 + len],
+                        &pres[base..end],
+                        &a_row_old[t0..t0 + len],
+                    ) {
+                        for b in base..end {
+                            let j_n = core_idx[b * order + last];
+                            if a_row_old[j_n] == 0.0 {
+                                delta[j_n] += fallback_product(
+                                    core_vals[b],
+                                    &core_idx[b * order..(b + 1) * order],
+                                    others,
+                                    mode,
+                                    factors,
+                                );
+                            }
+                        }
+                    }
+                } else {
+                    for b in base..end {
+                        let j_n = core_idx[b * order + last];
+                        let a = a_row_old[j_n];
+                        if a != 0.0 {
+                            delta[j_n] += pres[b].to_f64() / a;
+                        } else {
+                            delta[j_n] += fallback_product(
+                                core_vals[b],
+                                &core_idx[b * order..(b + 1) * order],
+                                others,
+                                mode,
+                                factors,
+                            );
+                        }
+                    }
+                }
+            } else {
+                let j_n = core_idx[base * order + mode];
+                let a = a_row_old[j_n];
+                if a != 0.0 {
+                    delta[j_n] += E::sum(&pres[base..end]) / a;
+                } else {
+                    for b in base..end {
+                        delta[j_n] += fallback_product(
+                            core_vals[b],
+                            &core_idx[b * order..(b + 1) * order],
+                            others,
+                            mode,
+                            factors,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// NaN payloads aside, the bits of `v`.
+    fn bits(v: f64) -> u64 {
+        if v.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    const HOSTILE: [f64; 8] = [
+        0.0,
+        -0.0,
+        5e-324,
+        -2.5e-310,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        1.0,
+    ];
+
+    /// Every lane of an `E`-lane block over the window's first positions
+    /// (repeating, in a shorter window) against [`reference_cached_delta`]
+    /// on that lane's row — once with the rows gathered from the resident
+    /// table, once with the spilled table's loaded tile rows — under each
+    /// old row in `old_rows`.
+    fn assert_lanes_match_reference<P: PresElem, const E: usize>(
+        ctx: &ModeContext<'_>,
+        resident: &PresTable<P>,
+        spilled: &SpilledPresTable<P>,
+        old_rows: &[Vec<f64>],
+    ) {
+        let (j, len) = (ctx.j_n, ctx.stream.len());
+        if len == 0 {
+            return;
+        }
+        let offsets = core_runs(ctx.core_idx, ctx.factors.len());
+        let block: [usize; E] = std::array::from_fn(|e| e % len);
+        let others = block.map(|pos| ctx.stream.others(pos));
+        let sources = [
+            (
+                "resident",
+                block.map(|pos| resident.row(ctx.stream.entry_id(pos))),
+            ),
+            ("tile", block.map(|pos| spilled.tile_row(pos))),
+        ];
+        for old in old_rows {
+            for (tag, pres) in &sources {
+                let mut lanes = vec![7.0; E * j];
+                cached_delta_for_block::<P, E>(&mut lanes, *pres, others, old, ctx);
+                for e in 0..E {
+                    let mut want = vec![3.0; j];
+                    reference_cached_delta(
+                        &mut want,
+                        pres[e],
+                        others[e],
+                        ctx.mode,
+                        old,
+                        ctx.core_idx,
+                        ctx.core_vals,
+                        &offsets,
+                        ctx.factors,
+                    );
+                    for (t, (g, w)) in lanes[e * j..(e + 1) * j].iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            bits(*g),
+                            bits(*w),
+                            "{tag} {:?} E={E} mode {} lane {e} slot {t} old {old:?}: {g} vs {w}",
+                            P::PRECISION,
+                            ctx.mode
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// One full mode cycle over a resident and a spilled table of element
+    /// type `P` ([`LANES`]-position windows, so tiles reload within a
+    /// mode): in every window of every mode, blocks of 1, 2, 3 and
+    /// [`LANES`] positions against the reference loop, then the table is
+    /// carried into the next mode by a rescale against an unchanged factor.
+    fn lanes_match_reference_through_a_cycle<P: PresElem>(
+        x: &SparseTensor,
+        plan: &ModeStreams,
+        factors: &[Matrix],
+        core: &CoreTensor,
+        rng: &mut StdRng,
+    ) {
+        let budget = MemoryBudget::unlimited();
+        let order = x.order();
+        let runs = RunPlan::new(core);
+        let opts = FitOptions::new(core.dims().to_vec());
+        let mut resident = compute::<P>(x, factors, core, 1);
+        let mut source = plan.sweep_source(0, LANES, false);
+        let mut spilled =
+            SpilledPresTable::<P>::compute(x.nnz(), factors, core, 1, &budget, &mut source)
+                .unwrap();
+        for mode in 0..order {
+            let j = core.dims()[mode];
+            // Old rows: benign; hostile but zero-free (NaN, ±Inf and
+            // subnormal divisors stay on the divide path — the tile's, on a
+            // dense core); hostile with zeros of both signs (the direct-
+            // product fallback, for the same slots of every lane).
+            let benign: Vec<f64> = (0..j).map(|_| rng.gen::<f64>() + 0.5).collect();
+            let mut zero_free = benign.clone();
+            let mut zeroed = benign.clone();
+            for t in 0..j {
+                if rng.gen::<f64>() < 0.4 {
+                    zero_free[t] = HOSTILE[rng.gen_range(2..HOSTILE.len())];
+                    zeroed[t] = HOSTILE[rng.gen_range(0..HOSTILE.len())];
+                }
+            }
+            zeroed[rng.gen_range(0..j)] = if rng.gen() { 0.0 } else { -0.0 };
+            let old_rows = [benign, zero_free, zeroed];
+            source.rewind(mode);
+            while let Some(w) = source.next_window().unwrap() {
+                spilled.load_tile(w.base, w.stream.len()).unwrap();
+                let ctx = ModeContext::for_view(w.stream, factors, core, &runs, mode, &opts);
+                assert_lanes_match_reference::<P, 1>(&ctx, &resident, &spilled, &old_rows);
+                assert_lanes_match_reference::<P, 2>(&ctx, &resident, &spilled, &old_rows);
+                assert_lanes_match_reference::<P, 3>(&ctx, &resident, &spilled, &old_rows);
+                assert_lanes_match_reference::<P, LANES>(&ctx, &resident, &spilled, &old_rows);
+            }
+            let old = factors[mode].clone();
+            resident.rescale(x, factors, &old, mode, core, 1);
+            spilled
+                .rescale_and_reorder(
+                    factors,
+                    &old,
+                    mode,
+                    (mode + 1) % order,
+                    core,
+                    1,
+                    &mut source,
+                )
+                .unwrap();
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -1310,6 +1651,79 @@ mod tests {
             resident_and_spilled_agree_through_cycles::<f32>(
                 &x, &plan, factors, &core, 2, 1e-4, &mut rng,
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        // Tentpole property: every lane of the block kernel is the literal
+        // pre-lane single-entry loop on that lane's Pres row, to the bit —
+        // every mode (parent-coordinate, run-coordinate and tail; the tail
+        // through the divide tile on dense cores of narrow and wide tail
+        // rank with a zero-free old row, through memory otherwise), at
+        // every block width up to the shipped one, f64 and f32 elements,
+        // resident rows and spilled tile rows, on dense, sampled and
+        // truncated cores, with hostile values in the factors (so in the
+        // cached products) and in the old row (so the zero-divisor fallback
+        // fires for exactly the same slots in every lane).
+        #[test]
+        fn lanes_are_bitwise_single_entry(
+            order in 1..=8usize,
+            shape in 0..3usize,
+            seed in 0..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut ranks: Vec<usize> = (0..order).map(|_| rng.gen_range(1..4usize)).collect();
+            if order <= 3 {
+                // Tail ranks on both sides of the tile's widest instantiation.
+                ranks[order - 1] = rng.gen_range(1..MAX_TILE + 3);
+            }
+            let value = |rng: &mut StdRng| rng.gen::<f64>() * 2.0 - 1.0;
+            let mut core = match shape {
+                // Dense: every run is the full tail (the tile's case).
+                0 if ranks.iter().product::<usize>() <= 2048 => {
+                    let n = ranks.iter().product();
+                    let mut vals = (0..n).map(|_| value(&mut rng)).collect::<Vec<f64>>().into_iter();
+                    CoreTensor::dense_from_fn(ranks.clone(), |_| vals.next().unwrap()).unwrap()
+                }
+                // Sparse sample: ragged, non-contiguous and single-entry runs.
+                _ => {
+                    let mut cells = std::collections::BTreeSet::new();
+                    for _ in 0..rng.gen_range(1..60usize) {
+                        cells.insert(ranks.iter().map(|&d| rng.gen_range(0..d)).collect::<Vec<usize>>());
+                    }
+                    let entries = cells.into_iter().map(|idx| (idx, value(&mut rng))).collect();
+                    CoreTensor::from_entries(ranks.clone(), entries).unwrap()
+                }
+            };
+            if shape == 2 {
+                // A truncation pass on top, as Approx leaves a core.
+                let kill = rng.gen_range(2..5usize);
+                core.retain_by_id(|e| e % kill != 1 || e == 0);
+            }
+            let dims: Vec<usize> = (0..order).map(|_| rng.gen_range(2..5usize)).collect();
+            let cells: usize = dims.iter().product();
+            let x = ptucker_datagen::uniform_sparse(&dims, rng.gen_range(1..cells.min(7) + 1), &mut rng);
+            let plan = ModeStreams::build(&x).unwrap();
+            let factors: Vec<Matrix> = dims
+                .iter()
+                .zip(&ranks)
+                .map(|(&i_n, &j_n)| {
+                    let data = (0..i_n * j_n)
+                        .map(|_| {
+                            if rng.gen::<f64>() < 0.15 {
+                                HOSTILE[rng.gen_range(0..HOSTILE.len())]
+                            } else {
+                                value(&mut rng)
+                            }
+                        })
+                        .collect();
+                    Matrix::from_vec(i_n, j_n, data).unwrap()
+                })
+                .collect();
+            lanes_match_reference_through_a_cycle::<f64>(&x, &plan, &factors, &core, &mut rng);
+            lanes_match_reference_through_a_cycle::<f32>(&x, &plan, &factors, &core, &mut rng);
         }
     }
 }

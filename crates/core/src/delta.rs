@@ -144,13 +144,15 @@ use ptucker_tensor::CoreTensor;
 pub const LANES: usize = 4;
 
 /// Widest tail rank `J_N` whose mode-`N−1` δ is accumulated in a
-/// compile-time-sized tile (wider cores take the through-memory tail).
-const MAX_TILE: usize = 16;
+/// compile-time-sized tile (wider cores take the through-memory tail) —
+/// the Direct kernel's multiply-add tile here and the Cache kernel's divide
+/// tile (`crate::cache`) alike.
+pub(crate) const MAX_TILE: usize = 16;
 
 /// How many doubles of δ tile one walk keeps in locals: two lanes' tiles
 /// up to `J_N = 10` — what sixteen two-wide vector registers hold next to
 /// the operands — and one lane's beyond.
-const TILE_DOUBLES: usize = 20;
+pub(crate) const TILE_DOUBLES: usize = 20;
 
 /// One entry's pinned factor rows, indexed by mode.
 type Rows<'a> = [&'a [f64]; MAX_PREFIX_ORDER];
@@ -302,9 +304,19 @@ impl RunPlan {
         self.offsets.len() - 1
     }
 
-    /// The run boundaries in offset form (`core_runs`).
-    pub(crate) fn offsets(&self) -> &[u32] {
-        &self.offsets
+    /// Run `r`'s first tail coordinate and whether its tail coordinates are
+    /// exactly `t0..t0+len` — what the cached δ's mode-`N−1` divide needs
+    /// per run, derived once per core instead of per run per entry.
+    #[inline]
+    pub(crate) fn tail(&self, r: usize) -> (usize, bool) {
+        (self.t0[r] as usize, self.contiguous[r])
+    }
+
+    /// Whether every run's tail coordinates are exactly `0..J_N` (a dense
+    /// core): run `r` of any `|G|`-long row is then its `r`-th `J_N`-chunk.
+    #[inline]
+    pub(crate) fn full_tails(&self) -> bool {
+        self.full_tails
     }
 
     /// Whether [`RunPlan::memoize_tail`] has filled the tail-dot table.
@@ -418,8 +430,9 @@ impl RunPlan {
         rec
     }
 
+    /// The core entries `base..end` of run `r`.
     #[inline]
-    fn run(&self, r: usize) -> (usize, usize) {
+    pub(crate) fn run(&self, r: usize) -> (usize, usize) {
         (self.offsets[r] as usize, self.offsets[r + 1] as usize)
     }
 
@@ -1643,7 +1656,7 @@ mod tests {
         assert_eq!(plan.shared, vec![0u32, 1, 1, 0, 1, 1]);
         assert_eq!(plan.inner, [0u32, 1, 2, 3].repeat(6));
         assert!(plan.contiguous.iter().all(|&c| c) && plan.t0.iter().all(|&t| t == 0));
-        assert_eq!(plan.offsets(), core_runs(core.flat_indices(), 4));
+        assert_eq!(plan.offsets, core_runs(core.flat_indices(), 4));
         assert!(!plan.is_memoized());
     }
 

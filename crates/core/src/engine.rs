@@ -34,13 +34,15 @@
 //! COO entry ids, and the δ accumulation is **run-blocked** — one shared
 //! prefix product per run of lexicographic core entries, the run tail a
 //! contiguous `dot`/`axpy` micro-kernel over the packed core values (see
-//! `crate::delta` and `ptucker_linalg::kernels`) — and, for Direct and
-//! Approx, **entry-blocked**: the row routine (`run_row`) feeds the kernel
-//! [`LANES`] stream positions at a time, the kernel advances them through
-//! one walk of the core's runs with every accumulator in a local, and the
-//! normal equations take the lanes' δ one by one in entry order — each
-//! lane bit for bit the one-entry-at-a-time loop. The plan is built
-//! once per fit and metered against the memory budget. The core's run
+//! `crate::delta` and `ptucker_linalg::kernels`) — and **entry-blocked**:
+//! the row routine (`run_row`) feeds the kernel [`LANES`] stream positions
+//! at a time, the kernel advances them through one walk of the core's runs
+//! (Direct and Approx with every accumulator in a local; Cache with
+//! [`LANES`] `Pres` rows' sum → divide chains in flight and mode `N−1`'s δ
+//! in a `J_N`-wide divide tile — `crate::cache` has the roofline that says
+//! why), and the normal equations take the lanes' δ one by one in entry
+//! order — each lane bit for bit the one-entry-at-a-time loop. The plan is
+//! built once per fit and metered against the memory budget. The core's run
 //! structure lives in a [`RunPlan`] the fit driver builds **once per
 //! core** (again only when Approx truncates it) and every [`ModeContext`]
 //! *borrows*; when the driver's budget rule admits it the plan also
@@ -48,7 +50,9 @@
 //! but the last then do `|G|/J_N` multiply-adds per entry instead of `|G|`
 //! — bit for bit the same δ (`crate::delta` has the argument).
 
-use crate::cache::{cached_delta_for_entry, PresElem, PresTable, SpilledPresTable};
+use crate::cache::{
+    cached_delta_for_block, cached_delta_for_entry, PresElem, PresTable, SpilledPresTable,
+};
 use crate::delta::{accumulate_normal_eq, delta_for_block, delta_for_entry};
 pub use crate::delta::{ResidualLanes, RunPlan, LANES};
 use crate::{approx, FitInput, FitOptions, Result, StoragePrecision};
@@ -576,35 +580,50 @@ impl<E: PresElem> TableStore<E> {
         Ok(())
     }
 
-    /// The cached-δ accumulation for window-local position `pos`: a
-    /// resident table is entry-ordered and reached through the stream's
-    /// entry id, a spilled tile is window-local like `pos` itself — the
-    /// identical run-blocked arithmetic (`cache::cached_delta_for_entry`)
-    /// either way.
+    /// The cached-δ accumulation for one block of a row's window-local
+    /// positions — `L` of them, or one leftover: a resident table is
+    /// entry-ordered and reached through the stream's entry id (a row
+    /// gather per lane), a spilled tile is window-local like the positions
+    /// themselves — the identical lane arithmetic
+    /// (`cache::cached_delta_for_block`) either way.
     #[inline]
-    fn delta(
+    fn delta<const L: usize>(
         &self,
         ctx: &ModeContext<'_>,
-        delta: &mut [f64],
-        pos: usize,
-        others: &[u32],
+        lanes: &mut [f64],
+        block: &[usize],
         old_row: &[f64],
     ) {
-        let pres = match self {
+        let pres = |pos: usize| match self {
             TableStore::Resident(t) => t.row(ctx.stream.entry_id(pos)),
             TableStore::Spilled(t) => t.tile_row(pos),
         };
-        cached_delta_for_entry(
-            delta,
-            pres,
-            others,
-            ctx.mode,
-            old_row,
-            ctx.core_idx,
-            ctx.core_vals,
-            ctx.runs.offsets(),
-            ctx.factors,
-        );
+        let others = |pos: usize| ctx.stream.others(pos);
+        match block {
+            [pos] => cached_delta_for_entry(lanes, pres(*pos), others(*pos), old_row, ctx),
+            _ => cached_delta_for_block::<E, L>(
+                lanes,
+                std::array::from_fn(|e| pres(block[e])),
+                std::array::from_fn(|e| others(block[e])),
+                old_row,
+                ctx,
+            ),
+        }
+    }
+
+    /// One row update over this table at block width `L`: the shared row
+    /// routine fed by [`TableStore::delta`].
+    #[inline]
+    fn update_row<const L: usize>(
+        &self,
+        ctx: &ModeContext<'_>,
+        scratch: &mut Scratch,
+        i: usize,
+        row: &mut [f64],
+    ) -> bool {
+        run_row::<L>(ctx, scratch, i, row, |lanes, block, old_row| {
+            self.delta::<L>(ctx, lanes, block, old_row)
+        })
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -687,9 +706,17 @@ const AUX_TAG_F32: u8 = 1;
 /// [`RowUpdateKernel::begin_window`] pages in each window's tile, and the
 /// rescale runs tile-at-a-time, scattering into a ping-pong file region in
 /// the next mode's order. The per-row arithmetic
-/// (`cache::cached_delta_for_entry`, `cache::rescale_entry_row`) is shared
+/// (`cache::cached_delta_for_block`, `cache::rescale_entry_row`) is shared
 /// between both placements, so resident, hybrid-spilled and fully spilled
 /// fits agree **bitwise**.
+///
+/// The sweep is entry-blocked like Direct's ([`CachedKernel::update_row_lanes`]
+/// at [`LANES`]): it was bound by each run's sum → divide → δ-slot chain,
+/// not by the table's bandwidth. After the lanes the rescale is the largest
+/// span of a Cache iteration, and that one *is* bandwidth-bound — which is
+/// why Cache stays ≥ 1.2× behind the memoized Direct kernel at 22× its
+/// memory, and stays here as the paper-faithful reference (Theorems 5/6)
+/// rather than the fast path (`crate::cache` module docs have the numbers).
 #[derive(Debug, Default)]
 pub struct CachedKernel {
     table: Option<AnyTable>,
@@ -702,6 +729,36 @@ impl CachedKernel {
     /// A kernel whose table is computed on `prepare_fit`.
     pub fn new() -> Self {
         CachedKernel::default()
+    }
+
+    /// The Cache row update at an explicit block width `E ≤` [`LANES`]:
+    /// [`RowUpdateKernel::update_row`] is `E = LANES`, and `E = 1` is the
+    /// single-entry loop every lane reproduces bit for bit — public so the
+    /// `cache_mode_cycle` bench can price the widths against each other
+    /// through the real row routine. The entries of a block sit in the same
+    /// factor row, so they share the old row values, each run's δ slot and
+    /// its divisor; each lane reads its own `Pres` row (a gather through
+    /// the stream's entry id on a resident table, the window's tile row on
+    /// a spilled one). One precision dispatch per row; the block loop below
+    /// it is monomorphized per element type.
+    ///
+    /// # Panics
+    /// Panics if [`RowUpdateKernel::prepare_fit`] has not built the table.
+    pub fn update_row_lanes<const E: usize>(
+        &self,
+        ctx: &ModeContext<'_>,
+        scratch: &mut Scratch,
+        i: usize,
+        row: &mut [f64],
+    ) -> bool {
+        match self
+            .table
+            .as_ref()
+            .expect("CachedKernel::prepare_fit must run before update_row")
+        {
+            AnyTable::F64(t) => t.update_row::<E>(ctx, scratch, i, row),
+            AnyTable::F32(t) => t.update_row::<E>(ctx, scratch, i, row),
+        }
     }
 }
 
@@ -746,20 +803,7 @@ impl RowUpdateKernel for CachedKernel {
         i: usize,
         row: &mut [f64],
     ) -> bool {
-        let table = self
-            .table
-            .as_ref()
-            .expect("CachedKernel::prepare_fit must run before update_row");
-        // One entry per block: the cached δ is a gather through the
-        // entry's own Pres row, with nothing to share between entries.
-        run_row::<1>(ctx, scratch, i, row, |delta, block, old_row| {
-            let pos = block[0];
-            let others = ctx.stream.others(pos);
-            match table {
-                AnyTable::F64(t) => t.delta(ctx, delta, pos, others, old_row),
-                AnyTable::F32(t) => t.delta(ctx, delta, pos, others, old_row),
-            }
-        })
+        self.update_row_lanes::<LANES>(ctx, scratch, i, row)
     }
 
     fn post_mode(
@@ -1206,6 +1250,78 @@ mod tests {
                                 b.to_bits(),
                                 "memo {memoize} stride {stride} mode {mode} row {i}"
                             );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The Cache twin of the test above: rows of 1..=2·LANES+1 entries, so
+    /// every leftover count occurs, swept at stride 1 and 3, on a resident
+    /// table (row gather) and a spilled one (tile rows), f64 and f32
+    /// elements — the block-fed row loop solves to the bits of the
+    /// one-entry-at-a-time loop, and `update_row` is the `LANES`-wide one.
+    #[test]
+    fn cached_blocked_row_loop_is_bitwise_the_single_entry_loop() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let rows = 2 * LANES + 1;
+        let mut entries = Vec::new();
+        for i in 0..rows {
+            // Row `i` of mode 0 holds `i + 1` entries.
+            for k in 0..=i {
+                entries.push((vec![i, k % 5, (k / 5) % 3], rng.gen::<f64>() - 0.5));
+            }
+        }
+        let x = SparseTensor::new(vec![rows, 5, 3], entries).unwrap();
+        let factors: Vec<Matrix> = [rows, 5, 3]
+            .iter()
+            .map(|&d| {
+                Matrix::from_vec(d, 3, (0..d * 3).map(|_| rng.gen::<f64>()).collect()).unwrap()
+            })
+            .collect();
+        let core = CoreTensor::random_dense(vec![3, 3, 3], &mut rng).unwrap();
+        let plan = ModeStreams::build(&x).unwrap();
+        let runs = RunPlan::new(&core);
+        let input = FitInput::from(&x);
+        for precision in [StoragePrecision::F64, StoragePrecision::F32] {
+            for spill_aux in [false, true] {
+                for stride in [1, 3] {
+                    let opts = FitOptions::new(vec![3, 3, 3])
+                        .lambda(0.01)
+                        .precision(precision)
+                        .sample_stride(stride);
+                    let mut sweep = plan.sweep_source(0, usize::MAX, false);
+                    let mut cached = CachedKernel::new();
+                    cached
+                        .prepare_fit(&input, &factors, &core, &opts, &mut sweep, spill_aux)
+                        .unwrap();
+                    let mut scratch = Scratch::for_options(&opts);
+                    // A spilled table sits in mode 0's order until a
+                    // rescale carries it on (the fit suites do that): mode 0
+                    // only. The entry-ordered resident table serves every
+                    // mode as it stands.
+                    for mode in 0..if spill_aux { 1 } else { 3 } {
+                        sweep.rewind(mode);
+                        let w = sweep.next_window().unwrap().unwrap();
+                        cached.begin_window(&w).unwrap();
+                        let ctx =
+                            ModeContext::for_view(w.stream, &factors, &core, &runs, mode, &opts);
+                        for i in 0..x.dims()[mode] {
+                            let mut single = factors[mode].row(i).to_vec();
+                            let mut blocked = single.clone();
+                            let mut shipped = single.clone();
+                            cached.update_row_lanes::<1>(&ctx, &mut scratch, i, &mut single);
+                            cached.update_row_lanes::<LANES>(&ctx, &mut scratch, i, &mut blocked);
+                            cached.update_row(&ctx, &mut scratch, i, &mut shipped);
+                            for ((a, b), c) in single.iter().zip(&blocked).zip(&shipped) {
+                                assert_eq!(
+                                    (a.to_bits(), a.to_bits()),
+                                    (b.to_bits(), c.to_bits()),
+                                    "{precision:?} spilled {spill_aux} stride {stride} mode \
+                                     {mode} row {i}"
+                                );
+                            }
                         }
                     }
                 }

@@ -88,7 +88,12 @@
 //!   where they lie, with the `a_new/a_old` quotient formed once per
 //!   column of the updated row. The table is never permuted and has no
 //!   second buffer, so Theorem 6's memory bound holds as stated; only the
-//!   spilled table (a file has no cheap gather) is stream-ordered.
+//!   spilled table (a file has no cheap gather) is stream-ordered. Its
+//!   sweep is entry-blocked too: [`engine::LANES`] `Pres` rows of a factor
+//!   row per walk of the core's runs (their sum → divide chains overlap;
+//!   the last mode's δ sits in a `J_N`-wide divide tile), each lane bit
+//!   for bit the one-entry loop — the sweep was bound by that chain, not
+//!   by the table's bandwidth (`cache.rs` has the roofline).
 //! * **Scratch** ([`engine::Scratch`]): a per-thread arena holding every
 //!   per-row intermediate (δ, `c`, the `B` triangle, the solver workspace
 //!   and pivots). One arena is allocated per worker at fit start — metered

@@ -67,7 +67,8 @@
 //!   one walk of the core's runs with every accumulator in a local, each
 //!   lane bit for bit the one-entry walk. The Cached variant keeps its resident
 //!   `Pres` table in COO entry order for the whole fit (a per-entry row
-//!   gather in the sweep, one in-place parallel rescale per mode — the
+//!   gather in the sweep — four rows of a factor row per walk, like the
+//!   Direct lanes —, one in-place parallel rescale per mode — the
 //!   table is never permuted). When the working set exceeds the memory
 //!   budget, `PTucker::fit` switches to the **out-of-core driver**: the plan and
 //!   the Pres table spill to scratch files and every mode sweep runs
