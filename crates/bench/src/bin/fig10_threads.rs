@@ -17,12 +17,36 @@
 //! NOTE: on a single-core machine the speed-up curve necessarily
 //! degenerates to ~1×; the harness still reports the measured curve and the
 //! per-thread memory accounting, which is hardware-independent.
+//!
+//! Every run of each sweep computes the same thing, and the harness asserts
+//! it: row updates read only their own slices and the per-iteration error is
+//! the row-order sum of mode `N−1`'s per-row residuals, so the per-iteration
+//! errors and factors are one bit pattern at every thread count and under
+//! both schedules.
 
-use ptucker::{FitOptions, PTucker, Schedule};
+use ptucker::{FitOptions, FitResult, PTucker, Schedule};
 use ptucker_bench::{print_header, HarnessArgs};
 use ptucker_datagen::{realworld, uniform_sparse};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The bits every run of a sweep must share: its per-iteration errors and
+/// its factors.
+fn trajectory_bits(fit: &FitResult) -> Vec<u64> {
+    let errors = fit.stats.iterations.iter().map(|s| s.reconstruction_error);
+    let factors = fit.decomposition.factors.iter().flat_map(|f| f.as_slice());
+    errors.chain(factors.copied()).map(f64::to_bits).collect()
+}
+
+/// Panics unless `fit` walked the sweep's first run's trajectory bitwise.
+fn assert_same_trajectory(first: &mut Option<Vec<u64>>, fit: &FitResult, run: &str) {
+    let bits = trajectory_bits(fit);
+    let want = first.get_or_insert_with(|| bits.clone());
+    assert!(
+        *want == bits,
+        "{run}: per-iteration errors or factors differ from the sweep's first run"
+    );
+}
 
 fn main() {
     let args = HarnessArgs::parse(1.0);
@@ -48,6 +72,7 @@ fn main() {
         "  T    time/iter    speedup T1/TT    peak intermediates",
     );
     let mut t1 = None;
+    let mut first = None;
     for t in 1..=max_t {
         let fit = PTucker::new(
             FitOptions::new(ranks.clone())
@@ -60,6 +85,7 @@ fn main() {
         .expect("options")
         .fit(&x)
         .expect("fit");
+        assert_same_trajectory(&mut first, &fit, &format!("T = {t}"));
         let ti = fit.stats.avg_seconds_per_iter();
         let t1v = *t1.get_or_insert(ti);
         println!(
@@ -69,6 +95,7 @@ fn main() {
         );
     }
     println!("(hardware threads available here: {hw})");
+    println!("every thread count walked one trajectory: per-iteration errors and factors bitwise");
 
     // --- Section IV-D: dynamic vs. naive static scheduling ------------
     let mut rng = StdRng::seed_from_u64(args.seed + 1);
@@ -80,6 +107,7 @@ fn main() {
         "Sec IV-D: dynamic vs nnz-balanced static on skewed MovieLens slices",
         "schedule         time/iter",
     );
+    let mut first = None;
     for (name, sched) in [
         ("dynamic      ", Schedule::dynamic()),
         ("balanced stat", Schedule::Static),
@@ -96,8 +124,10 @@ fn main() {
         .expect("options")
         .fit(&skewed)
         .expect("fit");
+        assert_same_trajectory(&mut first, &fit, name.trim());
         println!("{name}    {:>8.4}s", fit.stats.avg_seconds_per_iter());
     }
+    println!("both schedules walked one trajectory: per-iteration errors and factors bitwise");
     println!(
         "(paper: dynamic ~1.5x faster than a naive equal-row-count static split on 20 \
          threads; the engine's static is now nnz-balanced, so near-parity with dynamic \

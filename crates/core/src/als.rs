@@ -23,8 +23,8 @@
 //!   themselves never become resident: the plan is built from a
 //!   [`CooScratch`] file by external sort
 //!   ([`ModeStreams::build_external`]), and every whole-tensor pass (the
-//!   residual, the Approx `R(β)` ranking, the core refit, the checkpoint
-//!   fingerprint) walks bounded COO segments of it.
+//!   exact residual, the Approx `R(β)` ranking, the core refit, the
+//!   checkpoint fingerprint) walks bounded COO segments of it.
 //!
 //! The per-row kernel code, the RNG sequence, the error measurement and
 //! the convergence test are byte-identical across placements, so spilled
@@ -32,17 +32,33 @@
 //! [`BudgetPolicy::Strict`] the gate is bypassed, every reservation is
 //! checked, and overflow surfaces as the paper's O.O.M. outcome.
 //!
+//! **The per-iteration error is not a pass.** Algorithm 2 line 4 measures
+//! it right after mode `N−1`'s update, with the factors and core that
+//! update just used — and Theorem 1's row update (Eq. 9) has then just
+//! built `B_i = Σ δδᵀ` and `c_i = Σ x·δ` for every row `i` of that mode.
+//! Row `i`'s squared residual is `‖x_i‖² − 2·a_i·c_i + a_iᵀ B_i a_i`, at
+//! `O(J²)` per row ([`Scratch::row_sse`]); the sweep writes it into an
+//! `I_N`-long [`RowSse`] buffer by global row (so windows and shards write
+//! disjoint slots) and the fit loop sums the buffer in row order — the same
+//! bits at every thread count, schedule, window partition and worker
+//! count. The exact pass ([`sum_squared_error`]) runs only **by rule**:
+//! on a `sample_stride > 1` fit (`B` and `c` are then a sample's), on an
+//! `f32`-storage fit (the plan's values are quantized, the error is
+//! defined on the `f64` entries), and whenever the folded sum fails the
+//! cancellation guard (negative, or below `2⁻²⁰·Σx²` — a near-perfect
+//! fit). `final_error` is always the exact pass, after QR.
+//!
 //! Each whole-tensor pass is written **once**, over the statically blocked
 //! [`FitInput::fold_entries`] — the same bits from a resident tensor and a
 //! scratch file, under every [`FitOptions::schedule`] (which steers only
-//! the `|Ω_i|`-skewed row sweeps). The reconstruction-error pass reads only
-//! COO and the model — never the plan or a window — so spilled fits compute
-//! the residual without materializing anything; its inner loop is the
-//! run-blocked [`RunPlan::reconstruct`] micro-kernel.
+//! the `|Ω_i|`-skewed row sweeps). The exact reconstruction-error pass
+//! reads only COO and the model — never the plan or a window — so spilled
+//! fits compute the residual without materializing anything; its inner
+//! loop is the run-blocked [`RunPlan::reconstruct`] micro-kernel.
 //!
 //! The driver also owns the one piece of state *derived from the model*:
 //! the core's [`RunPlan`] (`FitRuns`), built once per core and borrowed by
-//! every sweep, window and error pass, carrying the **tail-dot table**
+//! every sweep, window and exact error pass, carrying the **tail-dot table**
 //! whenever the size rule (`tail_table_bytes`) and the budget admit it —
 //! refreshed after mode `N−1`'s update, after a truncating `post_iter`,
 //! after a resume and after the final QR; never checkpointed.
@@ -52,9 +68,9 @@ use crate::delta::{solve_row, ResidualLanes, RunPlan, LANES, MAX_PREFIX_ORDER};
 use crate::engine::{
     ApproxKernel, CachedKernel, DirectKernel, ModeContext, RowUpdateKernel, Scratch,
 };
-use crate::sync::{FitSync, LocalSync};
+use crate::sync::{FitSync, LocalSync, Resweep, RowSse};
 use crate::{
-    FitInput, FitOptions, FitResult, FitStats, IterStats, PtuckerError, Result,
+    FitInput, FitOptions, FitResult, FitStats, IterStats, PtuckerError, Result, StoragePrecision,
     TuckerDecomposition, Variant,
 };
 use ptucker_linalg::Matrix;
@@ -319,9 +335,9 @@ impl Placement {
 }
 
 /// Bytes the fit keeps resident regardless of the spill decision: the
-/// mode-major plan, the per-thread scratch arenas (Theorem 4), and the
-/// Approx variant's per-thread `R(β)` buffers (tiny; not worth a spilled
-/// representation).
+/// mode-major plan, the per-thread scratch arenas (Theorem 4), the folded
+/// error's per-row buffer, and the Approx variant's per-thread `R(β)`
+/// buffers (tiny; not worth a spilled representation).
 fn resident_floor_bytes(dims: &[usize], nnz: usize, opts: &FitOptions) -> usize {
     let g: usize = opts.ranks.iter().product();
     let j_max = opts.ranks.iter().copied().max().unwrap_or(1);
@@ -332,7 +348,52 @@ fn resident_floor_bytes(dims: &[usize], nnz: usize, opts: &FitOptions) -> usize 
     };
     ModeStreams::bytes_for_dims(dims, nnz, opts.precision)
         .saturating_add(scratch)
+        .saturating_add(row_sse_bytes(dims, opts))
         .saturating_add(aux)
+}
+
+/// Where the per-iteration error comes from — a rule, not an option: it
+/// folds into mode `N−1`'s normal equations unless the fit samples its
+/// rows' entries (`sample_stride > 1`: `B` and `c` are then a sample's, not
+/// the row's) or stores `f32` values (the plan's values are quantized once
+/// at build, while the error is defined on the `f64` entries — a ~1e-6
+/// relative gap). Those fits keep the exact pass.
+fn folds_error(opts: &FitOptions) -> bool {
+    opts.sample_stride <= 1 && opts.precision == StoragePrecision::F64
+}
+
+/// Bytes of the folded error's per-row buffer: one double per row of mode
+/// `N−1`, or 0 when [`folds_error`] says the exact pass runs instead.
+fn row_sse_bytes(dims: &[usize], opts: &FitOptions) -> usize {
+    match dims.last() {
+        Some(&rows) if folds_error(opts) => rows * std::mem::size_of::<f64>(),
+        _ => 0,
+    }
+}
+
+/// The cancellation guard on the folded error: a sum of row residuals
+/// below `2⁻²⁰·Σx²` (a near-perfect fit) is mostly the rounding of the
+/// `‖x_i‖² − 2·a_i·c_i + a_iᵀ B_i a_i` cancellation, so such an iteration
+/// takes the exact pass.
+const FOLD_GUARD: f64 = 1.0 / (1u64 << 20) as f64;
+
+/// The per-iteration error folded into mode `N−1`'s normal equations (see
+/// the module docs): the per-row buffer the last mode's sweep fills, the
+/// guard's scale `Σx²`, and the buffer's booking on the budget.
+struct FoldedError {
+    rows: RowSse,
+    sum_sq: f64,
+    _booking: Reservation,
+}
+
+impl FoldedError {
+    /// The iteration's sum of squared residuals, summed in row order — or
+    /// `None` when the guard sends it to the exact pass (negative, NaN, or
+    /// below [`FOLD_GUARD`]`·Σx²`).
+    fn sse(&self) -> Option<f64> {
+        let sse = self.rows.total();
+        (sse >= FOLD_GUARD * self.sum_sq).then_some(sse)
+    }
 }
 
 /// Bytes of the Cache variant's `|Ω|×|G|` table — the one piece of
@@ -544,6 +605,23 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
         .map(|_| Scratch::new(j_max))
         .collect();
 
+    // The folded error's per-row buffer (`I_N` doubles), booked like the
+    // arenas: part of the resident floor.
+    let folded = if folds_error(opts) {
+        let bytes = row_sse_bytes(dims, opts);
+        Some(FoldedError {
+            rows: RowSse::new(dims[order - 1]),
+            sum_sq: input.sum_sq(),
+            _booking: if place.spill_plan {
+                opts.budget.reserve_unchecked(bytes)
+            } else {
+                opts.budget.reserve(bytes)?
+            },
+        })
+    } else {
+        None
+    };
+
     // A spilled Pres table carries the one inverse entry map of the fit
     // (|Ω| words, for its reorder scatter): part of the out-of-core floor,
     // booked before the window capacity is cut from what is left.
@@ -719,6 +797,7 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
                 &mut scratch_pool,
                 &mut sweep,
                 sync,
+                folded.as_ref().filter(|_| n == order - 1).map(|f| &f.rows),
             )?;
             if n == order - 1 {
                 // The tail factor moved: the table every other mode's
@@ -728,11 +807,18 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
             kernel.post_mode(input, &factors, n, &core, opts, &mut sweep)?;
         }
 
-        // Step 4: reconstruction error (Algorithm 2 line 4), parallel
-        // with static scheduling (Section III-D, section 3). COO-based on
-        // every placement — the bitwise spilled ≡ resident guarantee
-        // depends on the error being window-independent.
-        let err = sum_squared_error(input, &factors, &core, &runs.plan, opts.threads)?.sqrt();
+        // Step 4: reconstruction error (Algorithm 2 line 4). Folded: the
+        // row-order sum of the residuals mode N−1's sweep just left in the
+        // per-row buffer — no pass over the entries. By rule (stride or
+        // precision, or the cancellation guard) the exact pass instead,
+        // statically blocked (Section III-D) and COO-based on every
+        // placement. Either way window-independent, which the bitwise
+        // spilled ≡ resident guarantee depends on.
+        let sse = match folded.as_ref().and_then(FoldedError::sse) {
+            Some(sse) => sse,
+            None => sum_squared_error(input, &factors, &core, &runs.plan, opts.threads)?,
+        };
+        let err = sse.sqrt();
 
         // Step 5: per-iteration kernel hook — Approx truncation
         // (Algorithm 2 lines 5–6).
@@ -797,6 +883,7 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
     drop(kernel);
     drop(scratch_pool);
     drop(sweep);
+    drop(folded);
 
     finish_fit(
         input, factors, core, runs, opts, iterations, converged, prefetch, io_read0, io_write0,
@@ -892,7 +979,9 @@ fn init_factors(dims: &[usize], ranks: &[usize], rng: &mut StdRng) -> Vec<Matrix
 /// same kernel, schedule, scratch arenas and window mechanics — serves
 /// both the main owned-range sweep and the `resweep` callback handed to
 /// [`FitSync::sync_factor`] (a fault-tolerant coordinator re-covering a
-/// dead peer's rows bitwise). Returns whether every solve succeeded.
+/// dead peer's rows bitwise). With `row_sse` (mode `N−1` of a folding
+/// fit) each row's squared residual goes into its global slot straight
+/// after its solve. Returns whether every solve succeeded.
 #[allow(clippy::too_many_arguments)]
 fn sweep_rows<K: RowUpdateKernel>(
     factors: &[Matrix],
@@ -903,6 +992,7 @@ fn sweep_rows<K: RowUpdateKernel>(
     scratch_pool: &mut [Scratch],
     sweep: &mut SweepSource<'_>,
     runs: &RunPlan,
+    row_sse: Option<&RowSse>,
     rows: Range<usize>,
     j_n: usize,
     data: &mut [f64],
@@ -913,6 +1003,7 @@ fn sweep_rows<K: RowUpdateKernel>(
         kernel.begin_window(&w)?;
         let k: &K = kernel;
         let ctx = ModeContext::for_view(w.stream, factors, core, runs, mode, opts);
+        let first_row = w.slices.start;
         let window_rows = &mut data[w.slices.start * j_n..w.slices.end * j_n];
         parallel_rows_mut_scheduled(
             window_rows,
@@ -924,6 +1015,9 @@ fn sweep_rows<K: RowUpdateKernel>(
             |scratch, r, row| {
                 if !k.update_row(&ctx, scratch, r, row) {
                     solve_failed.store(true, Ordering::Relaxed);
+                }
+                if let Some(sse) = row_sse {
+                    sse.set(first_row + r, scratch.row_sse(row));
                 }
             },
         );
@@ -943,6 +1037,7 @@ fn update_factor<K: RowUpdateKernel, S: FitSync>(
     scratch_pool: &mut [Scratch],
     sweep: &mut SweepSource<'_>,
     sync: &mut S,
+    row_sse: Option<&RowSse>,
 ) -> Result<()> {
     let j_n = opts.ranks[mode];
     // The rows this process owns: everything on a single-process fit, a
@@ -965,22 +1060,25 @@ fn update_factor<K: RowUpdateKernel, S: FitSync>(
         scratch_pool,
         sweep,
         runs,
+        row_sse,
         owned,
         j_n,
         &mut data,
     )?;
-    // All-reduce point: trade the owned rows for the merged factor before
+    // All-reduce point: trade the owned rows (and, on mode N−1 of a
+    // folding fit, their squared residuals) for the merged factor before
     // it is installed for the next mode's δ products. No-op (and
     // `local_ok` always observed true → still an error below) on a
     // single-process fit; the distributed hook overwrites `data` and
-    // surfaces any *peer's* failed solve as its own error, so every
-    // process abandons the fit together. The `resweep` callback hands the
-    // sync layer this same sweep engine, restricted to arbitrary row
-    // ranges — a fault-tolerant coordinator covers a dead peer's rows
-    // with it, bitwise identically to the peer's own sweep.
+    // `row_sse` and surfaces any *peer's* failed solve as its own error,
+    // so every process abandons the fit together. The `Resweep` handle
+    // gives the sync layer this same sweep engine, restricted to arbitrary
+    // row ranges — a fault-tolerant coordinator covers a dead peer's rows
+    // with it, bitwise identically to the peer's own sweep, residuals
+    // included.
     {
         let shared: &[Matrix] = factors;
-        let mut resweep = |rows: Range<usize>, buf: &mut [f64]| {
+        let mut engine = |rows: Range<usize>, buf: &mut [f64]| {
             sweep_rows(
                 shared,
                 mode,
@@ -990,11 +1088,13 @@ fn update_factor<K: RowUpdateKernel, S: FitSync>(
                 scratch_pool,
                 sweep,
                 runs,
+                row_sse,
                 rows,
                 j_n,
                 buf,
             )
         };
+        let mut resweep = Resweep::new(&mut engine, row_sse);
         sync.sync_factor(mode, j_n, &mut data, local_ok, &mut resweep)?;
     }
     factors[mode] = Matrix::from_vec(i_n, j_n, data)?;
@@ -1007,10 +1107,11 @@ fn update_factor<K: RowUpdateKernel, S: FitSync>(
 }
 
 /// Sum of squared residuals `Σ_{α∈Ω} (X_α − x̂_α)²` without materializing a
-/// decomposition (borrowed factors/core; used inside the fit loop), over
-/// the input's statically blocked entry fold — deterministic at every
-/// thread count, and the same bits from a resident tensor and a scratch
-/// file.
+/// decomposition (borrowed factors/core): the fit's `final_error`, and its
+/// per-iteration error wherever [`folds_error`] or the guard rules the
+/// folded sum out. Over the input's statically blocked entry fold —
+/// deterministic at a given thread count, and the same bits from a
+/// resident tensor and a scratch file.
 ///
 /// The reconstruction inner loop is the run-blocked micro-kernel
 /// ([`RunPlan::reconstruct`]): one shared head product per run of
@@ -1824,28 +1925,30 @@ mod tests {
         Some(false)
     }
 
-    /// **Frozen trajectory.** The per-iteration errors of a small Direct
-    /// fit, pinned to the bits the kernels produced *before* the tail
-    /// contraction was memoized (captured at the parent commit, once per
-    /// kernel tier). The bitwise suites prove placements agree with each
-    /// other; this proves the whole family has not drifted — a later
+    /// **Frozen trajectory.** The per-iteration errors and `final_error` of
+    /// a small Direct fit, once per kernel tier. `final_error` keeps the
+    /// bits the kernels produced *before* the tail contraction was
+    /// memoized; the per-iteration errors were re-frozen once, on purpose,
+    /// when they became the row-order sum of mode `N−1`'s folded residuals
+    /// (last-ulp moves). The bitwise suites prove placements agree with
+    /// each other; this proves the whole family has not drifted — a later
     /// kernel change that reassociates one sum fails here first.
     #[test]
     fn direct_fit_trajectory_is_frozen() {
         const SCALAR: [u64; 6] = [
-            0x3fdfc3b91fe72125,
-            0x3fd191425b14967a,
-            0x3fd1407f9ff35bcc,
-            0x3fd111923f9e2e2b,
-            0x3fd0fe4619f0fea6,
+            0x3fdfc3b91fe7214d,
+            0x3fd191425b149640,
+            0x3fd1407f9ff35bd7,
+            0x3fd111923f9e2de5,
+            0x3fd0fe4619f0fea2,
             0x3fd0fe4619f0fea3,
         ];
         const FMA: [u64; 6] = [
-            0x3fdfc3b91fe72126,
-            0x3fd191425b149670,
-            0x3fd1407f9ff35b96,
-            0x3fd111923f9e2e7f,
-            0x3fd0fe4619f0febf,
+            0x3fdfc3b91fe72112,
+            0x3fd191425b149678,
+            0x3fd1407f9ff35b77,
+            0x3fd111923f9e2ea6,
+            0x3fd0fe4619f0fecc,
             0x3fd0fe4619f0fec2,
         ];
         let Some(fma) = fma_tier() else { return };
@@ -1865,8 +1968,391 @@ mod tests {
         assert_eq!(hex(&got), hex(&want), "fma tier: {fma}");
     }
 
+    /// The first invariant reduction (ROADMAP item 2): a row update reads
+    /// only its own slice and the folded error is summed in row order, so
+    /// Direct and Cache fits at threads ∈ {1, 2, 3, 8} × {static, dynamic}
+    /// walk one bit pattern of per-iteration errors and factors.
+    /// (`final_error` is the exact pass, whose blocks still follow the
+    /// thread count.)
+    #[test]
+    fn trajectories_are_thread_and_schedule_invariant() {
+        let x = planted();
+        for variant in [Variant::Default, Variant::Cache] {
+            let fit = |threads: usize, schedule: crate::Schedule| {
+                let opts = base_opts()
+                    .max_iters(3)
+                    .variant(variant)
+                    .threads(threads)
+                    .schedule(schedule);
+                PTucker::new(opts).unwrap().fit(&x).unwrap()
+            };
+            let base = fit(1, crate::Schedule::Static);
+            for threads in [1, 2, 3, 8] {
+                for schedule in [crate::Schedule::Static, crate::Schedule::dynamic()] {
+                    let tag = format!("{variant:?} T {threads} {schedule:?}");
+                    let got = fit(threads, schedule);
+                    assert_eq!(got.stats.iterations.len(), base.stats.iterations.len());
+                    for (a, b) in base.stats.iterations.iter().zip(&got.stats.iterations) {
+                        assert_eq!(
+                            a.reconstruction_error.to_bits(),
+                            b.reconstruction_error.to_bits(),
+                            "{tag} iter {}",
+                            a.iter
+                        );
+                    }
+                    for (fa, fb) in base
+                        .decomposition
+                        .factors
+                        .iter()
+                        .zip(&got.decomposition.factors)
+                    {
+                        for (va, vb) in fa.as_slice().iter().zip(fb.as_slice()) {
+                            assert_eq!(va.to_bits(), vb.to_bits(), "{tag} factors");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The per-row residuals a fit's last-mode sweeps handed the sync
+    /// layer, one buffer per iteration (none when the exact pass is ruled
+    /// in).
+    #[derive(Default)]
+    struct RowSseTap(Vec<Vec<f64>>);
+
+    impl FitSync for RowSseTap {
+        fn sync_factor(
+            &mut self,
+            _mode: usize,
+            _j_n: usize,
+            _data: &mut [f64],
+            _local_ok: bool,
+            resweep: &mut Resweep<'_>,
+        ) -> Result<()> {
+            if let Some(sse) = resweep.row_sse() {
+                self.0.push(sse.to_vec(0..sse.len()));
+            }
+            Ok(())
+        }
+    }
+
+    /// The exact residuals of the model an iteration's error was measured
+    /// on: per row of mode `N−1` by brute force (with each row's `‖x_i‖²`),
+    /// and in total through [`sum_squared_error`] as the fit would call it.
+    struct Exact {
+        rows: Vec<f64>,
+        xx: Vec<f64>,
+        total: f64,
+    }
+
+    /// Delegates every hook to `inner`; `post_iter` — which `run_fit` calls
+    /// with exactly the factors and core it measured the iteration's error
+    /// on, before any truncation — logs the [`Exact`] residuals first.
+    struct ExactTap<'a, K> {
+        inner: K,
+        log: &'a std::sync::Mutex<Vec<Exact>>,
+    }
+
+    impl<K: RowUpdateKernel> RowUpdateKernel for ExactTap<'_, K> {
+        fn prepare_fit(
+            &mut self,
+            x: &FitInput<'_>,
+            factors: &[Matrix],
+            core: &CoreTensor,
+            opts: &FitOptions,
+            sweep: &mut SweepSource<'_>,
+            spill_aux: bool,
+        ) -> Result<()> {
+            self.inner
+                .prepare_fit(x, factors, core, opts, sweep, spill_aux)
+        }
+
+        fn prepare_mode(&mut self, factors: &[Matrix], mode: usize) -> Result<()> {
+            self.inner.prepare_mode(factors, mode)
+        }
+
+        fn begin_window(&mut self, w: &ptucker_tensor::Window<'_>) -> Result<()> {
+            self.inner.begin_window(w)
+        }
+
+        fn update_row(
+            &self,
+            ctx: &ModeContext<'_>,
+            scratch: &mut Scratch,
+            i: usize,
+            row: &mut [f64],
+        ) -> bool {
+            self.inner.update_row(ctx, scratch, i, row)
+        }
+
+        fn post_mode(
+            &mut self,
+            x: &FitInput<'_>,
+            factors: &[Matrix],
+            mode: usize,
+            core: &CoreTensor,
+            opts: &FitOptions,
+            sweep: &mut SweepSource<'_>,
+        ) -> Result<()> {
+            self.inner.post_mode(x, factors, mode, core, opts, sweep)
+        }
+
+        fn post_iter(
+            &mut self,
+            x: &FitInput<'_>,
+            factors: &[Matrix],
+            core: &mut CoreTensor,
+            opts: &FitOptions,
+        ) -> Result<bool> {
+            let runs = RunPlan::new(core);
+            let last = x.order() - 1;
+            let mut rows = vec![0.0; x.dims()[last]];
+            let mut xx = vec![0.0; x.dims()[last]];
+            x.for_each_entry(0..x.nnz(), |idx, v| {
+                let r = v - runs.reconstruct(idx, core, factors);
+                rows[idx[last]] += r * r;
+                xx[idx[last]] += v * v;
+            })?;
+            let total = sum_squared_error(x, factors, core, &runs, opts.threads)?;
+            self.log.lock().unwrap().push(Exact { rows, xx, total });
+            self.inner.post_iter(x, factors, core, opts)
+        }
+
+        fn save_aux(&self, plan: &ModeStreams, out: &mut Vec<u8>) -> Result<()> {
+            self.inner.save_aux(plan, out)
+        }
+
+        fn load_aux(&mut self, plan: &ModeStreams, bytes: &[u8]) -> Result<()> {
+            self.inner.load_aux(plan, bytes)
+        }
+    }
+
+    /// Runs `kernel` — the one `opts.variant` dispatches to — with both
+    /// taps: the fit, the folded per-row residuals of every iteration, and
+    /// the exact residuals of every iteration's model.
+    fn fit_tapped<K: RowUpdateKernel>(
+        input: &FitInput<'_>,
+        opts: &FitOptions,
+        kernel: K,
+    ) -> (FitResult, Vec<Vec<f64>>, Vec<Exact>) {
+        let log = std::sync::Mutex::new(Vec::new());
+        let mut tap = RowSseTap::default();
+        let fit = run_fit(
+            input,
+            opts,
+            ExactTap {
+                inner: kernel,
+                log: &log,
+            },
+            &mut tap,
+            None,
+        )
+        .unwrap();
+        (fit, tap.0, log.into_inner().unwrap())
+    }
+
+    /// [`fit_tapped`] with the kernel `opts.variant` dispatches to.
+    fn fit_tapped_variant(
+        input: &FitInput<'_>,
+        opts: &FitOptions,
+    ) -> (FitResult, Vec<Vec<f64>>, Vec<Exact>) {
+        match opts.variant {
+            Variant::Default => fit_tapped(input, opts, DirectKernel),
+            Variant::Cache => fit_tapped(input, opts, CachedKernel::new()),
+            Variant::Approx { truncation_rate } => {
+                fit_tapped(input, opts, ApproxKernel::new(truncation_rate))
+            }
+        }
+    }
+
+    /// Every iteration's error is bitwise the exact pass on its model, and
+    /// no per-row buffer was handed out: the rule kept the exact pass.
+    fn assert_exact_pass_taken(fit: &FitResult, folded: &[Vec<f64>], exact: &[Exact], tag: &str) {
+        assert!(folded.is_empty(), "{tag}: the error must not fold");
+        assert_eq!(exact.len(), fit.stats.iterations.len(), "{tag}");
+        for (it, ex) in fit.stats.iterations.iter().zip(exact) {
+            assert_eq!(
+                it.reconstruction_error.to_bits(),
+                ex.total.sqrt().to_bits(),
+                "{tag} iter {}",
+                it.iter
+            );
+        }
+    }
+
+    /// The rule's two fixed arms: a `sample_stride = 3` fit (its `B` and
+    /// `c` are a sample's) and an `f32`-storage fit (the plan's values are
+    /// quantized) keep the exact pass — their per-iteration error is
+    /// bitwise a direct `sum_squared_error` call on the same model.
+    #[test]
+    fn sampled_and_f32_fits_keep_the_exact_error_pass() {
+        let x = planted();
+        for variant in [Variant::Default, Variant::Cache] {
+            for (tag, opts) in [
+                ("stride 3", base_opts().max_iters(3).sample_stride(3)),
+                (
+                    "f32",
+                    base_opts().max_iters(3).precision(StoragePrecision::F32),
+                ),
+            ] {
+                let opts = opts.variant(variant);
+                let (fit, folded, exact) = fit_tapped_variant(&FitInput::from(&x), &opts);
+                assert_exact_pass_taken(&fit, &folded, &exact, &format!("{variant:?} {tag}"));
+            }
+        }
+    }
+
+    /// The cancellation guard. On an exactly rank-(1, 1, 1), noise-free,
+    /// fully observed tensor one sweep of the modes already fits every
+    /// entry, and the folded `‖x_i‖² − 2·a_i·c_i + a_iᵀ B_i a_i` is then
+    /// nothing but rounding: every iteration whose residual falls below
+    /// `2⁻²⁰·Σx²` must take the exact pass — its error bitwise the exact
+    /// one — and the fit must reach that regime. Above it, the folded sum
+    /// stands within 1e-9.
+    #[test]
+    fn near_perfect_fits_take_the_exact_error_pass() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let dims = [8, 7, 6];
+        let cells = dims.iter().product();
+        let x = planted_lowrank(&dims, &[1, 1, 1], cells, 0.0, &mut rng).tensor;
+        let opts = FitOptions::new(vec![1, 1, 1])
+            .max_iters(4)
+            .tol(0.0)
+            .lambda(1e-12)
+            .threads(2)
+            .seed(33);
+        let input = FitInput::from(&x);
+        let (fit, folded, exact) = fit_tapped_variant(&input, &opts);
+        assert_eq!(folded.len(), fit.stats.iterations.len(), "the rule folds");
+        let floor = FOLD_GUARD * input.sum_sq();
+        let mut guarded = 0;
+        for (it, ex) in fit.stats.iterations.iter().zip(&exact) {
+            let err = it.reconstruction_error;
+            if ex.total < floor {
+                guarded += 1;
+                assert_eq!(err.to_bits(), ex.total.sqrt().to_bits(), "iter {}", it.iter);
+            } else {
+                let rel = (err * err - ex.total).abs() / ex.total;
+                assert!(rel < 1e-9, "iter {}: rel {rel}", it.iter);
+            }
+        }
+        let totals: Vec<f64> = exact.iter().map(|ex| ex.total).collect();
+        assert!(guarded > 0, "the fit never reached the guard: {totals:?}");
+    }
+
+    /// Folded ≡ exact within 1e-9 relative, per row and summed, for every
+    /// iteration of one fit. A row's tolerance is relative to its residual,
+    /// or to `1e-6·‖x_i‖²` when the row fits better than that — there the
+    /// folded value is the rounding of a cancellation (the summed error has
+    /// the guard for it).
+    fn assert_folded_matches_exact(
+        fit: &FitResult,
+        folded: &[Vec<f64>],
+        exact: &[Exact],
+        tag: &str,
+    ) {
+        let iters = fit.stats.iterations.len();
+        assert!(
+            folded.len() == iters && exact.len() == iters,
+            "{tag}: {iters} iterations, {} folded buffers, {} exact models",
+            folded.len(),
+            exact.len()
+        );
+        for ((it, rows), ex) in fit.stats.iterations.iter().zip(folded).zip(exact) {
+            for (i, (&f, (&e, &xx))) in rows.iter().zip(ex.rows.iter().zip(&ex.xx)).enumerate() {
+                assert!(
+                    (f - e).abs() <= 1e-9 * e.max(1e-6 * xx),
+                    "{tag} iter {} row {i}: folded {f} vs exact {e} (‖x_i‖² {xx})",
+                    it.iter
+                );
+            }
+            let err = it.reconstruction_error;
+            let rel = (err * err - ex.total).abs() / ex.total.max(f64::MIN_POSITIVE);
+            assert!(rel < 1e-9, "{tag} iter {}: summed rel {rel}", it.iter);
+        }
+    }
+
+    /// One folded-vs-exact case, its axes picked by `case` (a Latin-square
+    /// walk of 16 cases puts every order, variant, placement, λ and thread
+    /// count in some case): a small tensor of order 2..=5 — fully observed
+    /// at λ = 0 (the LU fallback's regime, where a short row is singular),
+    /// half observed (empty rows included) at λ = 0.01 — fitted by Direct,
+    /// Cache, Approx(0) or Approx(0.3) resident, spilled under a 1-byte
+    /// budget, hybrid (the Cache table alone spilled; the full spill for the
+    /// other kernels) or from a `CooScratch`, at 1 or 3 threads.
+    fn folded_case(seed: u64, case: usize) {
+        let order = 2 + case % 4;
+        let variant = [
+            Variant::Default,
+            Variant::Cache,
+            Variant::Approx {
+                truncation_rate: 0.0,
+            },
+            Variant::Approx {
+                truncation_rate: 0.3,
+            },
+        ][(case / 4) % 4];
+        let placement = (case + case / 4) % 4;
+        // A truncated core can leave some column of a mode's `δ` always 0
+        // — a singular `B` at λ = 0 — so Approx(0.3) keeps the ridge.
+        let lambda = match variant {
+            Variant::Approx { truncation_rate } if truncation_rate > 0.0 => 0.01,
+            _ => [0.0, 0.01][(case + case / 8) % 2],
+        };
+        let threads = [1, 3][(case / 2) % 2];
+        let mut rng = StdRng::seed_from_u64(seed ^ case as u64);
+        let dims: Vec<usize> = (0..order)
+            .map(|k| 3 + (seed >> (4 * k)) as usize % 3)
+            .collect();
+        let cells: usize = dims.iter().product();
+        let nnz = if lambda == 0.0 { cells } else { cells / 2 };
+        let x = planted_lowrank(&dims, &vec![2; order], nnz, 0.05, &mut rng).tensor;
+        let opts = FitOptions::new(vec![2; order])
+            .max_iters(3)
+            .tol(0.0)
+            .lambda(lambda)
+            .threads(threads)
+            .seed(seed)
+            .variant(variant);
+        let tag = format!("order {order} {variant:?} placement {placement} λ {lambda} T {threads}");
+        let budget = match placement {
+            0 => MemoryBudget::unlimited(),
+            2 if variant == Variant::Cache => MemoryBudget::new(
+                resident_floor_bytes(x.dims(), x.nnz(), &opts) + table_bytes(x.nnz(), &opts) / 2,
+            ),
+            _ => spill_budget(),
+        };
+        let opts = opts.budget(budget.clone());
+        let src;
+        let input = if placement == 3 {
+            src = CooScratch::from_tensor(&x, &budget).unwrap();
+            FitInput::from(&src)
+        } else {
+            FitInput::from(&x)
+        };
+        let (fit, folded, exact) = fit_tapped_variant(&input, &opts);
+        assert_eq!(
+            fit.stats.peak_spilled_bytes > 0,
+            placement != 0,
+            "{tag}: placement"
+        );
+        assert_folded_matches_exact(&fit, &folded, &exact, &tag);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
+
+        // Property: the per-iteration error folded into mode
+        // N−1's normal equations is the exact residual within 1e-9
+        // relative, per row and summed, across orders 2..=5, every kernel,
+        // every placement, λ ∈ {0, 0.01} and threads ∈ {1, 3}.
+        #[test]
+        fn folded_error_matches_the_exact_pass(seed in 0..u64::MAX) {
+            for case in 0..16 {
+                folded_case(seed, case);
+            }
+        }
 
         // Tentpole property: storage precision is orthogonal to placement.
         // An f32-storage fit quantizes each value exactly once at plan

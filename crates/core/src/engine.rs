@@ -7,7 +7,9 @@
 //!
 //! 1. **Zero heap allocations per row.** All per-row intermediates (the δ
 //!    vectors of one block of entries, the normal-equation accumulators
-//!    `B`/`c`, the solver workspace and pivot buffer) live in a
+//!    `B`/`c` and the row's `Σx²` — from which [`Scratch::row_sse`] reads
+//!    the row's squared residual after the solve —, the solver workspace
+//!    and pivot buffer) live in a
 //!    [`Scratch`] arena. One arena is
 //!    allocated per worker thread at the start of a fit — metered against
 //!    the [`ptucker_memtrack::MemoryBudget`] exactly as Theorem 4
@@ -81,6 +83,9 @@ pub struct Scratch {
     solve: Vec<f64>,
     /// Pivot swap buffer for the LU fallback, `j_max` entries.
     pivots: Vec<usize>,
+    /// `Σ X_α²` over the row's accumulated entries — with `B` and `c`, all
+    /// [`Scratch::row_sse`] needs.
+    xx: f64,
 }
 
 impl Scratch {
@@ -93,6 +98,7 @@ impl Scratch {
             b_upper: vec![0.0; j * j],
             solve: vec![0.0; j * j],
             pivots: vec![0; j],
+            xx: 0.0,
         }
     }
 
@@ -115,6 +121,46 @@ impl Scratch {
     fn begin_row(&mut self, j: usize) {
         self.c[..j].fill(0.0);
         self.b_upper[..j * j].fill(0.0);
+        self.xx = 0.0;
+    }
+
+    /// Rank-1 update of the row's normal equations with δ lane `lane` and
+    /// its entry's value `x`: `B += δδᵀ`, `c += x·δ` and `Σx² += x²`.
+    #[inline]
+    fn accumulate(&mut self, lane: usize, j: usize, x: f64) {
+        accumulate_normal_eq(
+            &mut self.b_upper[..j * j],
+            &mut self.c[..j],
+            &self.delta[lane * j..(lane + 1) * j],
+            x,
+        );
+        self.xx += x * x;
+    }
+
+    /// The squared residual `Σ_α (X_α − a·δ_α)²` of the row just solved
+    /// into `a`, over the entries its normal equations accumulated:
+    /// `Σx² − 2·a·c + aᵀ B a`, from the *unregularized* `B` triangle and
+    /// `c`, which [`Scratch::solve`] leaves intact — `O(J²)` instead of a
+    /// pass over the row's entries. The identity holds for any `a`, so this
+    /// is the residual of the row as solved, in every kernel that
+    /// accumulates through this arena's row routine (an empty row, solved
+    /// to zero, gives 0).
+    ///
+    /// # Panics
+    /// Panics if `a.len()` exceeds the arena's `j_max`.
+    pub fn row_sse(&self, a: &[f64]) -> f64 {
+        let j = a.len();
+        let mut quad = 0.0;
+        for (j1, &a1) in a.iter().enumerate() {
+            let b_row = &self.b_upper[j1 * j..(j1 + 1) * j];
+            let mut s = b_row[j1] * a1;
+            for j2 in (j1 + 1)..j {
+                s += 2.0 * b_row[j2] * a[j2];
+            }
+            quad += a1 * s;
+        }
+        let ac = a.iter().zip(&self.c[..j]).fold(0.0, |s, (x, y)| s + x * y);
+        self.xx + (quad - 2.0 * ac)
     }
 
     /// Clears and returns the `(δ, c, B-upper)` accumulator views for a row
@@ -318,7 +364,11 @@ pub trait RowUpdateKernel: Sync {
     /// stream are window-local. Returns `false` if the system was exactly
     /// singular (only possible with `lambda == 0`).
     ///
-    /// Must not allocate: everything lives in `scratch`.
+    /// Must not allocate: everything lives in `scratch`. On return the
+    /// row's unregularized normal equations (`B`, `c`, `Σx²`) must still be
+    /// in `scratch` — the fit loop reads the row's squared residual from them
+    /// ([`Scratch::row_sse`]) on mode `N−1`; the shared row routine every
+    /// in-tree kernel rides guarantees it.
     fn update_row(
         &self,
         ctx: &ModeContext<'_>,
@@ -346,7 +396,8 @@ pub trait RowUpdateKernel: Sync {
     }
 
     /// Called once per outer iteration after the reconstruction error is
-    /// measured (e.g. the Approx variant truncates the core here, ranking
+    /// measured, with the factors and core it was measured on (e.g. the
+    /// Approx variant truncates the core here, ranking
     /// by an `R(β)` pass over the fit's input). Returns whether it
     /// **changed the core**: the driver then rebuilds the state it derives
     /// from it (the [`RunPlan`] and its tail-dot table).
@@ -413,7 +464,8 @@ pub trait RowUpdateKernel: Sync {
 /// and fills lane `e` with the δ of `positions[e]`. Within a slice the stream
 /// preserves COO entry order, so subsampling by `stride` visits the same
 /// entries the gather path visited, and the accumulation order is the
-/// per-entry loop's at every `E`.
+/// per-entry loop's at every `E`. The row's normal equations stay in the
+/// arena after the solve, for [`Scratch::row_sse`].
 #[inline]
 pub(crate) fn run_row<const E: usize>(
     ctx: &ModeContext<'_>,
@@ -424,14 +476,14 @@ pub(crate) fn run_row<const E: usize>(
 ) -> bool {
     const { assert!(E >= 1 && E <= LANES, "the arena holds LANES δ lanes") };
     let range = ctx.stream.slice_range(i);
+    let j = ctx.j_n;
+    scratch.begin_row(j);
     if range.is_empty() {
         // No observations for this row: the regularized minimizer is the
         // zero vector (c = 0 in Eq. 9).
         row.fill(0.0);
         return true;
     }
-    let j = ctx.j_n;
-    scratch.begin_row(j);
     let values = ctx.stream.values();
     let mut positions = range.step_by(ctx.stride);
     let mut block = [0usize; E];
@@ -446,13 +498,8 @@ pub(crate) fn run_row<const E: usize>(
         let step = if n == E { E } else { 1 };
         for block in block[..n].chunks(step) {
             delta_fn(&mut scratch.delta[..step * j], block, &*row);
-            for (delta, &pos) in scratch.delta.chunks_exact(j).zip(block) {
-                accumulate_normal_eq(
-                    &mut scratch.b_upper[..j * j],
-                    &mut scratch.c[..j],
-                    delta,
-                    values.at(pos),
-                );
+            for (lane, &pos) in block.iter().enumerate() {
+                scratch.accumulate(lane, j, values.at(pos));
             }
         }
         if n < E {
@@ -991,12 +1038,12 @@ impl RowUpdateKernel for GatherReferenceKernel {
     ) -> bool {
         let x = self.x.as_ref().expect("prepare_fit runs first");
         let slice = x.slice(ctx.mode, i);
+        let j = ctx.j_n;
+        scratch.begin_row(j);
         if slice.is_empty() {
             row.fill(0.0);
             return true;
         }
-        let j = ctx.j_n;
-        scratch.begin_row(j);
         for &e in slice.iter().step_by(ctx.stride) {
             crate::delta::accumulate_delta(
                 &mut scratch.delta[..j],
@@ -1006,12 +1053,7 @@ impl RowUpdateKernel for GatherReferenceKernel {
                 ctx.core_vals,
                 ctx.factors,
             );
-            accumulate_normal_eq(
-                &mut scratch.b_upper[..j * j],
-                &mut scratch.c[..j],
-                &scratch.delta[..j],
-                x.value(e),
-            );
+            scratch.accumulate(0, j, x.value(e));
         }
         scratch.solve(j, ctx.lambda, row)
     }

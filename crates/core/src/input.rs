@@ -64,6 +64,17 @@ impl<'a> FitInput<'a> {
         }
     }
 
+    /// `Σ X_α²` over the observed entries, summed in entry order from 0: a
+    /// pass over a resident tensor's values, the figure a scratch file's
+    /// writer recorded ([`CooScratch::sum_sq`]) — the same bits either way,
+    /// and no read of the file.
+    pub(crate) fn sum_sq(&self) -> f64 {
+        match self {
+            FitInput::Resident(x) => x.values().iter().fold(0.0, |s, &v| s + v * v),
+            FitInput::Scratch(src) => src.sum_sq(),
+        }
+    }
+
     /// Calls `f(multi-index, value)` for the entries `range`, in entry
     /// order: a resident tensor is read in place, a scratch file decoded
     /// [`COO_SEGMENT_ENTRIES`] entries at a time into buffers this call
@@ -239,6 +250,11 @@ mod tests {
             let disk = fold(FitInput::from(&src));
             prop_assert_eq!(resident.to_bits(), reference.to_bits(), "resident vs parallel_reduce");
             prop_assert_eq!(disk.to_bits(), resident.to_bits(), "disk vs resident");
+            prop_assert_eq!(
+                FitInput::from(&src).sum_sq().to_bits(),
+                FitInput::from(&x).sum_sq().to_bits(),
+                "the writer's Σx² vs the resident fold"
+            );
         }
     }
 }

@@ -46,7 +46,15 @@
 //!   "out-of-core" are placements of one loop, not two drivers. Row
 //!   sweeps are parallelized with either the paper's dynamic schedule or
 //!   nnz-balanced static blocks (`ptucker_sched::weighted_blocks`), both
-//!   addressing the same `|Ω⁽ⁿ⁾ᵢ|` skew.
+//!   addressing the same `|Ω⁽ⁿ⁾ᵢ|` skew. The per-iteration error
+//!   (Algorithm 2 line 4) is no pass over `Ω`: mode `N−1`'s sweep leaves
+//!   each row's squared residual `‖x_i‖² − 2·a_i·c_i + a_iᵀ B_i a_i`, read
+//!   from the normal equations its solve just built
+//!   ([`engine::Scratch::row_sse`]), in a per-row buffer
+//!   ([`sync::RowSse`]) the fit loop sums in row order — the same bits at
+//!   every thread count, schedule, window partition and shard count. The
+//!   exact pass runs only by rule: `sample_stride > 1`, f32 storage, or a
+//!   folded sum below `2⁻²⁰·Σx²`; `final_error` is always exact.
 //! * **Kernels** ([`engine::RowUpdateKernel`]): one implementation per
 //!   variant — [`engine::DirectKernel`], [`engine::CachedKernel`] (owns the
 //!   `|Ω|×|G|` memoization table) and [`engine::ApproxKernel`]. A kernel

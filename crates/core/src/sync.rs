@@ -9,7 +9,14 @@
 //! re-broadcast merged) before the next mode reads them through the δ
 //! product. [`FitSync`] is that seam: `run_fit` calls its hooks at the
 //! row-range and factor-sync points, and everything else — placement,
-//! windows, kernels, the error pass — is shard-oblivious.
+//! windows, kernels — is shard-oblivious.
+//!
+//! The per-iteration error is the one quantity that crosses the seam
+//! besides the factor rows. It folds into mode `N−1`'s normal equations:
+//! each row's squared residual ([`RowSse`]) comes out of that row's solve,
+//! on whichever process owns the row, so on the last mode the all-reduce
+//! merges those per-row values along with the rows (the [`Resweep`] handle
+//! carries them) and every process sums the same buffer in row order.
 //!
 //! Every hook has a no-op default, and [`LocalSync`] (the implementation
 //! behind [`crate::PTucker::fit`]) overrides nothing, so a
@@ -21,12 +28,123 @@
 
 use crate::{FitStats, Result};
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The driver's local row-update engine, handed back to the sync layer
-/// by [`FitSync::sync_factor`]: `resweep(rows, data)` re-runs the
-/// mode's row updates for `rows` in place on `data`, returning whether
-/// every solve succeeded.
-pub type Resweep<'a> = dyn FnMut(Range<usize>, &mut [f64]) -> Result<bool> + 'a;
+/// The squared residual `Σ_α (x_α − x̂_α)²` of every row of mode `N−1`,
+/// indexed by global row, as the last mode's sweep leaves it: each row's
+/// value is computed from that row's own normal equations right after its
+/// solve ([`crate::engine::Scratch::row_sse`]) and written once, by
+/// whichever thread — or, in a sharded fit, whichever process — updated
+/// the row. The fit loop sums it in row order, so the fit's per-iteration
+/// error does not depend on threads, schedule, windows or shards.
+///
+/// Each slot is an `f64`'s bits in an [`AtomicU64`], so the sweep's worker
+/// threads write their rows without a lock. `Relaxed` suffices: a slot
+/// publishes nothing but its own value, and the sweep's scoped threads are
+/// joined before any read of the buffer, which orders their writes first.
+#[derive(Debug)]
+pub struct RowSse {
+    bits: Vec<AtomicU64>,
+}
+
+impl RowSse {
+    /// A zeroed buffer for `rows` rows.
+    pub(crate) fn new(rows: usize) -> Self {
+        RowSse {
+            bits: (0..rows).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// Number of rows (`I_N`).
+    pub fn len(&self) -> usize {
+        self.bits.len()
+    }
+
+    /// Whether the last mode has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.bits.is_empty()
+    }
+
+    /// Row `row`'s squared residual.
+    ///
+    /// # Panics
+    /// Panics if `row` is out of range.
+    pub(crate) fn get(&self, row: usize) -> f64 {
+        f64::from_bits(self.bits[row].load(Ordering::Relaxed))
+    }
+
+    /// Sets row `row`'s squared residual.
+    ///
+    /// # Panics
+    /// Panics if `row` is out of range.
+    pub(crate) fn set(&self, row: usize, sse: f64) {
+        self.bits[row].store(sse.to_bits(), Ordering::Relaxed);
+    }
+
+    /// The values of `rows`, in row order.
+    ///
+    /// # Panics
+    /// Panics if `rows` is out of range.
+    pub fn to_vec(&self, rows: Range<usize>) -> Vec<f64> {
+        rows.map(|row| self.get(row)).collect()
+    }
+
+    /// Overwrites rows `first..first + sse.len()` with `sse`.
+    ///
+    /// # Panics
+    /// Panics if the rows are out of range.
+    pub fn copy_from(&self, first: usize, sse: &[f64]) {
+        for (row, &v) in (first..).zip(sse) {
+            self.set(row, v);
+        }
+    }
+
+    /// `Σ_i sse_i` in row order — the folded sum of squared residuals.
+    pub(crate) fn total(&self) -> f64 {
+        (0..self.len()).fold(0.0, |acc, row| acc + self.get(row))
+    }
+}
+
+/// What the fit loop hands the sync layer at the all-reduce point of one
+/// mode ([`FitSync::sync_factor`]): its local row-update engine, and — on
+/// mode `N−1` of a fit whose error folds into that mode's normal equations
+/// — the per-row squared residuals that engine writes.
+pub struct Resweep<'a> {
+    sweep: &'a mut RowSweep<'a>,
+    row_sse: Option<&'a RowSse>,
+}
+
+/// `sweep(rows, data)`: the fit loop's row updates of `rows`, in place on
+/// `data`; whether every solve succeeded.
+type RowSweep<'a> = dyn FnMut(Range<usize>, &mut [f64]) -> Result<bool> + 'a;
+
+impl<'a> Resweep<'a> {
+    pub(crate) fn new(sweep: &'a mut RowSweep<'a>, row_sse: Option<&'a RowSse>) -> Self {
+        Resweep { sweep, row_sse }
+    }
+
+    /// Re-runs the mode's row updates for `rows` in place on `data` with
+    /// the *same* kernel, schedule and window mechanics as the main sweep
+    /// — and, where [`Resweep::row_sse`] is present, rewrites those rows'
+    /// squared residuals — returning whether every solve succeeded.
+    ///
+    /// # Errors
+    /// Whatever the sweep surfaces (scratch-file I/O on a spilled plan).
+    pub fn sweep(&mut self, rows: Range<usize>, data: &mut [f64]) -> Result<bool> {
+        (self.sweep)(rows, data)
+    }
+
+    /// The per-row squared residuals of this mode's sweep: `Some` on mode
+    /// `N−1` whenever the fit folds its error into that mode's normal
+    /// equations, `None` otherwise (every other mode; a `sample_stride > 1`
+    /// or `f32`-storage fit, whose error is an exact pass over the
+    /// entries). Rows this process swept already hold their values; a
+    /// sharded fit overwrites the others with their owners' before the
+    /// fit loop sums the buffer.
+    pub fn row_sse(&self) -> Option<&'a RowSse> {
+        self.row_sse
+    }
+}
 
 /// Hooks the fit driver calls at each coordination point of a
 /// (potentially distributed) fit. See the [module docs](self) for the
@@ -54,18 +172,18 @@ pub trait FitSync {
     /// range of `mode`'s factor (row-major in `data`, `j_n` columns) and
     /// before the merged factor is installed for the next mode's δ
     /// products. Implementations exchange owned rows with their peers
-    /// and overwrite `data` with the merged factor. `local_ok` is
-    /// whether every local row solve succeeded; implementations must
-    /// propagate a peer's failure as an error so all processes abandon
-    /// the fit together.
+    /// and overwrite `data` with the merged factor — and, when
+    /// [`Resweep::row_sse`] is present (mode `N−1`), the owned rows'
+    /// squared residuals likewise, so every process ends the mode holding
+    /// the same full buffer. `local_ok` is whether every local row solve
+    /// succeeded; implementations must propagate a peer's failure as an
+    /// error so all processes abandon the fit together.
     ///
     /// `resweep` is the driver's local row-update engine handed back to
-    /// the sync layer: `resweep(rows, data)` re-runs the mode's row
-    /// updates for `rows` in place on `data` with the *same* kernel,
-    /// schedule and window mechanics as the main sweep, returning whether
-    /// every solve succeeded. A fault-tolerant coordinator uses it to
-    /// cover a dead peer's rows bitwise; single-process sync never calls
-    /// it.
+    /// the sync layer ([`Resweep::sweep`]): it re-runs the mode's row
+    /// updates for any rows, bitwise identically to the main sweep, squared
+    /// residuals included. A fault-tolerant coordinator uses it to cover a
+    /// dead peer's rows; single-process sync never calls it.
     ///
     /// # Errors
     /// Transport failures, or a peer reporting a failed solve.

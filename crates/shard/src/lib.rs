@@ -4,14 +4,17 @@
 //! pipes, or in-process threads over a Unix socket pair — both speak the
 //! identical byte protocol) and runs the ALS sweep in lockstep with
 //! them. Every process holds a full deterministic replica of the fit —
-//! same seeded factor/core init, same plans, same replicated error pass
-//! — but each worker only *updates* the factor rows it owns
-//! (nnz-balanced via [`ptucker_sched::weighted_blocks`]). After each
-//! mode the coordinator gathers the owners' rows, concatenates them (the
-//! ranges are disjoint, so the merge involves no floating-point
-//! arithmetic and is trivially deterministic) and broadcasts the merged
-//! factor before the next mode begins. Only `O(I_n·J)` doubles per mode
-//! cross the wire — execution-plan windows and `Pres` tiles never do.
+//! same seeded factor/core init, same plans — but each worker only
+//! *updates* the factor rows it owns (nnz-balanced via
+//! [`ptucker_sched::weighted_blocks`]). After each mode the coordinator
+//! gathers the owners' rows, concatenates them (the ranges are disjoint,
+//! so the merge involves no floating-point arithmetic and is trivially
+//! deterministic) and broadcasts the merged factor before the next mode
+//! begins. On the last mode the owners' per-row squared residuals ride
+//! along the same way, so the per-iteration error is the row-order sum of
+//! one merged buffer on every process and nobody runs a whole-tensor error
+//! pass. Only `O(I_n·J)` doubles per mode cross the wire — execution-plan
+//! windows and `Pres` tiles never do.
 //!
 //! The result is **bitwise identical** to a single-process
 //! [`ptucker::PTucker::fit`] with the same options, for every kernel
@@ -621,7 +624,8 @@ fn handshake(
     check_hello(h, h.collect_msg(ShardPhase::Hello, policy)?)
 }
 
-/// Gathers and validates one worker's `Rows` message for `mode`.
+/// Gathers and validates one worker's `Rows` message for `mode`; `with_sse`
+/// is whether the mode carries the rows' squared residuals.
 fn collect_rows(
     h: &WorkerHandle,
     policy: Option<&FaultPolicy>,
@@ -629,6 +633,7 @@ fn collect_rows(
     expected: &Range<usize>,
     j_n: usize,
     data_len: usize,
+    with_sse: bool,
 ) -> Result<RowsMsg, ShardError> {
     let rows = match h.collect_msg(ShardPhase::Rows, policy)? {
         Message::Rows(r) => r,
@@ -650,6 +655,17 @@ fn collect_rows(
             ShardError::Protocol(format!(
                 "sent {} doubles for rows {lo}..{hi} (J={j_n})",
                 rows.data.len()
+            )),
+        ));
+    }
+    let sse_len = rows.row_sse.as_ref().map(Vec::len);
+    if sse_len != with_sse.then_some(hi - lo) {
+        return Err(h.wrap(
+            ShardPhase::Rows,
+            ShardError::Protocol(format!(
+                "sent a residual section of {sse_len:?} doubles for rows {lo}..{hi} of mode \
+                 {mode}, which {} one",
+                if with_sse { "needs" } else { "has no" }
             )),
         ));
     }
@@ -873,10 +889,11 @@ impl FitSync for CoordSync<'_> {
         resweep: &mut ptucker::sync::Resweep<'_>,
     ) -> ptucker::Result<()> {
         let policy = self.policy;
+        let row_sse = resweep.row_sse();
         // Gather: the recvs were all submitted before any collect, so
         // slow workers overlap; the merge order (worker 0..K) is fixed,
-        // and the ranges are disjoint, so the merged factor is
-        // deterministic regardless of arrival order.
+        // and the ranges are disjoint, so the merged factor (and residual
+        // buffer) is deterministic regardless of arrival order.
         let mut doomed: Vec<(usize, ShardError)> = Vec::new();
         for (w, s) in self.slots.iter().enumerate() {
             let Some(h) = s.handle.as_ref() else { continue };
@@ -890,10 +907,22 @@ impl FitSync for CoordSync<'_> {
                 continue;
             }
             let Some(h) = s.handle.as_ref() else { continue };
-            match collect_rows(h, policy.as_ref(), mode, &s.ranges[mode], j_n, data.len()) {
+            let with_sse = row_sse.is_some();
+            match collect_rows(
+                h,
+                policy.as_ref(),
+                mode,
+                &s.ranges[mode],
+                j_n,
+                data.len(),
+                with_sse,
+            ) {
                 Ok(rows) => {
                     let (lo, hi) = (rows.lo as usize, rows.hi as usize);
                     data[lo * j_n..hi * j_n].copy_from_slice(&rows.data);
+                    if let (Some(dst), Some(src)) = (row_sse, &rows.row_sse) {
+                        dst.copy_from(lo, src);
+                    }
                     ok &= rows.ok;
                 }
                 Err(e) => doomed.push((w, e)),
@@ -910,8 +939,9 @@ impl FitSync for CoordSync<'_> {
         }
         // Cover every dead shard on the coordinator's own replica: the
         // resweep hook re-runs the rows with the same kernel, schedule
-        // and windows the worker would have used, so the merged factor
-        // is bitwise what the undisturbed fit would have produced.
+        // and windows the worker would have used, so the merged factor —
+        // and, on the last mode, those rows' squared residuals — is
+        // bitwise what the undisturbed fit would have produced.
         for w in 0..self.slots.len() {
             if self.slots[w].handle.is_some() {
                 continue;
@@ -920,7 +950,7 @@ impl FitSync for CoordSync<'_> {
             if r.is_empty() {
                 continue;
             }
-            ok &= resweep(r, data)?;
+            ok &= resweep.sweep(r, data)?;
         }
         if let Some(p) = policy {
             if p.recovery == Recovery::Reassign {
@@ -933,6 +963,7 @@ impl FitSync for CoordSync<'_> {
                 mode: mode as u32,
                 ok,
                 data: data.to_vec(),
+                row_sse: row_sse.map(|sse| sse.to_vec(0..sse.len())),
             },
         )
         .map_err(|e| self.fail(e))?;

@@ -7,8 +7,8 @@
 //! | `Hello`      | both      | protocol version, worker id, worker count        |
 //! | `Plan`       | coord → w | fit options, COO tensor, this worker's row ranges, optional resume checkpoint and fault spec |
 //! | `ModeStart`  | coord → w | iteration and mode about to be swept             |
-//! | `Rows`       | w → coord | the worker's updated factor rows (+ solve flag)  |
-//! | `FactorSync` | coord → w | the merged factor for the mode (+ global flag)   |
+//! | `Rows`       | w → coord | the worker's updated factor rows (+ solve flag); on the last mode, their `hi−lo` squared residuals |
+//! | `FactorSync` | coord → w | the merged factor for the mode (+ global flag); on the last mode, all `I_N` squared residuals |
 //! | `Stats`      | w → coord | per-worker rows/nnz/wall/byte totals             |
 //! | `Shutdown`   | coord → w | clean end of the run                             |
 //! | `Heartbeat`  | both      | liveness probe (coordinator) and echo (worker)   |
@@ -16,7 +16,11 @@
 //!
 //! Only `Plan` carries bulk data, exactly once per worker; the per-mode
 //! steady state is `Rows` + `FactorSync` — `O(I_n·J)` doubles each —
-//! plan windows and `Pres` tiles never cross the wire. Everything is
+//! plan windows and `Pres` tiles never cross the wire. The residual
+//! section (`O(I_N)` doubles, present only on mode `N−1` of a fit whose
+//! error folds into that mode's normal equations) is what lets no process
+//! run a whole-tensor error pass: every process ends the mode with the same
+//! per-row buffer and sums it in row order. Everything is
 //! little-endian with `usize` widened to `u64`; COO entries travel in
 //! insertion order, which [`ptucker_tensor::SparseTensor::from_flat`]
 //! preserves, so a worker's rebuilt tensor (entry ids, mode indexes,
@@ -60,6 +64,9 @@ pub enum Message {
         ok: bool,
         /// The full merged factor, row-major.
         data: Vec<f64>,
+        /// The merged squared residual of every row (`I_N` doubles) on
+        /// mode `N−1` of a fit whose error folds; `None` otherwise.
+        row_sse: Option<Vec<f64>>,
     },
     /// A worker's end-of-run statistics.
     Stats(WorkerStatsMsg),
@@ -120,6 +127,9 @@ pub struct RowsMsg {
     pub ok: bool,
     /// The owned rows, row-major (`(hi - lo) · J_n` doubles).
     pub data: Vec<f64>,
+    /// The owned rows' squared residuals (`hi - lo` doubles) on mode `N−1`
+    /// of a fit whose error folds; `None` otherwise.
+    pub row_sse: Option<Vec<f64>>,
 }
 
 /// Body of [`Message::Stats`]: one worker's contribution to the run.
@@ -213,6 +223,15 @@ impl Enc {
             self.f64(x);
         }
     }
+    fn opt_f64_slice(&mut self, v: Option<&[f64]>) {
+        match v {
+            None => self.bool(false),
+            Some(s) => {
+                self.bool(true);
+                self.f64_slice(s);
+            }
+        }
+    }
     fn bytes(&mut self, v: &[u8]) {
         self.usize(v.len());
         self.0.extend_from_slice(v);
@@ -297,6 +316,14 @@ impl<'a> Dec<'a> {
             ));
         }
         (0..n).map(|_| self.f64()).collect()
+    }
+
+    fn opt_f64_vec(&mut self) -> Result<Option<Vec<f64>>, ShardError> {
+        if self.bool()? {
+            Ok(Some(self.f64_vec()?))
+        } else {
+            Ok(None)
+        }
     }
 
     fn bytes_vec(&mut self) -> Result<Vec<u8>, ShardError> {
@@ -491,12 +518,19 @@ impl Message {
                 e.u64(r.hi);
                 e.bool(r.ok);
                 e.f64_slice(&r.data);
+                e.opt_f64_slice(r.row_sse.as_deref());
                 TAG_ROWS
             }
-            Message::FactorSync { mode, ok, data } => {
+            Message::FactorSync {
+                mode,
+                ok,
+                data,
+                row_sse,
+            } => {
                 e.u32(*mode);
                 e.bool(*ok);
                 e.f64_slice(data);
+                e.opt_f64_slice(row_sse.as_deref());
                 TAG_FACTOR_SYNC
             }
             Message::Stats(s) => {
@@ -573,11 +607,13 @@ impl Message {
                 hi: d.u64()?,
                 ok: d.bool()?,
                 data: d.f64_vec()?,
+                row_sse: d.opt_f64_vec()?,
             }),
             TAG_FACTOR_SYNC => Message::FactorSync {
                 mode: d.u32()?,
                 ok: d.bool()?,
                 data: d.f64_vec()?,
+                row_sse: d.opt_f64_vec()?,
             },
             TAG_STATS => Message::Stats(WorkerStatsMsg {
                 rows_updated: d.u64()?,
@@ -688,11 +724,27 @@ mod tests {
             hi: 4,
             ok: false,
             data: vec![0.5; 6],
+            row_sse: None,
+        }));
+        roundtrip(&Message::Rows(RowsMsg {
+            mode: 2,
+            lo: 2,
+            hi: 4,
+            ok: true,
+            data: vec![0.5; 6],
+            row_sse: Some(vec![0.25, 0.125]),
         }));
         roundtrip(&Message::FactorSync {
             mode: 0,
             ok: true,
             data: vec![1.0, 2.0, 3.0],
+            row_sse: None,
+        });
+        roundtrip(&Message::FactorSync {
+            mode: 2,
+            ok: true,
+            data: vec![1.0, 2.0, 3.0],
+            row_sse: Some(vec![0.75, 0.0, 1.5]),
         });
         roundtrip(&Message::Stats(WorkerStatsMsg {
             rows_updated: 10,
@@ -728,9 +780,170 @@ mod tests {
             mode: 0,
             ok: true,
             data: vec![1.0],
+            row_sse: None,
         }
         .encode();
         payload[5] = 0xff; // inflate the length prefix
         assert!(Message::decode(&Frame { tag, payload }).is_err());
+        // … nor the residual section's.
+        let (tag, mut payload) = Message::Rows(RowsMsg {
+            mode: 2,
+            lo: 0,
+            hi: 1,
+            ok: true,
+            data: vec![1.0],
+            row_sse: Some(vec![0.5]),
+        })
+        .encode();
+        payload[38] = 0xff;
+        assert!(Message::decode(&Frame { tag, payload }).is_err());
+    }
+
+    /// The full frame (`[len][tag][payload][checksum]`) `msg` goes out as,
+    /// in hex.
+    fn wire_hex(msg: &Message) -> String {
+        let mut wire = Vec::new();
+        send(&mut Channel::new(std::io::empty(), &mut wire), msg).unwrap();
+        wire.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// **Frozen wire bytes.** Every shard message as protocol v3 frames
+    /// it, captured from the v3 encoder — `Rows` and `FactorSync` both
+    /// without and with the squared-residual section. A change to any
+    /// message encoding fails here, and must bump `PROTOCOL_VERSION` and
+    /// re-capture on purpose.
+    #[test]
+    fn shard_protocol_v3_wire_format_is_frozen() {
+        assert_eq!(crate::PROTOCOL_VERSION, 3);
+        let plan = PlanMsg {
+            opts: FitOptions::new(vec![2, 2])
+                .lambda(0.5)
+                .max_iters(3)
+                .tol(0.0)
+                .threads(2)
+                .schedule(Schedule::Dynamic { chunk: 4 })
+                .variant(Variant::Default)
+                .seed(7)
+                .budget(MemoryBudget::new(1 << 20)),
+            dims: vec![3, 2],
+            indices: vec![0, 1, 2, 0],
+            values: vec![1.5, -0.25],
+            ranges: vec![0..2, 0..1],
+            resume: None,
+            fault: None,
+        };
+        let rows = |row_sse| {
+            Message::Rows(RowsMsg {
+                mode: 1,
+                lo: 1,
+                hi: 2,
+                ok: true,
+                data: vec![0.5, -1.0],
+                row_sse,
+            })
+        };
+        let factor_sync = |row_sse| Message::FactorSync {
+            mode: 1,
+            ok: true,
+            data: vec![0.5, -1.0],
+            row_sse,
+        };
+        let frozen: [(&str, Message, &str); 11] = [
+            (
+                "Hello",
+                Message::Hello {
+                    version: 3,
+                    worker_id: 1,
+                    workers: 2,
+                },
+                "0d000000010300000001000000020000003c7b806fec287f6d",
+            ),
+            (
+                "Plan",
+                Message::Plan(Box::new(plan)),
+                concat!(
+                    "f300000002020000000000000002000000000000000200000000000000000000",
+                    "000000e03f030000000000000000000000000000000200000000000000010400",
+                    "0000000000000000000000000000000700000000000000000010000000000000",
+                    "0001000000000000000100010000000000000000000200000000000000030000",
+                    "0000000000020000000000000004000000000000000000000000000000010000",
+                    "0000000000020000000000000000000000000000000200000000000000000000",
+                    "000000f83f000000000000d0bf02000000000000000000000000000000020000",
+                    "0000000000000000000000000001000000000000000000a3599f4e62a17e60",
+                ),
+            ),
+            (
+                "ModeStart",
+                Message::ModeStart { iter: 5, mode: 1 },
+                "0d00000003050000000000000001000000d69c161f3358de36",
+            ),
+            (
+                "Rows",
+                rows(None),
+                concat!(
+                    "2f00000004010000000100000000000000020000000000000001020000000000",
+                    "0000000000000000e03f000000000000f0bf0046a52ddf4c4e1d2f",
+                ),
+            ),
+            (
+                "Rows + residuals",
+                rows(Some(vec![0.75])),
+                concat!(
+                    "3f00000004010000000100000000000000020000000000000001020000000000",
+                    "0000000000000000e03f000000000000f0bf0101000000000000000000000000",
+                    "00e83f3d4d4d0e54423042",
+                ),
+            ),
+            (
+                "FactorSync",
+                factor_sync(None),
+                concat!(
+                    "1f0000000501000000010200000000000000000000000000e03f000000000000",
+                    "f0bf0086cc8c9839d4c86e",
+                ),
+            ),
+            (
+                "FactorSync + residuals",
+                factor_sync(Some(vec![2.0, 0.75])),
+                concat!(
+                    "370000000501000000010200000000000000000000000000e03f000000000000",
+                    "f0bf0102000000000000000000000000000040000000000000e83f8a45cecc43",
+                    "95bec7",
+                ),
+            ),
+            (
+                "Stats",
+                Message::Stats(WorkerStatsMsg {
+                    rows_updated: 12,
+                    nnz_processed: 340,
+                    wall_seconds: 0.5,
+                    bytes_sent: 1024,
+                    bytes_received: 2048,
+                }),
+                concat!(
+                    "29000000060c000000000000005401000000000000000000000000e03f000400",
+                    "0000000000000800000000000093b3e16d813c6f03",
+                ),
+            ),
+            ("Shutdown", Message::Shutdown, "0100000007c6b201864cba63af"),
+            (
+                "Heartbeat",
+                Message::Heartbeat,
+                "010000000877c501864cc563af",
+            ),
+            (
+                "Reassign",
+                Message::Reassign {
+                    ranges: vec![0..3, 1..1],
+                },
+                concat!(
+                    "2900000009020000000000000000000000000000000300000000000000010000",
+                    "000000000001000000000000000583bd559fe5c661",
+                ),
+            ),
+        ];
+        for (name, msg, hex) in &frozen {
+            assert_eq!(wire_hex(msg), *hex, "{name}");
+        }
     }
 }

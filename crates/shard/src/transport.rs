@@ -17,8 +17,9 @@ pub use ptucker_transport::{
 /// Version negotiated by the `Hello` exchange; bumped whenever the frame
 /// layout or any message encoding changes. Version 2 added the
 /// `Heartbeat` and `Reassign` messages and the plan's `resume`/`fault`
-/// fields.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// fields; version 3 the squared-residual section of `Rows` and
+/// `FactorSync`.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 #[cfg(test)]
 mod tests {
@@ -41,7 +42,7 @@ mod tests {
         assert!(parse("send:rows:1:explode").is_err());
     }
 
-    /// Golden-bytes regression for the protocol-v2 frame layout: the
+    /// Golden-bytes regression for the frame layout: the
     /// transport extraction must not have changed a single wire byte.
     /// `[len: u32 LE][tag][payload][fnv1a(tag ‖ payload): u64 LE]`.
     #[test]
@@ -59,8 +60,8 @@ mod tests {
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
-    /// Shard protocol v2 messages round-trip unchanged through the
-    /// extracted transport.
+    /// Shard protocol messages round-trip unchanged through the extracted
+    /// transport.
     #[test]
     fn protocol_v2_roundtrips_through_the_shared_transport() {
         use crate::protocol::Message;

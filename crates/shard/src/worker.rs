@@ -4,13 +4,14 @@
 //! A worker does **not** receive factors, plans or windows — it receives
 //! the COO tensor and the fit options once ([`crate::protocol::Message::Plan`])
 //! and rebuilds everything locally: the same seeded RNG produces the
-//! same initial factors and core on every process, the same plan builder
-//! produces the same execution plan, and the replicated error pass
-//! (needing only COO and the model) produces the same convergence
-//! decisions. The only
-//! divergence is which rows each process updates — repaired every mode
-//! by the `Rows`/`FactorSync` all-reduce — which is what makes a
-//! K-shard fit bitwise identical to the single-process one.
+//! same initial factors and core on every process, and the same plan
+//! build yields the same execution plan. The only divergence is which
+//! rows each process updates — repaired every mode by the
+//! `Rows`/`FactorSync` all-reduce, which on the last mode also merges the
+//! rows' squared residuals, so every process sums the same per-row buffer
+//! into the same error and takes the same convergence decision without a
+//! whole-tensor pass — which is what makes a K-shard fit bitwise identical
+//! to the single-process one.
 //!
 //! Fault tolerance adds three things on this side:
 //!
@@ -156,9 +157,10 @@ impl<R: Read, W: Write> FitSync for WorkerSync<'_, R, W> {
         j_n: usize,
         data: &mut [f64],
         local_ok: bool,
-        _resweep: &mut ptucker::sync::Resweep<'_>,
+        resweep: &mut ptucker::sync::Resweep<'_>,
     ) -> ptucker::Result<()> {
         let r = self.ranges[mode].clone();
+        let row_sse = resweep.row_sse();
         protocol::send(
             self.chan,
             &Message::Rows(RowsMsg {
@@ -167,6 +169,7 @@ impl<R: Read, W: Write> FitSync for WorkerSync<'_, R, W> {
                 hi: r.end as u64,
                 ok: local_ok,
                 data: data[r.start * j_n..r.end * j_n].to_vec(),
+                row_sse: row_sse.map(|sse| sse.to_vec(r.clone())),
             }),
         )
         .map_err(sync_err)?;
@@ -178,6 +181,7 @@ impl<R: Read, W: Write> FitSync for WorkerSync<'_, R, W> {
                 mode: m,
                 ok,
                 data: merged,
+                row_sse: merged_sse,
             } if m == mode as u32 => {
                 if !ok {
                     return Err(solve_failure());
@@ -189,7 +193,17 @@ impl<R: Read, W: Write> FitSync for WorkerSync<'_, R, W> {
                         data.len()
                     )));
                 }
+                let want = row_sse.map(|sse| sse.len());
+                if merged_sse.as_ref().map(Vec::len) != want {
+                    return Err(PtuckerError::Sync(format!(
+                        "merged residual section has {:?} doubles, expected {want:?}",
+                        merged_sse.as_ref().map(Vec::len)
+                    )));
+                }
                 data.copy_from_slice(&merged);
+                if let (Some(sse), Some(merged_sse)) = (row_sse, merged_sse) {
+                    sse.copy_from(0, &merged_sse);
+                }
                 Ok(())
             }
             m => Err(sync_err(unexpected("FactorSync", &m))),

@@ -135,6 +135,63 @@ fn wrong_protocol_version_is_named_not_panicked() {
     }
 }
 
+/// A protocol-v2 coordinator (no squared-residual section in `Rows` /
+/// `FactorSync`) is refused at the handshake with the typed
+/// version-mismatch error — never a mis-decoded frame later.
+#[test]
+fn v2_hello_gets_the_typed_version_mismatch() {
+    assert_eq!(PROTOCOL_VERSION, 3);
+    let (ours, theirs) = std::os::unix::net::UnixStream::pair().unwrap();
+    let reader = theirs.try_clone().unwrap();
+    let worker = std::thread::spawn(move || worker_loop(reader, theirs));
+    let mut chan = Channel::new(ours.try_clone().unwrap(), ours);
+    protocol::send(
+        &mut chan,
+        &Message::Hello {
+            version: 2,
+            worker_id: 0,
+            workers: 1,
+        },
+    )
+    .unwrap();
+    match worker.join().unwrap().expect_err("worker must refuse v2") {
+        ShardError::Protocol(msg) => assert!(
+            msg.contains("version mismatch") && msg.contains("coordinator 2"),
+            "unhelpful error: {msg}"
+        ),
+        other => panic!("expected a protocol error, got {other}"),
+    }
+}
+
+/// A worker SIGKILLed as mode `N−1`'s sweep begins (its third
+/// `ModeStart`: iteration 0, mode 2) never sends that mode's rows or their
+/// squared residuals. The coordinator's resweep covers both, so the
+/// iteration's folded error — the row-order sum of every row's residual —
+/// and the whole fit are bitwise the solo fit's, under both recovery
+/// strategies and for Direct and Cache.
+#[test]
+fn sigkilled_worker_last_mode_residuals_are_recovered_bitwise() {
+    let x = planted(98);
+    for variant in [Variant::Default, Variant::Cache] {
+        let opts = base_opts().variant(variant);
+        let solo = PTucker::new(opts.clone()).unwrap().fit(&x).unwrap();
+        for recovery in [Recovery::Reassign, Recovery::Respawn] {
+            let tag = format!("{variant:?}/{recovery:?}");
+            let out = ShardedFit::new(2, worker_bin())
+                .fault_policy(policy(recovery))
+                .inject_fault(1, "recv:modestart:3:kill")
+                .fit(&x, opts.clone())
+                .unwrap_or_else(|e| panic!("{tag}: {e}"));
+            assert_bitwise(&solo, &out.fit, &tag);
+            assert!(
+                out.recovered.iter().any(|r| r.contains("worker 1 removed")),
+                "{tag}: recovery log must name the death: {:?}",
+                out.recovered
+            );
+        }
+    }
+}
+
 /// Regression: without a policy, a worker SIGKILLed between receiving
 /// `ModeStart` and sending `Rows` must fail the fit *promptly* with a
 /// typed, attributed error — the old teardown deadlocked joining the

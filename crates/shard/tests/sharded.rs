@@ -183,6 +183,51 @@ fn thread_sharded_fit_is_bitwise_identical() {
     }
 }
 
+/// The per-iteration error is each row's squared residual, merged across
+/// shards and summed in row order, so it is one bit pattern at every worker
+/// and thread count: sharded fits at workers {1, 2, 3} × threads {1, 2}
+/// walk the solo fit's per-iteration errors and factors bitwise, whatever
+/// thread count the solo fit ran at. (`final_error` is the exact pass,
+/// whose blocks follow the thread count.)
+#[test]
+fn sharded_error_bits_are_worker_and_thread_invariant() {
+    let x = planted(73);
+    for variant in [Variant::Default, Variant::Cache] {
+        let solo = PTucker::new(base_opts().variant(variant).threads(1))
+            .unwrap()
+            .fit(&x)
+            .unwrap();
+        for workers in [1usize, 2, 3] {
+            for threads in [1usize, 2] {
+                let tag = format!("{variant:?} K={workers} T={threads}");
+                let out = ShardedFit::new(workers, WorkerSpawn::Threads)
+                    .fit(&x, base_opts().variant(variant).threads(threads))
+                    .unwrap_or_else(|e| panic!("{tag}: {e}"));
+                let (a, b) = (&solo.stats.iterations, &out.fit.stats.iterations);
+                assert_eq!(a.len(), b.len(), "{tag}");
+                for (ia, ib) in a.iter().zip(b) {
+                    assert_eq!(
+                        ia.reconstruction_error.to_bits(),
+                        ib.reconstruction_error.to_bits(),
+                        "{tag}: error at iter {}",
+                        ia.iter
+                    );
+                }
+                for (fa, fb) in solo
+                    .decomposition
+                    .factors
+                    .iter()
+                    .zip(&out.fit.decomposition.factors)
+                {
+                    for (va, vb) in fa.as_slice().iter().zip(fb.as_slice()) {
+                        assert_eq!(va.to_bits(), vb.to_bits(), "{tag}: factors");
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Turns proptest-chosen weights into a contiguous per-mode tiling: the
 /// cut points are wherever the weighted prefix sums cross `1/k`-iles.
 fn weighted_ranges(x: &SparseTensor, k: usize, weights: &[usize]) -> Vec<Vec<Range<usize>>> {

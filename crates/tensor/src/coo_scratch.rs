@@ -53,6 +53,8 @@ pub struct CooScratch {
     pub(crate) file: Arc<ScratchFile>,
     dims: Vec<usize>,
     nnz: usize,
+    /// `Σ value²` in entry order, recorded by the writer.
+    sum_sq: f64,
     /// Keeps the on-disk bytes visible to the budget's spill meter for the
     /// source's lifetime (present when the writer was given a budget).
     _spill: Option<SpillReservation>,
@@ -90,6 +92,14 @@ impl CooScratch {
     #[inline]
     pub fn nnz(&self) -> usize {
         self.nnz
+    }
+
+    /// `Σ value²` over the stored entries, summed in entry order from 0 as
+    /// the writer took them in — so it costs no pass over the file, and has
+    /// the bits of the same fold over a resident tensor's values.
+    #[inline]
+    pub fn sum_sq(&self) -> f64 {
+        self.sum_sq
     }
 
     /// Total on-disk bytes of the record section.
@@ -144,6 +154,7 @@ pub struct CooScratchWriter {
     dims: Vec<usize>,
     buf: Vec<u8>,
     written: usize,
+    sum_sq: f64,
     budget: MemoryBudget,
 }
 
@@ -173,6 +184,7 @@ impl CooScratchWriter {
             dims,
             buf: Vec::with_capacity(WRITE_BUF_BYTES),
             written: 0,
+            sum_sq: 0.0,
             budget: budget.clone(),
         })
     }
@@ -226,6 +238,7 @@ impl CooScratchWriter {
             self.buf.extend_from_slice(&(i as u32).to_le_bytes());
         }
         self.buf.extend_from_slice(&value.to_le_bytes());
+        self.sum_sq += value * value;
         if self.buf.len() >= WRITE_BUF_BYTES {
             self.flush()?;
         }
@@ -255,6 +268,7 @@ impl CooScratchWriter {
             file: Arc::new(self.file),
             dims: self.dims,
             nnz: self.written,
+            sum_sq: self.sum_sq,
             _spill: Some(spill),
         })
     }
