@@ -216,7 +216,7 @@ pub(crate) fn core_runs(core_idx: &[usize], order: usize) -> Vec<u32> {
 /// from its *values* and the tail factor: whoever owns the plan rebuilds it
 /// when the core is truncated and re-memoizes when the core or
 /// `factors[N−1]` changes (the fit driver after mode `N−1`'s update, after
-/// a truncating `post_iter`, after a resume and after the final QR; a
+/// a truncation, after a resume and after the final QR; a
 /// `Predictor` keeps the metadata only and never memoizes).
 #[derive(Debug, Clone)]
 pub struct RunPlan {

@@ -16,20 +16,21 @@
 //!    prescribes (`O(T·J²)`) — and
 //!    [`ptucker_sched::parallel_rows_mut_with`] hands the same arena to
 //!    every row a worker processes.
-//! 2. **Monomorphized variant dispatch.** The Direct/Cache/Approx variants
-//!    differ only in *how δ is produced* and in a few per-mode /
-//!    per-iteration hooks. Each variant implements [`RowUpdateKernel`]; the
-//!    fit driver is generic over the kernel, so the per-row code is
-//!    specialized at compile time — no `match opts.variant` inside the
-//!    loop, and a future backend (blocked-SIMD, GPU staging, …) is one new
-//!    trait impl rather than another branch threaded through the solver.
+//! 2. **Monomorphized kernel dispatch.** The Direct and Cache variants
+//!    differ only in *how δ is produced* and in a few per-fit / per-mode
+//!    hooks. Each implements [`RowUpdateKernel`]; the fit driver is generic
+//!    over the kernel, so the per-row code is specialized at compile time —
+//!    no `match opts.variant` inside the loop, and a future backend
+//!    (blocked-SIMD, GPU staging, …) is one new trait impl rather than
+//!    another branch threaded through the solver.
 //!
 //! The kernels: [`DirectKernel`] recomputes δ from the factors (the
-//! memory-optimal default), [`CachedKernel`] owns the `|Ω|×|G|` `Pres`
-//! memoization table (Algorithm 3), and [`ApproxKernel`] is Direct plus
-//! per-iteration truncation of the noisiest core entries (Algorithm 4).
+//! memory-optimal default) and [`CachedKernel`] owns the `|Ω|×|G|` `Pres`
+//! memoization table (Algorithm 3). The Approx variant is not a kernel: it
+//! sweeps rows with [`DirectKernel`], and its per-iteration truncation of
+//! the noisiest core entries (Algorithm 4) is a step of the fit driver.
 //!
-//! All three kernels run on the **mode-major execution plan**
+//! Both kernels run on the **mode-major execution plan**
 //! ([`ptucker_tensor::ModeStreams`]): a row update walks its slice's
 //! values and packed other-mode indices linearly through the mode's
 //! [`ptucker_tensor::ModeStream`] instead of gathering per-entry through
@@ -39,7 +40,7 @@
 //! `crate::delta` and `ptucker_linalg::kernels`) — and **entry-blocked**:
 //! the row routine (`run_row`) feeds the kernel [`LANES`] stream positions
 //! at a time, the kernel advances them through one walk of the core's runs
-//! (Direct and Approx with every accumulator in a local; Cache with
+//! (Direct with every accumulator in a local; Cache with
 //! [`LANES`] `Pres` rows' sum → divide chains in flight and mode `N−1`'s δ
 //! in a `J_N`-wide divide tile — `crate::cache` has the roofline that says
 //! why), and the normal equations take the lanes' δ one by one in entry
@@ -48,18 +49,17 @@
 //! structure lives in a [`RunPlan`] the fit driver builds **once per
 //! core** (again only when Approx truncates it) and every [`ModeContext`]
 //! *borrows*; when the driver's budget rule admits it the plan also
-//! carries the **tail-dot table**, and Direct/Approx sweeps of every mode
-//! but the last then do `|G|/J_N` multiply-adds per entry instead of `|G|`
-//! — bit for bit the same δ (`crate::delta` has the argument).
+//! carries the **tail-dot table**, and Direct sweeps of every mode but the
+//! last then do `|G|/J_N` multiply-adds per entry instead of `|G|` — bit
+//! for bit the same δ (`crate::delta` has the argument).
 
 use crate::cache::{
     cached_delta_for_block, cached_delta_for_entry, PresElem, PresTable, SpilledPresTable,
 };
 use crate::delta::{accumulate_normal_eq, delta_for_block, delta_for_entry};
 pub use crate::delta::{ResidualLanes, RunPlan, LANES};
-use crate::{approx, FitInput, FitOptions, Result, StoragePrecision};
+use crate::{FitInput, FitOptions, Result, StoragePrecision};
 use ptucker_linalg::{cholesky_solve_in_place, lu_solve_in_place, Matrix};
-use ptucker_memtrack::Reservation;
 use ptucker_tensor::{CoreTensor, ModeStreams, SparseTensor, StreamView, SweepSource, Window};
 
 /// Per-thread scratch arena for the row update: every buffer the inner loop
@@ -296,10 +296,10 @@ impl<'a> ModeContext<'a> {
     }
 }
 
-/// A P-Tucker variant, expressed as its row-update behavior plus lifecycle
-/// hooks. The fit driver is generic over this trait, so each variant's
-/// inner loop is monomorphized — adding a variant means implementing this
-/// trait, not editing the solver.
+/// A row-update backend, expressed as its row-update behavior plus
+/// lifecycle hooks. The fit driver is generic over this trait, so each
+/// kernel's inner loop is monomorphized — adding a backend means
+/// implementing this trait, not editing the solver.
 ///
 /// There is exactly **one** fit driver: every mode sweep iterates the
 /// slice-aligned windows of a [`SweepSource`] (a single full-stream window
@@ -307,8 +307,8 @@ impl<'a> ModeContext<'a> {
 /// therefore get two window-shaped hooks alongside the classic lifecycle:
 /// [`RowUpdateKernel::begin_window`] (page in the matching state tile) and
 /// the `sweep` handle threaded through `prepare_fit`/`post_mode` (stream
-/// spilled state tile-at-a-time). Kernels without such state — Direct,
-/// Approx — implement none of them; the defaults are no-ops.
+/// spilled state tile-at-a-time). A kernel without such state — Direct —
+/// implements none of them; the defaults are no-ops.
 pub trait RowUpdateKernel: Sync {
     /// One-time setup before the first iteration (e.g. the Cache variant's
     /// `|Ω|×|G|` table precompute — the step that can exceed the memory
@@ -393,25 +393,6 @@ pub trait RowUpdateKernel: Sync {
         _sweep: &mut SweepSource<'_>,
     ) -> Result<()> {
         Ok(())
-    }
-
-    /// Called once per outer iteration after the reconstruction error is
-    /// measured, with the factors and core it was measured on (e.g. the
-    /// Approx variant truncates the core here, ranking
-    /// by an `R(β)` pass over the fit's input). Returns whether it
-    /// **changed the core**: the driver then rebuilds the state it derives
-    /// from it (the [`RunPlan`] and its tail-dot table).
-    ///
-    /// # Errors
-    /// Kernel-specific (disk-resident-input I/O); the default never fails.
-    fn post_iter(
-        &mut self,
-        _x: &FitInput<'_>,
-        _factors: &[Matrix],
-        _core: &mut CoreTensor,
-        _opts: &FitOptions,
-    ) -> Result<bool> {
-        Ok(false)
     }
 
     /// Serializes the kernel's auxiliary fit state into `out`, for a
@@ -930,79 +911,6 @@ impl RowUpdateKernel for CachedKernel {
     }
 }
 
-/// The P-Tucker-Approx kernel: Direct row updates plus per-iteration
-/// truncation of the `p·|G|` core entries with the highest partial
-/// reconstruction error `R(β)` (Eq. 13, Algorithm 4).
-#[derive(Debug)]
-pub struct ApproxKernel {
-    truncation_rate: f64,
-    /// Budget reservation for the per-thread `R(β)`/contribution buffers.
-    _scratch: Option<Reservation>,
-}
-
-impl ApproxKernel {
-    /// A kernel truncating `rate·|G|` entries per iteration (`rate ∈
-    /// [0, 1)`; 0 degenerates to the Direct variant exactly).
-    pub fn new(truncation_rate: f64) -> Self {
-        ApproxKernel {
-            truncation_rate,
-            _scratch: None,
-        }
-    }
-}
-
-impl RowUpdateKernel for ApproxKernel {
-    fn prepare_fit(
-        &mut self,
-        _x: &FitInput<'_>,
-        _factors: &[Matrix],
-        core: &CoreTensor,
-        opts: &FitOptions,
-        sweep: &mut SweepSource<'_>,
-        _spill_aux: bool,
-    ) -> Result<()> {
-        // Approx folds per-thread R(β)/contribution buffers on top of the
-        // row scratch (both |G|-sized). At rate 0 `post_iter` never
-        // computes R(β), so reserving would make the degenerate variant
-        // OOM (and report peak memory) differently from the bit-identical
-        // Direct fit. On a spilled plan the buffers are part of the
-        // out-of-core path's irreducible floor: booked, but unfailing.
-        if self.truncation_rate > 0.0 {
-            let doubles = opts.threads * 2 * core.nnz();
-            self._scratch = Some(if sweep.is_spilled() {
-                opts.budget.reserve_unchecked(doubles * 8)
-            } else {
-                opts.budget.reserve_f64(doubles)?
-            });
-        }
-        Ok(())
-    }
-
-    fn update_row(
-        &self,
-        ctx: &ModeContext<'_>,
-        scratch: &mut Scratch,
-        i: usize,
-        row: &mut [f64],
-    ) -> bool {
-        DirectKernel.update_row(ctx, scratch, i, row)
-    }
-
-    fn post_iter(
-        &mut self,
-        x: &FitInput<'_>,
-        factors: &[Matrix],
-        core: &mut CoreTensor,
-        opts: &FitOptions,
-    ) -> Result<bool> {
-        if self.truncation_rate <= 0.0 {
-            return Ok(false);
-        }
-        let r = approx::partial_errors(x, factors, core, opts.threads)?;
-        Ok(approx::truncate_noisy(core, &r, self.truncation_rate) > 0)
-    }
-}
-
 /// Test-only reference kernel: the pre-plan COO **gather** row update —
 /// entry ids through `SparseTensor::slice`, full `N−1` δ products per
 /// `(entry, core-entry)` pair. The streamed kernels are required to
@@ -1062,7 +970,7 @@ impl RowUpdateKernel for GatherReferenceKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FitOptions, Variant};
+    use crate::FitOptions;
     use ptucker_linalg::Cholesky;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1403,20 +1311,5 @@ mod tests {
                 Scratch::doubles(j)
             );
         }
-    }
-
-    #[test]
-    fn approx_kernel_rate_zero_is_direct() {
-        let (x, factors, core, opts) = setup();
-        let mut core_for_approx = core.clone();
-        let mut kernel = ApproxKernel::new(0.0);
-        // post_iter with rate 0 must leave the core untouched.
-        kernel
-            .post_iter(&FitInput::from(&x), &factors, &mut core_for_approx, &opts)
-            .unwrap();
-        assert_eq!(core_for_approx.nnz(), core.nnz());
-        let _ = Variant::Approx {
-            truncation_rate: 0.0,
-        };
     }
 }

@@ -55,12 +55,13 @@
 //!   every thread count, schedule, window partition and shard count. The
 //!   exact pass runs only by rule: `sample_stride > 1`, f32 storage, or a
 //!   folded sum below `2⁻²⁰·Σx²`; `final_error` is always exact.
-//! * **Kernels** ([`engine::RowUpdateKernel`]): one implementation per
-//!   variant — [`engine::DirectKernel`], [`engine::CachedKernel`] (owns the
-//!   `|Ω|×|G|` memoization table) and [`engine::ApproxKernel`]. A kernel
-//!   supplies the per-entry δ computation plus lifecycle hooks
-//!   (`prepare_fit`/`prepare_mode`/`post_mode`/`post_iter`); adding a new
-//!   backend is one new trait impl.
+//! * **Kernels** ([`engine::RowUpdateKernel`]): [`engine::DirectKernel`]
+//!   and [`engine::CachedKernel`] (owns the `|Ω|×|G|` memoization table).
+//!   A kernel supplies the per-entry δ computation plus lifecycle hooks
+//!   (`prepare_fit`/`prepare_mode`/`begin_window`/`post_mode`); adding a
+//!   new backend is one new trait impl. Approx is not a kernel: it sweeps
+//!   with Direct, and its per-iteration truncation by `R(β)` is a step of
+//!   the fit driver ([`approx`]).
 //!
 //!   The δ accumulation itself is **run-blocked** (`delta.rs`):
 //!   `CoreTensor`'s lexicographic invariant decomposes the core entry list
@@ -322,9 +323,9 @@ mod tests {
 
     #[test]
     fn three_kernels_identical_fits_for_fixed_seed() {
-        // Satellite acceptance: DirectKernel, CachedKernel and
-        // ApproxKernel(rate = 0) must produce identical fits from the same
-        // seed. Approx(0) shares the Direct code path bit for bit; Cache
+        // Satellite acceptance: Direct, Cache and Approx(rate = 0) must
+        // produce identical fits from the same seed. Approx(0) is the
+        // Direct fit bit for bit (nothing is ranked or truncated); Cache
         // computes δ through division against the memoized products, so it
         // agrees to floating-point noise.
         let x = planted(20);

@@ -69,10 +69,10 @@ pub use transport::{
 pub use worker::worker_loop;
 
 use protocol::{Message, PlanMsg, RowsMsg, WorkerStatsMsg};
-use ptucker::engine::{ApproxKernel, DirectKernel};
+use ptucker::engine::DirectKernel;
 use ptucker::sync::FitSync;
 use ptucker::{FitCheckpoint, FitOptions};
-use ptucker::{FitResult, FitStats, PTucker, PtuckerError, Variant};
+use ptucker::{FitResult, FitStats, PTucker, PtuckerError};
 use ptucker_sched::{Background, RecvTimeout};
 use ptucker_tensor::SparseTensor;
 use std::fmt;
@@ -1256,23 +1256,16 @@ impl ShardedFit {
         // kernel state (the Cache `Pres` tables evolve by incremental
         // rescale, which a fresh rebuild does not reproduce bitwise).
         // Without those needs, the coordinator updates no rows, so the
-        // `Pres` tables would be pure overhead: drive `Variant::Cache`
-        // with the direct kernel. `Approx` always keeps its kernel
-        // because the per-iteration entry truncation must replicate
-        // bit-for-bit everywhere.
+        // `Pres` tables would be pure overhead: it drives every variant
+        // with the direct kernel. Approx sweeps with that kernel anyway,
+        // and its truncation is a driver step that follows `opts.variant`,
+        // so every replica still makes the same truncation decisions.
         let fault_mode =
             policy.is_some() || opts.checkpoint_path.is_some() || opts.resume_from.is_some();
         let fit = if fault_mode {
             solver.fit_with_sync(x, &mut sync)
         } else {
-            match opts.variant {
-                Variant::Approx { truncation_rate } => {
-                    solver.fit_with_kernel(x, ApproxKernel::new(truncation_rate), &mut sync)
-                }
-                Variant::Default | Variant::Cache => {
-                    solver.fit_with_kernel(x, DirectKernel, &mut sync)
-                }
-            }
+            solver.fit_with_kernel(x, DirectKernel, &mut sync)
         };
         let CoordSync {
             mut slots,
