@@ -6,9 +6,11 @@
 //! generate ~80% of the total reconstruction error — the justification for
 //! P-Tucker-Approx's truncation rule.
 
-use ptucker::{approx, FitInput, FitOptions, PTucker};
+use ptucker::engine::RunPlan;
+use ptucker::{approx, FitOptions, PTucker};
 use ptucker_bench::{print_header, HarnessArgs};
 use ptucker_datagen::realworld;
+use ptucker_tensor::ModeStreams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -38,12 +40,18 @@ fn main() {
     .fit(&x)
     .expect("fit");
     let d = fit.decomposition;
-    let r = approx::partial_errors(&FitInput::from(&x), &d.factors, &d.core, args.threads)
-        .expect("R(β) over a resident tensor");
+    let plan = ModeStreams::build(&x).expect("plan of a resident tensor");
+    let mut runs = RunPlan::new(&d.core);
+    runs.memoize_tail(&d.core, &d.factors[d.factors.len() - 1], args.threads);
+    let mut sweep = plan.sweep_source(0, usize::MAX, false);
+    let r = approx::partial_errors(&mut sweep, &d.factors, &d.core, &runs, args.threads)
+        .expect("R(β) over a resident plan");
 
-    // Distribution of R(β): sorted descending, report deciles.
+    // Distribution of R(β): sorted descending in the IEEE total order, as
+    // the truncation ranks it (a NaN from a degenerate model sorts by its
+    // sign bit instead of panicking), then deciles.
     let mut sorted = r.clone();
-    sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite R"));
+    sorted.sort_by(|a, b| b.total_cmp(a));
     print_header(
         "Fig 5 (left): distribution of R(β), descending",
         "percentile      R(beta)",

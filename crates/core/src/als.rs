@@ -22,9 +22,9 @@
 //! * **Disk to disk** ([`PTucker::fit_scratch`]) — the observed entries
 //!   themselves never become resident: the plan is built from a
 //!   [`CooScratch`] file by external sort
-//!   ([`ModeStreams::build_external`]), and every whole-tensor pass (the
-//!   exact residual, the Approx `R(β)` ranking, the core refit, the
-//!   checkpoint fingerprint) walks bounded COO segments of it.
+//!   ([`ModeStreams::build_external`]), and every whole-tensor pass over
+//!   COO (the exact residual, the core refit, the checkpoint fingerprint)
+//!   walks bounded segments of it.
 //!
 //! The per-row kernel code, the RNG sequence, the error measurement and
 //! the convergence test are byte-identical across placements, so spilled
@@ -58,9 +58,13 @@
 //!
 //! **Approx truncation is a driver step** (Algorithm 2 lines 5–6), not a
 //! kernel: the Approx variant sweeps rows with [`DirectKernel`], and after
-//! each iteration's error the driver ranks the core entries by `R(β)`
-//! ([`crate::approx`]) on the model that error was measured on and drops
-//! the noisiest `p·|G|` of them.
+//! each iteration's error the driver ranks the core entries by `R(β)` on
+//! the model that error was measured on and drops the noisiest `p·|G|` of
+//! them. The ranking is the one whole-tensor pass that walks the plan
+//! instead of COO: `R(β)` factors through the tail factor, so
+//! [`crate::approx::partial_errors`] is one walk of mode `N−1`'s stream
+//! through the fit's own sweep source, windowed like a sweep and bitwise
+//! the same on every placement.
 //!
 //! The driver also owns the one piece of state *derived from the model*:
 //! the core's [`RunPlan`] (`FitRuns`), built once per core and borrowed by
@@ -360,10 +364,10 @@ fn truncation_rate(opts: &FitOptions) -> Option<f64> {
 }
 
 /// Doubles of the `R(β)` ranking's per-thread buffers (0 when the fit never
-/// truncates): two `|G|`-long buffers per thread.
+/// truncates): one worker's state of [`approx::partial_errors`] per thread.
 fn ranking_doubles(opts: &FitOptions) -> usize {
     match truncation_rate(opts) {
-        Some(_) => opts.threads * 2 * opts.ranks.iter().product::<usize>(),
+        Some(_) => opts.threads * approx::worker_doubles(&opts.ranks),
         None => 0,
     }
 }
@@ -847,10 +851,12 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
         let err = sse.sqrt();
 
         // Step 5: Approx truncation (Algorithm 2 lines 5–6), ranked by
-        // R(β) on the model the error above was measured on; the state
-        // derived from the core follows it.
+        // R(β) on the model the error above was measured on — one walk of
+        // mode N−1's stream through the fit's own sweep source, its tail
+        // dots looked up in the table refreshed after that mode — and the
+        // state derived from the core follows it.
         if let Some(rate) = truncation_rate(opts) {
-            let r = approx::partial_errors(input, &factors, &core, opts.threads)?;
+            let r = approx::partial_errors(&mut sweep, &factors, &core, &runs.plan, opts.threads)?;
             if approx::truncate_noisy(&mut core, &r, rate) > 0 {
                 runs.refresh(true, &core, &factors, opts.threads);
             }
@@ -1914,7 +1920,8 @@ mod tests {
         }
     }
 
-    /// The whole-tensor passes fold statically blocked entries and combine
+    /// The whole-tensor passes fold statically blocked entries (the `R(β)`
+    /// walk: statically blocked stream positions) and combine
     /// worker-ascending, so they are reproducible at **every** thread count
     /// — run to run, and between a resident tensor and a scratch file of
     /// the same entries. Called the way the fit calls them.
@@ -1927,15 +1934,22 @@ mod tests {
             .unwrap();
         let (factors, core) = (&fit.decomposition.factors, &fit.decomposition.core);
         let runs = RunPlan::new(core);
-        let src = ptucker_tensor::CooScratch::from_tensor(&x, &MemoryBudget::unlimited()).unwrap();
+        let budget = MemoryBudget::unlimited();
+        let src = ptucker_tensor::CooScratch::from_tensor(&x, &budget).unwrap();
         let (resident, disk) = (FitInput::from(&x), FitInput::from(&src));
+        let resident_plan = ModeStreams::build(&x).unwrap();
+        let disk_plan = ModeStreams::build_external(&src, &budget).unwrap();
         let threads = 4;
         let sse = sum_squared_error(&disk, factors, core, &runs, threads).unwrap();
-        let r = crate::approx::partial_errors(&disk, factors, core, threads).unwrap();
+        let rank = |plan: &ModeStreams, cap: usize| {
+            let mut sweep = plan.sweep_source(0, cap, false);
+            approx::partial_errors(&mut sweep, factors, core, &runs, threads).unwrap()
+        };
+        let r = rank(&disk_plan, 1);
         for rep in 0..20 {
             let again = sum_squared_error(&resident, factors, core, &runs, threads).unwrap();
             assert_eq!(again.to_bits(), sse.to_bits(), "residual, repeat {rep}");
-            let again = crate::approx::partial_errors(&resident, factors, core, threads).unwrap();
+            let again = rank(&resident_plan, usize::MAX);
             assert_eq!(again.len(), r.len());
             for (a, b) in again.iter().zip(&r) {
                 assert_eq!(a.to_bits(), b.to_bits(), "R(β), repeat {rep}");
@@ -2084,19 +2098,19 @@ mod tests {
 
     /// Taps a fit's sync points: the per-row residuals its last-mode sweeps
     /// handed the sync layer (one buffer per iteration; none when the exact
-    /// pass is ruled in), and at each iteration's end the [`Exact`]
-    /// residuals of the model that iteration's error was measured on — the
-    /// checkpoint's factors with the core the iteration *started* from (a
-    /// truncation changes the core after the error, never the factors).
-    struct Tap<'a> {
-        input: &'a FitInput<'a>,
-        threads: usize,
+    /// pass is ruled in), and at each iteration's end the model that
+    /// iteration's error was measured on — the checkpoint's factors with the
+    /// core the iteration *started* from (a truncation changes the core
+    /// after the error, never the factors).
+    struct Tap {
+        /// The core the latest logged iteration left (after any truncation).
         core: CoreTensor,
         folded: Vec<Vec<f64>>,
-        exact: Vec<Exact>,
+        /// Per logged iteration: `(factors, core)` of its error.
+        models: Vec<(Vec<Matrix>, CoreTensor)>,
     }
 
-    impl FitSync for Tap<'_> {
+    impl FitSync for Tap {
         fn sync_factor(
             &mut self,
             _mode: usize,
@@ -2117,34 +2131,86 @@ mod tests {
             make_checkpoint: &mut dyn FnMut() -> Result<Vec<u8>>,
         ) -> Result<()> {
             let ckpt = FitCheckpoint::decode(&make_checkpoint()?)?;
-            let exact = Exact::of(self.input, &ckpt.factors, &self.core, self.threads);
-            self.exact.push(exact);
-            self.core = ckpt.core;
+            let start = std::mem::replace(&mut self.core, ckpt.core);
+            self.models.push((ckpt.factors, start));
             Ok(())
         }
     }
 
-    /// Runs the fit `opts` describes under a [`Tap`]: the fit, the folded
-    /// per-row residuals of every iteration, and the exact residuals of
-    /// every iteration's model but a converging last one's (which no
-    /// `end_iter` follows).
-    fn fit_tapped(
-        input: &FitInput<'_>,
-        opts: &FitOptions,
-    ) -> (FitResult, Vec<Vec<f64>>, Vec<Exact>) {
+    /// Runs the fit `opts` describes under a [`Tap`], which logs every
+    /// iteration's model but a converging last one's (no `end_iter`
+    /// follows it).
+    fn tap_fit(input: &FitInput<'_>, opts: &FitOptions) -> (FitResult, Tap) {
         let (_, core) = init_model(input.dims(), opts).unwrap();
         let mut tap = Tap {
-            input,
-            threads: opts.threads,
             core,
             folded: Vec::new(),
-            exact: Vec::new(),
+            models: Vec::new(),
         };
         let fit = PTucker::new(opts.clone())
             .unwrap()
             .dispatch_fit(input, &mut tap, None)
             .unwrap();
-        (fit, tap.folded, tap.exact)
+        (fit, tap)
+    }
+
+    /// [`tap_fit`]'s fit, the folded per-row residuals of every iteration,
+    /// and the exact residuals of every logged iteration's model.
+    fn fit_tapped(
+        input: &FitInput<'_>,
+        opts: &FitOptions,
+    ) -> (FitResult, Vec<Vec<f64>>, Vec<Exact>) {
+        let (fit, tap) = tap_fit(input, opts);
+        let exact = tap
+            .models
+            .iter()
+            .map(|(factors, core)| Exact::of(input, factors, core, opts.threads))
+            .collect();
+        (fit, tap.folded, exact)
+    }
+
+    /// The fused `R(β)` ranks like the per-entry pass it replaced: at every
+    /// iteration of 5-iteration Approx(0.2) fits — order 3 and 4, 1 and 2
+    /// threads — the core the driver kept is exactly the one the reference
+    /// ranking keeps on the same model.
+    #[test]
+    fn approx_keeps_what_the_reference_ranking_keeps() {
+        let mut rng = StdRng::seed_from_u64(72);
+        let four = planted_lowrank(&[9, 8, 7, 6], &[2, 2, 2, 2], 1500, 0.01, &mut rng).tensor;
+        let three = planted();
+        for (x, ranks, threads) in [
+            (&three, vec![3, 3, 3], 2),
+            (&three, vec![4, 3, 2], 1),
+            (&four, vec![3, 3, 3, 3], 2),
+        ] {
+            let rate = 0.2;
+            let opts = FitOptions::new(ranks.clone())
+                .max_iters(5)
+                .tol(0.0)
+                .threads(threads)
+                .seed(33)
+                .variant(Variant::Approx {
+                    truncation_rate: rate,
+                });
+            let input = FitInput::from(x);
+            let (_, tap) = tap_fit(&input, &opts);
+            assert_eq!(tap.models.len(), 5, "{ranks:?}");
+            let kept = tap.models[1..].iter().map(|m| &m.1).chain([&tap.core]);
+            for (iter, ((factors, core), kept)) in tap.models.iter().zip(kept).enumerate() {
+                let r = approx::partial_errors_reference(&input, factors, core, threads).unwrap();
+                let mut want = core.clone();
+                approx::truncate_noisy(&mut want, &r, rate);
+                assert!(
+                    want.nnz() < core.nnz(),
+                    "{ranks:?} iter {iter}: nothing truncated"
+                );
+                assert_eq!(
+                    want.flat_indices(),
+                    kept.flat_indices(),
+                    "{ranks:?} T {threads} iter {iter}"
+                );
+            }
+        }
     }
 
     /// How many iterations a [`Tap`] logged exact residuals for.

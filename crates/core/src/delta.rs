@@ -430,6 +430,68 @@ impl RunPlan {
         rec
     }
 
+    /// Reconstructs `E` entries of one slice `i` of mode `N−1`'s stream —
+    /// `others[e]` is lane `e`'s packed head indices, as that stream stores
+    /// them — in one walk of the core's groups and runs, and leaves each
+    /// lane's head product `p = Π_{k<N−1} a⁽ᵏ⁾(iₖ, βₖ)` of run `r` in
+    /// `heads[r][e]`: the one walk of `crate::approx`'s `R(β)` pass. The
+    /// lanes share the slice, so one tail dot per run serves them all — its
+    /// row of the memoized table, or the `dot` that fills it; up to order
+    /// [`MAX_PREFIX_ORDER`] lane `e`'s `x̂` is then **bitwise**
+    /// [`RunPlan::reconstruct`] of its entry (the same `w`, tail dot and
+    /// `term` in run order).
+    ///
+    /// # Panics
+    /// Panics if `heads` holds fewer than `n_runs` rows.
+    #[inline]
+    pub(crate) fn reconstruct_with_heads<const E: usize>(
+        &self,
+        others: [&[u32]; E],
+        i: usize,
+        core: &CoreTensor,
+        factors: &[Matrix],
+        heads: &mut [[f64; E]],
+    ) -> [f64; E] {
+        let (core_idx, core_vals) = (core.flat_indices(), core.values());
+        let order = factors.len();
+        let last = order - 1;
+        let tail_row = factors[last].row(i);
+        let heads = &mut heads[..self.n_runs()];
+        let memo = self.is_memoized().then(|| self.memo_row(i));
+        let tail_dot = |r: usize| match memo {
+            Some(dots) => dots[r],
+            None => self.tail_dot(r, core_idx, core_vals, tail_row),
+        };
+        let mut rec = [0.0; E];
+        if order > MAX_PREFIX_ORDER {
+            // Past the prefix stack: each run's head product from scratch.
+            for (r, slot) in heads.iter_mut().enumerate() {
+                let head = &core_idx[self.run(r).0 * order..][..last];
+                let t = tail_dot(r);
+                for e in 0..E {
+                    slot[e] = head
+                        .iter()
+                        .enumerate()
+                        .fold(1.0, |w, (k, &b)| w * factors[k][(others[e][k] as usize, b)]);
+                    rec[e] += term(slot[e], t);
+                }
+            }
+            return rec;
+        }
+        let rows = others.map(|o| pin_other_rows(o, last, factors));
+        self.for_each_group(&rows, usize::MAX, |_, runs, weights| {
+            for r in runs {
+                let w = weights.of(r);
+                let t = tail_dot(r);
+                for e in 0..E {
+                    rec[e] += term(w[e], t);
+                }
+                heads[r] = w;
+            }
+        });
+        rec
+    }
+
     /// The core entries `base..end` of run `r`.
     #[inline]
     pub(crate) fn run(&self, r: usize) -> (usize, usize) {
@@ -1177,7 +1239,9 @@ fn reconstruct_entry_scalar(
 /// reconstruction error `R(β)` (Eq. 13) needs per observed entry. One
 /// shared prefix per run; the run tail is a single fused
 /// multiply-and-accumulate pass over the packed core values and the tail
-/// factor row.
+/// factor row. Test-gated: the per-entry `R(β)` reference
+/// (`approx::partial_errors_reference`) the fused pass is pinned to.
+#[cfg(test)]
 #[inline]
 pub(crate) fn entry_contributions_blocked(
     entry_idx: &[usize],

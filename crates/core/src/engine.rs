@@ -58,7 +58,7 @@ use crate::cache::{
 };
 use crate::delta::{accumulate_normal_eq, delta_for_block, delta_for_entry};
 pub use crate::delta::{ResidualLanes, RunPlan, LANES};
-use crate::{FitInput, FitOptions, Result, StoragePrecision};
+use crate::{FitInput, FitOptions, Result, StoragePrecision, Variant};
 use ptucker_linalg::{cholesky_solve_in_place, lu_solve_in_place, Matrix};
 use ptucker_tensor::{CoreTensor, ModeStreams, SparseTensor, StreamView, SweepSource, Window};
 
@@ -800,6 +800,13 @@ impl RowUpdateKernel for CachedKernel {
         sweep: &mut SweepSource<'_>,
         spill_aux: bool,
     ) -> Result<()> {
+        if matches!(opts.variant, Variant::Approx { truncation_rate } if truncation_rate > 0.0) {
+            return Err(crate::PtuckerError::InvalidConfig(
+                "the Cache kernel's Pres table holds one core's products, but a truncating \
+                 Approx fit changes the core every iteration"
+                    .into(),
+            ));
+        }
         self.table = Some(match opts.precision {
             StoragePrecision::F64 => AnyTable::F64(TableStore::compute(
                 x, factors, core, opts, sweep, spill_aux,

@@ -1480,6 +1480,19 @@ impl<'a> SweepSource<'a> {
         }
     }
 
+    /// Stream positions of one full mode sweep — every mode's stream holds
+    /// each observed entry once, so this is `|Ω|`, whatever the current
+    /// mode or slice restriction. Consumers that partition a sweep by
+    /// global position (window-independent blocks) cut this range.
+    pub fn positions(&self) -> usize {
+        match &self.inner {
+            SourceInner::Resident { streams, .. } => {
+                streams.first().map_or(0, |s| s.entry_ids.len())
+            }
+            SourceInner::Spilled(w) => w.modes.first().map_or(0, |m| m.len()),
+        }
+    }
+
     /// The most positions any window of any mode can hold: the capacity,
     /// a single oversized slice, or the whole stream — whichever binds.
     /// Consumers sizing per-position side buffers (the spilled `Pres`
