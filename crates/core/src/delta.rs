@@ -93,11 +93,11 @@
 //!   accumulators are locals, not δ slots in memory: a parent-coordinate
 //!   mode sums a group's runs into one value per lane and stores the slot
 //!   once per group; the reconstruction is one value per lane; mode `N−1`
-//!   on a dense core keeps each lane's whole δ — `J_N` doubles — in a
-//!   compile-time-sized tile for the length of the walk
-//!   (`RunPlan::tail_tile`). Only mode `N−2`, whose slot changes with
-//!   every run, and mode `N−1` on a truncated core (ragged runs) or past
-//!   the tile's widest instantiation add into the lane's δ in memory.
+//!   keeps each lane's whole δ — `J_N` doubles — in a compile-time-sized
+//!   tile for the length of the walk (`RunPlan::tail_tile`), on a dense
+//!   core and on a truncated one alike. Only mode `N−2`, whose slot
+//!   changes with every run, and mode `N−1` past the tile's widest
+//!   instantiation add into the lane's δ in memory.
 //!
 //!   *Why each lane is bitwise the single-entry kernel.* Nothing is shared
 //!   between lanes but the integers that say which run comes next. Lane
@@ -122,6 +122,23 @@
 //!   two lanes' tiles (`TILE_DOUBLES`: what the vector registers hold), so
 //!   a block is two walks at the paper's ranks.
 //!
+//!   *Why a truncated core's tile is bitwise too.* Truncation leaves ragged
+//!   runs, which the through-memory tail adds with `axpy` over their
+//!   contiguous stretch or an indexed loop — `δ[k] += w·g[k]` for exactly
+//!   the tail coordinates `k` the run holds. The [`RunPlan`] keeps each run
+//!   padded to `J_N` (its values at those coordinates, zeros elsewhere)
+//!   and a presence mask. Adding a whole padded row adds `w·0 = ±0` at
+//!   the holes, which leaves the sum's bits alone: the tile starts at
+//!   `+0.0`, and a sum that starts there is never `-0.0` (round-to-nearest
+//!   rounds an exact cancellation to `+0`; only `-0 + -0` is `-0`). That
+//!   holds for a finite `w` only: `±∞·0` and `NaN·0` are NaN, and a NaN
+//!   added at a hole stays in that tile element to the end of the walk. So
+//!   a walk whose tile ends all finite met no such `w` at a hole, and one
+//!   that does not is redone with the mask selecting the holes away
+//!   ([`axpy_tile_masked`](ptucker_linalg::kernels::axpy_tile_masked)) —
+//!   the same bits, since the mask changes only what holes add. Zero
+//!   padding without that fallback would not be bitwise.
+//!
 //!   *What the FMA tiers do.* Under `simd`/`simd-avx512` on a CPU that has
 //!   them, `axpy` fuses each multiply-add into one rounding, which the
 //!   scalar tile would not reproduce — so there
@@ -131,7 +148,9 @@
 //!   walk. Every other path is tier-independent (`dot` is reached through
 //!   `RunPlan::tail_dot` only).
 
-use ptucker_linalg::kernels::{axpy, axpy_is_fused, axpy_tile, dot, syr_in_place};
+use ptucker_linalg::kernels::{
+    axpy, axpy_is_fused, axpy_tile, axpy_tile_masked, dot, syr_in_place,
+};
 use ptucker_linalg::Matrix;
 use ptucker_sched::{parallel_rows_mut, Schedule};
 use ptucker_tensor::CoreTensor;
@@ -243,6 +262,16 @@ pub struct RunPlan {
     /// run `r` is the `r`-th `J_N`-chunk of the core values, which is what
     /// the mode-`N−1` tile reads.
     full_tails: bool,
+    /// On a truncated core (`!full_tails`) with `J_N ≤` [`MAX_TILE`], what
+    /// the mode-`N−1` tile reads instead of the ragged runs: each run's
+    /// values padded to `J_N` — at their tail coordinates, zero elsewhere —
+    /// `n_runs × J_N`. Empty otherwise (a dense core's runs already are
+    /// the `J_N`-chunks of its values).
+    tile_vals: Vec<f64>,
+    /// The padded rows' presence mask, all ones where run `r` holds tail
+    /// coordinate `k` and zero elsewhere (`axpy_tile_masked`'s select);
+    /// empty with `tile_vals`.
+    tile_mask: Vec<u64>,
     /// `T[i_N][r]`, row-major `I_N × n_runs`; empty = not memoized.
     tail_dots: Vec<f64>,
 }
@@ -269,6 +298,8 @@ impl RunPlan {
             parents: Vec::new(),
             shared: Vec::new(),
             full_tails: true,
+            tile_vals: Vec::new(),
+            tile_mask: Vec::new(),
             tail_dots: Vec::new(),
             offsets,
         };
@@ -296,6 +327,18 @@ impl RunPlan {
             }
         }
         plan.groups.push(n_runs as u32);
+        if !plan.full_tails && tail_rank <= MAX_TILE {
+            plan.tile_vals = vec![0.0; n_runs * tail_rank];
+            plan.tile_mask = vec![0; n_runs * tail_rank];
+            for r in 0..n_runs {
+                let (base, end) = plan.run(r);
+                for (b, &g) in (base..end).zip(&core.values()[base..end]) {
+                    let slot = r * tail_rank + core_idx[b * order + last];
+                    plan.tile_vals[slot] = g;
+                    plan.tile_mask[slot] = u64::MAX;
+                }
+            }
+        }
         plan
     }
 
@@ -586,12 +629,13 @@ impl RunPlan {
     }
 
     /// δ of mode `N−1` for `E` entries into `lanes` (`E × J_N`, zeroed):
-    /// `δ[β_N] += w · g[r, β_N]` per run. A dense core on the scalar tier
-    /// keeps the lanes' δ in a `J_N`-wide tile of locals for the whole walk
-    /// ([`RunPlan::tail_tile`]); every other case — a truncated core, a
-    /// tail rank past [`MAX_TILE`], an FMA tier — adds each run into the
-    /// lane's δ in memory: [`axpy`] for a contiguous run, the indexed loop
-    /// for a ragged one.
+    /// `δ[β_N] += w · g[r, β_N]` per run. On the scalar tier, up to
+    /// [`MAX_TILE`], the lanes' δ stay in a `J_N`-wide tile of locals for
+    /// the whole walk ([`RunPlan::tail_tile`]) — a dense core's runs read
+    /// straight from its values, a truncated core's from their padded rows
+    /// under the presence mask. A tail rank past [`MAX_TILE`] or an FMA
+    /// tier adds each run into the lane's δ in memory: [`axpy`] for a
+    /// contiguous run, the indexed loop for a ragged one.
     #[inline]
     fn tail_mode<const E: usize>(
         &self,
@@ -601,18 +645,20 @@ impl RunPlan {
         core_vals: &[f64],
     ) {
         let j = lanes.len() / E;
-        if self.full_tails && core_vals.len() == self.n_runs() * j && !axpy_is_fused() {
+        let cells = self.n_runs() * j;
+        let dense = self.full_tails && core_vals.len() == cells;
+        if (dense || self.tile_mask.len() == cells) && !axpy_is_fused() {
             macro_rules! tile {
                 ($($w:literal)*) => {
                     match j {
                         $($w => {
-                            let n = if 2 * $w <= TILE_DOUBLES { 2 } else { 1 };
-                            for (lanes, rows) in lanes.chunks_mut(n * $w).zip(rows.chunks(n)) {
-                                match rows {
-                                    [a, b] => self.tail_tile::<2, $w>(lanes, &[*a, *b], core_vals),
-                                    [a] => self.tail_tile::<1, $w>(lanes, &[*a], core_vals),
-                                    _ => unreachable!("chunks of at most two"),
-                                }
+                            if dense {
+                                let (vals, _) = core_vals.as_chunks::<$w>();
+                                self.tail_tiles::<E, $w, TILE_DENSE>(lanes, rows, vals, &[]);
+                            } else {
+                                let (vals, _) = self.tile_vals.as_chunks::<$w>();
+                                let (mask, _) = self.tile_mask.as_chunks::<$w>();
+                                self.tail_tiles::<E, $w, TILE_PADDED>(lanes, rows, vals, mask);
                             }
                             return;
                         })*
@@ -645,39 +691,88 @@ impl RunPlan {
         });
     }
 
-    /// [`RunPlan::tail_mode`] on a dense core of tail rank `W`, scalar
-    /// tier: the lanes' δ live in an `E × W` tile of locals — registers,
-    /// for the ranks the paper runs — through the whole walk and are stored
-    /// once at the end. Per run and lane the tile does
-    /// `acc[k] += w · g[k]`, multiply then add, element by element: exactly
-    /// the scalar [`axpy`] the through-memory tail calls, on the same
-    /// operands in the same run order, so the same bits.
+    /// The tile at tail rank `W` for `E` lanes, one or two lanes per walk
+    /// (what [`TILE_DOUBLES`] of registers hold).
     #[inline]
-    fn tail_tile<const E: usize, const W: usize>(
+    fn tail_tiles<const E: usize, const W: usize, const HOW: u8>(
         &self,
         lanes: &mut [f64],
         rows: &[Rows<'_>; E],
-        core_vals: &[f64],
+        vals: &[[f64; W]],
+        mask: &[[u64; W]],
     ) {
-        debug_assert!(W <= MAX_TILE && self.full_tails && lanes.len() == E * W);
-        // Every run is full: run `r` is the `r`-th `W`-chunk of the values.
-        let (run_vals, _) = core_vals.as_chunks::<W>();
+        let n = if 2 * W <= TILE_DOUBLES { 2 } else { 1 };
+        for (lanes, rows) in lanes.chunks_mut(n * W).zip(rows.chunks(n)) {
+            match rows {
+                [a, b] => self.tail_tile::<2, W, HOW>(lanes, &[*a, *b], vals, mask),
+                [a] => self.tail_tile::<1, W, HOW>(lanes, &[*a], vals, mask),
+                _ => unreachable!("chunks of at most two"),
+            }
+        }
+    }
+
+    /// [`RunPlan::tail_mode`] at tail rank `W`, scalar tier: the lanes' δ
+    /// live in an `E × W` tile of locals — registers, for the ranks the
+    /// paper runs — through the whole walk and are stored once at the end.
+    /// Run `r` is `vals[r]`; per run and lane the tile does
+    /// `acc[k] += w · g[k]`, multiply then add, element by element —
+    /// exactly the scalar [`axpy`] (contiguous run) or indexed loop (ragged
+    /// run) the through-memory tail runs, on the same operands in the same
+    /// run order, so the same bits. How depends on `HOW`:
+    ///
+    /// * [`TILE_DENSE`]: `vals[r]` is run `r`'s `W`-chunk of a dense core's
+    ///   values ([`axpy_tile`]).
+    /// * [`TILE_PADDED`]: `vals[r]` is a truncated run padded with zeros,
+    ///   added whole. For a finite `w` a pad adds `w·0 = ±0`, which leaves
+    ///   the sum's bits alone: it started at `+0.0`, and such a sum is never
+    ///   `-0.0` (an exact cancellation rounds to `+0`). For `w` = ±∞ or NaN
+    ///   the pad adds NaN, which stays in its tile element, so a walk whose
+    ///   tile ends with any element not finite is redone as
+    ///   [`TILE_MASKED`] (a false alarm — a sum legitimately ±∞ or NaN —
+    ///   costs only the second walk: the mask changes what holes add, and
+    ///   nothing else).
+    /// * [`TILE_MASKED`]: the padded rows under their presence mask
+    ///   ([`axpy_tile_masked`]), exact for every `w`.
+    #[inline]
+    fn tail_tile<const E: usize, const W: usize, const HOW: u8>(
+        &self,
+        lanes: &mut [f64],
+        rows: &[Rows<'_>; E],
+        vals: &[[f64; W]],
+        mask: &[[u64; W]],
+    ) {
+        debug_assert!(W <= MAX_TILE && lanes.len() == E * W);
         let mut acc = [[0.0f64; W]; E];
         self.for_each_group(rows, self.order - 1, |_, runs, weights| {
             for r in runs {
                 let w = weights.of(r);
                 for e in 0..E {
                     if w[e] != 0.0 {
-                        axpy_tile(w[e], &run_vals[r], &mut acc[e]);
+                        if HOW == TILE_MASKED {
+                            axpy_tile_masked(w[e], &vals[r], &mask[r], &mut acc[e]);
+                        } else {
+                            axpy_tile(w[e], &vals[r], &mut acc[e]);
+                        }
                     }
                 }
             }
         });
+        if HOW == TILE_PADDED && !acc.iter().flatten().all(|v| v.is_finite()) {
+            return self.tail_tile::<E, W, TILE_MASKED>(lanes, rows, vals, mask);
+        }
         for (delta, acc) in lanes.chunks_exact_mut(W).zip(&acc) {
             delta.copy_from_slice(acc);
         }
     }
 }
+
+/// [`RunPlan::tail_tile`] over a dense core's values.
+const TILE_DENSE: u8 = 0;
+/// [`RunPlan::tail_tile`] over a truncated core's zero-padded rows, exact
+/// for finite head products.
+const TILE_PADDED: u8 = 1;
+/// [`RunPlan::tail_tile`] over the padded rows under their presence mask.
+const TILE_MASKED: u8 = 2;
 
 /// What a run adds to a lane's accumulator: `w · t`, or — where the
 /// single-entry kernel *skips* the run because `w == 0` — `-0.0`, the one
