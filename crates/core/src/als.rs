@@ -731,16 +731,11 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
     // The truncation step's per-thread R(β) buffers, booked like the
     // arenas: checked while anything is resident, an unchecked part of the
     // out-of-core floor once the plan spilled.
-    let ranking = ranking_doubles(opts);
-    let ranking_booking = (ranking > 0)
-        .then(|| {
-            if place.spill_plan {
-                Ok(opts.budget.reserve_unchecked(ranking * 8))
-            } else {
-                opts.budget.reserve_f64(ranking)
-            }
-        })
-        .transpose()?;
+    let ranking_booking = match ranking_doubles(opts) {
+        0 => None,
+        doubles if place.spill_plan => Some(opts.budget.reserve_unchecked(doubles * 8)),
+        doubles => Some(opts.budget.reserve_f64(doubles)?),
+    };
     if !place.windowed() && tail_bytes > 0 {
         tail_booking = opts.budget.reserve(tail_bytes).ok();
     }

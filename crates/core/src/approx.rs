@@ -46,6 +46,13 @@
 //! storage that is bitwise the COO value; at `f32` storage it is the
 //! stored (quantized) value every sweep reads, so the ranking is of the
 //! model against the tensor as the fit stores it.
+//!
+//! *Cost.* `O(|Ω|·|G|/J_N)` per pass plus `3·|G|` per flushed segment (at
+//! most the tail slices plus one per worker) — about one mode sweep's
+//! walk, where the per-entry pass cost several. The paper's note that
+//! P-Tucker-Approx "may require few iterations to run faster than
+//! P-Tucker due to overheads from calculating R(β)" is what this pass
+//! removes; `fig9_approx` prints what it measures.
 
 use crate::delta::{RunPlan, LANES};
 use crate::Result;
@@ -455,6 +462,34 @@ mod tests {
             core.retain_by_id(|e| e % kill != 1 || e == 0);
         }
         (x, factors, core)
+    }
+
+    /// Past the prefix stack (order > 16) the walk forms each run's head
+    /// product from scratch; the ranking is still Eq. 13.
+    #[test]
+    fn deep_orders_rank_by_eq13() {
+        let order = crate::delta::MAX_PREFIX_ORDER + 1;
+        let mut rng = StdRng::seed_from_u64(19);
+        let dims = vec![2; order];
+        let mut ranks = vec![1; order];
+        (ranks[0], ranks[order - 2], ranks[order - 1]) = (2, 2, 2);
+        let x = ptucker_datagen::uniform_sparse(&dims, 40, &mut rng);
+        let factors: Vec<Matrix> = ranks
+            .iter()
+            .map(|&j| Matrix::from_vec(2, j, (0..2 * j).map(|_| rng.gen::<f64>()).collect()))
+            .collect::<std::result::Result<_, _>>()
+            .unwrap();
+        let mut core = CoreTensor::random_dense(ranks, &mut rng).unwrap();
+        core.retain_by_id(|e| e != 3);
+        let got = fused(&x, &factors, &core, 2);
+        let full = sse_without(&x, &factors, &core, usize::MAX);
+        for (b, r) in got.iter().enumerate() {
+            let want = r_bruteforce(&x, &factors, &core, b);
+            assert!(
+                (r - want).abs() <= 1e-10 * (full + want.abs()),
+                "R({b}) = {r} vs {want}"
+            );
+        }
     }
 
     proptest! {

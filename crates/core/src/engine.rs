@@ -1137,6 +1137,33 @@ mod tests {
         );
     }
 
+    /// Truncation is the driver's, whatever kernel a caller hands it, and
+    /// a `Pres` table holds one core's products: the Cache kernel refuses
+    /// a truncating fit instead of sweeping with a stale table.
+    #[test]
+    fn cached_kernel_refuses_a_truncating_fit() {
+        let (x, factors, core, opts) = setup();
+        let plan = ModeStreams::build(&x).unwrap();
+        let mut sweep = plan.sweep_source(0, usize::MAX, false);
+        let approx = opts.variant(crate::Variant::Approx {
+            truncation_rate: 0.2,
+        });
+        let err = CachedKernel::new()
+            .prepare_fit(
+                &FitInput::from(&x),
+                &factors,
+                &core,
+                &approx,
+                &mut sweep,
+                false,
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, crate::PtuckerError::InvalidConfig(m) if m.contains("truncating")),
+            "{err}"
+        );
+    }
+
     #[test]
     fn scratch_reuse_is_stateless_across_rows() {
         // A reused arena must give bitwise-identical results to a fresh one.
