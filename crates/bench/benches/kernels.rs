@@ -11,7 +11,8 @@
 //! sweep and its **full mode cycle** (every mode's sweep, timed per mode
 //! and per observed entry at one, two and the shipped number of `Pres`
 //! rows per walk, *plus* `post_mode` rescale, through the real
-//! `CachedKernel` — what a Cache iteration pays, and where), and the CSF
+//! `CachedKernel` — what a Cache iteration pays, and where), Approx's
+//! `R(β)` ranking pass (per-entry vs the fused tail-mode walk), and the CSF
 //! TTMc against a brute-force Kronecker accumulation.
 //!
 //! Besides the stdout report, the run emits `BENCH_kernels.json` at the
@@ -197,8 +198,8 @@ impl RowUpdateFixture {
 
     /// The same fixture on a **truncated** core — every fifth core entry
     /// dropped, as an Approx iteration leaves it: ragged and non-contiguous
-    /// runs, so mode `N−1` takes the through-memory tail and the tail dots
-    /// their indexed loop.
+    /// runs, so mode `N−1`'s tile reads the padded runs and the tail dots
+    /// take their indexed loop.
     fn truncated(mut self) -> Self {
         self.core.retain_by_id(|e| e % 5 != 1);
         self.runs = RunPlan::new(&self.core);
@@ -662,6 +663,42 @@ fn bench_ttmc(c: &mut Criterion) {
     group.finish();
 }
 
+/// The per-entry `R(β)` pass the fused walk replaced, hand-rolled through
+/// public APIs: per observed entry, every core entry's contribution
+/// `c = w·(g·a_tail)` — one head product `w` per run of core entries
+/// sharing their first `N−1` coordinates — into `contrib`, then
+/// `R(β) += c·(c − 2x + 2(x̂ − c))` into `racc`: `|G|` products and a
+/// `|G|`-wide read-modify-write per entry, one thread.
+fn per_entry_r_beta(
+    x: &SparseTensor,
+    factors: &[Matrix],
+    core: &CoreTensor,
+    contrib: &mut [f64],
+    racc: &mut [f64],
+) {
+    let order = x.order();
+    let last = order - 1;
+    let (idx, vals) = (core.flat_indices(), core.values());
+    for (entry, xv) in x.iter() {
+        let tail_row = factors[last].row(entry[last]);
+        let mut full = 0.0;
+        let mut b = 0;
+        while b < vals.len() {
+            let head = &idx[b * order..b * order + last];
+            let w: f64 = (0..last).map(|k| factors[k][(entry[k], head[k])]).product();
+            while b < vals.len() && idx[b * order..b * order + last] == *head {
+                let c = w * (vals[b] * tail_row[idx[b * order + last]]);
+                contrib[b] = c;
+                full += c;
+                b += 1;
+            }
+        }
+        for (r, &c) in racc.iter_mut().zip(contrib.iter()) {
+            *r += c * (c - 2.0 * xv + 2.0 * (full - c));
+        }
+    }
+}
+
 /// Median ns of `f` over `samples` timed runs, auto-calibrated so each run
 /// is long enough to measure.
 fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
@@ -707,7 +744,11 @@ fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
 /// `LANES`), `cache_mode_cycle`: the median full Cache mode cycle (every
 /// mode's sweep plus its `post_mode`) as ns per (observed entry, mode) for
 /// each mode's sweep — the series the Cache block width was chosen on —
-/// next to the cycle's total and the share `post_mode` took.
+/// next to the cycle's total and the share `post_mode` took. The truncated
+/// `direct_mode_cycle` rows carry `mode_n1_vs_dense`, mode `N−1`'s time
+/// over the dense row's at the same width (the tile keeps it near 1), and
+/// `approx_r_beta` prices Approx's `R(β)` ranking per observed entry: the
+/// per-entry pass against the fused walk of mode `N−1`'s stream.
 ///
 /// Acceptance bar: `speedup ≥ 1.5` at J = 20.
 fn write_artifact() {
@@ -740,9 +781,9 @@ fn write_artifact() {
     // residual pass through the real row routine, per mode and per observed
     // entry, one entry at a time (`lanes` 1) against two and the shipped
     // `LANES` per walk of the core — on the dense core and on a truncated
-    // one (ragged runs: mode N−1's through-memory tail). Mode N−1 is the
-    // last column: the δ tile at J = 5 and 10, the through-memory `axpy`
-    // tail at J = 20 (past the tile's widest instantiation). The
+    // one (ragged runs: mode N−1's tile over the padded rows). Mode N−1 is
+    // the last column: the δ tile at J = 5 and 10, the through-memory
+    // `axpy` tail at J = 20 (past the tile's widest instantiation). The
     // shipped-width dense row also prices the table refused and its fill:
     // `I_N·|G|` multiply-adds against the sweeps' `N·|Ω|·|G|`, so
     // `fill_share` grows with `I_N/|Ω|`: on this fixture (`I_N·n_runs` =
@@ -754,30 +795,86 @@ fn write_artifact() {
         let dense = RowUpdateFixture::new(j, &mut rng);
         let mut rng = StdRng::seed_from_u64(3);
         let truncated = RowUpdateFixture::new(j, &mut rng).truncated();
+        // Mode N−1's seconds on the dense core, per lane count: what the
+        // truncated rows' `mode_n1_vs_dense` divides by.
+        let mut dense_tail = Vec::new();
         for (core, fx) in [("dense", &dense), ("truncated", &truncated)] {
-            lines.push(format!("    {{{}}}", fx.direct_cycle_row::<1>(core).1));
-            lines.push(format!("    {{{}}}", fx.direct_cycle_row::<2>(core).1));
-            let (used, row) = fx.direct_cycle_row::<LANES>(core);
-            if core != "dense" {
-                lines.push(format!("    {{{row}}}"));
-                continue;
+            let rows = [
+                fx.direct_cycle_row::<1>(core),
+                fx.direct_cycle_row::<2>(core),
+                fx.direct_cycle_row::<LANES>(core),
+            ];
+            let shipped = rows.len() - 1;
+            for (k, (used, row)) in rows.into_iter().enumerate() {
+                let tail = used.modes.last().copied().unwrap_or(0.0);
+                if core != "dense" {
+                    let vs = tail / dense_tail[k];
+                    println!(
+                        "artifact direct_mode_cycle j={j} truncated row {k}: mode N-1 at \
+                         {vs:.2}x the dense core's"
+                    );
+                    lines.push(format!("    {{{row}, \"mode_n1_vs_dense\": {vs:.3}}}"));
+                    continue;
+                }
+                dense_tail.push(tail);
+                if k != shipped {
+                    lines.push(format!("    {{{row}}}"));
+                    continue;
+                }
+                let refused = fx.median_direct_cycle::<LANES>(false).total() * 1e9;
+                let (used, fill) = (used.total() * 1e9, used.fill * 1e9);
+                let fill_share = fill / used;
+                let speedup = refused / used;
+                let admitted = 16 * j * j <= fx.x.nnz();
+                println!(
+                    "artifact direct_mode_cycle j={j}: table used {used:.0} ns (fill {fill:.0} \
+                     ns, {fill_share:.3} of the cycle), refused {refused:.0} ns, speedup \
+                     {speedup:.2}x, size rule admits: {admitted}"
+                );
+                lines.push(format!(
+                    "    {{{row}, \"table_refused_ns\": {refused:.1}, \
+                     \"fill_ns\": {fill:.1}, \"fill_share\": {fill_share:.3}, \
+                     \"speedup\": {speedup:.3}, \"rule_admits\": {admitted}}}"
+                ));
             }
-            let refused = fx.median_direct_cycle::<LANES>(false).total() * 1e9;
-            let (used, fill) = (used.total() * 1e9, used.fill * 1e9);
-            let fill_share = fill / used;
-            let speedup = refused / used;
-            let admitted = 16 * j * j <= fx.x.nnz();
-            println!(
-                "artifact direct_mode_cycle j={j}: table used {used:.0} ns (fill {fill:.0} ns, \
-                 {fill_share:.3} of the cycle), refused {refused:.0} ns, speedup {speedup:.2}x, \
-                 size rule admits: {admitted}"
-            );
-            lines.push(format!(
-                "    {{{row}, \"table_refused_ns\": {refused:.1}, \
-                 \"fill_ns\": {fill:.1}, \"fill_share\": {fill_share:.3}, \
-                 \"speedup\": {speedup:.3}, \"rule_admits\": {admitted}}}"
-            ));
         }
+    }
+
+    // Approx's ranking pass, R(β) for every core entry: the per-entry pass
+    // the fused one replaced (`|G|` contributions and a `|G|`-wide
+    // read-modify-write per entry) against the fused walk of mode N−1's
+    // stream (one lane walk and `~3·|G|/J_N` multiply-adds per entry, plus
+    // a `|G|` flush per tail slice), one thread, on the dense core with the
+    // tail-dot table memoized as a fit has it.
+    for &j in &[5usize, 10, 20] {
+        let mut rng = StdRng::seed_from_u64(3);
+        let fx = RowUpdateFixture::new(j, &mut rng);
+        let mut runs = fx.runs.clone();
+        runs.memoize_tail(&fx.core, &fx.factors[2], 1);
+        let g = fx.core.nnz();
+        let (mut contrib, mut racc) = (vec![0.0; g], vec![0.0; g]);
+        let per_entry = median_ns(15, || {
+            racc.fill(0.0);
+            per_entry_r_beta(&fx.x, &fx.factors, &fx.core, &mut contrib, &mut racc);
+            black_box(&racc);
+        });
+        let mut sweep = fx.plan.sweep_source(0, usize::MAX, false);
+        let fused = median_ns(15, || {
+            let r = ptucker::approx::partial_errors(&mut sweep, &fx.factors, &fx.core, &runs, 1);
+            black_box(r.unwrap());
+        });
+        let nnz = fx.x.nnz() as f64;
+        let (per_entry, fused) = (per_entry / nnz, fused / nnz);
+        let speedup = per_entry / fused;
+        println!(
+            "artifact approx_r_beta j={j}: per-entry pass {per_entry:.1} ns per entry, fused \
+             {fused:.1} ns per entry, speedup {speedup:.2}x"
+        );
+        lines.push(format!(
+            "    {{\"bench\": \"approx_r_beta\", \"j\": {j}, \
+             \"per_entry_ns_per_entry\": {per_entry:.1}, \"fused_ns_per_entry\": {fused:.1}, \
+             \"speedup\": {speedup:.3}}}"
+        ));
     }
 
     // What a Cache iteration pays, and where: every mode's sweep plus its
