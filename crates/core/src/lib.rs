@@ -61,7 +61,11 @@
 //!   (`prepare_fit`/`prepare_mode`/`begin_window`/`post_mode`); adding a
 //!   new backend is one new trait impl. Approx is not a kernel: it sweeps
 //!   with Direct, and its per-iteration truncation by `R(β)` is a step of
-//!   the fit driver ([`approx`]).
+//!   the fit driver ([`approx`]). `R(β)` factors through the tail factor,
+//!   so the ranking is one walk of mode `N−1`'s stream — one lane walk per
+//!   entry for its residual, `~3·|G|/J_N` multiply-adds into per-run sums,
+//!   and a `|G|` flush per slice — instead of `|G|` products and a
+//!   `|G|`-wide read-modify-write per entry.
 //!
 //!   The δ accumulation itself is **run-blocked** (`delta.rs`):
 //!   `CoreTensor`'s lexicographic invariant decomposes the core entry list
@@ -84,7 +88,8 @@
 //!   kernel is **entry-blocked**: Direct and Approx sweeps and the residual
 //!   pass advance [`engine::LANES`] entries of a row through one walk of
 //!   the core's runs, every accumulator in a local (a group's runs summed
-//!   in a register; the last mode's δ in a `J_N`-wide tile per lane), each
+//!   in a register; the last mode's δ in a `J_N`-wide tile per lane, a
+//!   truncated core's runs padded to `J_N` for it), each
 //!   lane bit for bit the one-entry walk — which is the same function at
 //!   block width 1, and what serving calls. The downstream
 //!   `B += δδᵀ` / `c += x·δ` accumulation rides the same `syr`/`axpy`

@@ -51,9 +51,11 @@
 //! * [`ptucker`] (`crates/core`) — the solver, organized as a
 //!   **plan/engine/kernel/scratch** stack: the fit driver derives the
 //!   `ModeStreams` plan once per fit (metered in the memory budget), is
-//!   generic over a `ptucker::engine::RowUpdateKernel` (one implementation
-//!   per variant — Direct, Cached, Approx — monomorphized, no per-row
-//!   variant branching), and every per-row intermediate lives in a
+//!   generic over a `ptucker::engine::RowUpdateKernel` (Direct and Cached
+//!   — monomorphized, no per-row variant branching; Approx sweeps with
+//!   Direct, and its per-iteration truncation by `R(β)` is a driver step:
+//!   one walk of the last mode's stream, the sums factored through the
+//!   tail factor), and every per-row intermediate lives in a
 //!   `ptucker::engine::Scratch` arena allocated once per worker thread.
 //!   The δ accumulation is **run-blocked**: the `CoreTensor` type
 //!   guarantees lexicographic entry order, so the core decomposes into
