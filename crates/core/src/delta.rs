@@ -126,17 +126,15 @@
 //!   runs, which the through-memory tail adds with `axpy` over their
 //!   contiguous stretch or an indexed loop — `δ[k] += w·g[k]` for exactly
 //!   the tail coordinates `k` the run holds. The [`RunPlan`] keeps each run
-//!   padded to `J_N` (its values at those coordinates, zeros elsewhere)
-//!   and a presence mask. Adding a whole padded row adds `w·0 = ±0` at
-//!   the holes, which leaves the sum's bits alone: the tile starts at
-//!   `+0.0`, and a sum that starts there is never `-0.0` (round-to-nearest
-//!   rounds an exact cancellation to `+0`; only `-0 + -0` is `-0`). That
-//!   holds for a finite `w` only: `±∞·0` and `NaN·0` are NaN, and a NaN
-//!   added at a hole stays in that tile element to the end of the walk. So
-//!   a walk whose tile ends all finite met no such `w` at a hole, and one
-//!   that does not is redone with the mask selecting the holes away
-//!   ([`axpy_tile_masked`](ptucker_linalg::kernels::axpy_tile_masked)) —
-//!   the same bits, since the mask changes only what holes add. Zero
+//!   padded to `J_N` (its values at those coordinates, zeros elsewhere),
+//!   and the tile adds whole padded rows: `w·0 = ±0` at the holes, which
+//!   leaves the sum's bits alone — the tile starts at `+0.0`, and a sum
+//!   that starts there is never `-0.0` (round-to-nearest rounds an exact
+//!   cancellation to `+0`; only `-0 + -0` is `-0`). That holds for a
+//!   finite `w` only: `±∞·0` and `NaN·0` are NaN, and a NaN added at a
+//!   hole stays in that tile element to the end of the walk. So a walk
+//!   whose tile ends without a NaN met no such `w` at a hole, and one that
+//!   ends with one is redone through memory — the path it must equal. Zero
 //!   padding without that fallback would not be bitwise.
 //!
 //!   *What the FMA tiers do.* Under `simd`/`simd-avx512` on a CPU that has
@@ -148,9 +146,7 @@
 //!   walk. Every other path is tier-independent (`dot` is reached through
 //!   `RunPlan::tail_dot` only).
 
-use ptucker_linalg::kernels::{
-    axpy, axpy_is_fused, axpy_tile, axpy_tile_masked, dot, syr_in_place,
-};
+use ptucker_linalg::kernels::{axpy, axpy_is_fused, axpy_tile, dot, syr_in_place};
 use ptucker_linalg::Matrix;
 use ptucker_sched::{parallel_rows_mut, Schedule};
 use ptucker_tensor::CoreTensor;
@@ -268,10 +264,6 @@ pub struct RunPlan {
     /// `n_runs × J_N`. Empty otherwise (a dense core's runs already are
     /// the `J_N`-chunks of its values).
     tile_vals: Vec<f64>,
-    /// The padded rows' presence mask, all ones where run `r` holds tail
-    /// coordinate `k` and zero elsewhere (`axpy_tile_masked`'s select);
-    /// empty with `tile_vals`.
-    tile_mask: Vec<u64>,
     /// `T[i_N][r]`, row-major `I_N × n_runs`; empty = not memoized.
     tail_dots: Vec<f64>,
 }
@@ -299,7 +291,6 @@ impl RunPlan {
             shared: Vec::new(),
             full_tails: true,
             tile_vals: Vec::new(),
-            tile_mask: Vec::new(),
             tail_dots: Vec::new(),
             offsets,
         };
@@ -329,13 +320,10 @@ impl RunPlan {
         plan.groups.push(n_runs as u32);
         if !plan.full_tails && tail_rank <= MAX_TILE {
             plan.tile_vals = vec![0.0; n_runs * tail_rank];
-            plan.tile_mask = vec![0; n_runs * tail_rank];
             for r in 0..n_runs {
                 let (base, end) = plan.run(r);
                 for (b, &g) in (base..end).zip(&core.values()[base..end]) {
-                    let slot = r * tail_rank + core_idx[b * order + last];
-                    plan.tile_vals[slot] = g;
-                    plan.tile_mask[slot] = u64::MAX;
+                    plan.tile_vals[r * tail_rank + core_idx[b * order + last]] = g;
                 }
             }
         }
@@ -632,10 +620,9 @@ impl RunPlan {
     /// `δ[β_N] += w · g[r, β_N]` per run. On the scalar tier, up to
     /// [`MAX_TILE`], the lanes' δ stay in a `J_N`-wide tile of locals for
     /// the whole walk ([`RunPlan::tail_tile`]) — a dense core's runs read
-    /// straight from its values, a truncated core's from their padded rows
-    /// under the presence mask. A tail rank past [`MAX_TILE`] or an FMA
-    /// tier adds each run into the lane's δ in memory: [`axpy`] for a
-    /// contiguous run, the indexed loop for a ragged one.
+    /// straight from its values, a truncated core's from their padded
+    /// rows. A tail rank past [`MAX_TILE`] or an FMA tier adds each run
+    /// into the lane's δ in memory ([`RunPlan::tail_scatter`]).
     #[inline]
     fn tail_mode<const E: usize>(
         &self,
@@ -647,18 +634,24 @@ impl RunPlan {
         let j = lanes.len() / E;
         let cells = self.n_runs() * j;
         let dense = self.full_tails && core_vals.len() == cells;
-        if (dense || self.tile_mask.len() == cells) && !axpy_is_fused() {
+        if (dense || self.tile_vals.len() == cells) && !axpy_is_fused() {
+            let padded = if dense { core_vals } else { &self.tile_vals };
             macro_rules! tile {
                 ($($w:literal)*) => {
                     match j {
                         $($w => {
-                            if dense {
-                                let (vals, _) = core_vals.as_chunks::<$w>();
-                                self.tail_tiles::<E, $w, TILE_DENSE>(lanes, rows, vals, &[]);
-                            } else {
-                                let (vals, _) = self.tile_vals.as_chunks::<$w>();
-                                let (mask, _) = self.tile_mask.as_chunks::<$w>();
-                                self.tail_tiles::<E, $w, TILE_PADDED>(lanes, rows, vals, mask);
+                            let (vals, _) = padded.as_chunks::<$w>();
+                            let n = if 2 * $w <= TILE_DOUBLES { 2 } else { 1 };
+                            for (lanes, rows) in lanes.chunks_mut(n * $w).zip(rows.chunks(n)) {
+                                match rows {
+                                    [a, b] => self.tail_tile::<2, $w>(
+                                        lanes, &[*a, *b], vals, !dense, core_idx, core_vals,
+                                    ),
+                                    [a] => self.tail_tile::<1, $w>(
+                                        lanes, &[*a], vals, !dense, core_idx, core_vals,
+                                    ),
+                                    _ => unreachable!("chunks of at most two"),
+                                }
                             }
                             return;
                         })*
@@ -668,6 +661,20 @@ impl RunPlan {
             }
             tile!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
         }
+        self.tail_scatter(lanes, rows, core_idx, core_vals);
+    }
+
+    /// Mode `N−1`'s δ through memory: each run added into each lane's δ
+    /// (`E × J_N`, zeroed) — [`axpy`] for a contiguous run, the indexed
+    /// loop for a ragged one.
+    fn tail_scatter<const E: usize>(
+        &self,
+        lanes: &mut [f64],
+        rows: &[Rows<'_>; E],
+        core_idx: &[usize],
+        core_vals: &[f64],
+    ) {
+        let j = lanes.len() / E;
         let last = self.order - 1;
         self.for_each_group(rows, last, |_, runs, weights| {
             for r in runs {
@@ -691,55 +698,31 @@ impl RunPlan {
         });
     }
 
-    /// The tile at tail rank `W` for `E` lanes, one or two lanes per walk
-    /// (what [`TILE_DOUBLES`] of registers hold).
-    #[inline]
-    fn tail_tiles<const E: usize, const W: usize, const HOW: u8>(
-        &self,
-        lanes: &mut [f64],
-        rows: &[Rows<'_>; E],
-        vals: &[[f64; W]],
-        mask: &[[u64; W]],
-    ) {
-        let n = if 2 * W <= TILE_DOUBLES { 2 } else { 1 };
-        for (lanes, rows) in lanes.chunks_mut(n * W).zip(rows.chunks(n)) {
-            match rows {
-                [a, b] => self.tail_tile::<2, W, HOW>(lanes, &[*a, *b], vals, mask),
-                [a] => self.tail_tile::<1, W, HOW>(lanes, &[*a], vals, mask),
-                _ => unreachable!("chunks of at most two"),
-            }
-        }
-    }
-
     /// [`RunPlan::tail_mode`] at tail rank `W`, scalar tier: the lanes' δ
     /// live in an `E × W` tile of locals — registers, for the ranks the
     /// paper runs — through the whole walk and are stored once at the end.
-    /// Run `r` is `vals[r]`; per run and lane the tile does
-    /// `acc[k] += w · g[k]`, multiply then add, element by element —
-    /// exactly the scalar [`axpy`] (contiguous run) or indexed loop (ragged
-    /// run) the through-memory tail runs, on the same operands in the same
-    /// run order, so the same bits. How depends on `HOW`:
+    /// Run `r` is `vals[r]`, added whole: `acc[k] += w · g[k]`, multiply
+    /// then add, element by element — exactly the scalar [`axpy`] the
+    /// through-memory tail calls, on the same operands in the same run
+    /// order, so the same bits.
     ///
-    /// * [`TILE_DENSE`]: `vals[r]` is run `r`'s `W`-chunk of a dense core's
-    ///   values ([`axpy_tile`]).
-    /// * [`TILE_PADDED`]: `vals[r]` is a truncated run padded with zeros,
-    ///   added whole. For a finite `w` a pad adds `w·0 = ±0`, which leaves
-    ///   the sum's bits alone: it started at `+0.0`, and such a sum is never
-    ///   `-0.0` (an exact cancellation rounds to `+0`). For `w` = ±∞ or NaN
-    ///   the pad adds NaN, which stays in its tile element, so a walk whose
-    ///   tile ends with any element not finite is redone as
-    ///   [`TILE_MASKED`] (a false alarm — a sum legitimately ±∞ or NaN —
-    ///   costs only the second walk: the mask changes what holes add, and
-    ///   nothing else).
-    /// * [`TILE_MASKED`]: the padded rows under their presence mask
-    ///   ([`axpy_tile_masked`]), exact for every `w`.
+    /// `padded`: `vals[r]` is a truncated run padded with zeros at the tail
+    /// coordinates it lacks, where the through-memory tail adds nothing. A
+    /// finite `w` adds `w·0 = ±0` there, which leaves the sum's bits alone:
+    /// it started at `+0.0`, and such a sum is never `-0.0` (an exact
+    /// cancellation rounds to `+0`). A `w` of ±∞ or NaN adds NaN, which
+    /// stays in its tile element; so a padded walk whose tile ends with a
+    /// NaN is redone through memory ([`RunPlan::tail_scatter`]) — a false
+    /// alarm, a sum that is NaN anyway, costs only that.
     #[inline]
-    fn tail_tile<const E: usize, const W: usize, const HOW: u8>(
+    fn tail_tile<const E: usize, const W: usize>(
         &self,
         lanes: &mut [f64],
         rows: &[Rows<'_>; E],
         vals: &[[f64; W]],
-        mask: &[[u64; W]],
+        padded: bool,
+        core_idx: &[usize],
+        core_vals: &[f64],
     ) {
         debug_assert!(W <= MAX_TILE && lanes.len() == E * W);
         let mut acc = [[0.0f64; W]; E];
@@ -748,31 +731,19 @@ impl RunPlan {
                 let w = weights.of(r);
                 for e in 0..E {
                     if w[e] != 0.0 {
-                        if HOW == TILE_MASKED {
-                            axpy_tile_masked(w[e], &vals[r], &mask[r], &mut acc[e]);
-                        } else {
-                            axpy_tile(w[e], &vals[r], &mut acc[e]);
-                        }
+                        axpy_tile(w[e], &vals[r], &mut acc[e]);
                     }
                 }
             }
         });
-        if HOW == TILE_PADDED && !acc.iter().flatten().all(|v| v.is_finite()) {
-            return self.tail_tile::<E, W, TILE_MASKED>(lanes, rows, vals, mask);
+        if padded && acc.iter().flatten().any(|v| v.is_nan()) {
+            return self.tail_scatter(lanes, rows, core_idx, core_vals);
         }
         for (delta, acc) in lanes.chunks_exact_mut(W).zip(&acc) {
             delta.copy_from_slice(acc);
         }
     }
 }
-
-/// [`RunPlan::tail_tile`] over a dense core's values.
-const TILE_DENSE: u8 = 0;
-/// [`RunPlan::tail_tile`] over a truncated core's zero-padded rows, exact
-/// for finite head products.
-const TILE_PADDED: u8 = 1;
-/// [`RunPlan::tail_tile`] over the padded rows under their presence mask.
-const TILE_MASKED: u8 = 2;
 
 /// What a run adds to a lane's accumulator: `w · t`, or — where the
 /// single-entry kernel *skips* the run because `w == 0` — `-0.0`, the one

@@ -123,31 +123,6 @@ pub fn axpy_tile<const W: usize>(alpha: f64, x: &[f64; W], y: &mut [f64; W]) {
     }
 }
 
-/// [`axpy_tile`] over the elements `mask` selects: `y[k] += α·x[k]` where
-/// `mask[k]` is all ones, and `y[k]` bit for bit unchanged where it is
-/// zero — the scalar [`axpy`] (or indexed `y[k] += α·x[k]` loop) over just
-/// the selected elements, for a tile whose sums started at `+0.0`.
-///
-/// An unselected element adds the product ANDed with the zero mask,
-/// `+0.0`: one bit operation, no branch, so the tile stays vectorized.
-/// That leaves every `y[k]` as it was except `-0.0` — and a sum started at
-/// `+0.0` is never `-0.0` (round-to-nearest rounds an exact cancellation
-/// to `+0`; only `-0 + -0` is `-0`). Masking is what makes a padded `x`
-/// safe: multiplying a zero pad in would add NaN when `α` is ±∞.
-///
-/// Precondition: no `y[k]` is `-0.0` (true of any sum started at `+0.0`).
-#[inline(always)]
-pub fn axpy_tile_masked<const W: usize>(
-    alpha: f64,
-    x: &[f64; W],
-    mask: &[u64; W],
-    y: &mut [f64; W],
-) {
-    for k in 0..W {
-        y[k] += f64::from_bits((alpha * x[k]).to_bits() & mask[k]);
-    }
-}
-
 /// Triangular rank-1 update `B ← B + δδᵀ` on the upper triangle of a
 /// row-major `j×j` buffer (lower triangle untouched) — the accumulation of
 /// the normal-equation matrix in Theorem 1. Rows with `δ(j₁) = 0`
@@ -940,32 +915,6 @@ mod tests {
         for (a, t) in via_axpy.iter().zip(&tile) {
             assert!(a.to_bits() == t.to_bits() || (a.is_nan() && t.is_nan()));
         }
-    }
-
-    /// The masked tile is the indexed `y[k] += α·x[k]` loop over the
-    /// selected elements, bit for bit, and leaves the others alone — for
-    /// infinite and NaN `α` too, whose product with an unselected zero pad
-    /// would be NaN — on sums that started at `+0.0`.
-    #[test]
-    fn masked_axpy_tile_touches_only_the_selected_elements() {
-        let x = [0.1, 0.0, 3.0e-310, 0.0, -2.5, 7.25];
-        let on = [true, false, true, false, true, true];
-        let mask = on.map(|b| if b { u64::MAX } else { 0 });
-        let mut want = [0.0; 6];
-        let mut tile = [0.0; 6];
-        for alpha in [0.3, -1e-300, f64::INFINITY, -2.0, f64::NAN, -0.5] {
-            for k in (0..6).filter(|&k| on[k]) {
-                want[k] += alpha * x[k];
-            }
-            axpy_tile_masked(alpha, &x, &mask, &mut tile);
-            for (k, (w, t)) in want.iter().zip(&tile).enumerate() {
-                assert!(
-                    w.to_bits() == t.to_bits() || (w.is_nan() && t.is_nan()),
-                    "α {alpha} element {k}: {w} vs {t}"
-                );
-            }
-        }
-        assert_eq!(tile[1].to_bits(), 0, "an unselected element stays +0.0");
     }
 
     #[test]
