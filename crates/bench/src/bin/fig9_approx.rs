@@ -8,11 +8,11 @@
 //! The binary's last line is the *measured* verdict, computed from its own
 //! rows. On the reference VM, with `R(β)` ranked in one walk of the last
 //! mode's stream and truncated cores keeping the mode-`N−1` tile, Approx
-//! takes 1.1–1.4× P-Tucker's time on the dense core and falls to
-//! 0.9–1.2× of it by `|G|` = 106: at `--scale 0.02` it overtakes P-Tucker
-//! from the fourth iteration (1.10× over the fit), while at the default
-//! scale — a 0.02 s iteration, where fixed per-iteration costs dominate —
-//! it stays 10–25 % behind and its fall is within noise. With the
+//! took 1.07–1.10× P-Tucker's time over the fit at `--scale 0.02`, its
+//! iterations getting cheaper as `|G|` shrank until they matched or beat
+//! P-Tucker's (0.92–0.94× at `|G|` = 106). At the default scale — a
+//! 0.02–0.04 s iteration, where fixed per-iteration costs dominate — it
+//! took 1.16–1.39×, and whether its time fell was within noise. With the
 //! per-entry `R(β)` pass it took 1.6–2.3× P-Tucker's time at both scales.
 
 use ptucker::{FitOptions, IterStats, PTucker, Variant};
