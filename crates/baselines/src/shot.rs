@@ -177,8 +177,8 @@ pub fn s_hot(x: &SparseTensor, opts: &BaselineOptions) -> Result<FitResult> {
                                 continue;
                             }
                             // Z[r, :] += (X_α·k_α[r]) · U[iₙ, :] — the
-                            // axpy micro-kernel (SIMD under `--features
-                            // simd`), like the engine's δ accumulation.
+                            // axpy micro-kernel, like the engine's δ
+                            // accumulation.
                             let off = r * j_n;
                             axpy(xv * kv, u_row, &mut zacc[off..off + j_n]);
                         }

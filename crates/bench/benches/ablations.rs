@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
+//! Ablation benchmarks for the engine's design choices:
 //!
 //! * **Row solve**: Cholesky solve vs. the paper's literal "find the
 //!   inverse matrix" (LU inverse then multiply) for `(B + λI) x = c`.

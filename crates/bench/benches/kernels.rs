@@ -24,12 +24,9 @@
 //! `windowed_fit` series prices the out-of-core path: the same Direct
 //! fit in-memory vs through spilled slice-aligned windows.
 //!
-//! Two mixed-precision series ride along: `mixed_precision` compares the
-//! Cached sweep with f32 vs f64 Pres/value storage (resident row sweeps
-//! and fully spilled fits, J ∈ {5, 10, 20}), and `avx512_kernels` prices
-//! the dispatched dot/axpy/div-add primitives (including the widening
-//! f32-input variants) against hand-rolled scalar loops, recording which
-//! SIMD tier the binary was built with and whether the CPU has `avx512f`.
+//! A `mixed_precision` series compares the Cached sweep with f32 vs f64
+//! Pres/value storage (resident row sweeps and fully spilled fits,
+//! J ∈ {5, 10, 20}).
 //!
 //! A `serve_queries` series prices the read path end to end: batched
 //! point and top-K queries against a live `ptucker-serve` socket, with
@@ -42,7 +39,6 @@ use ptucker::engine::{
 };
 use ptucker::{FitOptions, MemoryBudget, PTucker, StoragePrecision, Variant};
 use ptucker_baselines::CsfTensor;
-use ptucker_linalg::kernels;
 use ptucker_linalg::{leading_left_singular_vectors, sym_eigen, Matrix};
 use ptucker_tensor::{CoreTensor, ModeStreams, SparseTensor};
 use rand::rngs::StdRng;
@@ -1485,86 +1481,6 @@ fn write_artifact() {
         client.goodbye().unwrap();
         let stats = handle.shutdown().unwrap();
         assert_eq!(stats.worker_panics, 0);
-    }
-
-    // SIMD kernel tier: the dispatched primitives vs hand-rolled scalar
-    // loops at a bandwidth-visible length. The JSON records which tier the
-    // binary was built with (`avx512_built`) and whether this CPU can run
-    // it (`avx512_cpu`) — with the feature off or the CPU lacking
-    // `avx512f`, the dispatched column *is* the AVX2-or-scalar fallback,
-    // which is exactly the fallback-cleanliness claim.
-    {
-        let n = 4096usize;
-        let mut rng = StdRng::seed_from_u64(11);
-        let a: Vec<f64> = (0..n).map(|_| rng.gen()).collect();
-        let b: Vec<f64> = (0..n).map(|_| rng.gen()).collect();
-        let a32: Vec<f32> = a.iter().map(|&v| v as f32).collect();
-        let den: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() + 0.5).collect();
-        let mut y = vec![0.0f64; n];
-        let avx512_built = cfg!(feature = "simd-avx512");
-        #[cfg(target_arch = "x86_64")]
-        let avx512_cpu = std::arch::is_x86_feature_detected!("avx512f");
-        #[cfg(not(target_arch = "x86_64"))]
-        let avx512_cpu = false;
-
-        let dot_scalar = median_ns(15, || {
-            let mut s = 0.0;
-            for i in 0..n {
-                s += a[i] * b[i];
-            }
-            black_box(s);
-        });
-        let dot_simd = median_ns(15, || {
-            black_box(kernels::dot(&a, &b));
-        });
-        let dot_f32_simd = median_ns(15, || {
-            black_box(kernels::dot_f32_f64(&a32, &b));
-        });
-        let axpy_scalar = median_ns(15, || {
-            for i in 0..n {
-                y[i] += 1.0001 * a[i];
-            }
-            black_box(&mut y);
-        });
-        let axpy_simd = median_ns(15, || {
-            kernels::axpy(1.0001, &a, &mut y);
-            black_box(&mut y);
-        });
-        let axpy_f32_simd = median_ns(15, || {
-            kernels::axpy_into_f64(1.0001, &a32, &mut y);
-            black_box(&mut y);
-        });
-        let div_scalar = median_ns(15, || {
-            for i in 0..n {
-                y[i] += a[i] / den[i];
-            }
-            black_box(&mut y);
-        });
-        let div_simd = median_ns(15, || {
-            black_box(kernels::div_add_nonzero(&mut y, &a, &den));
-        });
-        let div_f32_simd = median_ns(15, || {
-            black_box(kernels::div_add_nonzero_f32(&mut y, &a32, &den));
-        });
-        for (kernel, scalar, simd, f32_in) in [
-            ("dot", dot_scalar, dot_simd, dot_f32_simd),
-            ("axpy", axpy_scalar, axpy_simd, axpy_f32_simd),
-            ("div_add_nonzero", div_scalar, div_simd, div_f32_simd),
-        ] {
-            println!(
-                "artifact avx512_kernels {kernel} n={n}: scalar {scalar:.0} ns, \
-                 dispatched {simd:.0} ns ({:.2}x), f32-input {f32_in:.0} ns \
-                 (built avx512: {avx512_built}, cpu avx512f: {avx512_cpu})",
-                scalar / simd
-            );
-            lines.push(format!(
-                "    {{\"bench\": \"avx512_kernels\", \"kernel\": \"{kernel}\", \"n\": {n}, \
-                 \"scalar_ns\": {scalar:.1}, \"dispatched_ns\": {simd:.1}, \
-                 \"f32_input_ns\": {f32_in:.1}, \"speedup\": {:.3}, \
-                 \"avx512_built\": {avx512_built}, \"avx512_cpu\": {avx512_cpu}}}",
-                scalar / simd
-            ));
-        }
     }
 
     let json = format!(

@@ -1,5 +1,6 @@
 //! Figure 7: time per iteration on the four real-world tensors
-//! (simulated stand-ins; see DESIGN.md §3 for the substitution rationale).
+//! (simulated stand-ins; `ptucker_datagen::realworld` gives the
+//! substitution rationale).
 //!
 //! Paper shape: P-Tucker and P-Tucker-Approx are the fastest on every
 //! dataset (1.7–275× vs. competitors); Tucker-wOpt is O.O.M. on the two

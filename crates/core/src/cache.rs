@@ -98,8 +98,8 @@ pub(crate) trait PresElem: Copy + Send + Sync + Default + std::fmt::Debug + 'sta
 
     /// `δ[t] += pres[t] / den[t]` over the nonzero divisors of `den`,
     /// leaving zero-divisor slots untouched; returns whether any divisor
-    /// was zero. One rounded `f64` quotient per element on every SIMD
-    /// tier — bitwise identical across placements.
+    /// was zero. One rounded `f64` quotient per element — bitwise
+    /// identical across placements.
     fn div_add(delta: &mut [f64], pres: &[Self], den: &[f64]) -> bool;
 
     /// The `f64` sum of a run of cached products (the constant-divisor
@@ -718,9 +718,9 @@ pub(crate) fn window_indices(w: &Window<'_>, order: usize, out: &mut Vec<usize>)
 /// own `Pres` row and adds, in run order, the same quotients into its own
 /// δ: `P::sum` over the same slice divided by the same `a`, or — in the
 /// tile — `pres[t] / a[t]` then add, the element-wise operation
-/// [`PresElem::div_add`] performs on every SIMD tier (division has no fused
-/// form to diverge on). A zero divisor (the paper's caveat: "when a is 0,
-/// P-TUCKER-CACHE conducts the multiplications as P-TUCKER does") sends the
+/// [`PresElem::div_add`] performs. A zero divisor (the paper's caveat:
+/// "when a is 0, P-TUCKER-CACHE conducts the multiplications as P-TUCKER
+/// does") sends the
 /// same slots of every lane to the direct product: a non-tail run whose `a`
 /// is zero adds its `fallback_product`s one by one, a tail row with any
 /// zero leaves the tile for the per-run `div_add` + patch, truncated or
@@ -800,11 +800,9 @@ pub(crate) fn cached_delta_for_block<P: PresElem, const E: usize>(
         let (t0, contiguous) = runs.tail(r);
         for (e, delta) in lanes.chunks_exact_mut(j).enumerate() {
             if contiguous {
-                // One vectorizable `δ[t] += pres[t] / a_old[t]` pass — the
-                // `simd` feature's `_mm256_div_pd` path with the
-                // zero-divisor lanes blended out — and only runs that
-                // actually hit a zero divisor rescan for the direct-product
-                // fallback.
+                // One `δ[t] += pres[t] / a_old[t]` pass that skips the
+                // zero divisors, and only runs that actually hit one
+                // rescan for the direct-product fallback.
                 let old = &a_row_old[t0..t0 + (end - base)];
                 if P::div_add(&mut delta[t0..t0 + old.len()], &pres[e][base..end], old) {
                     for (b, &a) in (base..end).zip(old) {
@@ -836,8 +834,7 @@ pub(crate) fn cached_delta_for_block<P: PresElem, const E: usize>(
 /// registers, at the paper's ranks — through the whole row, stored once at
 /// the end. Per run, lane and slot the tile does `acc[t] += pres[t] / a[t]`,
 /// divide then add: exactly what [`PresElem::div_add`] does to `δ[t]`
-/// through memory on every SIMD tier, in the same run order, so the same
-/// bits.
+/// through memory, in the same run order, so the same bits.
 #[inline]
 fn tail_tile<P: PresElem, const T: usize, const W: usize>(
     lanes: &mut [f64],

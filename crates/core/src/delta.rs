@@ -35,7 +35,7 @@
 //!     [`dot`](ptucker_linalg::kernels::dot) of the run's values against
 //!     the pinned tail factor row.
 //!
-//!   Both primitives are the chunked/SIMD micro-kernels from
+//!   Both primitives are the chunked micro-kernels from
 //!   `ptucker_linalg::kernels`; runs whose tail coordinates are
 //!   non-contiguous (truncated cores) take an indexed variant of the same
 //!   loop. Test-gated since the memoized kernel below replaced it: it is
@@ -72,7 +72,7 @@
 //!   and the kernel multiplies the same `w_r` into it and adds into the
 //!   same accumulator in the same run order with the same `w == 0` skip.
 //!   A loop-invariant moved out of a loop: no floating-point operation
-//!   changes, under any SIMD tier. Without a table (the caller decides —
+//!   changes. Without a table (the caller decides —
 //!   see `als`'s budget rule) the lookup *is* that per-entry `dot`.
 //!
 //!   *Why mode `N−1` is not.* Its δ never touches the tail factor — that
@@ -112,10 +112,10 @@
 //!   skipped run adds `-0.0`, which leaves every `f64` bit for bit as it
 //!   was (`term`).
 //!
-//!   *Why the tile is the scalar `axpy`, element by element.* The
-//!   through-memory tail calls [`axpy`](ptucker_linalg::kernels::axpy)
-//!   `(w, g[r, ·], δ)` per run; on the scalar tier that is
-//!   `δ[k] += w·g[k]` — multiply, round, add, round — for each `k`, and
+//!   *Why the tile is `axpy`, element by element.* The through-memory
+//!   tail calls [`axpy`](ptucker_linalg::kernels::axpy)`(w, g[r, ·], δ)`
+//!   per run, which is `δ[k] += w·g[k]` — multiply, round, add, round —
+//!   for each `k`, and
 //!   the tile does exactly that to `acc[k]`
 //!   ([`axpy_tile`](ptucker_linalg::kernels::axpy_tile)) in the same run
 //!   order, storing `acc` to `δ` once at the end. A walk carries one or
@@ -136,17 +136,8 @@
 //!   whose tile ends without a NaN met no such `w` at a hole, and one that
 //!   ends with one is redone through memory — the path it must equal. Zero
 //!   padding without that fallback would not be bitwise.
-//!
-//!   *What the FMA tiers do.* Under `simd`/`simd-avx512` on a CPU that has
-//!   them, `axpy` fuses each multiply-add into one rounding, which the
-//!   scalar tile would not reproduce — so there
-//!   ([`axpy_is_fused`](ptucker_linalg::kernels::axpy_is_fused)) mode
-//!   `N−1` keeps calling `axpy` per run and lane into the lane's δ in
-//!   memory: the tier's own `E = 1` bits, with the lanes still sharing the
-//!   walk. Every other path is tier-independent (`dot` is reached through
-//!   `RunPlan::tail_dot` only).
 
-use ptucker_linalg::kernels::{axpy, axpy_is_fused, axpy_tile, dot, syr_in_place};
+use ptucker_linalg::kernels::{axpy, axpy_tile, dot, syr_in_place};
 use ptucker_linalg::Matrix;
 use ptucker_sched::{parallel_rows_mut, Schedule};
 use ptucker_tensor::CoreTensor;
@@ -617,12 +608,12 @@ impl RunPlan {
     }
 
     /// δ of mode `N−1` for `E` entries into `lanes` (`E × J_N`, zeroed):
-    /// `δ[β_N] += w · g[r, β_N]` per run. On the scalar tier, up to
-    /// [`MAX_TILE`], the lanes' δ stay in a `J_N`-wide tile of locals for
-    /// the whole walk ([`RunPlan::tail_tile`]) — a dense core's runs read
-    /// straight from its values, a truncated core's from their padded
-    /// rows. A tail rank past [`MAX_TILE`] or an FMA tier adds each run
-    /// into the lane's δ in memory ([`RunPlan::tail_scatter`]).
+    /// `δ[β_N] += w · g[r, β_N]` per run. Up to [`MAX_TILE`], the lanes'
+    /// δ stay in a `J_N`-wide tile of locals for the whole walk
+    /// ([`RunPlan::tail_tile`]) — a dense core's runs read straight from
+    /// its values, a truncated core's from their padded rows. A tail rank
+    /// past [`MAX_TILE`] adds each run into the lane's δ in memory
+    /// ([`RunPlan::tail_scatter`]).
     #[inline]
     fn tail_mode<const E: usize>(
         &self,
@@ -634,7 +625,7 @@ impl RunPlan {
         let j = lanes.len() / E;
         let cells = self.n_runs() * j;
         let dense = self.full_tails && core_vals.len() == cells;
-        if (dense || self.tile_vals.len() == cells) && !axpy_is_fused() {
+        if dense || self.tile_vals.len() == cells {
             let padded = if dense { core_vals } else { &self.tile_vals };
             macro_rules! tile {
                 ($($w:literal)*) => {
@@ -698,11 +689,11 @@ impl RunPlan {
         });
     }
 
-    /// [`RunPlan::tail_mode`] at tail rank `W`, scalar tier: the lanes' δ
+    /// [`RunPlan::tail_mode`] at tail rank `W`: the lanes' δ
     /// live in an `E × W` tile of locals — registers, for the ranks the
     /// paper runs — through the whole walk and are stored once at the end.
     /// Run `r` is `vals[r]`, added whole: `acc[k] += w · g[k]`, multiply
-    /// then add, element by element — exactly the scalar [`axpy`] the
+    /// then add, element by element — exactly the [`axpy`] the
     /// through-memory tail calls, on the same operands in the same run
     /// order, so the same bits.
     ///
@@ -1388,7 +1379,7 @@ pub(crate) fn entry_contributions_blocked(
 /// Rank-1 accumulation of the normal equations for one observed entry:
 /// `B += δδᵀ` (upper triangle only) and `c += x·δ` — expressed as the
 /// `axpy`/`syr` micro-kernel primitives so the accumulation rides the same
-/// blocked (and optionally SIMD) path as the δ production.
+/// blocked path as the δ production.
 #[inline]
 pub(crate) fn accumulate_normal_eq(b_upper: &mut [f64], c: &mut [f64], delta: &[f64], x: f64) {
     axpy(x, delta, c);
@@ -1639,10 +1630,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        // Satellite property: the blocked (and, under `--features simd`,
-        // vectorized) δ equals the gather reference within 1e-12 for
-        // random sparse cores at every order up to MAX_PREFIX_ORDER and
-        // every mode — including `mode == N−1`, the axpy edge case.
+        // Satellite property: the blocked δ equals the gather reference
+        // within 1e-12 for random sparse cores at every order up to
+        // MAX_PREFIX_ORDER and every mode — including `mode == N−1`, the
+        // axpy edge case.
         #[test]
         fn blocked_delta_matches_gather_reference(
             order in 1..=MAX_PREFIX_ORDER,

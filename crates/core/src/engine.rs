@@ -21,7 +21,7 @@
 //!    hooks. Each implements [`RowUpdateKernel`]; the fit driver is generic
 //!    over the kernel, so the per-row code is specialized at compile time —
 //!    no `match opts.variant` inside the loop, and a future backend
-//!    (blocked-SIMD, GPU staging, …) is one new trait impl rather than
+//!    (GPU staging, …) is one new trait impl rather than
 //!    another branch threaded through the solver.
 //!
 //! The kernels: [`DirectKernel`] recomputes δ from the factors (the

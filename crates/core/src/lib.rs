@@ -76,9 +76,8 @@
 //!   and error pass; each run then costs one shared prefix product (still
 //!   prefix-reused across run heads) plus a single contiguous `dot` or
 //!   `axpy` micro-kernel over the packed core values
-//!   (`ptucker_linalg::kernels` — chunked scalar code that autovectorizes,
-//!   or the explicit AVX2+FMA path behind the **`simd`** feature with
-//!   runtime CPU detection). The run's `dot` depends on the observed
+//!   (`ptucker_linalg::kernels` — chunked scalar code that
+//!   autovectorizes). The run's `dot` depends on the observed
 //!   entry only through its last index, so the plan also carries a
 //!   **tail-dot table** (`I_N × |G|/J_N` doubles, metered in the budget;
 //!   used iff it holds at most one double per observed entry and the

@@ -19,16 +19,10 @@
 //! On top of the factorizations, [`kernels`] supplies the BLAS-1/2
 //! micro-kernel primitives (`dot`/`axpy`/`syr_in_place`/
 //! `hadamard_in_place`) the run-blocked δ accumulation is built from —
-//! chunked scalar code that autovectorizes everywhere, plus an explicit
-//! AVX2+FMA path behind the **`simd`** cargo feature and a 512-bit
-//! `avx512f` path behind **`simd-avx512`**, each with runtime CPU
-//! detection and scalar fallback. The SIMD features are the only part of
-//! the workspace that uses `unsafe` (the `std::arch` intrinsic calls);
-//! without them this crate still forbids unsafe code outright. Alongside
-//! the f64 primitives, [`kernels`] carries mixed-precision variants
-//! (`dot_f32_f64`, `axpy_into_f64`, `div_add_nonzero_f32`, widening
-//! helpers) for the engine's f32 storage mode — 4-byte streams, f64
-//! arithmetic.
+//! one chunked scalar implementation each, which LLVM autovectorizes on
+//! any target — plus mixed-precision variants (`dot_f32_f64`,
+//! `div_add_nonzero_f32`, `sum_widened`) for the engine's f32 storage
+//! mode: 4-byte streams, f64 arithmetic.
 //!
 //! # Quick example
 //!
@@ -43,11 +37,7 @@
 //! ```
 
 #![deny(missing_docs)]
-#![cfg_attr(
-    not(any(feature = "simd", feature = "simd-avx512")),
-    forbid(unsafe_code)
-)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)]
 
 mod cholesky;

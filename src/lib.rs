@@ -21,10 +21,8 @@
 //!   over the same routines. `linalg::kernels` adds the BLAS-1/2
 //!   **micro-kernel primitives** (`dot`/`axpy`/`syr_in_place`/
 //!   `hadamard_in_place`) every row-update inner loop is built from:
-//!   chunked scalar code that autovectorizes anywhere, plus explicit
-//!   AVX2+FMA `dot`/`axpy` paths behind the workspace-wide `simd` feature
-//!   (runtime CPU detection, scalar fallback; CI tests both
-//!   configurations).
+//!   chunked scalar code that autovectorizes anywhere, the one
+//!   implementation every build runs.
 //! * [`sched`] — OpenMP-style static/dynamic scheduling over scoped
 //!   threads. `parallel_rows_mut_with` and `parallel_reduce_with` hand
 //!   each worker a caller-owned **per-thread state**, which is how scratch
