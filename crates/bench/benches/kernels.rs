@@ -24,9 +24,9 @@
 //! `windowed_fit` series prices the out-of-core path: the same Direct
 //! fit in-memory vs through spilled slice-aligned windows.
 //!
-//! A `mixed_precision` series compares the Cached sweep with f32 vs f64
-//! Pres/value storage (resident row sweeps and fully spilled fits,
-//! J ∈ {5, 10, 20}).
+//! A `mixed_precision` series compares f32 vs f64 storage: the Cached
+//! row sweep over its resident Pres table, and a fully spilled Direct fit
+//! (J ∈ {5, 10, 20}).
 //!
 //! A `serve_queries` series prices the read path end to end: batched
 //! point and top-K queries against a live `ptucker-serve` socket, with
@@ -37,7 +37,7 @@ use ptucker::engine::{
     direct_update_row, CachedKernel, DirectKernel, ModeContext, ResidualLanes, RowUpdateKernel,
     RunPlan, Scratch, LANES,
 };
-use ptucker::{FitOptions, MemoryBudget, PTucker, StoragePrecision, Variant};
+use ptucker::{FitOptions, MemoryBudget, PTucker, StoragePrecision};
 use ptucker_baselines::CsfTensor;
 use ptucker_linalg::{leading_left_singular_vectors, sym_eigen, Matrix};
 use ptucker_tensor::{CoreTensor, ModeStreams, SparseTensor};
@@ -475,15 +475,12 @@ impl RowUpdateFixture {
     /// A Cached kernel with its Pres table built for this fixture.
     fn cached_kernel(&self) -> CachedKernel {
         let mut cached = CachedKernel::new();
-        let mut sweep = self.plan.sweep_source(0, usize::MAX, false);
         cached
             .prepare_fit(
                 &ptucker::FitInput::Resident(&self.x),
                 &self.factors,
                 &self.core,
                 &self.opts,
-                &mut sweep,
-                false,
             )
             .unwrap();
         cached
@@ -501,7 +498,6 @@ impl RowUpdateFixture {
         scratch: &mut Scratch,
     ) -> CacheCycleTimes {
         let input = ptucker::FitInput::Resident(&self.x);
-        let mut sweep = self.plan.sweep_source(0, usize::MAX, false);
         let order = self.x.order();
         let mut times = CacheCycleTimes {
             modes: Vec::with_capacity(order),
@@ -520,7 +516,7 @@ impl RowUpdateFixture {
             times.modes.push(t.elapsed().as_secs_f64());
             let t = Instant::now();
             kernel
-                .post_mode(&input, factors, mode, &self.core, &self.opts, &mut sweep)
+                .post_mode(&input, factors, mode, &self.core, &self.opts)
                 .unwrap();
             times.post += t.elapsed().as_secs_f64();
         }
@@ -1178,12 +1174,12 @@ fn write_artifact() {
         }
     }
 
-    // Mixed precision: the same Cached sweep with f32 vs f64 storage.
-    // `resident` times one mode-0 row sweep against the in-RAM Pres
-    // table; `spilled` times a whole 2-iteration Cache-variant fit with a
-    // 1-byte budget (plan + table both on disk), where f32 also halves
-    // every scratch-file transfer. Accumulation is f64 in both columns —
-    // the speedup is pure storage traffic.
+    // Mixed precision: f32 vs f64 storage. `resident` times one mode-0
+    // Cached row sweep against the in-RAM Pres table; `spilled` times a
+    // whole 2-iteration Direct fit with a 1-byte budget (the plan on
+    // disk — Cache is resident-only), where f32 shrinks every plan
+    // record's value field. Accumulation is f64 in both columns — the
+    // speedup is pure storage traffic.
     for &j in &[5usize, 10, 20] {
         let mut sweep_ns = [0.0f64; 2];
         let mut fit_ns = [0.0f64; 2];
@@ -1206,7 +1202,6 @@ fn write_artifact() {
                         .tol(0.0)
                         .threads(1)
                         .seed(7)
-                        .variant(Variant::Cache)
                         .precision(precision)
                         .budget(MemoryBudget::new(1)),
                 )

@@ -299,5 +299,13 @@ mod tests {
         let out = run_method(Method::TuckerWopt, &x, &[2, 2, 2], &args);
         assert!(matches!(out, Outcome::Oom));
         assert_eq!(out.time_cell().trim(), "O.O.M.");
+        // P-Tucker-Cache is resident-only: on the harness's default Spill
+        // policy its |Ω|·|G| table is Table III's O.O.M. too, while the
+        // Direct fit spills its plan and completes.
+        assert_eq!(args.budget.policy(), ptucker::BudgetPolicy::Spill);
+        let out = run_method(Method::PTuckerCache, &x, &[2, 2, 2], &args);
+        assert!(matches!(out, Outcome::Oom), "{out:?}");
+        let out = run_method(Method::PTucker, &x, &[2, 2, 2], &args);
+        assert!(matches!(out, Outcome::Ok(_)), "{out:?}");
     }
 }

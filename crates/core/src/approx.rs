@@ -37,8 +37,8 @@
 //!
 //! *Partition.* Workers fold static blocks of the stream's global
 //! positions, and a segment flushes at every slice end and every block end.
-//! Neither depends on how the stream is windowed, so resident, hybrid,
-//! spilled and disk-to-disk fits rank with the same bits; the partials
+//! Neither depends on how the stream is windowed, so resident, spilled
+//! and disk-to-disk fits rank with the same bits; the partials
 //! combine in worker order. Blocks cut inside slices, so a short, skewed
 //! tail mode still splits evenly between workers.
 //!

@@ -10,11 +10,11 @@
 //! `A⁽ⁿ⁾` changes, every cached product is rescaled by `a_new/a_old`
 //! (recomputed outright where `a_old = 0`).
 //!
-//! # One fixed row order per placement
+//! # One fixed row order, always resident
 //!
-//! The resident [`PresTable`] keeps its rows in **COO entry order** for the
-//! whole fit: row `e` belongs to entry `e`, whatever mode is being swept.
-//! A mode's sweep reaches the row behind stream position `p` through the
+//! The [`PresTable`] keeps its rows in **COO entry order** for the whole
+//! fit: row `e` belongs to entry `e`, whatever mode is being swept. A
+//! mode's sweep reaches the row behind stream position `p` through the
 //! stream's entry id — one `|G|`-element row gather per observed entry,
 //! ascending within a slice — and the per-mode rescale is a single parallel
 //! pass over the rows where they lie. Nothing is ever permuted, so an
@@ -22,11 +22,11 @@
 //! for δ, one read-modify-write for the rescale), the traffic Theorem 5
 //! counts.
 //!
-//! The [`SpilledPresTable`] lives in a scratch file, where a gather would be
-//! one seek per entry; it keeps its tiles in the swept mode's **stream
-//! order** instead and scatters them into the next mode's order during the
-//! rescale (ping-pong file regions — disk capacity is not what Definition 7
-//! meters). It owns the one inverse entry map that scatter needs.
+//! The table is never spilled. Cache trades memory for speed, and when
+//! the table does not fit the budget the fit's outcome is the paper's
+//! O.O.M. (Table III), under either budget policy: a table paged through
+//! a scratch file moves twice its size through the disk every mode, which
+//! a spilled Direct fit beats outright.
 //!
 //! The δ accumulation itself is run-blocked like the Direct kernel's (see
 //! [`crate::delta`]): within a run of core entries sharing their first
@@ -69,16 +69,16 @@
 //! the dominant memory cost (Theorem 6), halved outright by f32 storage —
 //! and is metered against the fit's [`MemoryBudget`] at the per-precision
 //! element size, which is exactly how the Fig. 8(b) memory gap (≈29.5× at
-//! N = 10) is reproduced.
+//! N = 10) and Table III's O.O.M. boundary are reproduced.
 
 use crate::delta::{MAX_TILE, TILE_DOUBLES};
 use crate::engine::ModeContext;
 use crate::Result;
 use ptucker_linalg::kernels::{div_add_nonzero, div_add_nonzero_f32, sum_widened};
 use ptucker_linalg::Matrix;
-use ptucker_memtrack::{MemoryBudget, Reservation, ScratchFile, SpillReservation};
+use ptucker_memtrack::{MemoryBudget, Reservation};
 use ptucker_sched::{parallel_rows_mut, parallel_rows_mut_with, Schedule};
-use ptucker_tensor::{CoreTensor, ModeStream, SparseTensor, StoragePrecision, SweepSource, Window};
+use ptucker_tensor::{CoreTensor, ModeStream, SparseTensor, StoragePrecision};
 
 /// The element type of a `Pres` table: the storage half of the fit's
 /// [`StoragePrecision`] axis applied to the cache. Products are computed
@@ -87,7 +87,7 @@ use ptucker_tensor::{CoreTensor, ModeStream, SparseTensor, StoragePrecision, Swe
 /// implementations share the identical run-blocked arithmetic and differ
 /// only in stored bits and bytes moved.
 pub(crate) trait PresElem: Copy + Send + Sync + Default + std::fmt::Debug + 'static {
-    /// The precision this element realizes (sizing, placement gates).
+    /// The precision this element realizes (the table's element size).
     const PRECISION: StoragePrecision;
 
     /// Rounds a computed `f64` product onto this element's storage grid.
@@ -98,19 +98,12 @@ pub(crate) trait PresElem: Copy + Send + Sync + Default + std::fmt::Debug + 'sta
 
     /// `δ[t] += pres[t] / den[t]` over the nonzero divisors of `den`,
     /// leaving zero-divisor slots untouched; returns whether any divisor
-    /// was zero. One rounded `f64` quotient per element — bitwise
-    /// identical across placements.
+    /// was zero. One rounded `f64` quotient per element.
     fn div_add(delta: &mut [f64], pres: &[Self], den: &[f64]) -> bool;
 
     /// The `f64` sum of a run of cached products (the constant-divisor
     /// collapse of non-tail modes).
     fn sum(pres: &[Self]) -> f64;
-
-    /// Reads `out.len()` elements from a scratch file at `off`.
-    fn read(file: &ScratchFile, off: u64, out: &mut [Self]) -> std::io::Result<()>;
-
-    /// Writes `data` to a scratch file at `off`.
-    fn write(file: &ScratchFile, off: u64, data: &[Self]) -> std::io::Result<()>;
 }
 
 impl PresElem for f64 {
@@ -141,14 +134,6 @@ impl PresElem for f64 {
         }
         acc
     }
-
-    fn read(file: &ScratchFile, off: u64, out: &mut [Self]) -> std::io::Result<()> {
-        file.read_f64s(off, out)
-    }
-
-    fn write(file: &ScratchFile, off: u64, data: &[Self]) -> std::io::Result<()> {
-        file.write_f64s(off, data)
-    }
 }
 
 impl PresElem for f32 {
@@ -173,19 +158,7 @@ impl PresElem for f32 {
     fn sum(pres: &[Self]) -> f64 {
         sum_widened(pres)
     }
-
-    fn read(file: &ScratchFile, off: u64, out: &mut [Self]) -> std::io::Result<()> {
-        file.read_f32s(off, out)
-    }
-
-    fn write(file: &ScratchFile, off: u64, data: &[Self]) -> std::io::Result<()> {
-        file.write_f32s(off, data)
-    }
 }
-
-/// Elements moved per syscall when streaming a whole spilled table
-/// (checkpoint export/import): bounded resident memory, few syscalls.
-const STREAM_CHUNK_ELEMS: usize = 1 << 16;
 
 /// One `Jₙ`-element ratio buffer per worker thread for the per-mode
 /// rescale ([`rescale_entry_row`]), sized for the fit's largest rank and
@@ -212,21 +185,7 @@ fn import_elems<E: PresElem>(row: &mut [E], bytes: &[u8]) {
     }
 }
 
-/// Rejects a checkpointed element stream whose size disagrees with the
-/// table it is meant to fill.
-fn check_state_len(bytes: &[u8], cells: usize) -> Result<()> {
-    if bytes.len() == cells * 8 {
-        Ok(())
-    } else {
-        Err(crate::PtuckerError::Checkpoint(format!(
-            "checkpointed Pres table holds {} bytes, this fit's table needs {}",
-            bytes.len(),
-            cells * 8
-        )))
-    }
-}
-
-/// The resident memoization table of P-Tucker-Cache, stored at element
+/// The memoization table of P-Tucker-Cache, stored at element
 /// type `E` (the fit's [`StoragePrecision`]), rows in COO entry order.
 #[derive(Debug)]
 pub(crate) struct PresTable<E: PresElem> {
@@ -290,10 +249,9 @@ impl<E: PresElem> PresTable<E> {
 
     /// Appends every table element, widened to `f64` little-endian bits,
     /// to `out` **in `stream`'s position order** — the checkpoint
-    /// representation (see [`crate::engine::RowUpdateKernel::save_aux`]),
-    /// which is mode 0's stream order so resident and spilled tables
-    /// write the same bytes. Widening is exact for both precisions, so
-    /// export → import is lossless.
+    /// representation (see [`crate::engine::RowUpdateKernel::save_aux`]).
+    /// Widening is exact for both precisions, so export → import is
+    /// lossless.
     pub fn export_state(&self, stream: &ModeStream, out: &mut Vec<u8>) {
         out.reserve(self.data.len() * 8);
         for p in 0..stream.view().len() {
@@ -310,7 +268,13 @@ impl<E: PresElem> PresTable<E> {
     /// [`crate::PtuckerError::Checkpoint`] if the byte count disagrees
     /// with the table's `|Ω|·|G|` elements.
     pub fn import_state(&mut self, stream: &ModeStream, bytes: &[u8]) -> Result<()> {
-        check_state_len(bytes, self.data.len())?;
+        if bytes.len() != self.data.len() * 8 {
+            return Err(crate::PtuckerError::Checkpoint(format!(
+                "checkpointed Pres table holds {} bytes, this fit's table needs {}",
+                bytes.len(),
+                self.data.len() * 8
+            )));
+        }
         let g = self.g;
         for (p, row) in bytes.chunks_exact((g * 8).max(1)).enumerate() {
             let e = stream.entry_id(p);
@@ -357,342 +321,10 @@ impl<E: PresElem> PresTable<E> {
     }
 }
 
-/// The out-of-core `Pres` table: the same `|Ω|×|G|` memoization, spilled
-/// to its own scratch file and touched one slice-aligned **tile** at a
-/// time.
-///
-/// Unlike the resident [`PresTable`], rows follow the swept mode's **stream
-/// order**, so a windowed sweep over a [`SweepSource`] reads one contiguous
-/// byte range of the file per window ([`SpilledPresTable::load_tile`] into
-/// a pinned tile buffer) — a file has no cheap row gather. The per-mode
-/// rescale + reorder runs window-at-a-time too: each source tile is
-/// rescaled in parallel with the **identical** per-row arithmetic as the
-/// in-memory table ([`rescale_entry_row`]) and its rows scatter-written
-/// into a second file region in the next mode's stream order — sorted by
-/// destination and coalesced, so consecutive destination rows share one
-/// write. The two regions ping-pong across modes — on disk, where
-/// capacity is not what Definition 7 meters; resident memory stays one
-/// tile plus its same-sized staging buffer, the `(dest, src)` permutation
-/// pairs (all counted in the window-capacity formula) and the next mode's
-/// `|Ω|`-word inverse entry map (booked by the placement gate alongside
-/// the tile).
-#[derive(Debug)]
-pub(crate) struct SpilledPresTable<E: PresElem> {
-    file: ScratchFile,
-    /// Row stride = `|G|`.
-    g: usize,
-    /// Total rows (`|Ω|`) per region — the bound for whole-table streams
-    /// (checkpoint export/import).
-    rows: usize,
-    /// Byte offsets of the two ping-pong regions (each `|Ω|·|G|` elements).
-    regions: [u64; 2],
-    /// Which region currently holds the table.
-    active: usize,
-    /// The mode whose stream order the rows currently follow.
-    order_mode: usize,
-    /// The pinned tile: the active window's rows, resident.
-    tile: Vec<E>,
-    /// Reusable `(destination, source)` position pairs for the batched
-    /// reorder scatter.
-    perm: Vec<(u32, u32)>,
-    /// Staging buffer assembling runs of consecutive destination rows so
-    /// each run costs one write instead of one per entry.
-    staging: Vec<E>,
-    /// COO entry id → stream position in the mode the table is being
-    /// carried into, refilled from that mode's entry ids at the start of
-    /// every [`SpilledPresTable::rescale_and_reorder`].
-    next_positions: Vec<u32>,
-    /// Per-worker ratio buffers for the rescale.
-    ratios: Vec<Vec<f64>>,
-    _spill: SpillReservation,
-}
-
-impl<E: PresElem> SpilledPresTable<E> {
-    fn row_off(&self, region: usize, p: usize) -> u64 {
-        self.regions[region] + p as u64 * self.g as u64 * E::PRECISION.value_bytes() as u64
-    }
-
-    /// Precomputes the full table window-at-a-time into the scratch file,
-    /// in **mode 0's stream order** (the first mode the driver sweeps).
-    /// `windows` is the fit's shared sweep source: its capacity bounds
-    /// each tile to the same window extents the row sweeps will use. The
-    /// source may be resident (hybrid spilling: plan in RAM, table on
-    /// disk) or itself spilled — each position's multi-index is
-    /// reconstructed from the window itself (slice coordinate + packed
-    /// `others`), so the COO tensor is never consulted and the table
-    /// builds identically for disk-resident fits.
-    ///
-    /// # Errors
-    /// [`crate::PtuckerError::Tensor`] (I/O) if scratch-file access fails.
-    pub fn compute(
-        nnz: usize,
-        factors: &[Matrix],
-        core: &CoreTensor,
-        threads: usize,
-        budget: &MemoryBudget,
-        windows: &mut SweepSource<'_>,
-    ) -> Result<Self> {
-        let g = core.nnz();
-        let bytes = nnz as u64 * g as u64 * E::PRECISION.value_bytes() as u64;
-        let file =
-            ScratchFile::create_tracked(budget).map_err(ptucker_tensor::TensorError::from)?;
-        let regions = [
-            file.reserve_region(bytes)
-                .map_err(ptucker_tensor::TensorError::from)?,
-            file.reserve_region(bytes)
-                .map_err(ptucker_tensor::TensorError::from)?,
-        ];
-        let spill = budget.record_spill(2 * bytes as usize);
-        // Buffers sized for the largest possible window (capacity or one
-        // oversized slice), so no window reallocates them mid-sweep.
-        let max_pos = windows.max_window_positions();
-        let mut table = SpilledPresTable {
-            file,
-            g,
-            rows: nnz,
-            regions,
-            active: 0,
-            order_mode: 0,
-            tile: Vec::with_capacity(max_pos.saturating_mul(g)),
-            perm: Vec::with_capacity(max_pos),
-            staging: Vec::with_capacity(max_pos.saturating_mul(g)),
-            next_positions: vec![0; nnz],
-            ratios: ratio_buffers(threads, factors),
-            _spill: spill,
-        };
-        let order = factors.len();
-        let core_idx = core.flat_indices();
-        let core_vals = core.values();
-        let mut idx_buf = Vec::new();
-        windows.rewind(0);
-        while let Some(w) = windows.next_window()? {
-            let len = w.stream.len();
-            window_indices(&w, order, &mut idx_buf);
-            table.tile.resize(len * g, E::default());
-            parallel_rows_mut(
-                &mut table.tile,
-                g.max(1),
-                threads,
-                Schedule::Static,
-                |p, row| {
-                    let idx = &idx_buf[p * order..(p + 1) * order];
-                    for (b, slot) in row.iter_mut().enumerate() {
-                        *slot = E::from_f64(product(
-                            core_vals[b],
-                            &core_idx[b * order..(b + 1) * order],
-                            idx,
-                            factors,
-                        ));
-                    }
-                },
-            );
-            let off = table.row_off(0, w.base);
-            E::write(&table.file, off, &table.tile).map_err(ptucker_tensor::TensorError::from)?;
-        }
-        Ok(table)
-    }
-
-    /// The mode whose stream order the rows currently follow.
-    pub fn order_mode(&self) -> usize {
-        self.order_mode
-    }
-
-    /// Loads the tile for the window starting at global stream position
-    /// `base` with `len` positions. Resident memory stays this one tile
-    /// (the buffer's capacity is pinned after the first window).
-    ///
-    /// # Errors
-    /// [`crate::PtuckerError::Tensor`] (I/O) if the read fails.
-    pub fn load_tile(&mut self, base: usize, len: usize) -> Result<()> {
-        self.tile.resize(len * self.g, E::default());
-        let off = self.row_off(self.active, base);
-        E::read(&self.file, off, &mut self.tile).map_err(ptucker_tensor::TensorError::from)?;
-        Ok(())
-    }
-
-    /// The cached products of the loaded tile's window-local position `p`.
-    #[inline]
-    pub fn tile_row(&self, p: usize) -> &[E] {
-        &self.tile[p * self.g..(p + 1) * self.g]
-    }
-
-    /// Streams the active region's elements, widened to `f64`
-    /// little-endian bits, into `out` — the spilled analogue of
-    /// [`PresTable::export_state`], chunked so resident memory stays one
-    /// bounded buffer regardless of table size.
-    ///
-    /// # Errors
-    /// [`crate::PtuckerError::Checkpoint`] on scratch-file I/O failure.
-    pub fn export_state(&self, out: &mut Vec<u8>) -> Result<()> {
-        let total = self.rows * self.g;
-        out.reserve(total * 8);
-        let mut buf = vec![E::default(); STREAM_CHUNK_ELEMS.min(total.max(1))];
-        let mut p = 0usize;
-        while p < total {
-            let n = (total - p).min(buf.len());
-            let off = self.regions[self.active] + p as u64 * E::PRECISION.value_bytes() as u64;
-            E::read(&self.file, off, &mut buf[..n]).map_err(|e| {
-                crate::PtuckerError::Checkpoint(format!("read spilled Pres table: {e}"))
-            })?;
-            export_elems(&buf[..n], out);
-            p += n;
-        }
-        Ok(())
-    }
-
-    /// Overwrites the active region's elements from an
-    /// [`SpilledPresTable::export_state`] byte stream (same chunked
-    /// streaming; the table must already have its final shape).
-    ///
-    /// # Errors
-    /// [`crate::PtuckerError::Checkpoint`] on a byte-count mismatch or
-    /// scratch-file I/O failure.
-    pub fn import_state(&mut self, bytes: &[u8]) -> Result<()> {
-        let total = self.rows * self.g;
-        check_state_len(bytes, total)?;
-        let mut buf = vec![E::default(); STREAM_CHUNK_ELEMS.min(total.max(1))];
-        let mut p = 0usize;
-        for chunk in bytes.chunks(buf.len() * 8) {
-            let n = chunk.len() / 8;
-            import_elems(&mut buf[..n], chunk);
-            let off = self.regions[self.active] + p as u64 * E::PRECISION.value_bytes() as u64;
-            E::write(&self.file, off, &buf[..n]).map_err(|e| {
-                crate::PtuckerError::Checkpoint(format!("write spilled Pres table: {e}"))
-            })?;
-            p += n;
-        }
-        Ok(())
-    }
-
-    /// The windowed rescale (Algorithm 3 lines 16–19) fused with the carry
-    /// into `next_mode`'s stream order: every source-order tile is
-    /// rescaled in parallel (the resident table's identical per-row
-    /// arithmetic) and scatter-written into the inactive region in
-    /// `next_mode`'s stream order; the regions then swap. `windows` is
-    /// the fit's shared sweep source: an ids-only sweep of `next_mode`
-    /// first refills the inverse entry map the scatter needs (4 bytes per
-    /// position — zero-copy on a resident plan), then the source is
-    /// rewound to `mode` for the tiles.
-    ///
-    /// # Errors
-    /// [`crate::PtuckerError::Tensor`] (I/O) if scratch-file access fails.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rescale_and_reorder(
-        &mut self,
-        factors: &[Matrix],
-        old_a: &Matrix,
-        mode: usize,
-        next_mode: usize,
-        core: &CoreTensor,
-        threads: usize,
-        windows: &mut SweepSource<'_>,
-    ) -> Result<()> {
-        debug_assert_eq!(self.order_mode, mode, "table must be in sweep order");
-        let g = self.g;
-        let order = factors.len();
-        let core_idx = core.flat_indices();
-        let core_vals = core.values();
-        let new_a = &factors[mode];
-        let src = self.active;
-        let dst = 1 - src;
-        windows.rewind(next_mode);
-        while let Some(w) = windows.next_ids_window()? {
-            for (q, &e) in (w.base..).zip(w.entry_ids) {
-                self.next_positions[e as usize] = q as u32;
-            }
-        }
-        let mut idx_buf = Vec::new();
-        windows.rewind(mode);
-        while let Some(w) = windows.next_window()? {
-            let len = w.stream.len();
-            window_indices(&w, order, &mut idx_buf);
-            self.tile.resize(len * g, E::default());
-            let src_off = self.row_off(src, w.base);
-            E::read(&self.file, src_off, &mut self.tile)
-                .map_err(ptucker_tensor::TensorError::from)?;
-            parallel_rows_mut_with(
-                &mut self.tile,
-                g.max(1),
-                threads,
-                Schedule::Static,
-                &mut self.ratios,
-                |ratio, p, row| {
-                    let idx = &idx_buf[p * order..(p + 1) * order];
-                    rescale_entry_row(
-                        row, idx, mode, old_a, new_a, core_idx, core_vals, factors, ratio,
-                    );
-                },
-            );
-            // Scatter the rescaled rows into the destination region in
-            // `next_mode`'s order — batched: destinations are sorted and
-            // every run of consecutive positions is staged contiguously
-            // and written with one syscall, so a window costs O(runs)
-            // writes rather than one per entry.
-            self.perm.clear();
-            let next_positions = &self.next_positions;
-            self.perm
-                .extend((0..len).map(|p| (next_positions[w.stream.entry_id(p)], p as u32)));
-            self.perm.sort_unstable();
-            let mut i = 0;
-            while i < len {
-                let q0 = self.perm[i].0 as usize;
-                let mut run = 1;
-                while i + run < len && self.perm[i + run].0 as usize == q0 + run {
-                    run += 1;
-                }
-                self.staging.clear();
-                for &(_, p) in &self.perm[i..i + run] {
-                    let p = p as usize;
-                    self.staging
-                        .extend_from_slice(&self.tile[p * g..(p + 1) * g]);
-                }
-                let dst_off = self.row_off(dst, q0);
-                E::write(&self.file, dst_off, &self.staging)
-                    .map_err(ptucker_tensor::TensorError::from)?;
-                i += run;
-            }
-        }
-        self.active = dst;
-        self.order_mode = next_mode;
-        Ok(())
-    }
-}
-
-/// Reconstructs every position's full multi-index from one window of the
-/// swept mode's stream into `out` (flat, `len·order`): the swept
-/// coordinate is the position's global slice (`w.slices.start` plus its
-/// window-local slice), the other coordinates come from the packed
-/// ascending `others` section. Integer-exact, so spilled-table passes
-/// need no resident COO tensor — the basis of the disk-to-disk Cache
-/// variant.
-pub(crate) fn window_indices(w: &Window<'_>, order: usize, out: &mut Vec<usize>) {
-    let view = &w.stream;
-    let mode = view.mode();
-    out.clear();
-    out.resize(view.len() * order, 0);
-    for s in 0..view.num_slices() {
-        let coord = w.slices.start + s;
-        for p in view.slice_range(s) {
-            let row = &mut out[p * order..(p + 1) * order];
-            row[mode] = coord;
-            let mut slot = 0;
-            let others = view.others(p);
-            for (k, r) in row.iter_mut().enumerate() {
-                if k != mode {
-                    *r = others[slot] as usize;
-                    slot += 1;
-                }
-            }
-        }
-    }
-}
-
 /// The run-blocked, **entry-blocked** cached-δ arithmetic: the δ of `E`
 /// entries of one factor row into `lanes` (`E × Jₙ`, lane-major, cleared
-/// first), each from its own cached-product row — wherever that row lives:
-/// a gathered row of the resident [`PresTable`] and a tile row of a
-/// [`SpilledPresTable`] both come through here, so the two execution paths
-/// are **bitwise identical** per row.
+/// first), each from its own row of the [`PresTable`], gathered through
+/// the stream's entry ids.
 ///
 /// `pres[e]` is lane `e`'s `|G|` cached products and `others[e]` its packed
 /// other-mode indices in stream layout (ascending mode order, the update
@@ -875,8 +507,6 @@ pub(crate) fn cached_delta_for_entry<P: PresElem>(
 
 /// The Algorithm-3 lines 16–19 rescale for one entry's cached-product row:
 /// `Pres[α][β] *= a_new/a_old`, recomputed outright where `a_old = 0`.
-/// Shared by the in-memory and the spilled tables (bitwise-identical
-/// arithmetic on both paths).
 ///
 /// The quotient depends on `β` only through `βₙ`, so it is formed once per
 /// column of the updated row into `ratio` (`Jₙ` divisions and one
@@ -1134,37 +764,17 @@ mod tests {
         }
     }
 
-    /// After a factor update, the resident rescale leaves every row equal
-    /// to its entry's fresh products, and the spilled rescale + reorder
-    /// leaves every tile row equal to the products of the entry at that
-    /// position of the *next* mode's stream.
+    /// After a factor update, the rescale leaves every row equal to its
+    /// entry's fresh products, in place.
     #[test]
-    fn rescale_and_reorder_keeps_table_consistent() {
-        let (x, mut factors, core, plan) = setup();
-        let budget = MemoryBudget::unlimited();
+    fn rescale_keeps_table_consistent() {
+        let (x, mut factors, core, _) = setup();
         let mut pres = compute::<f64>(&x, &factors, &core, 2);
-        let mut source = plan.sweep_source(0, 2, false);
-        let mut spilled =
-            SpilledPresTable::<f64>::compute(x.nnz(), &factors, &core, 2, &budget, &mut source)
-                .unwrap();
         let old = factors[0].clone();
         let mut rng = StdRng::seed_from_u64(99);
         factors[0] = random_matrix(3, 2, &mut rng);
         pres.rescale(&x, &factors, &old, 0, &core, 2);
         assert_rows_are_products(&pres, &x, &factors, &core, 1e-10, "stale cache");
-        spilled
-            .rescale_and_reorder(&factors, &old, 0, 1, &core, 2, &mut source)
-            .unwrap();
-        assert_eq!(spilled.order_mode(), 1);
-        let stream = plan.mode(1);
-        spilled.load_tile(0, x.nnz()).unwrap();
-        for p in 0..x.nnz() {
-            let idx = x.index(stream.entry_id(p));
-            for (b, got) in spilled.tile_row(p).iter().enumerate() {
-                let want = product(core.value(b), core.index(b), idx, &factors);
-                assert!((got - want).abs() < 1e-10, "stale tile at p={p} b={b}");
-            }
-        }
     }
 
     #[test]
@@ -1300,106 +910,58 @@ mod tests {
         assert!(matches!(err, crate::PtuckerError::OutOfMemory(_)));
     }
 
-    /// Drives a resident table and a spilled one (hybrid layout: plan in
-    /// RAM, table on disk, 2-position windows) through `cycles` full mode
-    /// cycles of real factor updates. After every rescale the resident rows
-    /// must track the fresh products within `tol`, and every spilled tile
-    /// row must carry the bits of the resident row of the same entry —
-    /// the two layouts differ in where rows live, never in what they hold.
-    fn resident_and_spilled_agree_through_cycles<E: PresElem>(
+    /// Drives a table through `cycles` full mode cycles of real factor
+    /// updates: after every rescale its rows must track the fresh products
+    /// within `tol`.
+    fn table_tracks_products_through_cycles<E: PresElem>(
         x: &SparseTensor,
-        plan: &ModeStreams,
         mut factors: Vec<Matrix>,
         core: &CoreTensor,
         cycles: usize,
         tol: f64,
         rng: &mut StdRng,
-    ) -> (PresTable<E>, SpilledPresTable<E>) {
-        let budget = MemoryBudget::unlimited();
+    ) -> PresTable<E> {
         let order = x.order();
-        let mut resident = compute::<E>(x, &factors, core, 2);
-        let mut source = plan.sweep_source(0, 2, false);
-        let mut spilled =
-            SpilledPresTable::<E>::compute(x.nnz(), &factors, core, 2, &budget, &mut source)
-                .unwrap();
+        let mut table = compute::<E>(x, &factors, core, 2);
         for step in 0..cycles * order {
             let mode = step % order;
-            source.rewind(mode);
-            while let Some(w) = source.next_window().unwrap() {
-                spilled.load_tile(w.base, w.stream.len()).unwrap();
-                for p in 0..w.stream.len() {
-                    let want = resident.row(w.stream.entry_id(p));
-                    for (a, b) in want.iter().zip(spilled.tile_row(p)) {
-                        assert_eq!(
-                            a.to_f64().to_bits(),
-                            b.to_f64().to_bits(),
-                            "step {step} position {}",
-                            w.base + p
-                        );
-                    }
-                }
-            }
             let old = factors[mode].clone();
             factors[mode] = random_matrix(old.rows(), old.cols(), rng);
-            resident.rescale(x, &factors, &old, mode, core, 2);
-            spilled
-                .rescale_and_reorder(
-                    &factors,
-                    &old,
-                    mode,
-                    (mode + 1) % order,
-                    core,
-                    2,
-                    &mut source,
-                )
-                .unwrap();
-            assert_rows_are_products(&resident, x, &factors, core, tol, "cycle");
+            table.rescale(x, &factors, &old, mode, core, 2);
+            assert_rows_are_products(&table, x, &factors, core, tol, "cycle");
         }
-        (resident, spilled)
+        table
     }
 
-    /// The f32 resident table and the f32 spilled tiles must expose the
-    /// same bits for every entry, through two full rescale cycles —
-    /// spilling is storage, not arithmetic.
-    #[test]
-    fn f32_spilled_tiles_match_resident_table_bitwise() {
-        let (x, factors, core, plan) = setup();
-        let mut rng = StdRng::seed_from_u64(7);
-        resident_and_spilled_agree_through_cycles::<f32>(
-            &x, &plan, factors, &core, 2, 1e-5, &mut rng,
-        );
-    }
-
-    /// Checkpoint layout: after a full rescale cycle the entry-ordered
-    /// resident table and the stream-ordered spilled one export the same
-    /// bytes (mode 0's stream order), and importing them into a fresh
+    /// Checkpoint layout: after a full rescale cycle the table exports its
+    /// rows in mode 0's stream order, and importing them into a fresh
     /// table reproduces the exporter bit for bit.
     #[test]
     fn export_import_round_trips_through_mode0_stream_order() {
         let (x, factors, core, plan) = setup();
         let mut rng = StdRng::seed_from_u64(11);
-        let (resident, spilled) = resident_and_spilled_agree_through_cycles::<f64>(
+        let table = table_tracks_products_through_cycles::<f64>(
             &x,
-            &plan,
             factors.clone(),
             &core,
             1,
             1e-9,
             &mut rng,
         );
-        assert_eq!(spilled.order_mode(), 0);
-        let (mut from_resident, mut from_spilled) = (Vec::new(), Vec::new());
-        resident.export_state(plan.mode(0), &mut from_resident);
-        spilled.export_state(&mut from_spilled).unwrap();
-        assert_eq!(from_resident, from_spilled, "checkpoint bytes differ");
+        let mut bytes = Vec::new();
+        table.export_state(plan.mode(0), &mut bytes);
+        let g = core.nnz();
+        for (p, row) in bytes.chunks_exact(g * 8).enumerate() {
+            let mut want = Vec::new();
+            export_elems(table.row(plan.mode(0).entry_id(p)), &mut want);
+            assert_eq!(row, &want[..], "position {p}");
+        }
         let mut fresh = compute::<f64>(&x, &factors, &core, 1);
-        fresh.import_state(plan.mode(0), &from_spilled).unwrap();
-        for (a, b) in fresh.data.iter().zip(&resident.data) {
+        fresh.import_state(plan.mode(0), &bytes).unwrap();
+        for (a, b) in fresh.data.iter().zip(&table.data) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        assert!(fresh
-            .import_state(plan.mode(0), &from_spilled[8..])
-            .is_err());
+        assert!(fresh.import_state(plan.mode(0), &bytes[8..]).is_err());
     }
 
     /// The literal single-entry cached-δ loop this module ran before the
@@ -1507,13 +1069,11 @@ mod tests {
 
     /// Every lane of an `E`-lane block over the window's first positions
     /// (repeating, in a shorter window) against [`reference_cached_delta`]
-    /// on that lane's row — once with the rows gathered from the resident
-    /// table, once with the spilled table's loaded tile rows — under each
-    /// old row in `old_rows`.
+    /// on that lane's row, gathered from the table through the window's
+    /// entry ids, under each old row in `old_rows`.
     fn assert_lanes_match_reference<P: PresElem, const E: usize>(
         ctx: &ModeContext<'_>,
-        resident: &PresTable<P>,
-        spilled: &SpilledPresTable<P>,
+        table: &PresTable<P>,
         old_rows: &[Vec<f64>],
     ) {
         let (j, len) = (ctx.j_n, ctx.stream.len());
@@ -1523,49 +1083,41 @@ mod tests {
         let offsets = core_runs(ctx.core_idx, ctx.factors.len());
         let block: [usize; E] = std::array::from_fn(|e| e % len);
         let others = block.map(|pos| ctx.stream.others(pos));
-        let sources = [
-            (
-                "resident",
-                block.map(|pos| resident.row(ctx.stream.entry_id(pos))),
-            ),
-            ("tile", block.map(|pos| spilled.tile_row(pos))),
-        ];
+        let pres = block.map(|pos| table.row(ctx.stream.entry_id(pos)));
         for old in old_rows {
-            for (tag, pres) in &sources {
-                let mut lanes = vec![7.0; E * j];
-                cached_delta_for_block::<P, E>(&mut lanes, *pres, others, old, ctx);
-                for e in 0..E {
-                    let mut want = vec![3.0; j];
-                    reference_cached_delta(
-                        &mut want,
-                        pres[e],
-                        others[e],
-                        ctx.mode,
-                        old,
-                        ctx.core_idx,
-                        ctx.core_vals,
-                        &offsets,
-                        ctx.factors,
+            let mut lanes = vec![7.0; E * j];
+            cached_delta_for_block::<P, E>(&mut lanes, pres, others, old, ctx);
+            for e in 0..E {
+                let mut want = vec![3.0; j];
+                reference_cached_delta(
+                    &mut want,
+                    pres[e],
+                    others[e],
+                    ctx.mode,
+                    old,
+                    ctx.core_idx,
+                    ctx.core_vals,
+                    &offsets,
+                    ctx.factors,
+                );
+                for (t, (g, w)) in lanes[e * j..(e + 1) * j].iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        bits(*g),
+                        bits(*w),
+                        "{:?} E={E} mode {} lane {e} slot {t} old {old:?}: {g} vs {w}",
+                        P::PRECISION,
+                        ctx.mode
                     );
-                    for (t, (g, w)) in lanes[e * j..(e + 1) * j].iter().zip(&want).enumerate() {
-                        assert_eq!(
-                            bits(*g),
-                            bits(*w),
-                            "{tag} {:?} E={E} mode {} lane {e} slot {t} old {old:?}: {g} vs {w}",
-                            P::PRECISION,
-                            ctx.mode
-                        );
-                    }
                 }
             }
         }
     }
 
-    /// One full mode cycle over a resident and a spilled table of element
-    /// type `P` ([`LANES`]-position windows, so tiles reload within a
-    /// mode): in every window of every mode, blocks of 1, 2, 3 and
+    /// One full mode cycle over a table of element type `P`
+    /// ([`LANES`]-position windows, so a mode's positions are window-local
+    /// views): in every window of every mode, blocks of 1, 2, 3 and
     /// [`LANES`] positions against the reference loop, then the table is
-    /// carried into the next mode by a rescale against an unchanged factor.
+    /// rescaled against an unchanged factor.
     fn lanes_match_reference_through_a_cycle<P: PresElem>(
         x: &SparseTensor,
         plan: &ModeStreams,
@@ -1573,16 +1125,11 @@ mod tests {
         core: &CoreTensor,
         rng: &mut StdRng,
     ) {
-        let budget = MemoryBudget::unlimited();
-        let order = x.order();
         let runs = RunPlan::new(core);
         let opts = FitOptions::new(core.dims().to_vec());
-        let mut resident = compute::<P>(x, factors, core, 1);
+        let mut table = compute::<P>(x, factors, core, 1);
         let mut source = plan.sweep_source(0, LANES, false);
-        let mut spilled =
-            SpilledPresTable::<P>::compute(x.nnz(), factors, core, 1, &budget, &mut source)
-                .unwrap();
-        for mode in 0..order {
+        for mode in 0..x.order() {
             let j = core.dims()[mode];
             // Old rows: benign; hostile but zero-free (NaN, ±Inf and
             // subnormal divisors stay on the divide path — the tile's, on a
@@ -1601,26 +1148,14 @@ mod tests {
             let old_rows = [benign, zero_free, zeroed];
             source.rewind(mode);
             while let Some(w) = source.next_window().unwrap() {
-                spilled.load_tile(w.base, w.stream.len()).unwrap();
                 let ctx = ModeContext::for_view(w.stream, factors, core, &runs, mode, &opts);
-                assert_lanes_match_reference::<P, 1>(&ctx, &resident, &spilled, &old_rows);
-                assert_lanes_match_reference::<P, 2>(&ctx, &resident, &spilled, &old_rows);
-                assert_lanes_match_reference::<P, 3>(&ctx, &resident, &spilled, &old_rows);
-                assert_lanes_match_reference::<P, LANES>(&ctx, &resident, &spilled, &old_rows);
+                assert_lanes_match_reference::<P, 1>(&ctx, &table, &old_rows);
+                assert_lanes_match_reference::<P, 2>(&ctx, &table, &old_rows);
+                assert_lanes_match_reference::<P, 3>(&ctx, &table, &old_rows);
+                assert_lanes_match_reference::<P, LANES>(&ctx, &table, &old_rows);
             }
             let old = factors[mode].clone();
-            resident.rescale(x, factors, &old, mode, core, 1);
-            spilled
-                .rescale_and_reorder(
-                    factors,
-                    &old,
-                    mode,
-                    (mode + 1) % order,
-                    core,
-                    1,
-                    &mut source,
-                )
-                .unwrap();
+            table.rescale(x, factors, &old, mode, core, 1);
         }
     }
 
@@ -1628,8 +1163,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         // Satellite property: over random tensors, the entry-ordered table
-        // equals the direct products of its entries and the spilled tiles
-        // carry its rows' bits, through full rescale cycles, f64 and f32.
+        // equals the direct products of its entries through full rescale
+        // cycles, f64 and f32.
         #[test]
         fn entry_ordered_table_equals_direct_products(seed in 0..u64::MAX) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -1641,13 +1176,9 @@ mod tests {
                 .map(|&d| random_matrix(d, 2, &mut rng))
                 .collect();
             let core = CoreTensor::random_dense(vec![2, 2, 2], &mut rng).unwrap();
-            let plan = ModeStreams::build(&x).unwrap();
-            resident_and_spilled_agree_through_cycles::<f64>(
-                &x, &plan, factors.clone(), &core, 2, 1e-9, &mut rng,
-            );
-            resident_and_spilled_agree_through_cycles::<f32>(
-                &x, &plan, factors, &core, 2, 1e-4, &mut rng,
-            );
+            let f = factors.clone();
+            table_tracks_products_through_cycles::<f64>(&x, f, &core, 2, 1e-9, &mut rng);
+            table_tracks_products_through_cycles::<f32>(&x, factors, &core, 2, 1e-4, &mut rng);
         }
     }
 
@@ -1660,7 +1191,7 @@ mod tests {
         // through the divide tile on dense cores of narrow and wide tail
         // rank with a zero-free old row, through memory otherwise), at
         // every block width up to the shipped one, f64 and f32 elements,
-        // resident rows and spilled tile rows, on dense, sampled and
+        // rows gathered through window-local views, on dense, sampled and
         // truncated cores, with hostile values in the factors (so in the
         // cached products) and in the old row (so the zero-divisor fallback
         // fires for exactly the same slots in every lane).

@@ -53,14 +53,12 @@
 //! last then do `|G|/J_N` multiply-adds per entry instead of `|G|` — bit
 //! for bit the same δ (`crate::delta` has the argument).
 
-use crate::cache::{
-    cached_delta_for_block, cached_delta_for_entry, PresElem, PresTable, SpilledPresTable,
-};
+use crate::cache::{cached_delta_for_block, cached_delta_for_entry, PresElem, PresTable};
 use crate::delta::{accumulate_normal_eq, delta_for_block, delta_for_entry};
 pub use crate::delta::{ResidualLanes, RunPlan, LANES};
 use crate::{FitInput, FitOptions, Result, StoragePrecision, Variant};
 use ptucker_linalg::{cholesky_solve_in_place, lu_solve_in_place, Matrix};
-use ptucker_tensor::{CoreTensor, ModeStreams, SparseTensor, StreamView, SweepSource, Window};
+use ptucker_tensor::{CoreTensor, ModeStreams, SparseTensor, StreamView};
 
 /// Per-thread scratch arena for the row update: every buffer the inner loop
 /// touches, allocated once and reused for every row the owning worker
@@ -270,10 +268,10 @@ impl<'a> ModeContext<'a> {
 
     /// Assembles the context for a sweep over an arbitrary [`StreamView`]
     /// of `mode` — the whole resident stream, or one slice-aligned window
-    /// of any [`SweepSource`], whose slices and positions are then
-    /// window-local. Borrows everything: building one per window allocates
-    /// nothing. `runs` must be the [`RunPlan`] of `core`, any tail-dot
-    /// table in it memoized against the current `factors[N−1]`.
+    /// of any [`ptucker_tensor::SweepSource`], whose slices and positions
+    /// are then window-local. Borrows everything: building one per window
+    /// allocates nothing. `runs` must be the [`RunPlan`] of `core`, any
+    /// tail-dot table in it memoized against the current `factors[N−1]`.
     pub fn for_view(
         stream: StreamView<'a>,
         factors: &'a [Matrix],
@@ -302,36 +300,27 @@ impl<'a> ModeContext<'a> {
 /// implementing this trait, not editing the solver.
 ///
 /// There is exactly **one** fit driver: every mode sweep iterates the
-/// slice-aligned windows of a [`SweepSource`] (a single full-stream window
-/// for an in-memory fit). Kernels with fit-wide per-position state
-/// therefore get two window-shaped hooks alongside the classic lifecycle:
-/// [`RowUpdateKernel::begin_window`] (page in the matching state tile) and
-/// the `sweep` handle threaded through `prepare_fit`/`post_mode` (stream
-/// spilled state tile-at-a-time). A kernel without such state — Direct —
-/// implements none of them; the defaults are no-ops.
+/// slice-aligned windows of a [`ptucker_tensor::SweepSource`] (a single
+/// full-stream window for an in-memory fit) and hands each window's rows to
+/// [`RowUpdateKernel::update_row`]. A kernel's auxiliary state is always
+/// resident, so windows are invisible to it: a kernel without such state —
+/// Direct — implements only `update_row`; the other hooks default to no-ops.
 pub trait RowUpdateKernel: Sync {
     /// One-time setup before the first iteration (e.g. the Cache variant's
     /// `|Ω|×|G|` table precompute — the step that can exceed the memory
-    /// budget). `sweep` is the shared window source over the fit's
-    /// mode-major execution plan (rewind it as needed); `spill_aux` is the
-    /// placement gate's verdict on this kernel's auxiliary state — `true`
-    /// means it must go to disk (the plan is spilled, or the state alone
-    /// overflows a Spill-policy budget: **hybrid spilling**).
+    /// budget).
     ///
     /// # Errors
-    /// [`crate::PtuckerError::OutOfMemory`] if the kernel's resident
-    /// auxiliary state exceeds the intermediate-data budget,
-    /// [`crate::PtuckerError::Tensor`] on spilled-state I/O failure, or
-    /// [`crate::PtuckerError::InvalidConfig`] if resident auxiliary state
-    /// (`spill_aux = false`) is asked of a disk-resident input.
+    /// [`crate::PtuckerError::OutOfMemory`] if the kernel's auxiliary state
+    /// exceeds the intermediate-data budget, or
+    /// [`crate::PtuckerError::InvalidConfig`] if that state needs a
+    /// resident tensor and `x` is a disk-resident one.
     fn prepare_fit(
         &mut self,
         _x: &FitInput<'_>,
         _factors: &[Matrix],
         _core: &CoreTensor,
         _opts: &FitOptions,
-        _sweep: &mut SweepSource<'_>,
-        _spill_aux: bool,
     ) -> Result<()> {
         Ok(())
     }
@@ -342,18 +331,6 @@ pub trait RowUpdateKernel: Sync {
     /// # Errors
     /// Kernel-specific; the default never fails.
     fn prepare_mode(&mut self, _factors: &[Matrix], _mode: usize) -> Result<()> {
-        Ok(())
-    }
-
-    /// Called for each window of a mode's sweep, before its (parallel) row
-    /// updates — kernels with spilled per-position state page in the
-    /// matching tile here. Windows arrive sequentially, so `&mut self` is
-    /// sound; an in-memory fit calls this exactly once per mode with the
-    /// full-stream window.
-    ///
-    /// # Errors
-    /// Kernel-specific (tile I/O); the default never fails.
-    fn begin_window(&mut self, _w: &Window<'_>) -> Result<()> {
         Ok(())
     }
 
@@ -378,11 +355,10 @@ pub trait RowUpdateKernel: Sync {
     ) -> bool;
 
     /// Called after `factors[mode]` has been replaced with its updated
-    /// values (e.g. the Cache variant rescales its table here, windowed
-    /// through `sweep` when the table is spilled).
+    /// values (e.g. the Cache variant rescales its table here).
     ///
     /// # Errors
-    /// Kernel-specific (spilled-state I/O); the default never fails.
+    /// Kernel-specific; the default never fails.
     fn post_mode(
         &mut self,
         _x: &FitInput<'_>,
@@ -390,7 +366,6 @@ pub trait RowUpdateKernel: Sync {
         _mode: usize,
         _core: &CoreTensor,
         _opts: &FitOptions,
-        _sweep: &mut SweepSource<'_>,
     ) -> Result<()> {
         Ok(())
     }
@@ -406,8 +381,7 @@ pub trait RowUpdateKernel: Sync {
     /// default writes nothing.
     ///
     /// # Errors
-    /// [`crate::PtuckerError::Checkpoint`] (state unavailable) or I/O
-    /// failures reading spilled state.
+    /// [`crate::PtuckerError::Checkpoint`] (state unavailable).
     fn save_aux(&self, _plan: &ModeStreams, _out: &mut Vec<u8>) -> Result<()> {
         Ok(())
     }
@@ -544,174 +518,50 @@ pub fn direct_update_row<const E: usize>(
 }
 
 /// The resident tensor behind state that indexes COO entries at random.
-/// The driver's placement gate never pairs such state with a disk-resident
-/// input, but the hooks are public: a caller that does gets the error, not
-/// a panic.
+/// The fit driver never pairs such state with a disk-resident input, but
+/// the hooks are public: a caller that does gets the error, not a panic.
 fn require_resident<'a>(x: &FitInput<'a>, what: &str) -> Result<&'a SparseTensor> {
     x.resident().ok_or_else(|| {
         crate::PtuckerError::InvalidConfig(format!(
-            "{what} needs a resident tensor, but the fit's input is a COO scratch file — a \
-             disk-resident input takes the spilled placement"
+            "{what} needs a resident tensor, but the fit's input is a COO scratch file"
         ))
     })
 }
 
-/// Where a [`CachedKernel`]'s `Pres` table lives — decided once per fit by
-/// the placement gate. Generic over the table's element type `E`, the
-/// fit's storage precision.
-#[derive(Debug)]
-enum TableStore<E: PresElem> {
-    /// The full `|Ω|×|G|` table resident (the paper's setting).
-    Resident(PresTable<E>),
-    /// The table in its own scratch file, one window-sized tile resident
-    /// at a time — used whenever the plan itself is spilled, **or** when
-    /// the plan fits but the table alone overflows the budget (hybrid
-    /// spilling).
-    Spilled(SpilledPresTable<E>),
+/// One row update over `table` at block width `L`: the shared row routine,
+/// each block's δ from its positions' `Pres` rows — gathered through the
+/// stream's entry ids, since the table is entry-ordered — by the identical
+/// lane arithmetic (`cache::cached_delta_for_block`) for a full block and
+/// a leftover alike.
+#[inline]
+fn cached_update_row<E: PresElem, const L: usize>(
+    table: &PresTable<E>,
+    ctx: &ModeContext<'_>,
+    scratch: &mut Scratch,
+    i: usize,
+    row: &mut [f64],
+) -> bool {
+    let pres = |pos: usize| table.row(ctx.stream.entry_id(pos));
+    let others = |pos: usize| ctx.stream.others(pos);
+    run_row::<L>(ctx, scratch, i, row, |lanes, block, old_row| match block {
+        [pos] => cached_delta_for_entry(lanes, pres(*pos), others(*pos), old_row, ctx),
+        _ => cached_delta_for_block::<E, L>(
+            lanes,
+            std::array::from_fn(|e| pres(block[e])),
+            std::array::from_fn(|e| others(block[e])),
+            old_row,
+            ctx,
+        ),
+    })
 }
 
-impl<E: PresElem> TableStore<E> {
-    fn compute(
-        x: &FitInput<'_>,
-        factors: &[Matrix],
-        core: &CoreTensor,
-        opts: &FitOptions,
-        sweep: &mut SweepSource<'_>,
-        spill_aux: bool,
-    ) -> Result<Self> {
-        Ok(if spill_aux {
-            // Window-driven: the multi-indices come from the sweep itself,
-            // so a disk-resident input never needs the COO tensor.
-            TableStore::Spilled(SpilledPresTable::compute(
-                x.nnz(),
-                factors,
-                core,
-                opts.threads,
-                &opts.budget,
-                sweep,
-            )?)
-        } else {
-            TableStore::Resident(PresTable::compute(
-                require_resident(x, "the resident Pres table (spill_aux = false)")?,
-                factors,
-                core,
-                opts.threads,
-                &opts.budget,
-            )?)
-        })
-    }
-
-    fn begin_window(&mut self, w: &Window<'_>) -> Result<()> {
-        if let TableStore::Spilled(table) = self {
-            table.load_tile(w.base, w.stream.len())?;
-        }
-        Ok(())
-    }
-
-    /// The cached-δ accumulation for one block of a row's window-local
-    /// positions — `L` of them, or one leftover: a resident table is
-    /// entry-ordered and reached through the stream's entry id (a row
-    /// gather per lane), a spilled tile is window-local like the positions
-    /// themselves — the identical lane arithmetic
-    /// (`cache::cached_delta_for_block`) either way.
-    #[inline]
-    fn delta<const L: usize>(
-        &self,
-        ctx: &ModeContext<'_>,
-        lanes: &mut [f64],
-        block: &[usize],
-        old_row: &[f64],
-    ) {
-        let pres = |pos: usize| match self {
-            TableStore::Resident(t) => t.row(ctx.stream.entry_id(pos)),
-            TableStore::Spilled(t) => t.tile_row(pos),
-        };
-        let others = |pos: usize| ctx.stream.others(pos);
-        match block {
-            [pos] => cached_delta_for_entry(lanes, pres(*pos), others(*pos), old_row, ctx),
-            _ => cached_delta_for_block::<E, L>(
-                lanes,
-                std::array::from_fn(|e| pres(block[e])),
-                std::array::from_fn(|e| others(block[e])),
-                old_row,
-                ctx,
-            ),
-        }
-    }
-
-    /// One row update over this table at block width `L`: the shared row
-    /// routine fed by [`TableStore::delta`].
-    #[inline]
-    fn update_row<const L: usize>(
-        &self,
-        ctx: &ModeContext<'_>,
-        scratch: &mut Scratch,
-        i: usize,
-        row: &mut [f64],
-    ) -> bool {
-        run_row::<L>(ctx, scratch, i, row, |lanes, block, old_row| {
-            self.delta::<L>(ctx, lanes, block, old_row)
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn rescale(
-        &mut self,
-        x: &FitInput<'_>,
-        factors: &[Matrix],
-        old: &Matrix,
-        mode: usize,
-        core: &CoreTensor,
-        threads: usize,
-        sweep: &mut SweepSource<'_>,
-    ) -> Result<()> {
-        match self {
-            TableStore::Resident(table) => {
-                let x = require_resident(x, "the resident Pres table")?;
-                table.rescale(x, factors, old, mode, core, threads);
-                Ok(())
-            }
-            TableStore::Spilled(table) => {
-                let next = (mode + 1) % factors.len();
-                table.rescale_and_reorder(factors, old, mode, next, core, threads, sweep)
-            }
-        }
-    }
-
-    /// Checkpoint elements in mode 0's stream order on either placement
-    /// (where a spilled table sits at every iteration boundary), so
-    /// resident and spilled checkpoints are the same bytes.
-    fn export_state(&self, plan: &ModeStreams, out: &mut Vec<u8>) -> Result<()> {
-        match self {
-            TableStore::Resident(table) => {
-                table.export_state(plan.mode(0), out);
-                Ok(())
-            }
-            TableStore::Spilled(table) => {
-                debug_assert_eq!(table.order_mode(), 0, "checkpoints cut between iterations");
-                table.export_state(out)
-            }
-        }
-    }
-
-    fn import_state(&mut self, plan: &ModeStreams, bytes: &[u8]) -> Result<()> {
-        match self {
-            TableStore::Resident(table) => table.import_state(plan.mode(0), bytes),
-            TableStore::Spilled(table) => {
-                debug_assert_eq!(table.order_mode(), 0, "resumes start an iteration");
-                table.import_state(bytes)
-            }
-        }
-    }
-}
-
-/// A [`TableStore`] at either storage precision — the runtime dispatch
+/// A [`PresTable`] at either storage precision — the runtime dispatch
 /// point of the precision axis. Exactly one `match` per kernel hook; the
 /// per-row arithmetic below it is monomorphized per element type.
 #[derive(Debug)]
 enum AnyTable {
-    F64(TableStore<f64>),
-    F32(TableStore<f32>),
+    F64(PresTable<f64>),
+    F32(PresTable<f32>),
 }
 
 /// The checkpoint tag of the table's element precision.
@@ -722,21 +572,13 @@ const AUX_TAG_F32: u8 = 1;
 /// `(entry, core-entry)` products, replacing the `N−1` multiplications per
 /// pair with one division (Theorem 5) at `O(|Ω|·|G|)` memory (Theorem 6).
 ///
-/// A resident table keeps **one fixed row order — COO entry order — for
-/// the whole fit**: the sweep gathers each position's `|G|`-element row
-/// through the stream's entry id, and the per-mode rescale (Algorithm 3
-/// lines 16–19) is one parallel pass over the rows in place. No row is
-/// ever moved and no second table-sized buffer exists, so Theorem 6's
-/// memory bound holds as stated.
-///
-/// When the placement gate rules the table out of RAM it spills to its own
-/// scratch file, stream-ordered for sequential reads:
-/// [`RowUpdateKernel::begin_window`] pages in each window's tile, and the
-/// rescale runs tile-at-a-time, scattering into a ping-pong file region in
-/// the next mode's order. The per-row arithmetic
-/// (`cache::cached_delta_for_block`, `cache::rescale_entry_row`) is shared
-/// between both placements, so resident, hybrid-spilled and fully spilled
-/// fits agree **bitwise**.
+/// The table is always resident and keeps **one fixed row order — COO
+/// entry order — for the whole fit**: the sweep gathers each position's
+/// `|G|`-element row through the stream's entry id, and the per-mode
+/// rescale (Algorithm 3 lines 16–19) is one parallel pass over the rows in
+/// place. No row is ever moved and no second table-sized buffer exists, so
+/// Theorem 6's memory bound holds as stated — and a budget below it is the
+/// paper's O.O.M. (Table III), whatever the budget's policy.
 ///
 /// The sweep is entry-blocked like Direct's ([`CachedKernel::update_row_lanes`]
 /// at [`LANES`]): it was bound by each run's sum → divide → δ-slot chain,
@@ -766,9 +608,8 @@ impl CachedKernel {
     /// through the real row routine. The entries of a block sit in the same
     /// factor row, so they share the old row values, each run's δ slot and
     /// its divisor; each lane reads its own `Pres` row (a gather through
-    /// the stream's entry id on a resident table, the window's tile row on
-    /// a spilled one). One precision dispatch per row; the block loop below
-    /// it is monomorphized per element type.
+    /// the stream's entry id). One precision dispatch per row; the block
+    /// loop below it is monomorphized per element type.
     ///
     /// # Panics
     /// Panics if [`RowUpdateKernel::prepare_fit`] has not built the table.
@@ -784,8 +625,8 @@ impl CachedKernel {
             .as_ref()
             .expect("CachedKernel::prepare_fit must run before update_row")
         {
-            AnyTable::F64(t) => t.update_row::<E>(ctx, scratch, i, row),
-            AnyTable::F32(t) => t.update_row::<E>(ctx, scratch, i, row),
+            AnyTable::F64(t) => cached_update_row::<f64, E>(t, ctx, scratch, i, row),
+            AnyTable::F32(t) => cached_update_row::<f32, E>(t, ctx, scratch, i, row),
         }
     }
 }
@@ -797,8 +638,6 @@ impl RowUpdateKernel for CachedKernel {
         factors: &[Matrix],
         core: &CoreTensor,
         opts: &FitOptions,
-        sweep: &mut SweepSource<'_>,
-        spill_aux: bool,
     ) -> Result<()> {
         if matches!(opts.variant, Variant::Approx { truncation_rate } if truncation_rate > 0.0) {
             return Err(crate::PtuckerError::InvalidConfig(
@@ -807,13 +646,15 @@ impl RowUpdateKernel for CachedKernel {
                     .into(),
             ));
         }
+        let x = require_resident(x, "the Pres table")?;
+        let (threads, budget) = (opts.threads, &opts.budget);
         self.table = Some(match opts.precision {
-            StoragePrecision::F64 => AnyTable::F64(TableStore::compute(
-                x, factors, core, opts, sweep, spill_aux,
-            )?),
-            StoragePrecision::F32 => AnyTable::F32(TableStore::compute(
-                x, factors, core, opts, sweep, spill_aux,
-            )?),
+            StoragePrecision::F64 => {
+                AnyTable::F64(PresTable::compute(x, factors, core, threads, budget)?)
+            }
+            StoragePrecision::F32 => {
+                AnyTable::F32(PresTable::compute(x, factors, core, threads, budget)?)
+            }
         });
         Ok(())
     }
@@ -821,14 +662,6 @@ impl RowUpdateKernel for CachedKernel {
     fn prepare_mode(&mut self, factors: &[Matrix], mode: usize) -> Result<()> {
         self.old_factor.clone_from(&factors[mode]);
         Ok(())
-    }
-
-    fn begin_window(&mut self, w: &Window<'_>) -> Result<()> {
-        match self.table.as_mut() {
-            Some(AnyTable::F64(table)) => table.begin_window(w),
-            Some(AnyTable::F32(table)) => table.begin_window(w),
-            None => Ok(()),
-        }
     }
 
     fn update_row(
@@ -848,21 +681,23 @@ impl RowUpdateKernel for CachedKernel {
         mode: usize,
         core: &CoreTensor,
         opts: &FitOptions,
-        sweep: &mut SweepSource<'_>,
     ) -> Result<()> {
-        let old = &self.old_factor;
-        match self.table.as_mut() {
-            Some(AnyTable::F64(t)) => t.rescale(x, factors, old, mode, core, opts.threads, sweep),
-            Some(AnyTable::F32(t)) => t.rescale(x, factors, old, mode, core, opts.threads, sweep),
-            None => Ok(()),
+        let Some(table) = self.table.as_mut() else {
+            return Ok(());
+        };
+        let x = require_resident(x, "the Pres table")?;
+        let (old, threads) = (&self.old_factor, opts.threads);
+        match table {
+            AnyTable::F64(t) => t.rescale(x, factors, old, mode, core, threads),
+            AnyTable::F32(t) => t.rescale(x, factors, old, mode, core, threads),
         }
+        Ok(())
     }
 
     /// Checkpoint section: `[order_mode = 0: u8][precision: u8]` followed
     /// by every table element widened to `f64` little-endian bits, rows in
     /// mode 0's stream order — exact for both precisions, so the round
-    /// trip is lossless, and the same bytes whether the table is resident
-    /// or spilled.
+    /// trip is lossless.
     fn save_aux(&self, plan: &ModeStreams, out: &mut Vec<u8>) -> Result<()> {
         let table = self.table.as_ref().ok_or_else(|| {
             crate::PtuckerError::Checkpoint(
@@ -873,13 +708,14 @@ impl RowUpdateKernel for CachedKernel {
         match table {
             AnyTable::F64(t) => {
                 out.push(AUX_TAG_F64);
-                t.export_state(plan, out)
+                t.export_state(plan.mode(0), out);
             }
             AnyTable::F32(t) => {
                 out.push(AUX_TAG_F32);
-                t.export_state(plan, out)
+                t.export_state(plan.mode(0), out);
             }
         }
+        Ok(())
     }
 
     fn load_aux(&mut self, plan: &ModeStreams, bytes: &[u8]) -> Result<()> {
@@ -912,8 +748,8 @@ impl RowUpdateKernel for CachedKernel {
             )));
         }
         match table {
-            AnyTable::F64(t) => t.import_state(plan, elems),
-            AnyTable::F32(t) => t.import_state(plan, elems),
+            AnyTable::F64(t) => t.import_state(plan.mode(0), elems),
+            AnyTable::F32(t) => t.import_state(plan.mode(0), elems),
         }
     }
 }
@@ -937,8 +773,6 @@ impl RowUpdateKernel for GatherReferenceKernel {
         _factors: &[Matrix],
         _core: &CoreTensor,
         _opts: &FitOptions,
-        _sweep: &mut SweepSource<'_>,
-        _spill_aux: bool,
     ) -> Result<()> {
         self.x = Some(require_resident(x, "the gather reference kernel")?.clone());
         Ok(())
@@ -1076,10 +910,8 @@ mod tests {
         let plan = ModeStreams::build(&x).unwrap();
         let runs = RunPlan::new(&core);
         let mut cached = CachedKernel::new();
-        let mut sweep = plan.sweep_source(0, usize::MAX, false);
-        let input = FitInput::from(&x);
         cached
-            .prepare_fit(&input, &factors, &core, &opts, &mut sweep, false)
+            .prepare_fit(&FitInput::from(&x), &factors, &core, &opts)
             .unwrap();
         let mut s1 = Scratch::for_options(&opts);
         let mut s2 = Scratch::for_options(&opts);
@@ -1098,38 +930,29 @@ mod tests {
         }
     }
 
-    /// The hooks are public, so a resident `Pres` table asked of a
-    /// disk-resident input is a caller error with a typed outcome — in
-    /// `prepare_fit` (the table build) and in `post_mode` (its rescale).
+    /// The hooks are public, so a `Pres` table asked of a disk-resident
+    /// input is a caller error with a typed outcome — in `prepare_fit` (the
+    /// table build) and in `post_mode` (its rescale).
     #[test]
     fn resident_table_hooks_refuse_a_disk_resident_input() {
         let (x, factors, core, opts) = setup();
-        let plan = ModeStreams::build(&x).unwrap();
-        let mut sweep = plan.sweep_source(0, usize::MAX, false);
         let src =
             ptucker_tensor::CooScratch::from_tensor(&x, &crate::MemoryBudget::unlimited()).unwrap();
         let disk = FitInput::from(&src);
         let err = CachedKernel::new()
-            .prepare_fit(&disk, &factors, &core, &opts, &mut sweep, false)
+            .prepare_fit(&disk, &factors, &core, &opts)
             .unwrap_err();
         assert!(
-            matches!(&err, crate::PtuckerError::InvalidConfig(m) if m.contains("resident Pres table")),
+            matches!(&err, crate::PtuckerError::InvalidConfig(m) if m.contains("Pres table")),
             "{err}"
         );
         let mut cached = CachedKernel::new();
         cached
-            .prepare_fit(
-                &FitInput::from(&x),
-                &factors,
-                &core,
-                &opts,
-                &mut sweep,
-                false,
-            )
+            .prepare_fit(&FitInput::from(&x), &factors, &core, &opts)
             .unwrap();
         cached.prepare_mode(&factors, 0).unwrap();
         let err = cached
-            .post_mode(&disk, &factors, 0, &core, &opts, &mut sweep)
+            .post_mode(&disk, &factors, 0, &core, &opts)
             .unwrap_err();
         assert!(
             matches!(err, crate::PtuckerError::InvalidConfig(_)),
@@ -1143,20 +966,11 @@ mod tests {
     #[test]
     fn cached_kernel_refuses_a_truncating_fit() {
         let (x, factors, core, opts) = setup();
-        let plan = ModeStreams::build(&x).unwrap();
-        let mut sweep = plan.sweep_source(0, usize::MAX, false);
         let approx = opts.variant(crate::Variant::Approx {
             truncation_rate: 0.2,
         });
         let err = CachedKernel::new()
-            .prepare_fit(
-                &FitInput::from(&x),
-                &factors,
-                &core,
-                &approx,
-                &mut sweep,
-                false,
-            )
+            .prepare_fit(&FitInput::from(&x), &factors, &core, &approx)
             .unwrap_err();
         assert!(
             matches!(&err, crate::PtuckerError::InvalidConfig(m) if m.contains("truncating")),
@@ -1242,8 +1056,7 @@ mod tests {
     }
 
     /// The Cache twin of the test above: rows of 1..=2·LANES+1 entries, so
-    /// every leftover count occurs, swept at stride 1 and 3, on a resident
-    /// table (row gather) and a spilled one (tile rows), f64 and f32
+    /// every leftover count occurs, swept at stride 1 and 3, f64 and f32
     /// elements — the block-fed row loop solves to the bits of the
     /// one-entry-at-a-time loop, and `update_row` is the `LANES`-wide one.
     #[test]
@@ -1269,43 +1082,29 @@ mod tests {
         let runs = RunPlan::new(&core);
         let input = FitInput::from(&x);
         for precision in [StoragePrecision::F64, StoragePrecision::F32] {
-            for spill_aux in [false, true] {
-                for stride in [1, 3] {
-                    let opts = FitOptions::new(vec![3, 3, 3])
-                        .lambda(0.01)
-                        .precision(precision)
-                        .sample_stride(stride);
-                    let mut sweep = plan.sweep_source(0, usize::MAX, false);
-                    let mut cached = CachedKernel::new();
-                    cached
-                        .prepare_fit(&input, &factors, &core, &opts, &mut sweep, spill_aux)
-                        .unwrap();
-                    let mut scratch = Scratch::for_options(&opts);
-                    // A spilled table sits in mode 0's order until a
-                    // rescale carries it on (the fit suites do that): mode 0
-                    // only. The entry-ordered resident table serves every
-                    // mode as it stands.
-                    for mode in 0..if spill_aux { 1 } else { 3 } {
-                        sweep.rewind(mode);
-                        let w = sweep.next_window().unwrap().unwrap();
-                        cached.begin_window(&w).unwrap();
-                        let ctx =
-                            ModeContext::for_view(w.stream, &factors, &core, &runs, mode, &opts);
-                        for i in 0..x.dims()[mode] {
-                            let mut single = factors[mode].row(i).to_vec();
-                            let mut blocked = single.clone();
-                            let mut shipped = single.clone();
-                            cached.update_row_lanes::<1>(&ctx, &mut scratch, i, &mut single);
-                            cached.update_row_lanes::<LANES>(&ctx, &mut scratch, i, &mut blocked);
-                            cached.update_row(&ctx, &mut scratch, i, &mut shipped);
-                            for ((a, b), c) in single.iter().zip(&blocked).zip(&shipped) {
-                                assert_eq!(
-                                    (a.to_bits(), a.to_bits()),
-                                    (b.to_bits(), c.to_bits()),
-                                    "{precision:?} spilled {spill_aux} stride {stride} mode \
-                                     {mode} row {i}"
-                                );
-                            }
+            for stride in [1, 3] {
+                let opts = FitOptions::new(vec![3, 3, 3])
+                    .lambda(0.01)
+                    .precision(precision)
+                    .sample_stride(stride);
+                let mut cached = CachedKernel::new();
+                cached.prepare_fit(&input, &factors, &core, &opts).unwrap();
+                let mut scratch = Scratch::for_options(&opts);
+                for mode in 0..3 {
+                    let ctx = ModeContext::new(&plan, &factors, &core, &runs, mode, &opts);
+                    for i in 0..x.dims()[mode] {
+                        let mut single = factors[mode].row(i).to_vec();
+                        let mut blocked = single.clone();
+                        let mut shipped = single.clone();
+                        cached.update_row_lanes::<1>(&ctx, &mut scratch, i, &mut single);
+                        cached.update_row_lanes::<LANES>(&ctx, &mut scratch, i, &mut blocked);
+                        cached.update_row(&ctx, &mut scratch, i, &mut shipped);
+                        for ((a, b), c) in single.iter().zip(&blocked).zip(&shipped) {
+                            assert_eq!(
+                                (a.to_bits(), a.to_bits()),
+                                (b.to_bits(), c.to_bits()),
+                                "{precision:?} stride {stride} mode {mode} row {i}"
+                            );
                         }
                     }
                 }

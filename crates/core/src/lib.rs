@@ -58,7 +58,7 @@
 //! * **Kernels** ([`engine::RowUpdateKernel`]): [`engine::DirectKernel`]
 //!   and [`engine::CachedKernel`] (owns the `|Ω|×|G|` memoization table).
 //!   A kernel supplies the per-entry δ computation plus lifecycle hooks
-//!   (`prepare_fit`/`prepare_mode`/`begin_window`/`post_mode`); adding a
+//!   (`prepare_fit`/`prepare_mode`/`post_mode`); adding a
 //!   new backend is one new trait impl. Approx is not a kernel: it sweeps
 //!   with Direct, and its per-iteration truncation by `R(β)` is a step of
 //!   the fit driver ([`approx`]). `R(β)` factors through the tail factor,
@@ -94,14 +94,13 @@
 //!   `B += δδᵀ` / `c += x·δ` accumulation rides the same `syr`/`axpy`
 //!   primitives, as does cp-ALS.
 //!
-//!   The Cached kernel keeps its resident `Pres` table in **COO entry
+//!   The Cached kernel keeps its `Pres` table resident, in **COO entry
 //!   order for the whole fit** (`cache.rs`): a sweep gathers the
 //!   `|G|`-element row behind each stream position through the stream's
 //!   entry id, and the per-mode rescale is one parallel pass over the rows
 //!   where they lie, with the `a_new/a_old` quotient formed once per
 //!   column of the updated row. The table is never permuted and has no
-//!   second buffer, so Theorem 6's memory bound holds as stated; only the
-//!   spilled table (a file has no cheap gather) is stream-ordered. Its
+//!   second buffer, so Theorem 6's memory bound holds as stated. Its
 //!   sweep is entry-blocked too: [`engine::LANES`] `Pres` rows of a factor
 //!   row per walk of the core's runs (their sum → divide chains overlap;
 //!   the last mode's δ sits in a `J_N`-wide divide tile), each lane bit
@@ -117,20 +116,18 @@
 //!   `ptucker_linalg`'s in-place `cholesky_solve_in_place` /
 //!   `lu_solve_in_place` on those buffers.
 //! * **Placement** (the gate in `als`): when the in-memory working set —
-//!   plan, scratch, the Cache table — exceeds the [`MemoryBudget`] and
-//!   its policy is [`BudgetPolicy::Spill`] (the default),
-//!   [`PTucker::fit`] transparently moves exactly as much as overflows
-//!   to unlinked scratch files: the Cache table alone when the plan
-//!   still fits (**hybrid spilling** — sweeps then window zero-copy
-//!   views of the resident plan at the table's tile granularity), or
-//!   the plan and table both. Spilled plan windows refill pinned
-//!   buffers, **double-buffered** with a background prefetch thread
-//!   when the windows are large enough to amortize it. The per-row code
-//!   is the same monomorphized kernel path on every placement, so
-//!   spilled and hybrid fits reproduce the resident trajectory bitwise;
-//!   `FitStats::peak_spilled_bytes` reports the disk footprint.
-//!   [`BudgetPolicy::Strict`] restores the paper's hard O.O.M.
-//!   boundary.
+//!   plan, scratch, the per-row error buffer — exceeds the
+//!   [`MemoryBudget`] and its policy is [`BudgetPolicy::Spill`] (the
+//!   default), [`PTucker::fit`] transparently moves the plan to an
+//!   unlinked scratch file. Spilled plan windows refill pinned buffers
+//!   through a background **prefetch ring** when the windows are large
+//!   enough to amortize it. The per-row code is the same monomorphized
+//!   kernel path on every placement, so spilled fits reproduce the
+//!   resident trajectory bitwise; `FitStats::peak_spilled_bytes` reports
+//!   the disk footprint. [`BudgetPolicy::Strict`] restores the paper's
+//!   hard O.O.M. boundary. The Cache variant is resident-only: when its
+//!   `|Ω|×|G|` table does not fit, the fit is O.O.M. under either policy,
+//!   as in the paper's Table III.
 //!
 //! # Example
 //!
@@ -492,26 +489,20 @@ mod tests {
     }
 
     #[test]
-    fn cache_overflow_spills_by_default_and_fails_under_strict() {
-        // Since the out-of-core path landed, a default-policy budget too
-        // small for the |Ω|×|G| Pres table spills it (plus the plan) to
-        // disk and completes; the paper's hard O.O.M. boundary survives
-        // behind BudgetPolicy::Strict.
+    fn cache_overflow_is_oom_under_both_policies() {
+        // The Cache variant's |Ω|×|G| Pres table is resident-only: a budget
+        // too small for it is the paper's O.O.M. (Table III) whatever the
+        // policy — the default Spill policy spills Direct and Approx plans,
+        // never the table.
         let x = planted(10);
-        let opts = FitOptions::new(vec![2, 2, 2])
-            .max_iters(2)
-            .variant(Variant::Cache)
-            .budget(MemoryBudget::new(1024));
-        let fit = PTucker::new(opts).unwrap().fit(&x).unwrap();
-        assert!(
-            fit.stats.peak_spilled_bytes > 0,
-            "tiny default-policy budget must have spilled"
-        );
-        let strict = FitOptions::new(vec![2, 2, 2])
-            .variant(Variant::Cache)
-            .budget(MemoryBudget::with_policy(1024, BudgetPolicy::Strict));
-        let err = PTucker::new(strict).unwrap().fit(&x).unwrap_err();
-        assert!(matches!(err, PtuckerError::OutOfMemory(_)));
+        for policy in [BudgetPolicy::Spill, BudgetPolicy::Strict] {
+            let opts = FitOptions::new(vec![2, 2, 2])
+                .max_iters(2)
+                .variant(Variant::Cache)
+                .budget(MemoryBudget::with_policy(1024, policy));
+            let err = PTucker::new(opts).unwrap().fit(&x).unwrap_err();
+            assert!(matches!(err, PtuckerError::OutOfMemory(_)), "{policy:?}");
+        }
     }
 
     #[test]

@@ -27,13 +27,14 @@ pub enum Variant {
 }
 
 /// Storage precision for the *streamed* data of a fit: the execution
-/// plan's entry values and (for [`Variant::Cache`]) the Pres table, both
-/// resident and spilled. Re-exported from `ptucker-tensor`, which owns the
-/// stored representations; [`StoragePrecision::F32`] halves the
-/// bytes-per-entry of the bandwidth-bound sweeps and doubles how far a
-/// [`MemoryBudget`] reaches before spilling, at the cost of rounding each
-/// observed value once to `f32` on ingest. Arithmetic always stays `f64`,
-/// and the fit's placement guarantee (resident ≡ hybrid ≡ spilled
+/// plan's entry values, resident and spilled, and (for
+/// [`Variant::Cache`]) the resident Pres table. Re-exported from
+/// `ptucker-tensor`, which owns the stored representations;
+/// [`StoragePrecision::F32`] halves the bytes-per-entry of the
+/// bandwidth-bound sweeps and doubles how far a [`MemoryBudget`] reaches
+/// before a plan spills or a Cache table is O.O.M., at the cost of
+/// rounding each observed value once to `f32` on ingest. Arithmetic always
+/// stays `f64`, and the fit's placement guarantee (resident ≡ spilled
 /// bitwise) holds *within* each precision.
 pub use ptucker_tensor::StoragePrecision;
 

@@ -36,9 +36,10 @@
 //!   (the default) or hard-fail like the paper's O.O.M. boundaries
 //!   ([`BudgetPolicy::Strict`]). The policy does **not** change how
 //!   [`MemoryBudget::reserve`] behaves — it is a contract consulted by the
-//!   solver's *placement gate*, which spills only what overflows: the
-//!   whole execution plan, or just a variant's auxiliary table (hybrid
-//!   spilling) when the plan itself still fits.
+//!   solver's *placement gate*, which spills the execution plan when the
+//!   resident working set overflows (a variant whose auxiliary table is
+//!   resident-only still fails its checked reservation, as under
+//!   `Strict`).
 //! * File-backed bytes are accounted separately from resident bytes:
 //!   [`MemoryBudget::record_spill`] tracks them without counting against
 //!   the RAM budget (disk is not the scarce resource Definition 7 is

@@ -422,19 +422,6 @@ impl ScratchFile {
             }
         })
     }
-
-    /// Fills `out` from byte `offset` (little-endian `u32`s).
-    ///
-    /// # Errors
-    /// Any I/O error, including reading past the end of the file.
-    pub fn read_u32s(&self, offset: u64, out: &mut [u32]) -> io::Result<()> {
-        self.read_chunked(offset, out.len() * 4, |bytes, done_bytes| {
-            let start = done_bytes / 4;
-            for (slot, chunk) in out[start..].iter_mut().zip(bytes.chunks_exact(4)) {
-                *slot = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
-            }
-        })
-    }
 }
 
 impl Drop for ScratchFile {
@@ -464,8 +451,12 @@ mod tests {
         f.read_f64s(off_v, &mut vback).unwrap();
         assert_eq!(vback, vals);
         // Windowed read: positions 100..228.
-        let mut iback = vec![0u32; 128];
-        f.read_u32s(off_i + 100 * 4, &mut iback).unwrap();
+        let mut raw = vec![0u8; 128 * 4];
+        f.read_bytes(off_i + 100 * 4, &mut raw).unwrap();
+        let iback: Vec<u32> = raw
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+            .collect();
         assert_eq!(iback, &ids[100..228]);
     }
 
@@ -473,7 +464,7 @@ mod tests {
     fn scatter_writes_into_reserved_region() {
         let f = ScratchFile::create().unwrap();
         let region = f.reserve_region(4 * 8).unwrap();
-        // Write rows out of order, as the spilled Pres permutation does.
+        // Write rows out of order.
         f.write_f64s(region + 3 * 8, &[33.0]).unwrap();
         f.write_f64s(region, &[11.0]).unwrap();
         f.write_f64s(region + 8, &[22.0, 23.0]).unwrap();

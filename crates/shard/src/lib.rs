@@ -14,11 +14,13 @@
 //! along the same way, so the per-iteration error is the row-order sum of
 //! one merged buffer on every process and nobody runs a whole-tensor error
 //! pass. Only `O(I_n·J)` doubles per mode cross the wire — execution-plan
-//! windows and `Pres` tiles never do.
+//! windows and `Pres` rows never do.
 //!
 //! The result is **bitwise identical** to a single-process
 //! [`ptucker::PTucker::fit`] with the same options, for every kernel
-//! variant and for resident and spilled placements alike.
+//! variant and for resident and spilled placements alike (the Cache
+//! variant is resident-only: where its table does not fit, the sharded
+//! fit fails as the solo fit does).
 //!
 //! # Fault tolerance
 //!

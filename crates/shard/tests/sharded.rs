@@ -89,7 +89,9 @@ fn variants() -> [Variant; 3] {
 
 /// The headline acceptance: K ∈ {2, 4} spawned worker *processes*, all
 /// three kernels, resident and spilled placement — bitwise identical to
-/// `PTucker::fit`, with real comms volume reported.
+/// `PTucker::fit`, with real comms volume reported. Cache is
+/// resident-only: under the spilling budget the solo fit is O.O.M. and
+/// the sharded fit fails too.
 #[test]
 fn process_sharded_fit_is_bitwise_identical() {
     let x = planted(71);
@@ -100,7 +102,19 @@ fn process_sharded_fit_is_bitwise_identical() {
             ("spilled", MemoryBudget::new(1)),
         ] {
             let opts = base_opts().variant(variant).budget(budget);
-            let solo = PTucker::new(opts.clone()).unwrap().fit(&x).unwrap();
+            let solo = PTucker::new(opts.clone()).unwrap().fit(&x);
+            if variant == Variant::Cache && placement == "spilled" {
+                assert!(
+                    matches!(solo, Err(ptucker::PtuckerError::OutOfMemory(_))),
+                    "{solo:?}"
+                );
+                for k in [2usize, 4] {
+                    let out = ShardedFit::new(k, worker_bin()).fit(&x, opts.clone());
+                    assert!(out.is_err(), "Cache/spilled/K={k} must fail");
+                }
+                continue;
+            }
+            let solo = solo.unwrap();
             assert_eq!(
                 solo.stats.bytes_sent, 0,
                 "single-process fits move no bytes"
@@ -248,7 +262,8 @@ proptest! {
 
     // Satellite: the sharded fit is partition-invariant — any worker
     // count and any (weighted, arbitrary-cut) contiguous row tiling
-    // produces bitwise the single-process fit.
+    // produces bitwise the single-process fit (or, for the resident-only
+    // Cache variant under the spilling budget, fails as the solo fit does).
     #[test]
     fn sharded_fit_is_partition_invariant(seed in 0..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -268,16 +283,24 @@ proptest! {
             .seed(seed ^ 0x5eed)
             .variant(variant)
             .budget(budget);
-        let solo = PTucker::new(opts.clone()).unwrap().fit(&x).unwrap();
+        let solo = PTucker::new(opts.clone()).unwrap().fit(&x);
         let sharded = ShardedFit::new(k, WorkerSpawn::Threads);
         for (kind, ranges) in [
             ("nnz-balanced", nnz_balanced_ranges(&x, k)),
             ("weighted", weighted_ranges(&x, k, &weights)),
         ] {
-            let out = sharded
-                .fit_with_ranges(&x, opts.clone(), ranges)
-                .unwrap_or_else(|e| panic!("{kind}: {e}"));
-            assert_bitwise(&solo, &out.fit, &format!("{variant:?}/{kind}/K={k}"));
+            let out = sharded.fit_with_ranges(&x, opts.clone(), ranges);
+            match &solo {
+                Ok(solo) => {
+                    let out = out.unwrap_or_else(|e| panic!("{kind}: {e}"));
+                    assert_bitwise(solo, &out.fit, &format!("{variant:?}/{kind}/K={k}"));
+                }
+                Err(e) => {
+                    prop_assert!(variant == Variant::Cache && seed & 1 == 1, "{e}");
+                    prop_assert!(matches!(e, ptucker::PtuckerError::OutOfMemory(_)), "{e}");
+                    prop_assert!(out.is_err(), "{kind}: the sharded Cache fit must fail");
+                }
+            }
         }
     }
 }

@@ -61,8 +61,8 @@ pub use precision::StoragePrecision;
 pub use sparse::{ModeIndex, SparseTensor};
 pub use split::TrainTestSplit;
 pub use stream::{
-    IdsWindow, ModeStream, ModeStreams, SliceWindows, SpilledModeStream, StreamStore, StreamView,
-    SweepSource, ValuesView, Window,
+    ModeStream, ModeStreams, SliceWindows, SpilledModeStream, StreamStore, StreamView, SweepSource,
+    ValuesView, Window,
 };
 
 /// Convenience alias for results produced by this crate.

@@ -13,9 +13,9 @@
 /// [`StoragePrecision::F32`] halves the bytes-per-entry of the
 /// bandwidth-bound sweeps and doubles how far a memory budget reaches
 /// before spilling, at the cost of rounding each stored value once to
-/// `f32` on ingest. Placement equivalence (resident ≡ hybrid ≡ spilled
-/// bitwise) holds *within* each precision, because every placement widens
-/// the same stored bits through the same kernels.
+/// `f32` on ingest. Placement equivalence (resident ≡ spilled bitwise)
+/// holds *within* each precision, because every placement widens the same
+/// stored bits through the same kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoragePrecision {
     /// 8-byte storage, bit-exact stored values (the classic mode).

@@ -185,9 +185,7 @@ impl<'a> ValuesView<'a> {
 /// The streamed slice layout of one mode: values and packed other-mode
 /// indices in slice-major order, plus the stream-position → COO entry-id
 /// map for consumers that keep per-entry state in COO order (e.g. the
-/// resident P-Tucker-Cache `Pres` table). The inverse map is not stored:
-/// its one consumer (the spilled `Pres` table's reorder scatter) derives
-/// it from the entry ids of the mode it needs.
+/// P-Tucker-Cache `Pres` table).
 #[derive(Debug, Clone)]
 pub struct ModeStream {
     mode: usize,
@@ -472,10 +470,9 @@ pub struct SpilledModeStream {
     other_count: usize,
     offsets: Vec<usize>,
     max_slice_len: usize,
-    /// Byte offsets of this mode's sections in the plan's scratch file:
-    /// the interleaved per-position records, and the ids-only copy.
+    /// Byte offset of this mode's interleaved per-position records in the
+    /// plan's scratch file.
     rec_off: u64,
-    ids_off: u64,
 }
 
 impl SpilledModeStream {
@@ -659,10 +656,10 @@ fn window_extent(offsets: &[usize], lo: usize, cap: usize) -> usize {
 
 /// The one writer of a spilled plan's scratch file — what
 /// [`ModeStreams::build_spilled_at`] and [`ModeStreams::build_external_at`]
-/// share: per mode, the interleaved per-position records and the ids-only
-/// copy go out through bounded flush buffers while the slice offsets are
-/// tallied. The builds differ only in where a mode's records come from (a
-/// resident slice walk, a K-way merge); both feed them in slice-major order.
+/// share: per mode, the interleaved per-position records go out through a
+/// bounded flush buffer while the slice offsets are tallied. The builds
+/// differ only in where a mode's records come from (a resident slice walk,
+/// a K-way merge); both feed them in slice-major order.
 struct SpilledPlanWriter {
     file: ScratchFile,
     nnz: usize,
@@ -670,7 +667,8 @@ struct SpilledPlanWriter {
     precision: StoragePrecision,
     stride: usize,
     rbuf: Vec<u8>,
-    ibuf: Vec<u32>,
+    /// Positions of the open mode sitting in `rbuf`.
+    buffered: usize,
     /// Positions of the open mode already flushed.
     written: usize,
     /// The finished modes, then the open one.
@@ -678,7 +676,7 @@ struct SpilledPlanWriter {
 }
 
 impl SpilledPlanWriter {
-    /// Records (and ids) buffered per write.
+    /// Records buffered per write.
     const FLUSH: usize = 1024;
 
     fn create(
@@ -695,13 +693,13 @@ impl SpilledPlanWriter {
             precision,
             stride,
             rbuf: Vec::with_capacity(Self::FLUSH * stride),
-            ibuf: Vec::with_capacity(Self::FLUSH),
+            buffered: 0,
             written: 0,
             modes: Vec::with_capacity(order),
         })
     }
 
-    /// Opens the next mode: reserves its two file sections.
+    /// Opens the next mode: reserves its file section.
     fn begin_mode(&mut self, dim: usize) -> Result<()> {
         let mut offsets = Vec::with_capacity(dim + 1);
         offsets.push(0);
@@ -714,23 +712,21 @@ impl SpilledPlanWriter {
             rec_off: self
                 .file
                 .reserve_region(self.nnz as u64 * self.stride as u64)?,
-            ids_off: self.file.reserve_region(self.nnz as u64 * 4)?,
         });
         Ok(())
     }
 
     /// Appends the open mode's next position, in slice `slice` (slices
-    /// arrive ascending): `fill` appends the record's `stride` bytes, whose
-    /// trailing field is `eid`.
-    fn emit(&mut self, slice: usize, eid: u32, fill: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
-        let pos = self.written + self.ibuf.len();
+    /// arrive ascending): `fill` appends the record's `stride` bytes.
+    fn emit(&mut self, slice: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+        let pos = self.written + self.buffered;
         let offsets = &mut self.modes.last_mut().expect("a mode is open").offsets;
         while offsets.len() <= slice {
             offsets.push(pos);
         }
         fill(&mut self.rbuf);
-        self.ibuf.push(eid);
-        if self.ibuf.len() == Self::FLUSH {
+        self.buffered += 1;
+        if self.buffered == Self::FLUSH {
             self.flush()?;
         }
         Ok(())
@@ -743,17 +739,16 @@ impl SpilledPlanWriter {
         );
         self.file
             .write_bytes(m.rec_off + at * self.stride as u64, &self.rbuf)?;
-        self.file.write_u32s(m.ids_off + at * 4, &self.ibuf)?;
-        self.written += self.ibuf.len();
+        self.written += self.buffered;
         self.rbuf.clear();
-        self.ibuf.clear();
+        self.buffered = 0;
         Ok(())
     }
 
     /// Closes the open mode: the buffered tail goes out and the slice
     /// offsets are completed (trailing empty slices included).
     fn end_mode(&mut self, dim: usize) -> Result<()> {
-        if !self.ibuf.is_empty() {
+        if self.buffered > 0 {
             self.flush()?;
         }
         debug_assert_eq!(self.written, self.nnz, "a mode holds every entry once");
@@ -847,18 +842,15 @@ impl ModeStreams {
     }
 
     /// Derives the plan with its bulk arrays **spilled to a scratch
-    /// file**, streaming each mode's sections to disk slice-by-slice
+    /// file**, streaming each mode's section to disk slice-by-slice
     /// through a bounded append buffer — peak transient memory during the
     /// build is the buffer plus one mode's resident metadata, not the
     /// full `O(N·|Ω|)` plan.
     ///
-    /// Each mode writes two sections: the per-position data **interleaved
+    /// Each mode writes one section: the per-position data **interleaved
     /// as fixed-stride records** (`value f64 | packed other-mode u32s |
     /// entry id u32`), so any window of positions is one contiguous byte
-    /// range — a refill is a single read, not one per array — plus a
-    /// separate entry-id section for the ids-only sweeps (the spilled
-    /// `Pres` table's build/rescale), which keep their 4-bytes-per-
-    /// position read volume.
+    /// range — a refill is a single read, not one per array.
     ///
     /// The resident metadata (the slice offsets) is booked with
     /// [`MemoryBudget::reserve_unchecked`] — it is the irreducible floor
@@ -891,7 +883,7 @@ impl ModeStreams {
             out.begin_mode(dim)?;
             for i in 0..dim {
                 for &e in x.slice(mode, i) {
-                    out.emit(i, e as u32, |rec| {
+                    out.emit(i, |rec| {
                         put_value(rec, x.value(e), precision);
                         for (k, &ik) in x.index(e).iter().enumerate() {
                             if k != mode {
@@ -918,7 +910,7 @@ impl ModeStreams {
     /// sorted by `(slice index, entry id)` — exactly the slice-major,
     /// in-slice-ascending-COO order the resident layout has by
     /// construction), then **K-way merged** into the same interleaved
-    /// record + ids sections [`ModeStreams::build_spilled`] writes. Run
+    /// record sections [`ModeStreams::build_spilled`] writes. Run
     /// and merge buffers are sized from the budget's current headroom
     /// (with a small floor so tiny budgets still make progress, booked
     /// either way), and both scratch files report their traffic to the
@@ -1041,10 +1033,10 @@ impl ModeStreams {
                     heap.push(Reverse((key, eid, ri)));
                 }
             }
-            while let Some(Reverse((key, eid, ri))) = heap.pop() {
+            while let Some(Reverse((key, _, ri))) = heap.pop() {
                 let c = &mut cursors[ri];
                 let a = c.pos * run_rec;
-                out.emit(key as usize, eid, |rec| {
+                out.emit(key as usize, |rec| {
                     rec.extend_from_slice(&c.buf[a + 4..a + run_rec])
                 })?;
                 c.pos += 1;
@@ -1319,9 +1311,8 @@ impl ModeStreams {
 
     /// Scratch-file bytes a spilled plan for `x` writes: per mode, the
     /// interleaved per-position records (value 8 B/4 B by precision +
-    /// packed other-mode indices 4 B each + entry id 4 B) plus the
-    /// ids-only section (4 B per position) serving the cheap ids sweeps.
-    /// Defaults to f64 values; see [`ModeStreams::spilled_bytes_for_at`].
+    /// packed other-mode indices 4 B each + entry id 4 B). Defaults to f64
+    /// values; see [`ModeStreams::spilled_bytes_for_at`].
     pub fn spilled_bytes_for(x: &SparseTensor) -> usize {
         Self::spilled_bytes_for_at(x, StoragePrecision::F64)
     }
@@ -1339,7 +1330,7 @@ impl ModeStreams {
         precision: StoragePrecision,
     ) -> usize {
         let order = dims.len();
-        order * (nnz * record_stride(order - 1, precision) + nnz * 4)
+        order * nnz * record_stride(order - 1, precision)
     }
 }
 
@@ -1353,19 +1344,6 @@ pub struct Window<'a> {
     pub base: usize,
     /// The window's data: slices and positions are window-local.
     pub stream: StreamView<'a>,
-}
-
-/// The entry-id section of one slice-aligned window (see
-/// [`SweepSource::next_ids_window`]).
-#[derive(Debug)]
-pub struct IdsWindow<'a> {
-    /// The global slice range this window covers.
-    pub slices: Range<usize>,
-    /// Global stream position of the window's first entry.
-    pub base: usize,
-    /// COO entry ids, window-local (`entry_ids[p]` is the entry at
-    /// global position `base + p`).
-    pub entry_ids: &'a [u32],
 }
 
 /// A lending iterator of slice-aligned windows over one mode of a plan —
@@ -1493,21 +1471,6 @@ impl<'a> SweepSource<'a> {
         }
     }
 
-    /// The most positions any window of any mode can hold: the capacity,
-    /// a single oversized slice, or the whole stream — whichever binds.
-    /// Consumers sizing per-position side buffers (the spilled `Pres`
-    /// tile) use this so no window ever reallocates them mid-sweep.
-    pub fn max_window_positions(&self) -> usize {
-        match &self.inner {
-            SourceInner::Resident { streams, cap, .. } => {
-                let max_slice = streams.iter().map(|s| s.max_slice_len()).max().unwrap_or(0);
-                let total = streams.first().map_or(0, |s| s.entry_ids.len());
-                (*cap).max(max_slice).min(total)
-            }
-            SourceInner::Spilled(w) => w.max_window_positions(),
-        }
-    }
-
     /// Number of windows a full sweep of the current mode (restricted to
     /// the current slice subrange, if any) takes (no I/O).
     pub fn window_count(&self) -> usize {
@@ -1560,46 +1523,13 @@ impl<'a> SweepSource<'a> {
             SourceInner::Spilled(w) => w.next_window(),
         }
     }
-
-    /// Like [`SweepSource::next_window`], but yields **only the entry-id
-    /// section** — for consumers that map stream positions to COO entries
-    /// without touching values or packed indices (the spilled `Pres`
-    /// table's build and rescale sweeps), cutting a spilled sweep's read
-    /// volume to the 4 bytes per position they actually use. Shares the
-    /// cursor with `next_window`: a sweep must use one of the two
-    /// consistently between rewinds.
-    ///
-    /// # Errors
-    /// [`TensorError::Io`] if a spilled read fails.
-    pub fn next_ids_window(&mut self) -> Result<Option<IdsWindow<'_>>> {
-        match &mut self.inner {
-            SourceInner::Resident {
-                streams,
-                mode,
-                cap,
-                next_slice,
-                end_slice,
-                ..
-            } => {
-                let s = &streams[*mode];
-                Ok(
-                    resident_step(s, *cap, next_slice, *end_slice).map(|(lo, hi)| IdsWindow {
-                        slices: lo..hi,
-                        base: s.offsets[lo],
-                        entry_ids: &s.entry_ids[s.offsets[lo]..s.offsets[hi]],
-                    }),
-                )
-            }
-            SourceInner::Spilled(w) => w.next_ids_window(),
-        }
-    }
 }
 
 /// The one copy of the resident sweep's cursor rule: the slice extent of
 /// the window starting at `*cursor` (or `None` at the sweep's `end`
-/// slice bound), advancing the cursor — shared by `next_window`,
-/// `next_ids_window` and `window_count`, mirroring how the spilled arm
-/// centralizes the same stepping in `SliceWindows::spec`.
+/// slice bound), advancing the cursor — shared by `next_window` and
+/// `window_count`, mirroring how the spilled arm centralizes the same
+/// stepping in `SliceWindows::spec`.
 fn resident_step(
     s: &ModeStream,
     cap: usize,
@@ -1644,7 +1574,6 @@ struct RefillSpec {
     other_count: usize,
     precision: StoragePrecision,
     rec_off: u64,
-    ids_off: u64,
 }
 
 /// Bytes of interleaved records read per refill syscall (a multiple of
@@ -1773,13 +1702,12 @@ impl<'a> SliceWindows<'a> {
             other_count: sp.other_count,
             precision: self.precision,
             rec_off: sp.rec_off,
-            ids_off: sp.ids_off,
         }
     }
 
     /// Joins every in-flight prefetch, discarding their data but
     /// recovering their buffers. Called before any cursor movement that
-    /// invalidates the queued reads (rewind/reset/ids sweeps) and on
+    /// invalidates the queued reads (rewind/reset) and on
     /// drop-by-scope.
     fn drain(&mut self) {
         while self.inflight.pop_front().is_some() {
@@ -1866,50 +1794,6 @@ impl<'a> SliceWindows<'a> {
                 entry_ids: &self.current.entry_ids,
             },
         }))
-    }
-
-    /// Like [`SliceWindows::next_window`], but reads **only the entry-id
-    /// section** of the next window. Always synchronous (ids sweeps
-    /// interleave with other I/O on the consumer side, so pipelining them
-    /// buys nothing); any in-flight bulk prefetch is drained first.
-    ///
-    /// Shares the sweep cursor with `next_window`: a sweep must use one
-    /// of the two consistently between rewinds.
-    ///
-    /// # Errors
-    /// [`TensorError::Io`] if reading the scratch file fails.
-    pub fn next_ids_window(&mut self) -> Result<Option<IdsWindow<'_>>> {
-        self.drain();
-        if self.next_slice >= self.end_slice {
-            return Ok(None);
-        }
-        let spec = self.spec(self.next_slice);
-        self.current.entry_ids.resize(spec.len, 0);
-        self.file
-            .read_u32s(
-                spec.ids_off + spec.start as u64 * 4,
-                &mut self.current.entry_ids,
-            )
-            .map_err(TensorError::from)?;
-        self.next_slice = spec.hi;
-        Ok(Some(IdsWindow {
-            slices: spec.lo..spec.hi,
-            base: spec.start,
-            entry_ids: &self.current.entry_ids,
-        }))
-    }
-
-    /// The most positions any window of any mode can hold: the capacity, a
-    /// single oversized slice, or the whole stream — whichever binds.
-    pub fn max_window_positions(&self) -> usize {
-        let max_slice = self
-            .modes
-            .iter()
-            .map(|m| m.max_slice_len)
-            .max()
-            .unwrap_or(0);
-        let total = self.modes.first().map_or(0, |m| m.len());
-        self.cap.max(max_slice).min(total)
     }
 
     /// Restarts the sweep on `mode`'s first window, reusing the pinned
@@ -2087,8 +1971,7 @@ mod tests {
     }
 
     /// A capacity-bounded resident sweep yields slice-aligned sub-views
-    /// matching the stream (the hybrid-spill case: plan resident, a
-    /// per-position side table windowed).
+    /// matching the stream.
     #[test]
     fn resident_sweep_source_windows_are_zero_copy_subviews() {
         let x = sample();
@@ -2171,29 +2054,6 @@ mod tests {
                             "{tag}: rewind must restore the full sweep"
                         );
                     }
-                }
-            }
-        }
-    }
-
-    /// Ids windows agree between the resident and spilled sources.
-    #[test]
-    fn ids_windows_match_across_placements() {
-        let x = sample();
-        let resident = ModeStreams::build(&x).unwrap();
-        let spilled = ModeStreams::build_spilled(&x, &MemoryBudget::unlimited()).unwrap();
-        for n in 0..x.order() {
-            let mut a = resident.sweep_source(n, 2, false);
-            let mut b = spilled.sweep_source(n, 2, false);
-            loop {
-                match (a.next_ids_window().unwrap(), b.next_ids_window().unwrap()) {
-                    (Some(wa), Some(wb)) => {
-                        assert_eq!(wa.slices, wb.slices);
-                        assert_eq!(wa.base, wb.base);
-                        assert_eq!(wa.entry_ids, wb.entry_ids);
-                    }
-                    (None, None) => break,
-                    _ => panic!("window counts diverged on mode {n}"),
                 }
             }
         }
@@ -2314,12 +2174,6 @@ mod tests {
             covered += win.stream.len();
         }
         assert_eq!(covered, x.nnz());
-        // And ids sweeps drain the pipeline too.
-        w.rewind(2);
-        let _ = w.next_window().unwrap().unwrap();
-        w.rewind(0);
-        let ids = w.next_ids_window().unwrap().unwrap();
-        assert_eq!(ids.entry_ids.len(), x.slice_len(0, 0));
     }
 
     #[test]
@@ -2612,12 +2466,6 @@ mod tests {
                 covered += win.stream.len();
             }
             assert_eq!(covered, x.nnz(), "depth {depth} after rewind");
-            // And ids sweeps drain the whole ring too.
-            w.rewind(2);
-            let _ = w.next_window().unwrap().unwrap();
-            w.rewind(0);
-            let ids = w.next_ids_window().unwrap().unwrap();
-            assert!(!ids.entry_ids.is_empty());
         }
     }
 

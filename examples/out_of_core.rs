@@ -1,10 +1,10 @@
-//! Out-of-core fitting: the same tensor fitted three times — once with
-//! room to spare, once under a budget that fits the execution plan but
-//! not the Cache variant's `Pres` table (**hybrid spilling**: only the
-//! table goes to disk), and once under a budget far too small for either
-//! (full spill, with double-buffered window prefetch) — showing that all
-//! three land on the *identical* trajectory while spilling strictly less
-//! the more memory they are given.
+//! Out-of-core fitting: the same tensor fitted twice with the Direct
+//! kernel — once with room to spare, once under a budget far too small
+//! for the execution plan (full spill, with window prefetch) — showing
+//! that both land on the *identical* trajectory. Then the memory-hungry
+//! Cache variant under the same small budget: its `|Ω|×|G|` `Pres` table
+//! is resident-only, so it reports the paper's O.O.M. (Table III) instead
+//! of spilling, under either budget policy.
 //!
 //! ```text
 //! cargo run --release --example out_of_core
@@ -35,7 +35,6 @@ fn main() {
             .tol(0.0)
             .threads(2)
             .seed(7)
-            .variant(Variant::Cache) // the memory-hungry variant: |Ω|×|G| table
             .budget(budget)
     };
 
@@ -45,42 +44,21 @@ fn main() {
         .fit(&x)
         .expect("in-memory fit");
 
-    // 2. Hybrid spill: a budget holding the plan (plus slack for tile
-    //    buffers) but not the |Ω|×|G| table. The plan stays resident; only
-    //    the table streams to a scratch file, tile by tile.
-    let hybrid_budget = plan_bytes + plan_bytes / 2;
-    assert!(hybrid_budget < plan_bytes + table_bytes);
-    let hybrid = PTucker::new(opts(MemoryBudget::new(hybrid_budget)))
-        .unwrap()
-        .fit(&x)
-        .expect("hybrid fit");
-
-    // 3. A 64 KiB budget — far below the plan, let alone the Pres table.
-    //    Under the default BudgetPolicy::Spill the fit completes out of
-    //    core instead of reporting the paper's O.O.M.
+    // 2. A 64 KiB budget — far below the plan. Under the default
+    //    BudgetPolicy::Spill the fit completes out of core instead of
+    //    reporting the paper's O.O.M.
     let tiny = MemoryBudget::new(64 << 10);
     assert_eq!(tiny.policy(), BudgetPolicy::Spill);
-    let spilled = PTucker::new(opts(tiny))
+    let spilled = PTucker::new(opts(tiny.clone()))
         .unwrap()
         .fit(&x)
         .expect("the windowed path must complete where the in-memory path could not");
 
-    println!("\niter   in-memory error    hybrid error       out-of-core error");
-    for ((a, h), b) in roomy
-        .stats
-        .iterations
-        .iter()
-        .zip(&hybrid.stats.iterations)
-        .zip(&spilled.stats.iterations)
-    {
+    println!("\niter   in-memory error    out-of-core error");
+    for (a, b) in roomy.stats.iterations.iter().zip(&spilled.stats.iterations) {
         println!(
-            "{:>4}   {:<16.10} {:<16.10} {:<16.10}",
-            a.iter, a.reconstruction_error, h.reconstruction_error, b.reconstruction_error
-        );
-        assert_eq!(
-            a.reconstruction_error.to_bits(),
-            h.reconstruction_error.to_bits(),
-            "hybrid trajectory must agree bitwise"
+            "{:>4}   {:<16.10} {:<16.10}",
+            a.iter, a.reconstruction_error, b.reconstruction_error
         );
         assert_eq!(
             a.reconstruction_error.to_bits(),
@@ -88,23 +66,32 @@ fn main() {
             "spilled trajectory must agree bitwise"
         );
     }
+    assert_eq!(
+        roomy.stats.final_error.to_bits(),
+        spilled.stats.final_error.to_bits(),
+        "spilled final error must agree bitwise"
+    );
     println!(
         "\nin-memory:   peak resident {} B, spilled 0 B",
         roomy.stats.peak_intermediate_bytes
     );
     println!(
-        "hybrid:      peak resident {} B, spilled {} B (table only — plan stayed in RAM)",
-        hybrid.stats.peak_intermediate_bytes, hybrid.stats.peak_spilled_bytes
-    );
-    println!(
         "out-of-core: peak resident {} B, spilled {} B to scratch files",
         spilled.stats.peak_intermediate_bytes, spilled.stats.peak_spilled_bytes
     );
-    assert!(hybrid.stats.peak_spilled_bytes < spilled.stats.peak_spilled_bytes);
 
-    // 4. The paper's hard O.O.M. boundary is still available when an
-    //    experiment needs it: BudgetPolicy::Strict.
+    // 3. P-Tucker-Cache trades memory for speed: its table never spills,
+    //    so the same budget is the paper's O.O.M. under the Spill policy…
+    let cache = |budget: MemoryBudget| {
+        PTucker::new(opts(budget).variant(Variant::Cache))
+            .unwrap()
+            .fit(&x)
+            .unwrap_err()
+    };
+    println!("\nCache, spill policy at the same budget: {}", cache(tiny));
+
+    // 4. …and under BudgetPolicy::Strict, the paper's regime for every
+    //    variant.
     let strict = MemoryBudget::with_policy(64 << 10, BudgetPolicy::Strict);
-    let err = PTucker::new(opts(strict)).unwrap().fit(&x).unwrap_err();
-    println!("\nstrict policy at the same budget: {err}");
+    println!("Cache, strict policy at the same budget: {}", cache(strict));
 }

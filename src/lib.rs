@@ -69,11 +69,12 @@
 //!   `Pres` table in COO entry order for the whole fit (a per-entry row
 //!   gather in the sweep — four rows of a factor row per walk, like the
 //!   Direct lanes —, one in-place parallel rescale per mode — the
-//!   table is never permuted). When the working set exceeds the memory
-//!   budget, `PTucker::fit` switches to the **out-of-core driver**: the plan and
-//!   the Pres table spill to scratch files and every mode sweep runs
-//!   window-by-window over slice-aligned chunks, reproducing the
-//!   in-memory trajectory bitwise (see `ARCHITECTURE.md`). The net
+//!   table is never permuted, and a budget too small for it is the paper's
+//!   O.O.M.). When the working set exceeds the memory budget, `PTucker::fit`
+//!   switches to the **out-of-core driver**: the plan spills to a scratch
+//!   file and every mode sweep runs window-by-window over slice-aligned
+//!   chunks, reproducing the in-memory trajectory bitwise (see
+//!   `ARCHITECTURE.md`). The net
 //!   effect is a row-update loop with **zero heap allocations**,
 //!   strictly sequential memory traffic, and FMA-saturating inner
 //!   loops; adding a new backend means implementing one trait.

@@ -126,7 +126,7 @@ fn oom_boundaries_by_method() {
     // wOpt (dense) > Cache (|Ω|·|G|) > CSF (I·J^{N-1}) > P-Tucker (T·J²).
     // The cross-method boundary matrix runs under BudgetPolicy::Strict —
     // the paper's regime, where overflow is O.O.M. for everyone. (Under
-    // the default Spill policy P-Tucker never O.O.M.s; see
+    // the default Spill policy P-Tucker's Direct fit never O.O.M.s; see
     // `spill_semantics_replace_oom_for_ptucker` below.)
     let mut rng = StdRng::seed_from_u64(8);
     let x = uniform_sparse(&[40, 40, 40], 2_000, &mut rng);
@@ -179,11 +179,13 @@ fn oom_boundaries_by_method() {
 #[test]
 fn spill_semantics_replace_oom_for_ptucker() {
     // Under the default BudgetPolicy::Spill, budgets that used to O.O.M.
-    // P-Tucker now complete out of core: the plan (and the Cache table)
-    // move to scratch files, sweeps run over slice-aligned windows, and
-    // the fit reports its disk footprint. The baselines have no spilled
-    // mode, so the same budget still kills them — the paper's headline
-    // separation, now *survived* instead of merely reproduced.
+    // P-Tucker now complete out of core: the plan moves to a scratch
+    // file, sweeps run over slice-aligned windows, and the fit reports its
+    // disk footprint. The baselines have no spilled mode, so the same
+    // budget still kills them — the paper's headline separation, now
+    // *survived* instead of merely reproduced. P-Tucker-Cache trades
+    // memory for speed and stays resident-only: its |Ω|·|G| table is
+    // O.O.M. here under either policy, as in the paper's Table III.
     let mut rng = StdRng::seed_from_u64(8);
     let x = uniform_sparse(&[40, 40, 40], 2_000, &mut rng);
     let ranks = vec![4, 4, 4];
@@ -199,9 +201,8 @@ fn spill_semantics_replace_oom_for_ptucker() {
     assert!(direct.stats.peak_spilled_bytes > 0);
     let cached = PTucker::new(popts.clone().variant(Variant::Cache))
         .unwrap()
-        .fit(&x)
-        .unwrap();
-    assert!(cached.stats.peak_spilled_bytes > direct.stats.peak_spilled_bytes);
+        .fit(&x);
+    assert!(matches!(cached, Err(PtuckerError::OutOfMemory(_))));
     // Same seed, same trajectory as an unconstrained in-memory fit.
     let roomy = PTucker::new(popts.budget(MemoryBudget::unlimited()))
         .unwrap()
