@@ -1061,13 +1061,13 @@ fn write_artifact() {
         ));
     }
 
-    // External-sort build: pricing the disk-to-disk plan path. Three
-    // columns over the same ~20k-entry tensor — the fully resident build,
-    // the resident-source spilled build, and the external-sort build from
-    // a COO scratch file (sorted runs + K-way merge under a floor-sized
-    // arena) — plus the byte volumes that explain them: the COO source,
-    // the spilled plan, and the total scratch traffic the external build
-    // performed. The output is bitwise-identical across the last two
+    // External build: pricing the disk-to-disk plan path. Three columns
+    // over the same ~20k-entry tensor — the fully resident build, the
+    // resident-source spilled build, and the counting-placement build from
+    // a COO scratch file (one counting scan, then per mode one scan per
+    // floor-sized arena chunk — two here) — plus the byte volumes that
+    // explain them: the COO source, the spilled plan, and the total
+    // scratch traffic of every external build the timing loop ran. The output is bitwise-identical across the last two
     // (asserted by the tensor crate's proptests), so the overhead column
     // is the whole story.
     {
@@ -1079,7 +1079,7 @@ fn write_artifact() {
         let spilled_ns = median_ns(7, || {
             black_box(ModeStreams::build_spilled(&x, &MemoryBudget::unlimited()).unwrap());
         });
-        let budget = MemoryBudget::new(1); // floor-sized sort arena
+        let budget = MemoryBudget::new(1); // floor-sized placement arena
         let src = ptucker_tensor::CooScratch::from_tensor(&x, &budget).unwrap();
         let coo_bytes = src.bytes();
         let io0 = (budget.io_read_bytes(), budget.io_write_bytes());

@@ -17,7 +17,7 @@
 //!   window's row updates.
 //! * **Disk to disk** ([`PTucker::fit_scratch`]) — the observed entries
 //!   themselves never become resident: the plan is built from a
-//!   [`CooScratch`] file by external sort
+//!   [`CooScratch`] file by counting placement
 //!   ([`ModeStreams::build_external`]), and every whole-tensor pass over
 //!   COO (the exact residual, the core refit, the checkpoint fingerprint)
 //!   walks bounded segments of it.
@@ -206,9 +206,10 @@ impl PTucker {
     }
 
     /// Runs the fit **disk-to-disk**: the observed entries stay in `src`'s
-    /// scratch file, the execution plan is built from it by external sort
-    /// ([`ModeStreams::build_external`] — sorted runs + K-way merge, all
-    /// within the [`crate::MemoryBudget`]), and every whole-tensor pass
+    /// scratch file, the execution plan is built from it by counting
+    /// placement ([`ModeStreams::build_external`] — one counting scan,
+    /// then records placed through a budget-bounded arena), and every
+    /// whole-tensor pass
     /// (the residual, the Approx `R(β)` ranking, the core refit, the
     /// checkpoint fingerprint) walks bounded COO segments. Resident memory
     /// is bounded by the budget regardless of `|Ω|`; the trajectory is
@@ -489,7 +490,7 @@ impl FitRuns {
 
 /// The placement gate: whether the execution plan spills to a scratch
 /// file. It does when the plan cannot be resident — a disk-resident input,
-/// whose plan can only come from the external sort — or when the fully
+/// whose plan can only come from the external build — or when the fully
 /// resident working set overflows a Spill-policy budget. Under
 /// [`BudgetPolicy::Strict`] everything is declared resident, and so is
 /// every Cache fit: the checked reservations downstream then produce the
@@ -557,8 +558,8 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
     let mut plan_reservation = None;
     let plan = match input {
         // Disk-resident entries: the plan can only come from the external
-        // sort — sorted runs off bounded chunks of the scratch file,
-        // K-way merged straight into the spilled stream layout.
+        // build — slice sizes counted off the scratch file, then every
+        // record placed straight into the spilled stream layout.
         FitInput::Scratch(src) => {
             ModeStreams::build_external_at(src, &opts.budget, opts.precision)?
         }
@@ -620,15 +621,15 @@ fn run_fit<K: RowUpdateKernel, S: FitSync>(
         (spill && tail_bytes > 0).then(|| opts.budget.reserve_unchecked(tail_bytes));
 
     // Window capacity from what is left of the budget. Each windowed
-    // stream position costs its plan bytes (value + packed indices +
-    // entry id). A slice larger than the capacity is still taken whole —
+    // stream position costs its spilled record (value + packed indices).
+    // A slice larger than the capacity is still taken whole —
     // windows are slice-aligned — so pinned buffers are sized for the
     // larger of the two. With prefetch the plan buffer exists once per
     // ring slot, so the per-position cost multiplies and the capacity
     // divides accordingly — the buffers together fit the remaining
     // budget, they don't overshoot it; prefetch only engages if the
     // divided windows still clear the amortization threshold.
-    let stream_pos_bytes = opts.precision.value_bytes() + 4 * (order - 1) + 4;
+    let stream_pos_bytes = ModeStreams::spilled_record_bytes(order, opts.precision);
     let cap_for = |buffer_copies: usize| {
         (opts.budget.available() / (buffer_copies * stream_pos_bytes)).max(1)
     };
@@ -1421,7 +1422,7 @@ mod tests {
     }
 
     /// A Cache fit from a COO scratch file is a configuration error, raised
-    /// before the external sort writes a byte: the resident-only table
+    /// before the external build writes a byte: the resident-only table
     /// indexes a resident tensor.
     #[test]
     fn cache_on_a_scratch_input_is_invalid_config() {
@@ -1579,7 +1580,7 @@ mod tests {
     }
 
     /// Tentpole acceptance: the **disk-to-disk** fit — observed entries in
-    /// a COO scratch file, plan built by external sort, residual / `R(β)` /
+    /// a COO scratch file, plan built by counting placement, residual / `R(β)` /
     /// core-refit passes walking segments of it — reproduces the resident
     /// fit **bitwise** for Direct and Approx, under a budget forcing
     /// windowed sweeps and the default dynamic row schedule (the
@@ -1667,7 +1668,7 @@ mod tests {
 
     /// Tentpole acceptance: fitting from a COO scratch file **larger than
     /// the memory budget** completes with peak tracked resident bytes
-    /// within the budget — the whole pipeline (external sort included)
+    /// within the budget — the whole pipeline (external build included)
     /// really is bounded.
     #[test]
     fn disk_to_disk_peak_resident_bytes_stay_within_budget() {

@@ -501,7 +501,7 @@ mod tests {
         // orders 2..=5, on dense, sampled and truncated cores, with and
         // without the tail-dot table, at 1 and 3 threads; and it is one bit
         // pattern over a resident plan, a spilled plan read one slice per
-        // window, and a plan external-sorted from a COO scratch file.
+        // window, and a plan built externally from a COO scratch file.
         #[test]
         fn fused_partial_errors_match_eq13(
             order in 2..=5usize,

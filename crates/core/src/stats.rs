@@ -45,7 +45,8 @@ pub struct FitStats {
     /// single-process fits.
     pub bytes_received: u64,
     /// Bytes read back from budget-tracked scratch files during the fit
-    /// (window refills, spilled `Pres` tiles, external-sort merges).
+    /// (window refills, and the COO source scans of the external plan
+    /// build and the whole-tensor passes).
     /// Zero for a fully resident fit. The disk-traffic twin of
     /// [`FitStats::bytes_sent`]/[`FitStats::bytes_received`].
     pub io_read_bytes: u64,

@@ -16,12 +16,10 @@
 
 use ptucker_memtrack::MemoryBudget;
 use ptucker_tensor::{
-    CooScratch, CooScratchWriter, Result, SparseTensor, StoragePrecision, TensorError,
+    for_each_tsv_entry, CooScratch, CooScratchWriter, Result, SparseTensor, StoragePrecision,
     COO_SEGMENT_ENTRIES,
 };
 use rand::Rng;
-use std::fs::File;
-use std::io::{BufRead, BufReader};
 use std::path::Path;
 
 use crate::Zipf;
@@ -37,8 +35,8 @@ use crate::Zipf;
 /// matters and the tensor fits in memory.
 ///
 /// # Errors
-/// [`TensorError::Io`] on scratch-file failures,
-/// [`TensorError::InvalidDims`] for empty/zero/overflowing `dims`.
+/// [`ptucker_tensor::TensorError::Io`] on scratch-file failures,
+/// [`ptucker_tensor::TensorError::InvalidDims`] for empty/zero/overflowing `dims`.
 pub fn stream_uniform_to_scratch<R: Rng + ?Sized>(
     dims: &[usize],
     nnz: usize,
@@ -95,17 +93,18 @@ pub fn stream_zipf_to_scratch<R: Rng + ?Sized>(
 /// [`crate::read_dataset`] / [`ptucker_tensor::read_tsv`]) into a
 /// disk-resident COO scratch file without building a [`SparseTensor`]:
 /// pass 1 scans the file for the order and per-mode maxima, pass 2 streams
-/// each parsed entry into the writer. One line buffer is the only
-/// per-entry state either pass holds.
+/// each parsed entry into the writer. Both passes go through
+/// [`for_each_tsv_entry`], the parser behind the resident reader; its
+/// reused line buffers are the only per-entry state either pass holds.
 ///
 /// `precision` selects value parsing exactly as [`crate::read_dataset`]
 /// does: `F32` parses each value as `f32` and widens, so a downstream
 /// `StoragePrecision::F32` fit re-quantizes nothing.
 ///
 /// # Errors
-/// [`TensorError::Parse`] with a 1-based line number for malformed lines
+/// [`ptucker_tensor::TensorError::Parse`] with a 1-based line number for malformed lines
 /// (same diagnostics as [`ptucker_tensor::read_tsv`]),
-/// [`TensorError::Io`] for filesystem problems.
+/// [`ptucker_tensor::TensorError::Io`] for filesystem problems.
 pub fn tsv_to_scratch<P: AsRef<Path>>(
     path: P,
     precision: StoragePrecision,
@@ -116,116 +115,26 @@ pub fn tsv_to_scratch<P: AsRef<Path>>(
     // 1-based maxima (the TSV convention: the grid is as large as its
     // largest observed coordinate).
     let mut dims: Vec<usize> = Vec::new();
-    scan_tsv(path, |line_no, fields| {
-        parse_entry(line_no, fields, precision, |idx, _v| {
-            if dims.is_empty() {
-                dims = vec![0; idx.len()];
-            }
-            for (d, &i) in dims.iter_mut().zip(idx) {
-                *d = (*d).max(i + 1);
-            }
-            Ok(())
-        })
+    for_each_tsv_entry(path, precision, |idx, _v| {
+        if dims.is_empty() {
+            dims = vec![0; idx.len()];
+        }
+        for (d, &i) in dims.iter_mut().zip(idx) {
+            *d = (*d).max(i + 1);
+        }
+        Ok(())
     })?;
-    if dims.is_empty() {
-        return Err(TensorError::Parse {
-            line: 0,
-            message: "file contains no data lines".into(),
-        });
-    }
     // Pass 2 — entries, in file order.
     let mut w = CooScratchWriter::create(dims, budget)?;
-    scan_tsv(path, |line_no, fields| {
-        parse_entry(line_no, fields, precision, |idx, v| w.push(idx, v))
-    })?;
+    for_each_tsv_entry(path, precision, |idx, v| w.push(idx, v))?;
     w.finish()
-}
-
-/// Drives `on_line` over every data line (blank and `#` lines skipped),
-/// reusing one line buffer.
-fn scan_tsv<F>(path: &Path, mut on_line: F) -> Result<()>
-where
-    F: FnMut(usize, &[&str]) -> Result<()>,
-{
-    let mut reader = BufReader::new(File::open(path)?);
-    let mut line = String::new();
-    let mut line_no = 0usize;
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(());
-        }
-        line_no += 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = trimmed.split_whitespace().collect();
-        on_line(line_no, &fields)?;
-    }
-}
-
-/// Parses one `i₁ … i_N value` line (1-based indices) and hands the
-/// zero-based multi-index and value to `emit`. Shared by both passes so
-/// their diagnostics (and f32 semantics) cannot drift.
-fn parse_entry<F>(
-    line_no: usize,
-    fields: &[&str],
-    precision: StoragePrecision,
-    mut emit: F,
-) -> Result<()>
-where
-    F: FnMut(&[usize], f64) -> Result<()>,
-{
-    if fields.len() < 2 {
-        return Err(TensorError::Parse {
-            line: line_no,
-            message: "expected at least one index and a value".into(),
-        });
-    }
-    let n = fields.len() - 1;
-    let mut idx = [0usize; 16];
-    if n > idx.len() {
-        return Err(TensorError::Parse {
-            line: line_no,
-            message: format!("order {n} exceeds the supported maximum of {}", idx.len()),
-        });
-    }
-    for (k, f) in fields[..n].iter().enumerate() {
-        let one_based: usize = f.parse().map_err(|_| TensorError::Parse {
-            line: line_no,
-            message: format!("bad index '{f}' in mode {k}"),
-        })?;
-        if one_based == 0 {
-            return Err(TensorError::Parse {
-                line: line_no,
-                message: format!("index in mode {k} is 0; the format is 1-based"),
-            });
-        }
-        idx[k] = one_based - 1;
-    }
-    let raw = fields[n];
-    let v: f64 = match precision {
-        StoragePrecision::F32 => {
-            let v32: f32 = raw.parse().map_err(|_| TensorError::Parse {
-                line: line_no,
-                message: format!("bad value '{raw}'"),
-            })?;
-            v32 as f64
-        }
-        StoragePrecision::F64 => raw.parse().map_err(|_| TensorError::Parse {
-            line: line_no,
-            message: format!("bad value '{raw}'"),
-        })?,
-    };
-    emit(&idx[..n], v)
 }
 
 /// Collects a scratch source back into a resident [`SparseTensor`] —
 /// test/tooling convenience, deliberately `O(|Ω|)`.
 ///
 /// # Errors
-/// [`TensorError::Io`] on read failures, plus tensor-construction
+/// [`ptucker_tensor::TensorError::Io`] on read failures, plus tensor-construction
 /// validation errors.
 pub fn scratch_to_tensor(src: &CooScratch) -> Result<SparseTensor> {
     let order = src.order();
@@ -244,6 +153,7 @@ pub fn scratch_to_tensor(src: &CooScratch) -> Result<SparseTensor> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptucker_tensor::TensorError;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

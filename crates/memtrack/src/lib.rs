@@ -591,16 +591,16 @@ mod tests {
         assert_eq!(b.io_read_bytes(), 0);
         assert_eq!(b.io_write_bytes(), 0);
         let f = ScratchFile::create_tracked(&b).unwrap();
-        let off = f.append_f64s(&[1.0, 2.0, 3.0]).unwrap();
+        f.write_bytes(0, &[7u8; 24]).unwrap();
         assert_eq!(b.io_write_bytes(), 24);
-        let mut back = [0.0; 3];
-        f.read_f64s(off, &mut back).unwrap();
+        let mut back = [0u8; 24];
+        f.read_bytes(0, &mut back).unwrap();
         assert_eq!(b.io_read_bytes(), 24);
-        // Raw byte sections count too, and an untracked file counts nothing.
+        // Every write counts, and an untracked file counts nothing.
         f.write_bytes(0, &[0u8; 8]).unwrap();
         assert_eq!(b.io_write_bytes(), 32);
         let quiet = ScratchFile::create().unwrap();
-        quiet.append_u32s(&[1, 2]).unwrap();
+        quiet.write_bytes(0, &[1u8; 8]).unwrap();
         assert_eq!(b.io_write_bytes(), 32);
     }
 

@@ -8,18 +8,19 @@
 //! never outlives the process even on a crash; the remaining handle is the
 //! only way to reach the bytes.
 //!
-//! All offsets are in bytes from the start of the file. Typed helpers
-//! convert `f64`/`u32` slices through a fixed stack buffer, so reading a
-//! window allocates nothing beyond the caller's destination slice.
+//! All offsets are in bytes from the start of the file. The file moves
+//! raw bytes only: callers own their record layout and read windows
+//! straight into their own buffers.
 //!
 //! ```
 //! use ptucker_memtrack::ScratchFile;
 //!
 //! let f = ScratchFile::create().unwrap();
-//! let off = f.append_f64s(&[1.0, 2.0, 3.0]).unwrap();
-//! let mut back = [0.0; 2];
-//! f.read_f64s(off + 8, &mut back).unwrap(); // skip the first value
-//! assert_eq!(back, [2.0, 3.0]);
+//! let off = f.reserve_region(24).unwrap();
+//! f.write_bytes(off, &[1, 2, 3, 4, 5, 6]).unwrap();
+//! let mut back = [0u8; 2];
+//! f.read_bytes(off + 2, &mut back).unwrap(); // skip the first two bytes
+//! assert_eq!(back, [3, 4]);
 //! assert_eq!(f.len(), 24);
 //! ```
 
@@ -29,9 +30,6 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Stack buffer for typed conversion: 1024 `f64`s / 2048 `u32`s per syscall.
-const CHUNK_BYTES: usize = 8192;
 
 /// A spilled window asked for bytes its reservation does not hold: the
 /// offset/length pair disagrees with the file's reserved extent, meaning
@@ -219,8 +217,8 @@ impl ScratchFile {
     }
 
     /// Extends the file by `bytes` zero bytes and returns the starting
-    /// offset of the new region — used to lay out a table whose rows are
-    /// then scatter-written with [`ScratchFile::write_f64s`].
+    /// offset of the new region — used to lay out a section whose records
+    /// are then written at known offsets with [`ScratchFile::write_bytes`].
     ///
     /// # Errors
     /// Any I/O error from resizing the file.
@@ -231,50 +229,6 @@ impl ScratchFile {
         inner.file.set_len(new_len)?;
         inner.len = new_len;
         Ok(start)
-    }
-
-    fn write_chunked(
-        &self,
-        offset: Option<u64>,
-        total_bytes: usize,
-        mut fill: impl FnMut(&mut [u8; CHUNK_BYTES], usize) -> usize,
-    ) -> io::Result<u64> {
-        let mut inner = self.inner.lock().expect("scratch lock");
-        let start = offset.unwrap_or(inner.len);
-        inner.file.seek(SeekFrom::Start(start))?;
-        let mut buf = [0u8; CHUNK_BYTES];
-        let mut done = 0;
-        while done < total_bytes {
-            let n = fill(&mut buf, done);
-            write_full(&mut inner.file, &buf[..n])?;
-            done += n;
-        }
-        inner.len = inner.len.max(start + total_bytes as u64);
-        drop(inner);
-        self.count_write(total_bytes);
-        Ok(start)
-    }
-
-    fn read_chunked(
-        &self,
-        offset: u64,
-        total_bytes: usize,
-        mut drain: impl FnMut(&[u8], usize),
-    ) -> io::Result<()> {
-        let mut inner = self.inner.lock().expect("scratch lock");
-        check_window(offset, total_bytes as u64, inner.len)?;
-        inner.file.seek(SeekFrom::Start(offset))?;
-        let mut buf = [0u8; CHUNK_BYTES];
-        let mut done = 0;
-        while done < total_bytes {
-            let n = (total_bytes - done).min(CHUNK_BYTES);
-            read_full(&mut inner.file, &mut buf[..n])?;
-            drain(&buf[..n], done);
-            done += n;
-        }
-        drop(inner);
-        self.count_read(total_bytes);
-        Ok(())
     }
 
     /// Writes raw bytes at byte `offset` — for interleaved record
@@ -311,117 +265,6 @@ impl ScratchFile {
         self.count_read(out.len());
         Ok(())
     }
-
-    /// Appends `data` and returns the byte offset it starts at.
-    ///
-    /// # Errors
-    /// Any I/O error from the write.
-    pub fn append_f64s(&self, data: &[f64]) -> io::Result<u64> {
-        self.write_f64s_impl(None, data)
-    }
-
-    /// Writes `data` at byte `offset` (little-endian `f64`s).
-    ///
-    /// # Errors
-    /// Any I/O error from the write.
-    pub fn write_f64s(&self, offset: u64, data: &[f64]) -> io::Result<()> {
-        self.write_f64s_impl(Some(offset), data).map(|_| ())
-    }
-
-    fn write_f64s_impl(&self, offset: Option<u64>, data: &[f64]) -> io::Result<u64> {
-        self.write_chunked(offset, data.len() * 8, |buf, done_bytes| {
-            let start = done_bytes / 8;
-            let count = (data.len() - start).min(CHUNK_BYTES / 8);
-            for (slot, v) in buf.chunks_exact_mut(8).zip(&data[start..start + count]) {
-                slot.copy_from_slice(&v.to_le_bytes());
-            }
-            count * 8
-        })
-    }
-
-    /// Appends `data` and returns the byte offset it starts at
-    /// (little-endian `f32`s — the storage half of the engine's
-    /// mixed-precision mode).
-    ///
-    /// # Errors
-    /// Any I/O error from the write.
-    pub fn append_f32s(&self, data: &[f32]) -> io::Result<u64> {
-        self.write_f32s_impl(None, data)
-    }
-
-    /// Writes `data` at byte `offset` (little-endian `f32`s).
-    ///
-    /// # Errors
-    /// Any I/O error from the write.
-    pub fn write_f32s(&self, offset: u64, data: &[f32]) -> io::Result<()> {
-        self.write_f32s_impl(Some(offset), data).map(|_| ())
-    }
-
-    fn write_f32s_impl(&self, offset: Option<u64>, data: &[f32]) -> io::Result<u64> {
-        self.write_chunked(offset, data.len() * 4, |buf, done_bytes| {
-            let start = done_bytes / 4;
-            let count = (data.len() - start).min(CHUNK_BYTES / 4);
-            for (slot, v) in buf.chunks_exact_mut(4).zip(&data[start..start + count]) {
-                slot.copy_from_slice(&v.to_le_bytes());
-            }
-            count * 4
-        })
-    }
-
-    /// Appends `data` and returns the byte offset it starts at.
-    ///
-    /// # Errors
-    /// Any I/O error from the write.
-    pub fn append_u32s(&self, data: &[u32]) -> io::Result<u64> {
-        self.write_u32s_impl(None, data)
-    }
-
-    /// Writes `data` at byte `offset` (little-endian `u32`s).
-    ///
-    /// # Errors
-    /// Any I/O error from the write.
-    pub fn write_u32s(&self, offset: u64, data: &[u32]) -> io::Result<()> {
-        self.write_u32s_impl(Some(offset), data).map(|_| ())
-    }
-
-    fn write_u32s_impl(&self, offset: Option<u64>, data: &[u32]) -> io::Result<u64> {
-        self.write_chunked(offset, data.len() * 4, |buf, done_bytes| {
-            let start = done_bytes / 4;
-            let count = (data.len() - start).min(CHUNK_BYTES / 4);
-            for (slot, v) in buf.chunks_exact_mut(4).zip(&data[start..start + count]) {
-                slot.copy_from_slice(&v.to_le_bytes());
-            }
-            count * 4
-        })
-    }
-
-    /// Fills `out` from byte `offset` (little-endian `f64`s).
-    ///
-    /// # Errors
-    /// Any I/O error, including reading past the end of the file.
-    pub fn read_f64s(&self, offset: u64, out: &mut [f64]) -> io::Result<()> {
-        self.read_chunked(offset, out.len() * 8, |bytes, done_bytes| {
-            let start = done_bytes / 8;
-            for (slot, chunk) in out[start..].iter_mut().zip(bytes.chunks_exact(8)) {
-                *slot = f64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            }
-        })
-    }
-
-    /// Fills `out` from byte `offset` (little-endian `f32`s). The
-    /// round-trip through disk is bit-preserving, so f32-storage spills
-    /// reload the exact values that were written.
-    ///
-    /// # Errors
-    /// Any I/O error, including reading past the end of the file.
-    pub fn read_f32s(&self, offset: u64, out: &mut [f32]) -> io::Result<()> {
-        self.read_chunked(offset, out.len() * 4, |bytes, done_bytes| {
-            let start = done_bytes / 4;
-            for (slot, chunk) in out[start..].iter_mut().zip(bytes.chunks_exact(4)) {
-                *slot = f32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
-            }
-        })
-    }
 }
 
 impl Drop for ScratchFile {
@@ -436,20 +279,34 @@ impl Drop for ScratchFile {
 mod tests {
     use super::*;
 
+    fn f64_bytes(vals: &[f64]) -> Vec<u8> {
+        vals.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+
+    fn f64s_from(bytes: &[u8]) -> Vec<f64> {
+        bytes
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+            .collect()
+    }
+
     #[test]
     fn roundtrip_f64_and_u32_sections() {
         let f = ScratchFile::create().unwrap();
         let vals: Vec<f64> = (0..1500).map(|i| i as f64 * 0.5 - 3.0).collect();
         let ids: Vec<u32> = (0..3000).map(|i| i * 7 + 1).collect();
-        let off_v = f.append_f64s(&vals).unwrap();
-        let off_i = f.append_u32s(&ids).unwrap();
+        let ids_raw: Vec<u8> = ids.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let off_v = f.reserve_region(1500 * 8).unwrap();
+        let off_i = f.reserve_region(3000 * 4).unwrap();
+        f.write_bytes(off_v, &f64_bytes(&vals)).unwrap();
+        f.write_bytes(off_i, &ids_raw).unwrap();
         assert_eq!(off_v, 0);
         assert_eq!(off_i, 1500 * 8);
         assert_eq!(f.len(), 1500 * 8 + 3000 * 4);
 
-        let mut vback = vec![0.0; 1500];
-        f.read_f64s(off_v, &mut vback).unwrap();
-        assert_eq!(vback, vals);
+        let mut vback = vec![0u8; 1500 * 8];
+        f.read_bytes(off_v, &mut vback).unwrap();
+        assert_eq!(f64s_from(&vback), vals);
         // Windowed read: positions 100..228.
         let mut raw = vec![0u8; 128 * 4];
         f.read_bytes(off_i + 100 * 4, &mut raw).unwrap();
@@ -465,12 +322,13 @@ mod tests {
         let f = ScratchFile::create().unwrap();
         let region = f.reserve_region(4 * 8).unwrap();
         // Write rows out of order.
-        f.write_f64s(region + 3 * 8, &[33.0]).unwrap();
-        f.write_f64s(region, &[11.0]).unwrap();
-        f.write_f64s(region + 8, &[22.0, 23.0]).unwrap();
-        let mut back = [0.0; 4];
-        f.read_f64s(region, &mut back).unwrap();
-        assert_eq!(back, [11.0, 22.0, 23.0, 33.0]);
+        f.write_bytes(region + 3 * 8, &f64_bytes(&[33.0])).unwrap();
+        f.write_bytes(region, &f64_bytes(&[11.0])).unwrap();
+        f.write_bytes(region + 8, &f64_bytes(&[22.0, 23.0]))
+            .unwrap();
+        let mut back = [0u8; 4 * 8];
+        f.read_bytes(region, &mut back).unwrap();
+        assert_eq!(f64s_from(&back), [11.0, 22.0, 23.0, 33.0]);
     }
 
     #[test]
@@ -483,7 +341,7 @@ mod tests {
         f.read_bytes(region + 8, &mut back).unwrap();
         assert_eq!(back, rec);
         assert!(f.len() >= 48);
-        // Reading past the end errors like the typed readers.
+        // Reading past the end errors.
         let mut over = vec![0u8; 128];
         assert!(f.read_bytes(region, &mut over).is_err());
     }
@@ -491,32 +349,28 @@ mod tests {
     #[test]
     fn roundtrip_f32_sections_bit_preserving() {
         let f = ScratchFile::create().unwrap();
-        // Cross the chunk boundary and include awkward bit patterns.
-        let n = CHUNK_BYTES / 4 + 33;
+        // Awkward bit patterns survive the disk round trip.
+        let n = 2048 + 33;
         let mut vals: Vec<f32> = (0..n).map(|i| (i as f32 * 0.7).sin()).collect();
         vals[0] = -0.0;
         vals[1] = f32::MIN_POSITIVE / 2.0; // subnormal
-        let off = f.append_f32s(&vals).unwrap();
+        vals[2] = f32::NAN;
+        let raw: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+        f.write_bytes(0, &raw).unwrap();
         assert_eq!(f.len(), n as u64 * 4);
-        let mut back = vec![0.0f32; n];
-        f.read_f32s(off, &mut back).unwrap();
-        for (a, b) in vals.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let mut back = vec![0u8; n * 4];
+        f.read_bytes(0, &mut back).unwrap();
+        for (a, b) in vals.iter().zip(back.chunks_exact(4)) {
+            assert_eq!(a.to_bits(), u32::from_le_bytes(b.try_into().unwrap()));
         }
-        // Scatter write into a reserved region, windowed read back.
-        let region = f.reserve_region(6 * 4).unwrap();
-        f.write_f32s(region + 2 * 4, &[5.5, 6.5]).unwrap();
-        let mut w = [0.0f32; 2];
-        f.read_f32s(region + 2 * 4, &mut w).unwrap();
-        assert_eq!(w, [5.5, 6.5]);
     }
 
     #[test]
     fn read_past_end_errors() {
         let f = ScratchFile::create().unwrap();
-        f.append_f64s(&[1.0]).unwrap();
-        let mut out = [0.0; 2];
-        assert!(f.read_f64s(0, &mut out).is_err());
+        f.write_bytes(0, &f64_bytes(&[1.0])).unwrap();
+        let mut out = [0u8; 16];
+        assert!(f.read_bytes(0, &mut out).is_err());
     }
 
     #[test]
@@ -542,10 +396,6 @@ mod tests {
             }
         );
         assert!(format!("{inner}").contains("corrupt or truncated"));
-        // The typed readers share the same guard.
-        let mut f64s = vec![0.0f64; 5];
-        let err = f.read_f64s(region, &mut f64s).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     /// A reader that serves one `EINTR` before every successful short
@@ -624,14 +474,15 @@ mod tests {
 
     #[test]
     fn values_crossing_chunk_boundaries_survive() {
-        // > CHUNK_BYTES of data forces multiple syscalls per call.
+        // Several MiB in one call: `write_full`/`read_full` loop over
+        // however many syscalls the kernel splits the transfer into.
         let f = ScratchFile::create().unwrap();
-        let n = CHUNK_BYTES / 8 * 3 + 17;
+        let n = (3 << 20) / 8 + 17;
         let vals: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let off = f.append_f64s(&vals).unwrap();
-        let mut back = vec![0.0; n];
-        f.read_f64s(off, &mut back).unwrap();
-        for (a, b) in vals.iter().zip(&back) {
+        f.write_bytes(0, &f64_bytes(&vals)).unwrap();
+        let mut back = vec![0u8; n * 8];
+        f.read_bytes(0, &mut back).unwrap();
+        for (a, b) in vals.iter().zip(f64s_from(&back)) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }

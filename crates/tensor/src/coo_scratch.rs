@@ -6,7 +6,7 @@
 //! `u32`s (ascending mode order) followed by the value as a little-endian
 //! `f64`. Values stay `f64` here regardless of the fit's storage
 //! precision: quantization happens exactly once, when a plan is built
-//! (`ModeStreams::build*` rounds at ingest), so an external-sort build
+//! (`ModeStreams::build*` rounds at ingest), so an external plan build
 //! from this file reproduces the resident build bit for bit.
 //!
 //! Entries live in *input order* — the same order a resident
@@ -37,7 +37,7 @@ pub fn coo_record_bytes(order: usize) -> usize {
 const WRITE_BUF_BYTES: usize = 256 << 10;
 
 /// Entries per decoded segment when a whole-source pass (a fit's
-/// whole-tensor folds, the external sort's run generation, a collect back
+/// whole-tensor folds, the external plan build's scans, a collect back
 /// to RAM) walks a [`CooScratch`]. Segmentation never affects what a pass
 /// sees — entries arrive in entry-id order however they are chunked — so
 /// this only balances syscall count against buffer size (~40 KiB per

@@ -1,6 +1,7 @@
-use crate::{Result, SparseTensor, TensorError};
+use crate::{Result, SparseTensor, StoragePrecision, TensorError};
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write as _};
+use std::ops::Range;
 use std::path::Path;
 
 /// Reads a sparse tensor from the whitespace-separated text format the
@@ -16,7 +17,7 @@ use std::path::Path;
 /// [`TensorError::Io`] for filesystem problems, plus tensor-construction
 /// validation errors.
 pub fn read_tsv<P: AsRef<Path>>(path: P) -> Result<SparseTensor> {
-    read_tsv_impl(path, false)
+    read_tsv_impl(path, StoragePrecision::F64)
 }
 
 /// [`read_tsv`] with values parsed **as `f32`** and widened to `f64` — for
@@ -28,88 +29,157 @@ pub fn read_tsv<P: AsRef<Path>>(path: P) -> Result<SparseTensor> {
 /// # Errors
 /// As for [`read_tsv`].
 pub fn read_tsv_f32<P: AsRef<Path>>(path: P) -> Result<SparseTensor> {
-    read_tsv_impl(path, true)
+    read_tsv_impl(path, StoragePrecision::F32)
 }
 
-fn read_tsv_impl<P: AsRef<Path>>(path: P, f32_values: bool) -> Result<SparseTensor> {
-    let file = File::open(path)?;
-    let mut reader = BufReader::new(file);
-
-    let mut order: Option<usize> = None;
+fn read_tsv_impl<P: AsRef<Path>>(path: P, precision: StoragePrecision) -> Result<SparseTensor> {
     let mut dims: Vec<usize> = Vec::new();
     let mut indices: Vec<usize> = Vec::new();
     let mut values: Vec<f64> = Vec::new();
+    for_each_tsv_entry(path, precision, |index, v| {
+        if dims.is_empty() {
+            dims = vec![0; index.len()];
+        }
+        for (d, &i) in dims.iter_mut().zip(index) {
+            *d = (*d).max(i + 1);
+        }
+        indices.extend_from_slice(index);
+        values.push(v);
+        Ok(())
+    })?;
+    SparseTensor::from_flat(dims, indices, values)
+}
 
-    let mut line = String::new();
+/// Streams every data line of a TSV file in the [`read_tsv`] format
+/// through `on_entry`, as its **zero-based** multi-index and its value
+/// parsed at `precision` (`F32` parses an `f32` and widens). The one
+/// parser behind [`read_tsv`] and the streamed disk ingest, so their
+/// diagnostics and value semantics cannot drift.
+///
+/// Lines are split at the byte level into reused buffers: past the first
+/// line, parsing allocates nothing. Blank lines and lines starting with
+/// `#` are skipped; the order is fixed by the first data line.
+///
+/// # Errors
+/// [`TensorError::Parse`] with a 1-based line number for a malformed line
+/// (line 0 when the file holds no data line), [`TensorError::Io`] for
+/// filesystem problems, or whatever `on_entry` returns.
+pub fn for_each_tsv_entry<P, F>(path: P, precision: StoragePrecision, mut on_entry: F) -> Result<()>
+where
+    P: AsRef<Path>,
+    F: FnMut(&[usize], f64) -> Result<()>,
+{
+    let mut reader = BufReader::new(File::open(path)?);
+    let mut raw: Vec<u8> = Vec::new();
+    let mut fields: Vec<Range<usize>> = Vec::new();
+    let mut index: Vec<usize> = Vec::new();
+    let mut order: Option<usize> = None;
     let mut line_no = 0usize;
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        raw.clear();
+        if reader.read_until(b'\n', &mut raw)? == 0 {
             break;
         }
         line_no += 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
+        let line = std::str::from_utf8(&raw).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?;
+        split_fields(line, &mut fields);
+        if fields
+            .first()
+            .is_none_or(|f| line[f.clone()].starts_with('#'))
+        {
             continue;
         }
-        let fields: Vec<&str> = trimmed.split_whitespace().collect();
+        let err = |message: String| TensorError::Parse {
+            line: line_no,
+            message,
+        };
         if fields.len() < 2 {
-            return Err(TensorError::Parse {
-                line: line_no,
-                message: "expected at least one index and a value".into(),
-            });
+            return Err(err("expected at least one index and a value".into()));
         }
         let n = fields.len() - 1;
         match order {
-            None => {
-                order = Some(n);
-                dims = vec![0; n];
-            }
-            Some(o) if o != n => {
-                return Err(TensorError::Parse {
-                    line: line_no,
-                    message: format!("expected {o} indices, found {n}"),
-                });
-            }
+            None => order = Some(n),
+            Some(o) if o != n => return Err(err(format!("expected {o} indices, found {n}"))),
             _ => {}
         }
+        index.clear();
         for (k, f) in fields[..n].iter().enumerate() {
-            let one_based: usize = f.parse().map_err(|_| TensorError::Parse {
-                line: line_no,
-                message: format!("bad index '{f}' in mode {k}"),
-            })?;
+            let f = &line[f.clone()];
+            let one_based =
+                parse_index(f).ok_or_else(|| err(format!("bad index '{f}' in mode {k}")))?;
             if one_based == 0 {
-                return Err(TensorError::Parse {
-                    line: line_no,
-                    message: format!("index in mode {k} is 0; the format is 1-based"),
-                });
+                return Err(err(format!(
+                    "index in mode {k} is 0; the format is 1-based"
+                )));
             }
-            let zero_based = one_based - 1;
-            dims[k] = dims[k].max(one_based);
-            indices.push(zero_based);
+            index.push(one_based - 1);
         }
-        let v: f64 = if f32_values {
-            let v32: f32 = fields[n].parse().map_err(|_| TensorError::Parse {
-                line: line_no,
-                message: format!("bad value '{}'", fields[n]),
-            })?;
-            v32 as f64
-        } else {
-            fields[n].parse().map_err(|_| TensorError::Parse {
-                line: line_no,
-                message: format!("bad value '{}'", fields[n]),
-            })?
-        };
-        values.push(v);
+        let raw_value = &line[fields[n].clone()];
+        let value = match precision {
+            StoragePrecision::F32 => raw_value.parse::<f32>().map(f64::from).ok(),
+            StoragePrecision::F64 => raw_value.parse::<f64>().ok(),
+        }
+        .ok_or_else(|| err(format!("bad value '{raw_value}'")))?;
+        on_entry(&index, value)?;
     }
-
     if order.is_none() {
         return Err(TensorError::Parse {
             line: 0,
             message: "file contains no data lines".into(),
         });
     }
-    SparseTensor::from_flat(dims, indices, values)
+    Ok(())
+}
+
+/// Splits `line` at whitespace (as [`str::split_whitespace`] does) into
+/// `fields`' byte ranges. ASCII lines — every real dataset — are split
+/// byte by byte; others take the Unicode-aware path.
+fn split_fields(line: &str, fields: &mut Vec<Range<usize>>) {
+    fields.clear();
+    if line.is_ascii() {
+        let mut start = None;
+        for (i, &b) in line.as_bytes().iter().enumerate() {
+            // `char::is_whitespace` on ASCII, vertical tab included.
+            let space = matches!(b, b' ' | b'\t' | b'\n' | b'\x0b' | b'\x0c' | b'\r');
+            match (space, start) {
+                (false, None) => start = Some(i),
+                (true, Some(s)) => {
+                    fields.push(s..i);
+                    start = None;
+                }
+                _ => {}
+            }
+        }
+        if let Some(s) = start {
+            fields.push(s..line.len());
+        }
+    } else {
+        let base = line.as_ptr() as usize;
+        fields.extend(line.split_whitespace().map(|f| {
+            let s = f.as_ptr() as usize - base;
+            s..s + f.len()
+        }));
+    }
+}
+
+/// Parses a decimal index exactly as `usize`'s `FromStr` does (optional
+/// leading `+`, digits only, overflow rejected), without its generic
+/// radix machinery.
+fn parse_index(f: &str) -> Option<usize> {
+    let digits = f.strip_prefix('+').unwrap_or(f).as_bytes();
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0usize, |acc, &b| {
+        let d = b.wrapping_sub(b'0');
+        (d <= 9).then_some(())?;
+        acc.checked_mul(10)?.checked_add(d as usize)
+    })
 }
 
 /// Writes a sparse tensor in the same 1-based whitespace-separated format
@@ -253,6 +323,47 @@ mod tests {
     fn rejects_empty_file() {
         let p = tmpfile("empty.tsv", "# only a comment\n");
         assert!(matches!(read_tsv(&p), Err(TensorError::Parse { .. })));
+    }
+
+    /// The byte-level splitter and index parser agree with
+    /// `str::split_whitespace` and `usize::from_str` on awkward input:
+    /// CRLF endings, vertical tabs, Unicode spaces, signs and overflow.
+    #[test]
+    fn byte_level_fields_match_std_parsing() {
+        let mut fields = Vec::new();
+        for line in [
+            "1 2\t3 0.5\r\n",
+            "  4\x0b5 \x0c 6 -1e3\n",
+            "7\u{a0}8 9\u{3000}1.0\n",
+            "",
+            "   \n",
+        ] {
+            split_fields(line, &mut fields);
+            let ours: Vec<&str> = fields.iter().map(|f| &line[f.clone()]).collect();
+            let std: Vec<&str> = line.split_whitespace().collect();
+            assert_eq!(ours, std, "{line:?}");
+        }
+        for f in [
+            "0",
+            "17",
+            "+3",
+            "+",
+            "",
+            "-1",
+            "1a",
+            "18446744073709551615",
+            "18446744073709551616",
+        ] {
+            assert_eq!(parse_index(f), f.parse::<usize>().ok(), "{f:?}");
+        }
+    }
+
+    #[test]
+    fn crlf_files_parse_like_lf_files() {
+        let p = tmpfile("crlf.tsv", "1 1 1 0.5\r\n2 1 3 1.5\r\n");
+        let t = read_tsv(&p).unwrap();
+        assert_eq!(t.dims(), &[2, 1, 3]);
+        assert_eq!(t.value(1), 1.5);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use coo_scratch::{
 pub use core_tensor::CoreTensor;
 pub use dense::DenseTensor;
 pub use error::TensorError;
-pub use io::{read_tsv, read_tsv_f32, write_tsv, write_tsv_f32};
+pub use io::{for_each_tsv_entry, read_tsv, read_tsv_f32, write_tsv, write_tsv_f32};
 pub use precision::StoragePrecision;
 pub use sparse::{ModeIndex, SparseTensor};
 pub use split::TrainTestSplit;

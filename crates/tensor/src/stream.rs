@@ -24,15 +24,18 @@
 //! # One sweep abstraction for every placement
 //!
 //! The plan's storage is a [`StreamStore`]: either every mode's stream is
-//! resident ([`ModeStreams::build`]) or the bulk arrays — values, packed
-//! other-mode indices and entry ids — live in an unlinked
+//! resident ([`ModeStreams::build`]) or the bulk arrays — values and
+//! packed other-mode indices — live in an unlinked
 //! [`ScratchFile`](ptucker_memtrack::ScratchFile) and only the per-mode
-//! slice offsets stay in RAM ([`ModeStreams::build_spilled`]).
+//! slice offsets stay in RAM ([`ModeStreams::build_spilled`]). Entry ids
+//! exist only in resident plans: their one reader is the resident-only
+//! P-Tucker-Cache `Pres` table, so a spilled record does not carry one.
 //!
 //! Consumers never branch on the placement. [`ModeStreams::sweep_source`]
 //! yields a [`SweepSource`]: a lending iterator of **slice-aligned
-//! windows**, each presented as a [`StreamView`] — contiguous values,
-//! packed indices and entry ids with window-local slices and positions.
+//! windows**, each presented as a [`StreamView`] — contiguous values and
+//! packed indices (plus entry ids on a resident plan) with window-local
+//! slices and positions.
 //! Over a resident plan a window is a zero-copy sub-view of the stream
 //! (one window covering the whole stream when the capacity is unbounded);
 //! over a spilled plan it is a [`SliceWindows`] refill of a pinned buffer
@@ -61,8 +64,13 @@
 //!
 //! A plan does not need a resident tensor at all:
 //! [`ModeStreams::build_external`] derives the spilled plan straight from
-//! an on-disk [`CooScratch`] source by external sort (budget-bounded
-//! sorted runs + K-way merge), producing bit-for-bit the sections
+//! an on-disk [`CooScratch`] source by **counting placement**. Slice keys
+//! are dense integers and the source is in entry-id order, so one scan
+//! counts every mode's slice sizes (the plan's slice offsets), and a
+//! per-slice cursor then gives each entry its final stream position:
+//! records are placed into a budget-bounded arena one position range at a
+//! time and written out sequentially. Nothing is sorted and no transient
+//! file is written; the result is bit-for-bit the sections
 //! [`ModeStreams::build_spilled`] writes. Combined with the streamed
 //! ingest writers in `ptucker-datagen`, the whole path from raw data to
 //! fitted factors touches RAM only through bounded buffers.
@@ -70,8 +78,7 @@
 use crate::{CooScratch, Result, SparseTensor, StoragePrecision, TensorError, COO_SEGMENT_ENTRIES};
 use ptucker_memtrack::{MemoryBudget, Reservation, ScratchFile, SpillReservation};
 use ptucker_sched::Background;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -428,9 +435,16 @@ impl<'a> StreamView<'a> {
     }
 
     /// The COO entry id behind window-local position `p`.
+    ///
+    /// # Panics
+    /// On a window of a spilled plan, whose records carry no entry ids
+    /// (their one reader, the Cache `Pres` table, is resident-only).
     #[inline]
     pub fn entry_id(&self, p: usize) -> usize {
-        self.entry_ids[p] as usize
+        *self
+            .entry_ids
+            .get(p)
+            .expect("entry ids exist only on resident plans") as usize
     }
 }
 
@@ -440,8 +454,8 @@ pub enum StreamStore {
     /// Every mode's stream is fully resident — the default whenever the
     /// plan fits the memory budget.
     InMemory(Vec<ModeStream>),
-    /// The bulk arrays (values, packed other-mode indices, entry ids) of
-    /// every mode live in a per-fit scratch file; RAM holds only the
+    /// The bulk arrays (values and packed other-mode indices) of every
+    /// mode live in a per-fit scratch file; RAM holds only the
     /// per-mode slice offsets. Consumed through [`SweepSource`] /
     /// [`SliceWindows`].
     Spilled {
@@ -462,8 +476,8 @@ pub enum StreamStore {
 /// A mode's stream whose bulk arrays live in the plan's scratch file.
 ///
 /// RAM keeps only the slice offsets (`Iₙ+1` words). Everything
-/// per-position — values, packed other-mode indices, entry ids — is read
-/// back window-at-a-time through [`SliceWindows`].
+/// per-position — values and packed other-mode indices — is read back
+/// window-at-a-time through [`SliceWindows`].
 #[derive(Debug)]
 pub struct SpilledModeStream {
     mode: usize,
@@ -540,105 +554,20 @@ impl SpilledModeStream {
 }
 
 /// Bytes of one interleaved spilled-stream record: the value (8 B or 4 B
-/// by storage precision), the packed other-mode indices (4 B each) and
-/// the entry id (4 B).
+/// by storage precision) and the packed other-mode indices (4 B each).
 fn record_stride(other_count: usize, precision: StoragePrecision) -> usize {
-    precision.value_bytes() + 4 * other_count + 4
+    precision.value_bytes() + 4 * other_count
 }
 
-/// Floor of the external-sort arena: below this, run counts explode and
-/// the merge heap dominates — tiny budgets still get a working build,
-/// with the floor booked against them honestly.
-const MIN_SORT_BYTES: usize = 256 << 10;
+/// Floor of the placement arena of [`ModeStreams::build_external_at`]:
+/// below this, each chunk's full source scan buys too few written
+/// positions — tiny budgets still get a working build, with the floor
+/// booked against them honestly.
+const MIN_ARENA_BYTES: usize = 256 << 10;
 
-/// Ceiling of the external-sort arena — beyond a few tens of MiB, longer
-/// runs stop paying (fewer runs than the merge needs to care about).
-const MAX_SORT_BYTES: usize = 64 << 20;
-
-/// Staging-buffer flush threshold for sequential run writes.
-const RUN_WRITE_BYTES: usize = 256 << 10;
-
-/// One sorted run's read cursor during the K-way merge: a bounded buffer
-/// of records, the in-buffer position, and how far into the run the
-/// buffer reaches.
-struct RunCursor {
-    buf: Vec<u8>,
-    /// Record position within `buf`.
-    pos: usize,
-    /// Records of the run consumed into `buf` so far.
-    read: usize,
-    /// Total records in the run.
-    count: usize,
-    /// Byte offset of the run in the run file.
-    off: u64,
-}
-
-/// Sorts the arena's records by `(slice key, entry id)` and spills them as
-/// one run, through a bounded staging buffer. No-op on an empty arena.
-fn flush_run(
-    run_file: &ScratchFile,
-    runs: &mut Vec<(u64, usize)>,
-    arena: &mut Vec<u8>,
-    keys: &mut Vec<(u32, u32, u32)>,
-    run_rec: usize,
-    staging: &mut Vec<u8>,
-) -> Result<()> {
-    if keys.is_empty() {
-        return Ok(());
-    }
-    keys.sort_unstable();
-    let off = run_file.reserve_region((keys.len() * run_rec) as u64)?;
-    let mut written = 0u64;
-    staging.clear();
-    for &(_, _, slot) in keys.iter() {
-        let a = slot as usize * run_rec;
-        staging.extend_from_slice(&arena[a..a + run_rec]);
-        if staging.len() >= RUN_WRITE_BYTES {
-            run_file.write_bytes(off + written, staging)?;
-            written += staging.len() as u64;
-            staging.clear();
-        }
-    }
-    if !staging.is_empty() {
-        run_file.write_bytes(off + written, staging)?;
-        staging.clear();
-    }
-    runs.push((off, keys.len()));
-    arena.clear();
-    keys.clear();
-    Ok(())
-}
-
-/// Refills a run cursor's buffer with its next records; `false` when the
-/// run is exhausted.
-fn refill_run(
-    run_file: &ScratchFile,
-    c: &mut RunCursor,
-    per_run_recs: usize,
-    run_rec: usize,
-) -> Result<bool> {
-    if c.read >= c.count {
-        return Ok(false);
-    }
-    let n = per_run_recs.min(c.count - c.read);
-    c.buf.resize(n * run_rec, 0);
-    run_file.read_bytes(c.off + c.read as u64 * run_rec as u64, &mut c.buf)?;
-    c.read += n;
-    c.pos = 0;
-    Ok(true)
-}
-
-/// The `(slice key, entry id)` of the record under a run cursor.
-fn peek_run(c: &RunCursor, run_rec: usize) -> (u32, u32) {
-    let a = c.pos * run_rec;
-    let key = u32::from_le_bytes(c.buf[a..a + 4].try_into().expect("4-byte field"));
-    let eid = u32::from_le_bytes(
-        c.buf[a + run_rec - 4..a + run_rec]
-            .try_into()
-            .expect("4-byte field"),
-    );
-    (key, eid)
-}
+/// Ceiling of the placement arena — one chunk of this size already holds
+/// a whole mode of a multi-million-entry tensor.
+const MAX_ARENA_BYTES: usize = 64 << 20;
 
 /// Returns the exclusive upper slice bound of the window starting at slice
 /// `lo`: the longest run of whole slices whose combined positions fit
@@ -656,105 +585,70 @@ fn window_extent(offsets: &[usize], lo: usize, cap: usize) -> usize {
 
 /// The one writer of a spilled plan's scratch file — what
 /// [`ModeStreams::build_spilled_at`] and [`ModeStreams::build_external_at`]
-/// share: per mode, the interleaved per-position records go out through a
-/// bounded flush buffer while the slice offsets are tallied. The builds
-/// differ only in where a mode's records come from (a resident slice walk,
-/// a K-way merge); both feed them in slice-major order.
+/// share: each mode opens with its slice offsets and a reserved section,
+/// then receives its interleaved per-position records as byte runs at
+/// known stream positions. The builds differ only in where a mode's
+/// records come from (a resident slice walk, a counting placement).
 struct SpilledPlanWriter {
     file: ScratchFile,
     nnz: usize,
     other_count: usize,
     precision: StoragePrecision,
     stride: usize,
-    rbuf: Vec<u8>,
-    /// Positions of the open mode sitting in `rbuf`.
-    buffered: usize,
-    /// Positions of the open mode already flushed.
-    written: usize,
     /// The finished modes, then the open one.
     modes: Vec<SpilledModeStream>,
 }
 
 impl SpilledPlanWriter {
-    /// Records buffered per write.
-    const FLUSH: usize = 1024;
-
     fn create(
         budget: &MemoryBudget,
         order: usize,
         nnz: usize,
         precision: StoragePrecision,
     ) -> Result<Self> {
-        let stride = record_stride(order - 1, precision);
         Ok(SpilledPlanWriter {
             file: ScratchFile::create_tracked(budget)?,
             nnz,
             other_count: order - 1,
             precision,
-            stride,
-            rbuf: Vec::with_capacity(Self::FLUSH * stride),
-            buffered: 0,
-            written: 0,
+            stride: record_stride(order - 1, precision),
             modes: Vec::with_capacity(order),
         })
     }
 
-    /// Opens the next mode: reserves its file section.
-    fn begin_mode(&mut self, dim: usize) -> Result<()> {
-        let mut offsets = Vec::with_capacity(dim + 1);
-        offsets.push(0);
-        self.written = 0;
+    /// Opens the next mode with its complete slice offsets and reserves
+    /// its file section.
+    fn begin_mode(&mut self, offsets: Vec<usize>) -> Result<()> {
+        debug_assert_eq!(
+            offsets.last(),
+            Some(&self.nnz),
+            "a mode holds every entry once"
+        );
+        let max_slice_len = offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        let rec_off = self
+            .file
+            .reserve_region(self.nnz as u64 * self.stride as u64)?;
         self.modes.push(SpilledModeStream {
             mode: self.modes.len(),
             other_count: self.other_count,
             offsets,
-            max_slice_len: 0,
-            rec_off: self
-                .file
-                .reserve_region(self.nnz as u64 * self.stride as u64)?,
+            max_slice_len,
+            rec_off,
         });
         Ok(())
     }
 
-    /// Appends the open mode's next position, in slice `slice` (slices
-    /// arrive ascending): `fill` appends the record's `stride` bytes.
-    fn emit(&mut self, slice: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
-        let pos = self.written + self.buffered;
-        let offsets = &mut self.modes.last_mut().expect("a mode is open").offsets;
-        while offsets.len() <= slice {
-            offsets.push(pos);
-        }
-        fill(&mut self.rbuf);
-        self.buffered += 1;
-        if self.buffered == Self::FLUSH {
-            self.flush()?;
-        }
-        Ok(())
+    /// The open mode's slice offsets.
+    fn offsets(&self) -> &[usize] {
+        &self.modes.last().expect("a mode is open").offsets
     }
 
-    fn flush(&mut self) -> Result<()> {
-        let (m, at) = (
-            self.modes.last().expect("a mode is open"),
-            self.written as u64,
-        );
+    /// Writes whole records of the open mode, the first at stream
+    /// position `pos`.
+    fn write_at(&self, pos: usize, records: &[u8]) -> Result<()> {
+        let m = self.modes.last().expect("a mode is open");
         self.file
-            .write_bytes(m.rec_off + at * self.stride as u64, &self.rbuf)?;
-        self.written += self.buffered;
-        self.rbuf.clear();
-        self.buffered = 0;
-        Ok(())
-    }
-
-    /// Closes the open mode: the buffered tail goes out and the slice
-    /// offsets are completed (trailing empty slices included).
-    fn end_mode(&mut self, dim: usize) -> Result<()> {
-        if self.buffered > 0 {
-            self.flush()?;
-        }
-        debug_assert_eq!(self.written, self.nnz, "a mode holds every entry once");
-        let m = self.modes.last_mut().expect("a mode is open");
-        m.offsets.resize(dim + 1, self.written);
-        m.max_slice_len = m.offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+            .write_bytes(m.rec_off + (pos * self.stride) as u64, records)?;
         Ok(())
     }
 
@@ -774,12 +668,27 @@ impl SpilledPlanWriter {
     }
 }
 
-/// Appends `v` at the plan's storage precision — where a spilled record's
-/// value is quantized.
-fn put_value(out: &mut Vec<u8>, v: f64, precision: StoragePrecision) {
+/// Encodes one spilled record into `rec` (exactly one stride): the value
+/// at the plan's storage precision — where a spilled record's value is
+/// quantized — then the indices of every mode but `mode`, ascending.
+fn encode_record(
+    rec: &mut [u8],
+    value: f64,
+    index: impl IntoIterator<Item = u32>,
+    mode: usize,
+    precision: StoragePrecision,
+) {
+    let vbytes = precision.value_bytes();
     match precision {
-        StoragePrecision::F64 => out.extend_from_slice(&v.to_le_bytes()),
-        StoragePrecision::F32 => out.extend_from_slice(&(v as f32).to_le_bytes()),
+        StoragePrecision::F64 => rec[..8].copy_from_slice(&value.to_le_bytes()),
+        StoragePrecision::F32 => rec[..4].copy_from_slice(&(value as f32).to_le_bytes()),
+    }
+    let others = index
+        .into_iter()
+        .enumerate()
+        .filter_map(|(k, ik)| (k != mode).then_some(ik));
+    for (field, ik) in rec[vbytes..].chunks_exact_mut(4).zip(others) {
+        field.copy_from_slice(&ik.to_le_bytes());
     }
 }
 
@@ -848,9 +757,9 @@ impl ModeStreams {
     /// full `O(N·|Ω|)` plan.
     ///
     /// Each mode writes one section: the per-position data **interleaved
-    /// as fixed-stride records** (`value f64 | packed other-mode u32s |
-    /// entry id u32`), so any window of positions is one contiguous byte
-    /// range — a refill is a single read, not one per array.
+    /// as fixed-stride records** (`value f64 | packed other-mode u32s`),
+    /// so any window of positions is one contiguous byte range — a refill
+    /// is a single read, not one per array.
     ///
     /// The resident metadata (the slice offsets) is booked with
     /// [`MemoryBudget::reserve_unchecked`] — it is the irreducible floor
@@ -877,44 +786,63 @@ impl ModeStreams {
         budget: &MemoryBudget,
         precision: StoragePrecision,
     ) -> Result<Self> {
+        /// Records buffered per write.
+        const FLUSH: usize = 1024;
         Self::check_widths(x)?;
+        let stride = record_stride(x.order() - 1, precision);
         let mut out = SpilledPlanWriter::create(budget, x.order(), x.nnz(), precision)?;
+        let mut buf = vec![0u8; FLUSH * stride];
         for (mode, &dim) in x.dims().iter().enumerate() {
-            out.begin_mode(dim)?;
+            let mut offsets = Vec::with_capacity(dim + 1);
+            offsets.push(0);
+            for i in 0..dim {
+                offsets.push(offsets[i] + x.slice(mode, i).len());
+            }
+            out.begin_mode(offsets)?;
+            let (mut pos, mut held) = (0, 0);
             for i in 0..dim {
                 for &e in x.slice(mode, i) {
-                    out.emit(i, |rec| {
-                        put_value(rec, x.value(e), precision);
-                        for (k, &ik) in x.index(e).iter().enumerate() {
-                            if k != mode {
-                                rec.extend_from_slice(&(ik as u32).to_le_bytes());
-                            }
-                        }
-                        rec.extend_from_slice(&(e as u32).to_le_bytes());
-                    })?;
+                    let index = x.index(e).iter().map(|&ik| ik as u32);
+                    let rec = &mut buf[held * stride..(held + 1) * stride];
+                    encode_record(rec, x.value(e), index, mode, precision);
+                    held += 1;
+                    if held == FLUSH {
+                        out.write_at(pos, &buf)?;
+                        (pos, held) = (pos + held, 0);
+                    }
                 }
             }
-            out.end_mode(dim)?;
+            out.write_at(pos, &buf[..held * stride])?;
         }
         let resident = budget.reserve_unchecked(Self::resident_bytes_for(x));
         Ok(out.finish(budget, resident))
     }
 
-    /// Derives the spilled plan **from an on-disk COO source** by external
-    /// sort, never holding more than a budget-bounded buffer of the tensor
-    /// in RAM — the disk→disk build: source scratch file in, plan scratch
-    /// file out.
+    /// Derives the spilled plan **from an on-disk COO source** by counting
+    /// placement, never holding more than a budget-bounded arena of the
+    /// tensor in RAM — the disk→disk build: source scratch file in, plan
+    /// scratch file out.
     ///
-    /// Per mode, two bounded passes over the source: the COO records are
-    /// streamed into **sorted runs** on a transient scratch file (each run
-    /// sorted by `(slice index, entry id)` — exactly the slice-major,
-    /// in-slice-ascending-COO order the resident layout has by
-    /// construction), then **K-way merged** into the same interleaved
-    /// record sections [`ModeStreams::build_spilled`] writes. Run
-    /// and merge buffers are sized from the budget's current headroom
-    /// (with a small floor so tiny budgets still make progress, booked
-    /// either way), and both scratch files report their traffic to the
-    /// budget's I/O counters.
+    /// Slice keys are dense integers in `0..Iₙ` and the source is in
+    /// entry-id order, so the slice-major, in-slice-ascending-COO order
+    /// the resident layout has by construction can be *counted* rather
+    /// than sorted:
+    ///
+    /// 1. one scan of the source counts every mode's slice sizes at once —
+    ///    their prefix sums are the plan's slice offsets (its resident
+    ///    floor);
+    /// 2. per mode, the positions `0..|Ω|` are cut into arena-sized
+    ///    chunks, and each chunk takes one source scan: a per-slice cursor
+    ///    (`Iₙ` words) hands every entry its final position, the entries
+    ///    landing in the chunk are encoded into the arena, and the arena
+    ///    goes to the plan file in one sequential write.
+    ///
+    /// Chunks are cut by position, not by slice, so a slice larger than
+    /// the arena simply spans chunks. The arena is sized from the budget's
+    /// current headroom (half of it, with a small floor so tiny budgets
+    /// still make progress); arena and cursors are booked either way, and
+    /// the source and plan files report their traffic to the budget's I/O
+    /// counters. No transient file is written.
     ///
     /// The output is **bitwise identical** to
     /// [`ModeStreams::build_spilled_at`] over the resident tensor at the
@@ -941,116 +869,79 @@ impl ModeStreams {
         precision: StoragePrecision,
     ) -> Result<Self> {
         Self::check_widths_dims(src.dims(), src.nnz())?;
-        let dims = src.dims().to_vec();
+        let dims = src.dims();
         let nnz = src.nnz();
-        let order = dims.len();
-        // A run record is the output payload behind a 4-byte slice-key
-        // prefix; the sort arena also carries one (key, eid, arena slot)
-        // triple per record.
-        let run_rec = 4 + record_stride(order - 1, precision);
-        let sort_cost = run_rec + std::mem::size_of::<(u32, u32, u32)>();
+        let stride = record_stride(dims.len() - 1, precision);
         // Book the plan's resident floor (the slice offsets) *before*
-        // sizing the sort arena: they are allocated inside the per-mode
-        // loop below, and sizing the arena from a budget the floor is
-        // about to consume would overshoot the tracked peak.
-        let resident = budget.reserve_unchecked(Self::resident_bytes_for_dims(&dims));
-        let arena_bytes = (budget.available() / 2).clamp(MIN_SORT_BYTES, MAX_SORT_BYTES);
-        let run_entries = (arena_bytes / sort_cost).max(1).min(nnz.max(1));
-        // The sort arena doubles as the merge pass's read buffers, so one
-        // booking covers the build's transient RAM.
-        let _sort_guard = budget.reserve_unchecked(run_entries * sort_cost);
-        let seg_entries = run_entries.min(COO_SEGMENT_ENTRIES);
+        // sizing the arena: sizing it from a budget the floor is about to
+        // consume would overshoot the tracked peak.
+        let resident = budget.reserve_unchecked(Self::resident_bytes_for_dims(dims));
+        let arena_bytes = (budget.available() / 2).clamp(MIN_ARENA_BYTES, MAX_ARENA_BYTES);
+        let chunk = (arena_bytes / stride).clamp(1, nnz.max(1));
+        let max_dim = dims.iter().copied().max().unwrap_or(0);
+        let _build_guard =
+            budget.reserve_unchecked(Self::external_build_bytes(chunk, stride, max_dim));
+        let seg_entries = chunk.min(COO_SEGMENT_ENTRIES);
 
-        let mut out = SpilledPlanWriter::create(budget, order, nnz, precision)?;
-        let mut arena: Vec<u8> = Vec::with_capacity(run_entries * run_rec);
-        let mut keys: Vec<(u32, u32, u32)> = Vec::with_capacity(run_entries);
-        let mut staging: Vec<u8> = Vec::new();
-        for (mode, &dim) in dims.iter().enumerate() {
-            out.begin_mode(dim)?;
+        // Scan 1: every mode's slice sizes, prefix-summed into offsets.
+        let mut offsets: Vec<Vec<usize>> = dims.iter().map(|&d| vec![0; d + 1]).collect();
+        let mut cur = src.segments(seg_entries);
+        while let Some(seg) = cur.next_segment()? {
+            for i in 0..seg.len() {
+                for (offs, &ik) in offsets.iter_mut().zip(seg.index(i)) {
+                    offs[ik as usize + 1] += 1;
+                }
+            }
+        }
+        for offs in &mut offsets {
+            for i in 1..offs.len() {
+                offs[i] += offs[i - 1];
+            }
+        }
 
-            // Pass 1 — sorted runs: stream the source, pack each entry
-            // into its *output* record shape behind the slice key, sort
-            // each arena-full, spill it as one run.
-            let run_file = ScratchFile::create_tracked(budget)?;
-            let mut runs: Vec<(u64, usize)> = Vec::new();
-            let mut cur = src.segments(seg_entries);
-            while let Some(seg) = cur.next_segment()? {
-                for i in 0..seg.len() {
-                    let idx = seg.index(i);
-                    let e = (seg.base + i) as u32;
-                    keys.push((idx[mode], e, keys.len() as u32));
-                    arena.extend_from_slice(&idx[mode].to_le_bytes());
-                    put_value(&mut arena, seg.value(i), precision);
-                    for (k, &ik) in idx.iter().enumerate() {
-                        if k != mode {
-                            arena.extend_from_slice(&ik.to_le_bytes());
+        // Per mode and chunk: one scan places the chunk's records. The
+        // scan visits entries in id order, so each slice's cursor hands
+        // out positions in exactly build_spilled's in-slice order.
+        let mut out = SpilledPlanWriter::create(budget, dims.len(), nnz, precision)?;
+        let mut arena = vec![0u8; chunk * stride];
+        let mut cursor: Vec<usize> = Vec::with_capacity(max_dim);
+        for (mode, offs) in offsets.into_iter().enumerate() {
+            out.begin_mode(offs)?;
+            for lo in (0..nnz).step_by(chunk) {
+                let hi = (lo + chunk).min(nnz);
+                let offs = out.offsets();
+                cursor.clear();
+                cursor.extend_from_slice(&offs[..offs.len() - 1]);
+                let mut cur = src.segments(seg_entries);
+                while let Some(seg) = cur.next_segment()? {
+                    for i in 0..seg.len() {
+                        let index = seg.index(i);
+                        let slot = &mut cursor[index[mode] as usize];
+                        let pos = *slot;
+                        *slot += 1;
+                        if (lo..hi).contains(&pos) {
+                            let rec = &mut arena[(pos - lo) * stride..(pos - lo + 1) * stride];
+                            encode_record(
+                                rec,
+                                seg.value(i),
+                                index.iter().copied(),
+                                mode,
+                                precision,
+                            );
                         }
                     }
-                    arena.extend_from_slice(&e.to_le_bytes());
-                    if keys.len() == run_entries {
-                        flush_run(
-                            &run_file,
-                            &mut runs,
-                            &mut arena,
-                            &mut keys,
-                            run_rec,
-                            &mut staging,
-                        )?;
-                    }
                 }
+                out.write_at(lo, &arena[..(hi - lo) * stride])?;
             }
-            flush_run(
-                &run_file,
-                &mut runs,
-                &mut arena,
-                &mut keys,
-                run_rec,
-                &mut staging,
-            )?;
-            let _run_guard = budget.record_spill(run_file.len() as usize);
-
-            // Pass 2 — K-way merge of the sorted runs into the plan's
-            // sections, through the writer the resident-source spill build
-            // feeds too. Ties on the slice key are broken by entry id,
-            // reproducing build_spilled's in-slice ascending-COO order —
-            // and with it, its exact bytes.
-            let per_run_recs = (run_entries / runs.len().max(1)).max(1);
-            let mut cursors: Vec<RunCursor> = runs
-                .iter()
-                .map(|&(off, count)| RunCursor {
-                    buf: Vec::new(),
-                    pos: 0,
-                    read: 0,
-                    count,
-                    off,
-                })
-                .collect();
-            let mut heap: BinaryHeap<Reverse<(u32, u32, usize)>> =
-                BinaryHeap::with_capacity(cursors.len());
-            for (ri, c) in cursors.iter_mut().enumerate() {
-                if refill_run(&run_file, c, per_run_recs, run_rec)? {
-                    let (key, eid) = peek_run(c, run_rec);
-                    heap.push(Reverse((key, eid, ri)));
-                }
-            }
-            while let Some(Reverse((key, _, ri))) = heap.pop() {
-                let c = &mut cursors[ri];
-                let a = c.pos * run_rec;
-                out.emit(key as usize, |rec| {
-                    rec.extend_from_slice(&c.buf[a + 4..a + run_rec])
-                })?;
-                c.pos += 1;
-                if c.pos * run_rec >= c.buf.len()
-                    && !refill_run(&run_file, c, per_run_recs, run_rec)?
-                {
-                    continue;
-                }
-                let (k2, e2) = peek_run(c, run_rec);
-                heap.push(Reverse((k2, e2, ri)));
-            }
-            out.end_mode(dim)?;
         }
         Ok(out.finish(budget, resident))
+    }
+
+    /// Transient RAM [`ModeStreams::build_external_at`] books on top of
+    /// the plan's resident floor: a placement arena of `chunk` records of
+    /// `stride` bytes, and one cursor word per slice of the largest mode.
+    fn external_build_bytes(chunk: usize, stride: usize, max_dim: usize) -> usize {
+        chunk * stride + max_dim * std::mem::size_of::<usize>()
     }
 
     /// The storage precision of the plan's values.
@@ -1227,7 +1118,6 @@ impl ModeStreams {
             offsets: Vec::with_capacity(max_slices + 1),
             values: ValueStore::with_capacity(precision, buf_cap),
             others: Vec::with_capacity(buf_cap * other_count),
-            entry_ids: Vec::with_capacity(buf_cap),
             raw: Vec::with_capacity(
                 RAW_CHUNK.min(buf_cap.max(1) * record_stride(other_count, precision)),
             ),
@@ -1311,8 +1201,8 @@ impl ModeStreams {
 
     /// Scratch-file bytes a spilled plan for `x` writes: per mode, the
     /// interleaved per-position records (value 8 B/4 B by precision +
-    /// packed other-mode indices 4 B each + entry id 4 B). Defaults to f64
-    /// values; see [`ModeStreams::spilled_bytes_for_at`].
+    /// packed other-mode indices 4 B each). Defaults to f64 values; see
+    /// [`ModeStreams::spilled_bytes_for_at`].
     pub fn spilled_bytes_for(x: &SparseTensor) -> usize {
         Self::spilled_bytes_for_at(x, StoragePrecision::F64)
     }
@@ -1329,8 +1219,15 @@ impl ModeStreams {
         nnz: usize,
         precision: StoragePrecision,
     ) -> usize {
-        let order = dims.len();
-        order * nnz * record_stride(order - 1, precision)
+        dims.len() * nnz * Self::spilled_record_bytes(dims.len(), precision)
+    }
+
+    /// Bytes one stream position of a spilled order-`order` plan occupies
+    /// — its file record, and its slot in a pinned window buffer: the
+    /// value at `precision` plus the packed other-mode indices. What the
+    /// fit driver sizes its windows by.
+    pub fn spilled_record_bytes(order: usize, precision: StoragePrecision) -> usize {
+        record_stride(order - 1, precision)
     }
 }
 
@@ -1555,7 +1452,6 @@ struct WindowBuf {
     /// footprint and memory traffic match the precision's promise.
     values: ValueStore,
     others: Vec<u32>,
-    entry_ids: Vec<u32>,
     /// Fixed-size staging chunk for the interleaved record read — the
     /// refill reads up to [`RAW_CHUNK`] bytes per syscall and parses them
     /// into the typed arrays, so window size never grows this buffer.
@@ -1596,8 +1492,6 @@ fn refill(file: &ScratchFile, buf: &mut WindowBuf, spec: &RefillSpec) -> std::io
     buf.values.clear_reserve(spec.len);
     buf.others.clear();
     buf.others.reserve(spec.len * spec.other_count);
-    buf.entry_ids.clear();
-    buf.entry_ids.reserve(spec.len);
     let recs_per_chunk = (RAW_CHUNK / stride).max(1);
     let mut done = 0usize;
     while done < spec.len {
@@ -1619,16 +1513,11 @@ fn refill(file: &ScratchFile, buf: &mut WindowBuf, spec: &RefillSpec) -> std::io
                     rec[..4].try_into().expect("4-byte field"),
                 )),
             }
-            let mut off = vbytes;
-            for _ in 0..spec.other_count {
-                buf.others.push(u32::from_le_bytes(
-                    rec[off..off + 4].try_into().expect("4-byte field"),
-                ));
-                off += 4;
-            }
-            buf.entry_ids.push(u32::from_le_bytes(
-                rec[off..off + 4].try_into().expect("4-byte field"),
-            ));
+            buf.others.extend(
+                rec[vbytes..]
+                    .chunks_exact(4)
+                    .map(|f| u32::from_le_bytes(f.try_into().expect("4-byte field"))),
+            );
         }
         done += n;
     }
@@ -1791,7 +1680,7 @@ impl<'a> SliceWindows<'a> {
                 offsets: &self.current.offsets,
                 values: self.current.values.view(0, self.current.values.len()),
                 others: &self.current.others,
-                entry_ids: &self.current.entry_ids,
+                entry_ids: &[],
             },
         }))
     }
@@ -2032,7 +1921,7 @@ mod tests {
                                 for p in local {
                                     let g = w.base + p;
                                     assert_eq!(w.stream.value(p), full.value(g), "{tag}");
-                                    assert_eq!(w.stream.entry_id(p), full.entry_id(g));
+                                    assert_eq!(w.stream.others(p), full.others(g), "{tag}");
                                 }
                             }
                             windows += 1;
@@ -2086,7 +1975,6 @@ mod tests {
                     for p in local {
                         let g = win.base + p;
                         assert_eq!(win.stream.value(p), full.value(g));
-                        assert_eq!(win.stream.entry_id(p), full.entry_id(g));
                         assert_eq!(win.stream.others(p), full.others(g));
                     }
                     covered += win.stream.len();
@@ -2169,7 +2057,7 @@ mod tests {
             for p in 0..win.stream.len() {
                 let g = win.base + p;
                 assert_eq!(win.stream.value(p), full.value(g));
-                assert_eq!(win.stream.entry_id(p), full.entry_id(g));
+                assert_eq!(win.stream.others(p), full.others(g));
             }
             covered += win.stream.len();
         }
@@ -2277,10 +2165,19 @@ mod tests {
         SparseTensor::new(dims, entries).unwrap()
     }
 
-    /// Asserts two spilled plans present byte-identical sweeps: same
-    /// offsets, value bits, packed indices and entry ids.
+    /// Asserts two spilled plans are byte-identical files and present
+    /// identical sweeps: same offsets, value bits and packed indices.
     fn assert_spilled_plans_bitwise(a: &ModeStreams, b: &ModeStreams, nnz: usize, tag: &str) {
         assert_eq!(a.order(), b.order(), "{tag}");
+        let file_bytes = |plan: &ModeStreams| match plan.store() {
+            StreamStore::Spilled { file, .. } => {
+                let mut bytes = vec![0u8; file.len() as usize];
+                file.read_bytes(0, &mut bytes).unwrap();
+                bytes
+            }
+            StreamStore::InMemory(_) => panic!("{tag}: plan is not spilled"),
+        };
+        assert!(file_bytes(a) == file_bytes(b), "{tag}: plan files differ");
         for n in 0..a.order() {
             let sa = a.spilled_mode(n);
             let sb = b.spilled_mode(n);
@@ -2301,7 +2198,6 @@ mod tests {
                                 "{tag} mode {n} pos {p}"
                             );
                             assert_eq!(x.stream.others(p), y.stream.others(p), "{tag}");
-                            assert_eq!(x.stream.entry_id(p), y.stream.entry_id(p), "{tag}");
                         }
                         covered += x.stream.len();
                     }
@@ -2313,18 +2209,93 @@ mod tests {
         }
     }
 
+    /// Positions per placement chunk when the external build's arena sits
+    /// at its floor (any budget below twice the floor).
+    fn floor_chunk(order: usize, precision: StoragePrecision) -> usize {
+        MIN_ARENA_BYTES / record_stride(order - 1, precision)
+    }
+
+    /// Mode 0's slice 1 alone holds 30 000 entries — more than a
+    /// floor-sized arena chunk at either precision — interleaved in entry
+    /// order with two light slices.
+    fn heavy_slice_sample() -> SparseTensor {
+        let mut entries = Vec::new();
+        for j in 0..200 {
+            for k in 0..150 {
+                let v = ((j * 150 + k) as f64 * 0.37).sin();
+                if (j + k) % 7 == 0 {
+                    entries.push((vec![0, j, k], v + 1.0));
+                }
+                entries.push((vec![1, j, k], v));
+                if (j * k) % 11 == 3 {
+                    entries.push((vec![2, j, k], v - 1.0));
+                }
+            }
+        }
+        SparseTensor::new(vec![3, 200, 150], entries).unwrap()
+    }
+
+    /// Enough entries to span several floor-sized arena chunks per mode,
+    /// with slices far smaller than a chunk — so chunk boundaries fall
+    /// inside slices.
+    fn large_sample() -> SparseTensor {
+        let dims = vec![50, 40, 30];
+        let mut entries = Vec::new();
+        let mut state = 0x51ed270b0f4a7c15u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        for _ in 0..40_000 {
+            let i = (next() as usize) % dims[0];
+            let j = (next() as usize) % dims[1];
+            let k = (next() as usize) % dims[2];
+            let v = (next() as f64 / u32::MAX as f64) * 2.0 - 1.0;
+            entries.push((vec![i, j, k], v));
+        }
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries.dedup_by(|a, b| a.0 == b.0);
+        SparseTensor::new(dims, entries).unwrap()
+    }
+
     /// `build_external` from a COO scratch source reproduces
     /// `build_spilled` from the resident tensor bit for bit, at both
     /// storage precisions — and therefore (via
     /// `spilled_windows_reproduce_resident_streams`) the resident layout
-    /// too.
+    /// too. The inputs cover a slice larger than the floor-sized arena
+    /// chunk (`heavy_slice_sample`) and chunk boundaries that fall inside
+    /// slices (`large_sample`).
     #[test]
     fn external_build_is_bitwise_identical_to_spilled_build() {
-        for x in [sample(), off_grid_sample(), bigger_sample()] {
+        let heavy = heavy_slice_sample();
+        let large = large_sample();
+        let resident = ModeStreams::build(&heavy).unwrap();
+        for precision in [StoragePrecision::F64, StoragePrecision::F32] {
+            assert!(
+                resident.max_slice_len() > floor_chunk(heavy.order(), precision),
+                "heavy slice must exceed a floor-sized chunk"
+            );
+            let chunk = floor_chunk(large.order(), precision);
+            assert!(large.nnz() > chunk, "several chunks per mode");
+            let cut_inside = (0..large.order()).any(|n| {
+                let lens: Vec<usize> = (0..large.dims()[n])
+                    .map(|i| large.slice(n, i).len())
+                    .collect();
+                let mut at = 0;
+                lens.iter().all(|&l| {
+                    at += l;
+                    at != chunk
+                })
+            });
+            assert!(cut_inside, "a chunk boundary must split a slice");
+        }
+        for x in [sample(), off_grid_sample(), bigger_sample(), heavy, large] {
             for precision in [StoragePrecision::F64, StoragePrecision::F32] {
                 let spill_budget = MemoryBudget::unlimited();
                 let spilled = ModeStreams::build_spilled_at(&x, &spill_budget, precision).unwrap();
-                // A tiny budget forces the minimum (floor-sized) sort
+                // A tiny budget forces the minimum (floor-sized) placement
                 // arena without changing output.
                 let ext_budget = MemoryBudget::new(1);
                 let src = CooScratch::from_tensor(&x, &ext_budget).unwrap();
@@ -2347,67 +2318,68 @@ mod tests {
         }
     }
 
-    /// Enough entries to overflow the floor-sized sort arena several
-    /// times over, so the K-way merge really merges.
-    fn large_sample() -> SparseTensor {
-        let dims = vec![50, 40, 30];
-        let mut entries = Vec::new();
-        let mut state = 0x51ed270b0f4a7c15u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        for _ in 0..25_000 {
-            let i = (next() as usize) % dims[0];
-            let j = (next() as usize) % dims[1];
-            let k = (next() as usize) % dims[2];
-            let v = (next() as f64 / u32::MAX as f64) * 2.0 - 1.0;
-            entries.push((vec![i, j, k], v));
-        }
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        entries.dedup_by(|a, b| a.0 == b.0);
-        SparseTensor::new(dims, entries).unwrap()
-    }
-
-    /// With the arena pinned at its floor, ~20k entries split into
-    /// several sorted runs per mode — the K-way merge must still
-    /// reproduce the resident-source build bit for bit.
+    /// With the arena pinned at its floor, ~29k entries need two placement
+    /// chunks per mode: every chunk costs one source scan and writes its
+    /// positions exactly once, and the plan still matches the
+    /// resident-source build bit for bit.
     #[test]
-    fn external_build_multi_run_merge_is_bitwise() {
+    fn external_build_multi_chunk_is_bitwise() {
         let x = large_sample();
-        assert!(
-            x.nnz() * (4 + record_stride(2, StoragePrecision::F64) + 12) > 2 * MIN_SORT_BYTES,
-            "sample must not fit one floor-sized run"
-        );
+        let chunk = floor_chunk(x.order(), StoragePrecision::F64);
+        let chunks = x.nnz().div_ceil(chunk);
+        assert!(chunks >= 2, "sample must not fit one floor-sized chunk");
         let spilled = ModeStreams::build_spilled(&x, &MemoryBudget::unlimited()).unwrap();
         let budget = MemoryBudget::new(1); // floor-sized arena
         let src = CooScratch::from_tensor(&x, &budget).unwrap();
+        let (read0, write0) = (budget.io_read_bytes(), budget.io_write_bytes());
         let external = ModeStreams::build_external(&src, &budget).unwrap();
-        assert_spilled_plans_bitwise(&spilled, &external, x.nnz(), "multi-run");
+        // One counting scan, then one scan per chunk per mode.
+        assert_eq!(
+            budget.io_read_bytes() - read0,
+            (1 + x.order() * chunks) as u64 * src.bytes()
+        );
+        assert_eq!(
+            budget.io_write_bytes() - write0,
+            ModeStreams::spilled_bytes_for(&x) as u64
+        );
+        assert_spilled_plans_bitwise(&spilled, &external, x.nnz(), "multi-chunk");
     }
 
     /// The external build books the same resident metadata and final
-    /// spill bytes as the resident-source spill build (the transient run
-    /// files release their spill bytes when the build returns).
+    /// spill bytes as the resident-source spill build; it spills nothing
+    /// beyond the source and the plan, and its transient RAM booking
+    /// never exceeds its arena plus the slice cursors.
     #[test]
     fn external_build_budget_accounting_matches_spilled() {
-        let x = bigger_sample();
-        let budget = MemoryBudget::new(1);
-        let src = CooScratch::from_tensor(&x, &budget).unwrap();
-        let before_resident = budget.in_use();
-        let plan = ModeStreams::build_external(&src, &budget).unwrap();
-        assert_eq!(
-            budget.in_use() - before_resident,
-            ModeStreams::resident_bytes_for(&x)
-        );
-        assert_eq!(
-            budget.spilled_in_use(),
-            ModeStreams::spilled_bytes_for(&x) + src.bytes() as usize
-        );
-        drop(plan);
-        assert_eq!(budget.in_use(), before_resident);
+        for x in [bigger_sample(), large_sample()] {
+            let budget = MemoryBudget::new(1);
+            let src = CooScratch::from_tensor(&x, &budget).unwrap();
+            let before_resident = budget.in_use();
+            budget.reset_peak();
+            let plan = ModeStreams::build_external(&src, &budget).unwrap();
+            let floor = ModeStreams::resident_bytes_for(&x);
+            assert_eq!(budget.in_use() - before_resident, floor);
+            let plan_bytes = ModeStreams::spilled_bytes_for(&x);
+            assert_eq!(budget.spilled_in_use(), plan_bytes + src.bytes() as usize);
+            assert_eq!(
+                budget.peak_spilled(),
+                plan_bytes + src.bytes() as usize,
+                "no transient spill beyond source + plan"
+            );
+            let stride = record_stride(x.order() - 1, StoragePrecision::F64);
+            let chunk = floor_chunk(x.order(), StoragePrecision::F64).min(x.nnz());
+            let max_dim = x.dims().iter().copied().max().unwrap();
+            let build = ModeStreams::external_build_bytes(chunk, stride, max_dim);
+            assert!(chunk * stride <= MIN_ARENA_BYTES);
+            assert!(build <= MIN_ARENA_BYTES + max_dim * 8);
+            assert_eq!(
+                budget.peak() - before_resident,
+                floor + build,
+                "resident booking = floor + arena + cursors"
+            );
+            drop(plan);
+            assert_eq!(budget.in_use(), before_resident);
+        }
     }
 
     /// An empty source external-builds into an empty (but well-formed)
@@ -2447,7 +2419,6 @@ mod tests {
                             full.value(g).to_bits(),
                             "depth {depth} mode {n}"
                         );
-                        assert_eq!(win.stream.entry_id(p), full.entry_id(g));
                         assert_eq!(win.stream.others(p), full.others(g));
                     }
                     covered += win.stream.len();
@@ -2490,16 +2461,20 @@ mod tests {
             ModeStreams::bytes_for(&x),
             ModeStreams::bytes_for_at(&x, StoragePrecision::F64)
         );
-        // record_stride: value + packed others + entry id.
-        assert_eq!(record_stride(2, StoragePrecision::F64), 8 + 8 + 4);
-        assert_eq!(record_stride(2, StoragePrecision::F32), 4 + 8 + 4);
+        // record_stride: value + packed others, no entry id.
+        assert_eq!(record_stride(2, StoragePrecision::F64), 8 + 8);
+        assert_eq!(record_stride(2, StoragePrecision::F32), 4 + 8);
+        assert_eq!(
+            ModeStreams::spilled_record_bytes(3, StoragePrecision::F64),
+            record_stride(2, StoragePrecision::F64)
+        );
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
 
         // Satellite property: for arbitrary sparse tensors, budgets and
-        // precisions, the external-sort build from a COO scratch source
+        // precisions, the counting-placement build from a COO scratch source
         // is bitwise-identical to the resident-source spilled build.
         #[test]
         fn external_build_is_bitwise(

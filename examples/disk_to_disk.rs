@@ -1,6 +1,6 @@
 //! Disk-to-disk fitting: the observed entries are **generated straight to
 //! a scratch file** (never resident), the execution plan is built from
-//! that file by external sort, and every whole-tensor pass of the fit
+//! that file by counting placement, and every whole-tensor pass of the fit
 //! streams bounded COO segments — so the tensor can be arbitrarily larger
 //! than the memory budget. The walkthrough checks the two claims that
 //! make this useful:
@@ -49,8 +49,8 @@ fn main() {
             .seed(9)
     };
 
-    // 2. Fit disk-to-disk: `fit_scratch` external-sorts the plan from the
-    //    scratch file and streams the residual pass; window refills ride
+    // 2. Fit disk-to-disk: `fit_scratch` builds the plan from the scratch
+    //    file by counting placement and streams the residual pass; window refills ride
     //    the N-deep prefetch ring (default depth 2).
     let disk = PTucker::new(opts().budget(budget.clone()))
         .unwrap()
