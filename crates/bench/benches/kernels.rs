@@ -1064,8 +1064,9 @@ fn write_artifact() {
     // External build: pricing the disk-to-disk plan path. Three columns
     // over the same ~20k-entry tensor — the fully resident build, the
     // resident-source spilled build, and the counting-placement build from
-    // a COO scratch file (one counting scan, then per mode one scan per
-    // floor-sized arena chunk — two here) — plus the byte volumes that
+    // a COO scratch file (one counting scan, then per mode one placement
+    // scan; at the floor-sized arena the positions past the first chunk
+    // round-trip through the bucket file) — plus the byte volumes that
     // explain them: the COO source, the spilled plan, and the total
     // scratch traffic of every external build the timing loop ran. The output is bitwise-identical across the last two
     // (asserted by the tensor crate's proptests), so the overhead column

@@ -208,7 +208,8 @@ impl PTucker {
     /// Runs the fit **disk-to-disk**: the observed entries stay in `src`'s
     /// scratch file, the execution plan is built from it by counting
     /// placement ([`ModeStreams::build_external`] — one counting scan,
-    /// then records placed through a budget-bounded arena), and every
+    /// then per mode one scan placing records through a budget-bounded
+    /// arena, with I/O linear in `|Ω|`), and every
     /// whole-tensor pass
     /// (the residual, the Approx `R(β)` ranking, the core refit, the
     /// checkpoint fingerprint) walks bounded COO segments. Resident memory

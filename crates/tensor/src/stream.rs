@@ -67,13 +67,15 @@
 //! an on-disk [`CooScratch`] source by **counting placement**. Slice keys
 //! are dense integers and the source is in entry-id order, so one scan
 //! counts every mode's slice sizes (the plan's slice offsets), and a
-//! per-slice cursor then gives each entry its final stream position:
-//! records are placed into a budget-bounded arena one position range at a
-//! time and written out sequentially. Nothing is sorted and no transient
-//! file is written; the result is bit-for-bit the sections
-//! [`ModeStreams::build_spilled`] writes. Combined with the streamed
-//! ingest writers in `ptucker-datagen`, the whole path from raw data to
-//! fitted factors touches RAM only through bounded buffers.
+//! per-slice cursor then gives each entry its final stream position in
+//! one scan per mode: the first arena-sized range of positions is placed
+//! in RAM, later ranges are bucketed through a transient file and placed
+//! one range at a time, and every range goes out in one sequential write.
+//! Nothing is sorted, the I/O is linear in `|Ω|`, and the result is
+//! bit-for-bit the sections [`ModeStreams::build_spilled`] writes.
+//! Combined with the streamed ingest writers in `ptucker-datagen`, the
+//! whole path from raw data to fitted factors touches RAM only through
+//! bounded buffers.
 
 use crate::{CooScratch, Result, SparseTensor, StoragePrecision, TensorError, COO_SEGMENT_ENTRIES};
 use ptucker_memtrack::{MemoryBudget, Reservation, ScratchFile, SpillReservation};
@@ -560,14 +562,71 @@ fn record_stride(other_count: usize, precision: StoragePrecision) -> usize {
 }
 
 /// Floor of the placement arena of [`ModeStreams::build_external_at`]:
-/// below this, each chunk's full source scan buys too few written
-/// positions — tiny budgets still get a working build, with the floor
-/// booked against them honestly.
+/// tiny budgets still get a working build, with the floor booked against
+/// them honestly.
 const MIN_ARENA_BYTES: usize = 256 << 10;
 
-/// Ceiling of the placement arena — one chunk of this size already holds
-/// a whole mode of a multi-million-entry tensor.
+/// Ceiling of the placement arena. A mode larger than the arena takes
+/// more chunks, not more scans: the extra chunks travel through the
+/// bucket file, so the build's I/O stays linear in `|Ω|`.
 const MAX_ARENA_BYTES: usize = 64 << 20;
+
+/// How [`ModeStreams::build_external_at`] splits its arena. A mode's
+/// first `chunk` stream positions are placed straight into the arena;
+/// the rest fall into `buckets` further chunks, whose records are staged
+/// `stage_recs` at a time on their way to one region each of a bucket
+/// file, then read back chunk by chunk.
+#[derive(Clone, Copy)]
+struct Placement {
+    chunk: usize,
+    buckets: usize,
+    stage_recs: usize,
+}
+
+impl Placement {
+    fn new(arena_bytes: usize, nnz: usize, stride: usize) -> Self {
+        if nnz * stride <= arena_bytes {
+            return Placement {
+                chunk: nnz.max(1),
+                buckets: 0,
+                stage_recs: 0,
+            };
+        }
+        // Half the arena stages the later chunks' records: records per
+        // staging flush grow with chunk × staging bytes, which an even
+        // split maximizes.
+        let chunk = (arena_bytes / 2 / stride).max(1);
+        let buckets = nnz.div_ceil(chunk) - 1;
+        let stage_recs = (arena_bytes / 2 / staged_bytes(stride) / buckets).max(1);
+        Placement {
+            chunk,
+            buckets,
+            stage_recs,
+        }
+    }
+
+    /// Transient RAM on top of the plan's resident floor: the arena, the
+    /// staging slots with one fill count per bucket, and the slice
+    /// cursors of the largest mode.
+    fn ram_bytes(&self, stride: usize, max_dim: usize) -> usize {
+        self.chunk * stride
+            + self.buckets * (self.stage_recs * staged_bytes(stride) + size_of::<usize>())
+            + cursor_bytes(max_dim)
+    }
+}
+
+/// Bytes of the external build's slice cursors for a mode of `dim`
+/// slices: one `u32` stream position each (`|Ω|` fits `u32`, as
+/// [`ModeStreams`] checks).
+fn cursor_bytes(dim: usize) -> usize {
+    dim * size_of::<u32>()
+}
+
+/// Bytes of one bucket-file record: the record's position within its
+/// chunk (4 B), then the plan record itself.
+fn staged_bytes(stride: usize) -> usize {
+    4 + stride
+}
 
 /// Returns the exclusive upper slice bound of the window starting at slice
 /// `lo`: the longest run of whole slices whose combined positions fit
@@ -636,11 +695,6 @@ impl SpilledPlanWriter {
             rec_off,
         });
         Ok(())
-    }
-
-    /// The open mode's slice offsets.
-    fn offsets(&self) -> &[usize] {
-        &self.modes.last().expect("a mode is open").offsets
     }
 
     /// Writes whole records of the open mode, the first at stream
@@ -832,17 +886,28 @@ impl ModeStreams {
     ///    their prefix sums are the plan's slice offsets (its resident
     ///    floor);
     /// 2. per mode, the positions `0..|Ω|` are cut into arena-sized
-    ///    chunks, and each chunk takes one source scan: a per-slice cursor
-    ///    (`Iₙ` words) hands every entry its final position, the entries
-    ///    landing in the chunk are encoded into the arena, and the arena
-    ///    goes to the plan file in one sequential write.
+    ///    chunks, and one source scan places the mode: a per-slice cursor
+    ///    (`Iₙ` words) hands every entry its final position; entries of
+    ///    the first chunk are encoded straight into the arena, and every
+    ///    later entry is appended, behind its position within its chunk,
+    ///    to that chunk's region of a transient bucket file through a
+    ///    small staging slot;
+    /// 3. the first chunk goes to the plan file in one sequential write,
+    ///    then each bucket is read back once, its records are copied to
+    ///    their positions in the arena, and that chunk is written too.
     ///
     /// Chunks are cut by position, not by slice, so a slice larger than
-    /// the arena simply spans chunks. The arena is sized from the budget's
-    /// current headroom (half of it, with a small floor so tiny budgets
-    /// still make progress); arena and cursors are booked either way, and
-    /// the source and plan files report their traffic to the budget's I/O
-    /// counters. No transient file is written.
+    /// the arena simply spans chunks. Per mode the build reads the source
+    /// once and writes the plan once; only entries past the first chunk
+    /// also cross the bucket file (written once, read once), so the I/O is
+    /// linear in `|Ω|` whatever the budget. When one chunk holds a whole
+    /// mode the bucket file stays empty. The arena is sized from the
+    /// budget's current headroom (half of it, with a small floor so tiny
+    /// budgets still make progress; half of that becomes staging slots
+    /// when a mode needs several chunks); arena, slots and cursors are
+    /// booked either way, the bucket file goes on the spill meter while
+    /// the build runs, and every file reports its traffic to the budget's
+    /// I/O counters.
     ///
     /// The output is **bitwise identical** to
     /// [`ModeStreams::build_spilled_at`] over the resident tensor at the
@@ -872,15 +937,21 @@ impl ModeStreams {
         let dims = src.dims();
         let nnz = src.nnz();
         let stride = record_stride(dims.len() - 1, precision);
-        // Book the plan's resident floor (the slice offsets) *before*
-        // sizing the arena: sizing it from a budget the floor is about to
-        // consume would overshoot the tracked peak.
+        // Book the plan's resident floor (the slice offsets) and leave
+        // room for the slice cursors *before* sizing the arena: sizing it
+        // from a budget they are about to consume would overshoot the
+        // tracked peak.
         let resident = budget.reserve_unchecked(Self::resident_bytes_for_dims(dims));
-        let arena_bytes = (budget.available() / 2).clamp(MIN_ARENA_BYTES, MAX_ARENA_BYTES);
-        let chunk = (arena_bytes / stride).clamp(1, nnz.max(1));
         let max_dim = dims.iter().copied().max().unwrap_or(0);
-        let _build_guard =
-            budget.reserve_unchecked(Self::external_build_bytes(chunk, stride, max_dim));
+        let arena_bytes = (budget.available().saturating_sub(cursor_bytes(max_dim)) / 2)
+            .clamp(MIN_ARENA_BYTES, MAX_ARENA_BYTES);
+        let layout = Placement::new(arena_bytes, nnz, stride);
+        let Placement {
+            chunk,
+            buckets,
+            stage_recs,
+        } = layout;
+        let _build_guard = budget.reserve_unchecked(layout.ram_bytes(stride, max_dim));
         let seg_entries = chunk.min(COO_SEGMENT_ENTRIES);
 
         // Scan 1: every mode's slice sizes, prefix-summed into offsets.
@@ -899,49 +970,82 @@ impl ModeStreams {
             }
         }
 
-        // Per mode and chunk: one scan places the chunk's records. The
-        // scan visits entries in id order, so each slice's cursor hands
-        // out positions in exactly build_spilled's in-slice order.
+        // Chunk `b + 1`'s records live in region `b` of the bucket file,
+        // which every mode reuses; it stays empty when one chunk holds a
+        // whole mode.
+        let staged = staged_bytes(stride);
+        let bucket_file = ScratchFile::create_tracked(budget)?;
+        bucket_file.reserve_region((nnz.saturating_sub(chunk) * staged) as u64)?;
+        let _bucket_spill = budget.record_spill(bucket_file.len() as usize);
+        let region = |b: usize, rec: usize| ((b * chunk + rec) * staged) as u64;
+
         let mut out = SpilledPlanWriter::create(budget, dims.len(), nnz, precision)?;
         let mut arena = vec![0u8; chunk * stride];
-        let mut cursor: Vec<usize> = Vec::with_capacity(max_dim);
+        let mut stage = vec![0u8; buckets * stage_recs * staged];
+        let mut placed = vec![0usize; buckets];
+        let mut cursor: Vec<u32> = Vec::with_capacity(max_dim);
         for (mode, offs) in offsets.into_iter().enumerate() {
+            cursor.clear();
+            cursor.extend(offs[..offs.len() - 1].iter().map(|&o| o as u32));
             out.begin_mode(offs)?;
-            for lo in (0..nnz).step_by(chunk) {
-                let hi = (lo + chunk).min(nnz);
-                let offs = out.offsets();
-                cursor.clear();
-                cursor.extend_from_slice(&offs[..offs.len() - 1]);
-                let mut cur = src.segments(seg_entries);
-                while let Some(seg) = cur.next_segment()? {
-                    for i in 0..seg.len() {
-                        let index = seg.index(i);
-                        let slot = &mut cursor[index[mode] as usize];
-                        let pos = *slot;
-                        *slot += 1;
-                        if (lo..hi).contains(&pos) {
-                            let rec = &mut arena[(pos - lo) * stride..(pos - lo + 1) * stride];
-                            encode_record(
-                                rec,
-                                seg.value(i),
-                                index.iter().copied(),
-                                mode,
-                                precision,
-                            );
-                        }
+            placed.fill(0);
+            // One scan places the mode. It visits entries in id order, so
+            // each slice's cursor hands out positions in exactly
+            // build_spilled's in-slice order. The first chunk's records go
+            // straight into the arena; each later one is staged for its
+            // chunk's bucket behind its position within that chunk.
+            let mut cur = src.segments(seg_entries);
+            while let Some(seg) = cur.next_segment()? {
+                for i in 0..seg.len() {
+                    let index = seg.index(i);
+                    let slot = &mut cursor[index[mode] as usize];
+                    let pos = *slot as usize;
+                    *slot += 1;
+                    let (value, others) = (seg.value(i), index.iter().copied());
+                    if pos < chunk {
+                        let rec = &mut arena[pos * stride..][..stride];
+                        encode_record(rec, value, others, mode, precision);
+                        continue;
+                    }
+                    let b = pos / chunk - 1;
+                    let slots = &mut stage[b * stage_recs * staged..][..stage_recs * staged];
+                    let held = placed[b] % stage_recs;
+                    let rec = &mut slots[held * staged..][..staged];
+                    rec[..4].copy_from_slice(&((pos % chunk) as u32).to_le_bytes());
+                    encode_record(&mut rec[4..], value, others, mode, precision);
+                    placed[b] += 1;
+                    if held + 1 == stage_recs {
+                        bucket_file.write_bytes(region(b, placed[b] - stage_recs), slots)?;
                     }
                 }
-                out.write_at(lo, &arena[..(hi - lo) * stride])?;
+            }
+            for (b, &n) in placed.iter().enumerate() {
+                let held = n % stage_recs;
+                if held > 0 {
+                    let slots = &stage[b * stage_recs * staged..][..held * staged];
+                    bucket_file.write_bytes(region(b, n - held), slots)?;
+                }
+            }
+            out.write_at(0, &arena[..chunk.min(nnz) * stride])?;
+            // Each later chunk: its bucket is read back through the
+            // staging slots, every record is copied to its position, and
+            // the chunk goes to the plan in one write.
+            for (b, &len) in placed.iter().enumerate() {
+                let mut done = 0;
+                while done < len {
+                    let n = (len - done).min(stage.len() / staged);
+                    let buf = &mut stage[..n * staged];
+                    bucket_file.read_bytes(region(b, done), buf)?;
+                    for rec in buf.chunks_exact(staged) {
+                        let p = u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]) as usize;
+                        arena[p * stride..][..stride].copy_from_slice(&rec[4..]);
+                    }
+                    done += n;
+                }
+                out.write_at((b + 1) * chunk, &arena[..len * stride])?;
             }
         }
         Ok(out.finish(budget, resident))
-    }
-
-    /// Transient RAM [`ModeStreams::build_external_at`] books on top of
-    /// the plan's resident floor: a placement arena of `chunk` records of
-    /// `stride` bytes, and one cursor word per slice of the largest mode.
-    fn external_build_bytes(chunk: usize, stride: usize, max_dim: usize) -> usize {
-        chunk * stride + max_dim * std::mem::size_of::<usize>()
     }
 
     /// The storage precision of the plan's values.
@@ -2209,10 +2313,11 @@ mod tests {
         }
     }
 
-    /// Positions per placement chunk when the external build's arena sits
-    /// at its floor (any budget below twice the floor).
-    fn floor_chunk(order: usize, precision: StoragePrecision) -> usize {
-        MIN_ARENA_BYTES / record_stride(order - 1, precision)
+    /// How the external build splits its arena for `x` when the arena
+    /// sits at its floor (any budget below twice the floor).
+    fn floor_placement(x: &SparseTensor, precision: StoragePrecision) -> Placement {
+        let stride = record_stride(x.order() - 1, precision);
+        Placement::new(MIN_ARENA_BYTES, x.nnz(), stride)
     }
 
     /// Mode 0's slice 1 alone holds 30 000 entries — more than a
@@ -2274,10 +2379,10 @@ mod tests {
         let resident = ModeStreams::build(&heavy).unwrap();
         for precision in [StoragePrecision::F64, StoragePrecision::F32] {
             assert!(
-                resident.max_slice_len() > floor_chunk(heavy.order(), precision),
+                resident.max_slice_len() > floor_placement(&heavy, precision).chunk,
                 "heavy slice must exceed a floor-sized chunk"
             );
-            let chunk = floor_chunk(large.order(), precision);
+            let chunk = floor_placement(&large, precision).chunk;
             assert!(large.nnz() > chunk, "several chunks per mode");
             let cut_inside = (0..large.order()).any(|n| {
                 let lens: Vec<usize> = (0..large.dims()[n])
@@ -2318,37 +2423,45 @@ mod tests {
         }
     }
 
-    /// With the arena pinned at its floor, ~29k entries need two placement
-    /// chunks per mode: every chunk costs one source scan and writes its
-    /// positions exactly once, and the plan still matches the
-    /// resident-source build bit for bit.
+    /// With the arena pinned at its floor, ~29k entries need four
+    /// placement chunks per mode, and the build's I/O is still one source
+    /// scan per mode (plus the counting scan), one plan write, and one
+    /// write and one read of every entry past the first chunk through the
+    /// bucket file — in staging flushes that cut buckets mid-way. The plan
+    /// matches the resident-source build bit for bit.
     #[test]
     fn external_build_multi_chunk_is_bitwise() {
         let x = large_sample();
-        let chunk = floor_chunk(x.order(), StoragePrecision::F64);
-        let chunks = x.nnz().div_ceil(chunk);
-        assert!(chunks >= 2, "sample must not fit one floor-sized chunk");
+        let layout = floor_placement(&x, StoragePrecision::F64);
+        assert!(layout.buckets >= 2, "sample must need several floor chunks");
+        assert!(
+            layout.stage_recs < layout.chunk / 2,
+            "each bucket takes several staging flushes"
+        );
         let spilled = ModeStreams::build_spilled(&x, &MemoryBudget::unlimited()).unwrap();
         let budget = MemoryBudget::new(1); // floor-sized arena
         let src = CooScratch::from_tensor(&x, &budget).unwrap();
         let (read0, write0) = (budget.io_read_bytes(), budget.io_write_bytes());
         let external = ModeStreams::build_external(&src, &budget).unwrap();
-        // One counting scan, then one scan per chunk per mode.
+        let stride = record_stride(x.order() - 1, StoragePrecision::F64);
+        let bucketed = (x.order() * (x.nnz() - layout.chunk) * staged_bytes(stride)) as u64;
         assert_eq!(
             budget.io_read_bytes() - read0,
-            (1 + x.order() * chunks) as u64 * src.bytes()
+            (1 + x.order()) as u64 * src.bytes() + bucketed
         );
         assert_eq!(
             budget.io_write_bytes() - write0,
-            ModeStreams::spilled_bytes_for(&x) as u64
+            ModeStreams::spilled_bytes_for(&x) as u64 + bucketed
         );
         assert_spilled_plans_bitwise(&spilled, &external, x.nnz(), "multi-chunk");
     }
 
     /// The external build books the same resident metadata and final
-    /// spill bytes as the resident-source spill build; it spills nothing
-    /// beyond the source and the plan, and its transient RAM booking
-    /// never exceeds its arena plus the slice cursors.
+    /// spill bytes as the resident-source spill build. While it runs, it
+    /// spills nothing beyond the source, the plan and (only when a mode
+    /// needs several chunks) the bucket file, and its transient RAM
+    /// booking is the floor-sized arena — placement chunk plus staging
+    /// slots — plus the bucket counts and the slice cursors.
     #[test]
     fn external_build_budget_accounting_matches_spilled() {
         for x in [bigger_sample(), large_sample()] {
@@ -2361,22 +2474,23 @@ mod tests {
             assert_eq!(budget.in_use() - before_resident, floor);
             let plan_bytes = ModeStreams::spilled_bytes_for(&x);
             assert_eq!(budget.spilled_in_use(), plan_bytes + src.bytes() as usize);
+            let stride = record_stride(x.order() - 1, StoragePrecision::F64);
+            let layout = floor_placement(&x, StoragePrecision::F64);
+            let bucket_file = x.nnz().saturating_sub(layout.chunk) * staged_bytes(stride);
+            assert_eq!(bucket_file == 0, layout.buckets == 0);
             assert_eq!(
                 budget.peak_spilled(),
-                plan_bytes + src.bytes() as usize,
-                "no transient spill beyond source + plan"
+                plan_bytes + src.bytes() as usize + bucket_file,
+                "transient spill is the bucket file alone"
             );
-            let stride = record_stride(x.order() - 1, StoragePrecision::F64);
-            let chunk = floor_chunk(x.order(), StoragePrecision::F64).min(x.nnz());
             let max_dim = x.dims().iter().copied().max().unwrap();
-            let build = ModeStreams::external_build_bytes(chunk, stride, max_dim);
-            assert!(chunk * stride <= MIN_ARENA_BYTES);
-            assert!(build <= MIN_ARENA_BYTES + max_dim * 8);
-            assert_eq!(
-                budget.peak() - before_resident,
-                floor + build,
-                "resident booking = floor + arena + cursors"
+            let build = layout.ram_bytes(stride, max_dim);
+            let counts = layout.buckets * size_of::<usize>();
+            assert!(
+                build <= MIN_ARENA_BYTES + counts + cursor_bytes(max_dim),
+                "arena, staging slots, bucket counts and cursors"
             );
+            assert_eq!(budget.peak() - before_resident, floor + build);
             drop(plan);
             assert_eq!(budget.in_use(), before_resident);
         }
