@@ -25,22 +25,27 @@
 //! | kernel_aux     | `u64` byte length, then the kernel's opaque bytes |
 //! | checksum       | `u64` FNV-1a over every preceding byte           |
 //!
-//! The trailing checksum catches torn or bit-flipped files; the
-//! fingerprint catches resuming against the wrong tensor or options
-//! (different dims, ranks, seed, variant, precision, λ or data). Both
-//! fail with a named [`crate::PtuckerError::Checkpoint`], never a panic.
+//! Magic, version and checksum are the sealed-file envelope of
+//! [`ptucker_transport::wire`]; the factor and core sections are the
+//! ones model files carry too (one codec for both). The trailing
+//! checksum catches torn or bit-flipped files; the fingerprint catches
+//! resuming against the wrong tensor or options (different dims, ranks,
+//! seed, variant, precision, λ or data). Both fail with a named
+//! [`crate::PtuckerError::Checkpoint`], never a panic; every count is
+//! held to the bytes actually present before anything is allocated.
 //!
 //! # Atomicity
 //!
-//! [`FitCheckpoint::store`] writes to a sibling temp file, `fsync`s it,
-//! and `rename`s it over the destination — a crash mid-write leaves the
-//! previous checkpoint intact, never a truncated one. The containing
-//! directory is fsynced best-effort after the rename.
+//! [`FitCheckpoint::store`] writes through
+//! [`ptucker_transport::wire::write_atomically`]: a sibling temp file,
+//! `fsync`, `rename` over the destination, then a best-effort fsync of
+//! the directory — a crash mid-write leaves the previous checkpoint
+//! intact, never a truncated one.
 
 use crate::{FitInput, FitOptions, IterStats, PtuckerError, Result, StoragePrecision, Variant};
 use ptucker_linalg::Matrix;
 use ptucker_tensor::CoreTensor;
-use std::io::Write;
+use ptucker_transport::wire::{self, Dec, Enc, Fnv};
 use std::path::Path;
 
 /// Leading magic of every checkpoint file.
@@ -48,42 +53,6 @@ const MAGIC: [u8; 8] = *b"PTKCKPT1";
 
 /// Current serialization format version.
 const FORMAT_VERSION: u32 = 1;
-
-/// 64-bit FNV-1a — local copy (the shard crate has its own for frame
-/// checksums; the core crate cannot depend on it).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Incremental FNV-1a, for fingerprinting without materializing the
-/// hashed bytes.
-pub(crate) struct Fnv(pub(crate) u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.update(&v.to_le_bytes());
-    }
-
-    pub(crate) fn f64(&mut self, v: f64) {
-        self.update(&v.to_bits().to_le_bytes());
-    }
-}
 
 /// A complete, self-validating snapshot of an ALS fit between two
 /// iterations. See the [module docs](self) for the file format and
@@ -135,7 +104,7 @@ impl FitCheckpoint {
             }
             h.f64(v);
         })?;
-        Ok(h.0)
+        Ok(h.finish())
     }
 
     /// The configuration prefix of the fingerprint: dims,
@@ -169,43 +138,20 @@ impl FitCheckpoint {
     /// Serializes the checkpoint to its on-disk byte format (including
     /// the trailing checksum).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        put_u64(&mut out, self.fingerprint);
-        put_u64(&mut out, self.next_iter as u64);
-        put_f64(&mut out, self.prev_err);
-        put_u64(&mut out, self.iterations.len() as u64);
-        for s in &self.iterations {
-            put_u64(&mut out, s.iter as u64);
-            put_f64(&mut out, s.reconstruction_error);
-            put_f64(&mut out, s.seconds);
-            put_u64(&mut out, s.core_nnz as u64);
-        }
-        put_u64(&mut out, self.factors.len() as u64);
-        for m in &self.factors {
-            put_u64(&mut out, m.rows() as u64);
-            put_u64(&mut out, m.cols() as u64);
-            for &v in m.as_slice() {
-                put_f64(&mut out, v);
+        wire::seal(&MAGIC, FORMAT_VERSION, |e| {
+            e.u64(self.fingerprint);
+            e.usize(self.next_iter);
+            e.f64(self.prev_err);
+            e.usize(self.iterations.len());
+            for s in &self.iterations {
+                e.usize(s.iter);
+                e.f64(s.reconstruction_error);
+                e.f64(s.seconds);
+                e.usize(s.core_nnz);
             }
-        }
-        put_u64(&mut out, self.core.order() as u64);
-        for &d in self.core.dims() {
-            put_u64(&mut out, d as u64);
-        }
-        put_u64(&mut out, self.core.nnz() as u64);
-        for &i in self.core.flat_indices() {
-            put_u64(&mut out, i as u64);
-        }
-        for &v in self.core.values() {
-            put_f64(&mut out, v);
-        }
-        put_u64(&mut out, self.kernel_aux.len() as u64);
-        out.extend_from_slice(&self.kernel_aux);
-        let checksum = fnv1a(&out);
-        put_u64(&mut out, checksum);
-        out
+            encode_sections(e, &self.factors, &self.core);
+            e.bytes(&self.kernel_aux);
+        })
     }
 
     /// Parses and validates a checkpoint blob: magic, format version and
@@ -216,136 +162,47 @@ impl FitCheckpoint {
     /// bad magic, unsupported version, checksum mismatch, truncation, or
     /// an inconsistent field.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < MAGIC.len() + 4 + 8 {
-            return Err(ck(format!(
-                "file too short to be a checkpoint ({} bytes)",
-                bytes.len()
-            )));
-        }
-        if bytes[..8] != MAGIC {
-            return Err(ck("bad magic — not a P-Tucker checkpoint file".into()));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-        let computed = fnv1a(body);
-        if stored != computed {
-            return Err(ck(format!(
-                "checksum mismatch (stored {stored:#018x}, computed {computed:#018x}) — file corrupt or truncated"
-            )));
-        }
-        let mut d = Cur {
-            bytes: body,
-            pos: 8,
+        let decode = || -> wire::Result<Self> {
+            let mut d = wire::open(&MAGIC, FORMAT_VERSION, "checkpoint", bytes)?;
+            let fingerprint = d.u64()?;
+            let next_iter = d.usize()?;
+            let prev_err = d.f64()?;
+            let n_iters = d.count(32)?;
+            let iterations = (0..n_iters)
+                .map(|_| {
+                    Ok(IterStats {
+                        iter: d.usize()?,
+                        reconstruction_error: d.f64()?,
+                        seconds: d.f64()?,
+                        core_nnz: d.usize()?,
+                    })
+                })
+                .collect::<wire::Result<_>>()?;
+            let (factors, core) = decode_sections(&mut d)?;
+            let kernel_aux = d.bytes()?.to_vec();
+            d.finish()?;
+            Ok(FitCheckpoint {
+                fingerprint,
+                next_iter,
+                prev_err,
+                iterations,
+                factors,
+                core,
+                kernel_aux,
+            })
         };
-        let version = d.u32()?;
-        if version != FORMAT_VERSION {
-            return Err(ck(format!(
-                "unsupported checkpoint format version {version} (this build reads {FORMAT_VERSION})"
-            )));
-        }
-        let fingerprint = d.u64()?;
-        let next_iter = d.usize()?;
-        let prev_err = d.f64()?;
-        let n_iters = d.len("iteration stats")?;
-        let mut iterations = Vec::with_capacity(n_iters);
-        for _ in 0..n_iters {
-            iterations.push(IterStats {
-                iter: d.usize()?,
-                reconstruction_error: d.f64()?,
-                seconds: d.f64()?,
-                core_nnz: d.usize()?,
-            });
-        }
-        let n_factors = d.len("factors")?;
-        let mut factors = Vec::with_capacity(n_factors);
-        for _ in 0..n_factors {
-            let rows = d.usize()?;
-            let cols = d.usize()?;
-            let cells = rows
-                .checked_mul(cols)
-                .ok_or_else(|| ck("factor shape overflows".into()))?;
-            let mut data = Vec::with_capacity(cells.min(d.remaining() / 8));
-            for _ in 0..cells {
-                data.push(d.f64()?);
-            }
-            factors.push(
-                Matrix::from_vec(rows, cols, data)
-                    .map_err(|e| ck(format!("factor matrix malformed: {e}")))?,
-            );
-        }
-        let order = d.usize()?;
-        let mut dims = Vec::with_capacity(order.min(d.remaining() / 8));
-        for _ in 0..order {
-            dims.push(d.usize()?);
-        }
-        let nnz = d.usize()?;
-        let idx_count = nnz
-            .checked_mul(order)
-            .ok_or_else(|| ck("core shape overflows".into()))?;
-        let mut flat = Vec::with_capacity(idx_count.min(d.remaining() / 8));
-        for _ in 0..idx_count {
-            flat.push(d.usize()?);
-        }
-        let mut entries = Vec::with_capacity(nnz);
-        for e in 0..nnz {
-            entries.push((flat[e * order..(e + 1) * order].to_vec(), 0.0));
-        }
-        for entry in entries.iter_mut() {
-            entry.1 = d.f64()?;
-        }
-        let core = CoreTensor::from_entries(dims, entries)
-            .map_err(|e| ck(format!("core tensor malformed: {e}")))?;
-        let aux_len = d.len("kernel aux")?;
-        let kernel_aux = d.take(aux_len)?.to_vec();
-        if d.pos != body.len() {
-            return Err(ck(format!(
-                "{} trailing bytes after the kernel aux section",
-                body.len() - d.pos
-            )));
-        }
-        Ok(FitCheckpoint {
-            fingerprint,
-            next_iter,
-            prev_err,
-            iterations,
-            factors,
-            core,
-            kernel_aux,
-        })
+        decode().map_err(|e| PtuckerError::Checkpoint(e.0))
     }
 
-    /// Atomically writes the checkpoint to `path`: encode → sibling temp
-    /// file → `fsync` → `rename` → best-effort directory fsync. A crash
-    /// at any point leaves either the old checkpoint or the new one,
-    /// never a torn file.
+    /// Atomically writes the checkpoint to `path` (see
+    /// [`wire::write_atomically`]): a crash at any point leaves either the
+    /// old checkpoint or the new one, never a torn file.
     ///
     /// # Errors
     /// [`crate::PtuckerError::Checkpoint`] wrapping the failed I/O step.
     pub fn store(&self, path: &Path) -> Result<()> {
-        let bytes = self.encode();
-        let tmp = {
-            let mut name = path.file_name().unwrap_or_default().to_os_string();
-            name.push(".tmp");
-            path.with_file_name(name)
-        };
-        let io = |step: &'static str| {
-            let p = tmp.display().to_string();
-            move |e: std::io::Error| ck(format!("{step} {p}: {e}"))
-        };
-        let mut f = std::fs::File::create(&tmp).map_err(io("create"))?;
-        f.write_all(&bytes).map_err(io("write"))?;
-        f.sync_all().map_err(io("fsync"))?;
-        drop(f);
-        std::fs::rename(&tmp, path)
-            .map_err(|e| ck(format!("rename into {}: {e}", path.display())))?;
-        // Make the rename itself durable where the platform allows
-        // fsyncing a directory handle; failure here cannot tear the file.
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
+        wire::write_atomically(path, &self.encode())
+            .map_err(|e| PtuckerError::Checkpoint(e.to_string()))
     }
 
     /// Reads and validates a checkpoint from `path`.
@@ -354,84 +211,69 @@ impl FitCheckpoint {
     /// [`crate::PtuckerError::Checkpoint`] on I/O failure or any decode
     /// defect (see [`FitCheckpoint::decode`]).
     pub fn load(path: &Path) -> Result<Self> {
-        let bytes = std::fs::read(path).map_err(|e| ck(format!("read {}: {e}", path.display())))?;
+        let bytes = std::fs::read(path)
+            .map_err(|e| PtuckerError::Checkpoint(format!("read {}: {e}", path.display())))?;
         FitCheckpoint::decode(&bytes)
     }
 }
 
-fn ck(msg: String) -> PtuckerError {
-    PtuckerError::Checkpoint(msg)
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-/// A bounds-checked little-endian cursor; every read past the end is a
-/// named [`crate::PtuckerError::Checkpoint`], never a panic.
-pub(crate) struct Cur<'a> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| ck("checkpoint truncated mid-field".into()))?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    pub(crate) fn usize(&mut self) -> Result<usize> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| ck(format!("value {v} overflows usize")))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// A count field, sanity-bounded by the bytes actually left (every
-    /// counted element is at least one byte), so a corrupt length cannot
-    /// drive a huge allocation.
-    pub(crate) fn len(&mut self, what: &str) -> Result<usize> {
-        let n = self.usize()?;
-        if n > self.remaining().max(8) * 8 {
-            return Err(ck(format!(
-                "{what} count {n} exceeds what the file could hold"
-            )));
+/// The factor and core sections checkpoints and model files share: a
+/// `u64` factor count, then per factor `rows: u64`, `cols: u64` and its
+/// row-major `f64`s; then the core's `u64` order, dims as `u64`s, `u64`
+/// nnz, the `nnz × order` flat indices as `u64`s and the `nnz` values.
+pub(crate) fn encode_sections(e: &mut Enc<'_>, factors: &[Matrix], core: &CoreTensor) {
+    e.usize(factors.len());
+    for m in factors {
+        e.usize(m.rows());
+        e.usize(m.cols());
+        for &v in m.as_slice() {
+            e.f64(v);
         }
-        Ok(n)
     }
+    e.usizes(core.dims());
+    e.usize(core.nnz());
+    for &i in core.flat_indices() {
+        e.usize(i);
+    }
+    for &v in core.values() {
+        e.f64(v);
+    }
+}
+
+/// Reads what [`encode_sections`] wrote.
+pub(crate) fn decode_sections(d: &mut Dec<'_>) -> wire::Result<(Vec<Matrix>, CoreTensor)> {
+    let n_factors = d.count(16)?;
+    let factors = (0..n_factors)
+        .map(|_| {
+            let (rows, cols) = (d.usize()?, d.usize()?);
+            let cells = rows
+                .checked_mul(cols)
+                .ok_or_else(|| wire::Error::new("factor shape overflows"))?;
+            d.check_count(cells, 8)?;
+            let data = (0..cells).map(|_| d.f64()).collect::<wire::Result<_>>()?;
+            Matrix::from_vec(rows, cols, data)
+                .map_err(|e| wire::Error::new(format!("factor matrix malformed: {e}")))
+        })
+        .collect::<wire::Result<_>>()?;
+    let dims = d.usizes()?;
+    let order = dims.len();
+    // Each core entry is `order` indices and one value.
+    let nnz = d.count(8 * (order + 1))?;
+    let flat = (0..nnz * order)
+        .map(|_| d.usize())
+        .collect::<wire::Result<Vec<_>>>()?;
+    let entries = (0..nnz)
+        .map(|e| Ok((flat[e * order..(e + 1) * order].to_vec(), d.f64()?)))
+        .collect::<wire::Result<_>>()?;
+    let core = CoreTensor::from_entries(dims, entries)
+        .map_err(|e| wire::Error::new(format!("core tensor malformed: {e}")))?;
+    Ok((factors, core))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptucker_transport::fnv1a;
 
     fn sample() -> FitCheckpoint {
         FitCheckpoint {
@@ -549,6 +391,130 @@ mod tests {
         // Empty file.
         let err = FitCheckpoint::decode(&[]).unwrap_err();
         assert!(matches!(err, PtuckerError::Checkpoint(_)), "{err}");
+
+        // A zero-order core claiming a huge nnz (fingerprint, next_iter,
+        // prev_err, no iterations, no factors, order 0, nnz = 2⁶¹) under a
+        // valid checksum: the count rule must reject it before allocating.
+        let mut huge = MAGIC.to_vec();
+        huge.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        for field in [7u64, 1, 0, 0, 0, 0, 1 << 61, 0] {
+            huge.extend_from_slice(&field.to_le_bytes());
+        }
+        let sum = fnv1a(&huge);
+        huge.extend_from_slice(&sum.to_le_bytes());
+        let err = FitCheckpoint::decode(&huge).unwrap_err();
+        assert!(matches!(err, PtuckerError::Checkpoint(_)), "{err}");
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// A small hand-built checkpoint; `kernel_aux` as given.
+    fn golden(kernel_aux: Vec<u8>) -> FitCheckpoint {
+        FitCheckpoint {
+            fingerprint: 0x0123_4567_89ab_cdef,
+            next_iter: 2,
+            prev_err: 0.5,
+            iterations: vec![
+                IterStats {
+                    iter: 0,
+                    reconstruction_error: 1.25,
+                    seconds: 0.0625,
+                    core_nnz: 2,
+                },
+                IterStats {
+                    iter: 1,
+                    reconstruction_error: 0.5,
+                    seconds: 0.125,
+                    core_nnz: 2,
+                },
+            ],
+            factors: vec![
+                Matrix::from_vec(2, 1, vec![1.0, -2.0]).unwrap(),
+                Matrix::from_vec(3, 2, vec![0.5, 0.25, -1.0, 0.0, 2.0, 4.0]).unwrap(),
+            ],
+            core: CoreTensor::from_entries(
+                vec![1, 2],
+                vec![(vec![0, 0], 1.5), (vec![0, 1], -0.75)],
+            )
+            .unwrap(),
+            kernel_aux,
+        }
+    }
+
+    /// **Frozen file bytes.** Format-1 checkpoints — Direct (empty
+    /// `kernel_aux`) and Cache (a non-empty one) — byte for byte. Files
+    /// an older build wrote must keep decoding, so a change here must bump
+    /// `FORMAT_VERSION` on purpose.
+    #[test]
+    fn checkpoint_format_v1_is_frozen() {
+        let frozen = [
+            (
+                golden(Vec::new()),
+                concat!(
+                    "50544b434b50543101000000efcdab8967452301020000000000000000000000",
+                    "0000e03f02000000000000000000000000000000000000000000f43f00000000",
+                    "0000b03f02000000000000000100000000000000000000000000e03f00000000",
+                    "0000c03f02000000000000000200000000000000020000000000000001000000",
+                    "00000000000000000000f03f00000000000000c0030000000000000002000000",
+                    "00000000000000000000e03f000000000000d03f000000000000f0bf00000000",
+                    "0000000000000000000000400000000000001040020000000000000001000000",
+                    "0000000002000000000000000200000000000000000000000000000000000000",
+                    "0000000000000000000000000100000000000000000000000000f83f00000000",
+                    "0000e8bf0000000000000000207d1b7dd6c21140",
+                ),
+            ),
+            (
+                golden(vec![0xa5, 0, 1, 2, 3, 4, 5, 6, 7, 0xff]),
+                concat!(
+                    "50544b434b50543101000000efcdab8967452301020000000000000000000000",
+                    "0000e03f02000000000000000000000000000000000000000000f43f00000000",
+                    "0000b03f02000000000000000100000000000000000000000000e03f00000000",
+                    "0000c03f02000000000000000200000000000000020000000000000001000000",
+                    "00000000000000000000f03f00000000000000c0030000000000000002000000",
+                    "00000000000000000000e03f000000000000d03f000000000000f0bf00000000",
+                    "0000000000000000000000400000000000001040020000000000000001000000",
+                    "0000000002000000000000000200000000000000000000000000000000000000",
+                    "0000000000000000000000000100000000000000000000000000f83f00000000",
+                    "0000e8bf0a00000000000000a50001020304050607ff9eb014626da44592",
+                ),
+            ),
+        ];
+        for (c, want) in &frozen {
+            let bytes = c.encode();
+            assert_eq!(hex(&bytes), *want);
+            assert_same(c, &FitCheckpoint::decode(&bytes).unwrap());
+        }
+    }
+
+    /// **Frozen fingerprint.** A checkpoint stores this value and a
+    /// resume compares it, so it must not move for the same tensor and
+    /// options, or every existing checkpoint stops resuming.
+    #[test]
+    fn fingerprint_is_frozen() {
+        use ptucker_tensor::SparseTensor;
+        let x = SparseTensor::new(
+            vec![3, 2, 2],
+            vec![
+                (vec![0, 0, 0], 1.0),
+                (vec![2, 1, 0], -0.5),
+                (vec![1, 0, 1], 2.25),
+                (vec![2, 1, 1], 0.125),
+            ],
+        )
+        .unwrap();
+        let opts = FitOptions::new(vec![2, 2, 1]).seed(7).lambda(0.01);
+        let fp = |o: &FitOptions| FitCheckpoint::fingerprint(&FitInput::from(&x), o).unwrap();
+        assert_eq!(fp(&opts), 5154021232213197550);
+        let approx = opts
+            .clone()
+            .variant(Variant::Approx {
+                truncation_rate: 0.25,
+            })
+            .precision(StoragePrecision::F32)
+            .sample_stride(3);
+        assert_eq!(fp(&approx), 16944017260971379538);
     }
 
     #[test]

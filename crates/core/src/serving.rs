@@ -39,21 +39,22 @@
 //! # Model files
 //!
 //! [`TuckerDecomposition::store`]/[`load`](TuckerDecomposition::load)
-//! persist a fitted model in the same defensive idiom as fit
-//! checkpoints: magic `"PTKMODL1"`, a format version, little-endian
-//! fields, and a trailing FNV-1a checksum, written atomically
-//! (temp file → fsync → rename). Corrupt or truncated files fail with a
-//! named [`PtuckerError::Model`], never a panic.
+//! persist a fitted model as a sealed file, the envelope fit checkpoints
+//! use too ([`ptucker_transport::wire::seal`]): magic `"PTKMODL1"`, a
+//! `u32` format version, the factor and core sections checkpoints also
+//! carry (same codec), and a trailing FNV-1a checksum, written by
+//! [`ptucker_transport::wire::write_atomically`] (temp file → fsync →
+//! rename). Corrupt or truncated files fail with a named
+//! [`PtuckerError::Model`], never a panic or an allocation larger than
+//! the file.
 
-use crate::checkpoint::{fnv1a, put_f64, put_u64, Cur};
+use crate::checkpoint::{decode_sections, encode_sections};
 #[cfg(test)]
 use crate::delta::{core_runs, reconstruct_entry_blocked};
 use crate::delta::{delta_for_entry, RunPlan};
 use crate::{PtuckerError, Result, StoragePrecision, TuckerDecomposition};
 use ptucker_linalg::kernels::{dot, dot_f32_f64};
-use ptucker_linalg::Matrix;
-use ptucker_tensor::CoreTensor;
-use std::io::Write;
+use ptucker_transport::wire;
 use std::path::Path;
 
 /// Leading magic of every serialized model file.
@@ -66,44 +67,13 @@ fn md(msg: String) -> PtuckerError {
     PtuckerError::Model(msg)
 }
 
-/// Re-labels cursor errors (which report as checkpoint failures) for the
-/// model-file context.
-fn as_model(e: PtuckerError) -> PtuckerError {
-    match e {
-        PtuckerError::Checkpoint(m) => PtuckerError::Model(m),
-        other => other,
-    }
-}
-
 impl TuckerDecomposition {
     /// Serializes the model to its on-disk byte format (including the
     /// trailing checksum). See the [module docs](self) for the layout.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        put_u64(&mut out, self.factors.len() as u64);
-        for m in &self.factors {
-            put_u64(&mut out, m.rows() as u64);
-            put_u64(&mut out, m.cols() as u64);
-            for &v in m.as_slice() {
-                put_f64(&mut out, v);
-            }
-        }
-        put_u64(&mut out, self.core.order() as u64);
-        for &d in self.core.dims() {
-            put_u64(&mut out, d as u64);
-        }
-        put_u64(&mut out, self.core.nnz() as u64);
-        for &i in self.core.flat_indices() {
-            put_u64(&mut out, i as u64);
-        }
-        for &v in self.core.values() {
-            put_f64(&mut out, v);
-        }
-        let checksum = fnv1a(&out);
-        put_u64(&mut out, checksum);
-        out
+        wire::seal(&MAGIC, FORMAT_VERSION, |e| {
+            encode_sections(e, &self.factors, &self.core);
+        })
     }
 
     /// Parses and validates a model blob: magic, format version and
@@ -115,111 +85,23 @@ impl TuckerDecomposition {
     /// unsupported version, checksum mismatch, truncation, or an
     /// inconsistent field.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < MAGIC.len() + 4 + 8 {
-            return Err(md(format!(
-                "file too short to be a model ({} bytes)",
-                bytes.len()
-            )));
-        }
-        if bytes[..8] != MAGIC {
-            return Err(md("bad magic — not a P-Tucker model file".into()));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-        let computed = fnv1a(body);
-        if stored != computed {
-            return Err(md(format!(
-                "checksum mismatch (stored {stored:#018x}, computed {computed:#018x}) — file corrupt or truncated"
-            )));
-        }
-        let mut d = Cur {
-            bytes: body,
-            pos: 8,
+        let decode = || -> wire::Result<Self> {
+            let mut d = wire::open(&MAGIC, FORMAT_VERSION, "model", bytes)?;
+            let (factors, core) = decode_sections(&mut d)?;
+            d.finish()?;
+            Ok(TuckerDecomposition { factors, core })
         };
-        let version = d.u32().map_err(as_model)?;
-        if version != FORMAT_VERSION {
-            return Err(md(format!(
-                "unsupported model format version {version} (this build reads {FORMAT_VERSION})"
-            )));
-        }
-        let n_factors = d.len("factors").map_err(as_model)?;
-        let mut factors = Vec::with_capacity(n_factors);
-        for _ in 0..n_factors {
-            let rows = d.usize().map_err(as_model)?;
-            let cols = d.usize().map_err(as_model)?;
-            let cells = rows
-                .checked_mul(cols)
-                .ok_or_else(|| md("factor shape overflows".into()))?;
-            let mut data = Vec::with_capacity(cells.min(d.remaining() / 8));
-            for _ in 0..cells {
-                data.push(d.f64().map_err(as_model)?);
-            }
-            factors.push(
-                Matrix::from_vec(rows, cols, data)
-                    .map_err(|e| md(format!("factor matrix malformed: {e}")))?,
-            );
-        }
-        let order = d.usize().map_err(as_model)?;
-        let mut dims = Vec::with_capacity(order.min(d.remaining() / 8));
-        for _ in 0..order {
-            dims.push(d.usize().map_err(as_model)?);
-        }
-        let nnz = d.usize().map_err(as_model)?;
-        let idx_count = nnz
-            .checked_mul(order)
-            .ok_or_else(|| md("core shape overflows".into()))?;
-        let mut flat = Vec::with_capacity(idx_count.min(d.remaining() / 8));
-        for _ in 0..idx_count {
-            flat.push(d.usize().map_err(as_model)?);
-        }
-        let mut entries = Vec::with_capacity(nnz);
-        for e in 0..nnz {
-            entries.push((flat[e * order..(e + 1) * order].to_vec(), 0.0));
-        }
-        for entry in entries.iter_mut() {
-            entry.1 = d.f64().map_err(as_model)?;
-        }
-        let core = CoreTensor::from_entries(dims, entries)
-            .map_err(|e| md(format!("core tensor malformed: {e}")))?;
-        if d.pos != body.len() {
-            return Err(md(format!(
-                "{} trailing bytes after the core section",
-                body.len() - d.pos
-            )));
-        }
-        Ok(TuckerDecomposition { factors, core })
+        decode().map_err(|e| md(e.0))
     }
 
-    /// Atomically writes the model to `path`: encode → sibling temp file
-    /// → `fsync` → `rename` → best-effort directory fsync. A crash at
-    /// any point leaves either the old model or the new one, never a
-    /// torn file.
+    /// Atomically writes the model to `path` (see
+    /// [`wire::write_atomically`]): a crash at any point leaves either the
+    /// old model or the new one, never a torn file.
     ///
     /// # Errors
     /// [`PtuckerError::Model`] wrapping the failed I/O step.
     pub fn store(&self, path: &Path) -> Result<()> {
-        let bytes = self.encode();
-        let tmp = {
-            let mut name = path.file_name().unwrap_or_default().to_os_string();
-            name.push(".tmp");
-            path.with_file_name(name)
-        };
-        let io = |step: &'static str| {
-            let p = tmp.display().to_string();
-            move |e: std::io::Error| md(format!("{step} {p}: {e}"))
-        };
-        let mut f = std::fs::File::create(&tmp).map_err(io("create"))?;
-        f.write_all(&bytes).map_err(io("write"))?;
-        f.sync_all().map_err(io("fsync"))?;
-        drop(f);
-        std::fs::rename(&tmp, path)
-            .map_err(|e| md(format!("rename into {}: {e}", path.display())))?;
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
+        wire::write_atomically(path, &self.encode()).map_err(|e| md(e.to_string()))
     }
 
     /// Reads and validates a model from `path`.
@@ -403,6 +285,8 @@ impl Predictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptucker_linalg::Matrix;
+    use ptucker_tensor::CoreTensor;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -531,6 +415,36 @@ mod tests {
         }
     }
 
+    /// **Frozen file bytes.** A hand-built format-1 model file, byte for
+    /// byte. Stored models must keep loading, so a change here must bump
+    /// `FORMAT_VERSION` on purpose.
+    #[test]
+    fn model_file_format_v1_is_frozen() {
+        let model = TuckerDecomposition {
+            factors: vec![
+                Matrix::from_vec(2, 2, vec![1.0, -0.5, 0.25, 2.0]).unwrap(),
+                Matrix::from_vec(3, 1, vec![0.125, -4.0, 8.0]).unwrap(),
+            ],
+            core: CoreTensor::from_entries(vec![2, 1], vec![(vec![0, 0], 1.5), (vec![1, 0], -3.0)])
+                .unwrap(),
+        };
+        let bytes = model.encode();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "50544b4d4f444c31010000000200000000000000020000000000000002000000",
+                "00000000000000000000f03f000000000000e0bf000000000000d03f00000000",
+                "0000004003000000000000000100000000000000000000000000c03f00000000",
+                "000010c000000000000020400200000000000000020000000000000001000000",
+                "0000000002000000000000000000000000000000000000000000000001000000",
+                "000000000000000000000000000000000000f83f00000000000008c087b64c46",
+                "641284f4",
+            )
+        );
+        assert_eq!(TuckerDecomposition::decode(&bytes).unwrap().encode(), bytes);
+    }
+
     #[test]
     fn model_store_load_round_trips() {
         let dir = std::env::temp_dir().join(format!("ptk-model-{}", std::process::id()));
@@ -567,6 +481,20 @@ mod tests {
         assert!(err.to_string().contains("magic"), "{err}");
 
         let err = TuckerDecomposition::decode(&[]).unwrap_err();
+        assert!(matches!(err, PtuckerError::Model(_)), "{err}");
+
+        // A zero-order core claiming a huge nnz: no factors, order 0,
+        // nnz = 2⁶¹, under a valid checksum. Nothing indexes such a core,
+        // so only the count rule stands between nnz and an allocation.
+        let mut huge = b"PTKMODL1".to_vec();
+        huge.extend_from_slice(&1u32.to_le_bytes());
+        for field in [0u64, 0, 1 << 61] {
+            huge.extend_from_slice(&field.to_le_bytes());
+        }
+        let sum = ptucker_transport::fnv1a(&huge);
+        huge.extend_from_slice(&sum.to_le_bytes());
+        assert_eq!(huge.len(), 44);
+        let err = TuckerDecomposition::decode(&huge).unwrap_err();
         assert!(matches!(err, PtuckerError::Model(_)), "{err}");
     }
 

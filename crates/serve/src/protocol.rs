@@ -37,6 +37,7 @@
 
 use crate::{Result, ServeError};
 use ptucker::StoragePrecision;
+use ptucker_transport::wire::{self, Dec, Enc};
 use ptucker_transport::{Channel, FaultInjector, Frame};
 use std::io::{Read, Write};
 
@@ -172,89 +173,6 @@ pub(crate) fn tag_by_name(name: &str) -> Option<u8> {
     })
 }
 
-// ---- little-endian primitives over a reusable output buffer ----
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Little-endian cursor over a received payload; every getter checks
-/// bounds so truncated or mis-tagged payloads decode to an error, never
-/// a panic.
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| ServeError::Protocol("truncated payload".into()))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4B")))
-    }
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8B")))
-    }
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8B")))
-    }
-
-    /// A length prefix for `elem_bytes`-wide elements, guarded against
-    /// the bytes actually present so a corrupt count cannot force a huge
-    /// allocation.
-    fn len(&mut self, elem_bytes: usize) -> Result<usize> {
-        let n = usize::try_from(self.u64()?)
-            .map_err(|_| ServeError::Protocol("count exceeds usize".into()))?;
-        if n > (self.buf.len() - self.pos) / elem_bytes.max(1) {
-            return Err(ServeError::Protocol("count overruns payload".into()));
-        }
-        Ok(n)
-    }
-
-    fn u64_list_into(&mut self, out: &mut Vec<u64>) -> Result<()> {
-        let n = self.len(8)?;
-        out.clear();
-        out.reserve(n);
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(())
-    }
-
-    fn finish(&self) -> Result<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(ServeError::Protocol("trailing bytes in payload".into()))
-        }
-    }
-}
-
 // ---- allocation-free server-side request/reply helpers ----
 //
 // Each helper is one half of the enum codec below; the enum delegates to
@@ -270,9 +188,21 @@ pub(crate) struct TopKHeader {
     pub queries: u32,
 }
 
-pub(crate) fn encode_hello_into(out: &mut Vec<u8>, version: u32) {
+/// A cleared encoder over a reused output buffer.
+fn enc(out: &mut Vec<u8>) -> Enc<'_> {
     out.clear();
-    put_u32(out, version);
+    Enc(out)
+}
+
+fn precision_tag(precision: StoragePrecision) -> u8 {
+    match precision {
+        StoragePrecision::F64 => 0,
+        StoragePrecision::F32 => 1,
+    }
+}
+
+pub(crate) fn encode_hello_into(out: &mut Vec<u8>, version: u32) {
+    enc(out).u32(version);
 }
 
 pub(crate) fn encode_welcome_into(
@@ -283,70 +213,49 @@ pub(crate) fn encode_welcome_into(
     ranks: &[usize],
     precision: StoragePrecision,
 ) {
-    out.clear();
-    put_u32(out, version);
-    put_u64(out, epoch);
-    put_u8(
-        out,
-        match precision {
-            StoragePrecision::F64 => 0,
-            StoragePrecision::F32 => 1,
-        },
-    );
-    put_u64(out, dims.len() as u64);
-    for &d in dims {
-        put_u64(out, d as u64);
-    }
-    put_u64(out, ranks.len() as u64);
-    for &r in ranks {
-        put_u64(out, r as u64);
-    }
+    let mut e = enc(out);
+    e.u32(version);
+    e.u64(epoch);
+    e.u8(precision_tag(precision));
+    e.usizes(dims);
+    e.usizes(ranks);
 }
 
 pub(crate) fn encode_point_into(out: &mut Vec<u8>, id: u64, indices: &[u64]) {
-    out.clear();
-    put_u64(out, id);
-    put_u64(out, indices.len() as u64);
-    for &i in indices {
-        put_u64(out, i);
-    }
+    let mut e = enc(out);
+    e.u64(id);
+    e.u64s(indices);
 }
 
 /// Decodes a `Point` payload: indices land in `indices` (cleared and
 /// reused), the request id is returned.
-pub(crate) fn decode_point_into(payload: &[u8], indices: &mut Vec<u64>) -> Result<u64> {
+pub(crate) fn decode_point_into(payload: &[u8], indices: &mut Vec<u64>) -> wire::Result<u64> {
     let mut d = Dec::new(payload);
     let id = d.u64()?;
-    d.u64_list_into(indices)?;
+    d.u64s_into(indices)?;
     d.finish()?;
     Ok(id)
 }
 
 pub(crate) fn encode_point_reply_into(out: &mut Vec<u8>, id: u64, epoch: u64, values: &[f64]) {
-    out.clear();
-    put_u64(out, id);
-    put_u64(out, epoch);
-    put_u64(out, values.len() as u64);
-    for &v in values {
-        put_f64(out, v);
-    }
+    let mut e = enc(out);
+    e.u64(id);
+    e.u64(epoch);
+    e.f64s(values);
 }
 
 pub(crate) fn encode_topk_into(out: &mut Vec<u8>, h: TopKHeader, others: &[u64]) {
-    out.clear();
-    put_u64(out, h.id);
-    put_u32(out, h.mode);
-    put_u32(out, h.k);
-    put_u32(out, h.queries);
-    put_u64(out, others.len() as u64);
-    for &i in others {
-        put_u64(out, i);
-    }
+    let mut e = enc(out);
+    e.u64(h.id);
+    e.u32(h.mode);
+    e.u32(h.k);
+    e.u32(h.queries);
+    e.u64s(others);
 }
 
 /// Decodes a `TopK` payload: contexts land in `others` (cleared and
 /// reused), the header is returned.
-pub(crate) fn decode_topk_into(payload: &[u8], others: &mut Vec<u64>) -> Result<TopKHeader> {
+pub(crate) fn decode_topk_into(payload: &[u8], others: &mut Vec<u64>) -> wire::Result<TopKHeader> {
     let mut d = Dec::new(payload);
     let h = TopKHeader {
         id: d.u64()?,
@@ -354,7 +263,7 @@ pub(crate) fn decode_topk_into(payload: &[u8], others: &mut Vec<u64>) -> Result<
         k: d.u32()?,
         queries: d.u32()?,
     };
-    d.u64_list_into(others)?;
+    d.u64s_into(others)?;
     d.finish()?;
     Ok(h)
 }
@@ -366,27 +275,25 @@ pub(crate) fn encode_topk_reply_into(
     k: u32,
     items: &[(u32, f64)],
 ) {
-    out.clear();
-    put_u64(out, id);
-    put_u64(out, epoch);
-    put_u32(out, k);
-    put_u64(out, items.len() as u64);
+    let mut e = enc(out);
+    e.u64(id);
+    e.u64(epoch);
+    e.u32(k);
+    e.usize(items.len());
     for &(row, score) in items {
-        put_u32(out, row);
-        put_f64(out, score);
+        e.u32(row);
+        e.f64(score);
     }
 }
 
 pub(crate) fn encode_info_into(out: &mut Vec<u8>, id: u64) {
-    out.clear();
-    put_u64(out, id);
+    enc(out).u64(id);
 }
 
 pub(crate) fn encode_error_into(out: &mut Vec<u8>, id: u64, message: &str) {
-    out.clear();
-    put_u64(out, id);
-    put_u64(out, message.len() as u64);
-    out.extend_from_slice(message.as_bytes());
+    let mut e = enc(out);
+    e.u64(id);
+    e.bytes(message.as_bytes());
 }
 
 impl QueryMessage {
@@ -414,24 +321,12 @@ impl QueryMessage {
                 // encode_welcome_into takes the Predictor's usize shape
                 // slices; the enum stores the wire's u64 view, so this
                 // arm writes the same layout directly.
-                out.clear();
-                put_u32(out, *version);
-                put_u64(out, *epoch);
-                put_u8(
-                    out,
-                    match precision {
-                        StoragePrecision::F64 => 0,
-                        StoragePrecision::F32 => 1,
-                    },
-                );
-                put_u64(out, dims.len() as u64);
-                for &d in dims {
-                    put_u64(out, d);
-                }
-                put_u64(out, ranks.len() as u64);
-                for &r in ranks {
-                    put_u64(out, r);
-                }
+                let mut e = enc(out);
+                e.u32(*version);
+                e.u64(*epoch);
+                e.u8(precision_tag(*precision));
+                e.u64s(dims);
+                e.u64s(ranks);
                 TAG_WELCOME
             }
             QueryMessage::Point { id, indices } => {
@@ -490,47 +385,37 @@ impl QueryMessage {
     /// # Errors
     /// [`ServeError::Protocol`] on an unknown tag or malformed payload.
     pub fn decode(frame: &Frame) -> Result<QueryMessage> {
-        let mut d = Dec::new(&frame.payload);
-        let msg = match frame.tag {
+        Self::decode_payload(frame.tag, &frame.payload).map_err(|e| ServeError::Protocol(e.0))
+    }
+
+    fn decode_payload(tag: u8, payload: &[u8]) -> wire::Result<QueryMessage> {
+        let mut d = Dec::new(payload);
+        let msg = match tag {
             TAG_HELLO => QueryMessage::Hello { version: d.u32()? },
-            TAG_WELCOME => {
-                let version = d.u32()?;
-                let epoch = d.u64()?;
-                let precision = match d.u8()? {
+            TAG_WELCOME => QueryMessage::Welcome {
+                version: d.u32()?,
+                epoch: d.u64()?,
+                precision: match d.u8()? {
                     0 => StoragePrecision::F64,
                     1 => StoragePrecision::F32,
-                    t => return Err(ServeError::Protocol(format!("bad precision tag {t}"))),
-                };
-                let mut dims = Vec::new();
-                d.u64_list_into(&mut dims)?;
-                let mut ranks = Vec::new();
-                d.u64_list_into(&mut ranks)?;
-                QueryMessage::Welcome {
-                    version,
-                    epoch,
-                    dims,
-                    ranks,
-                    precision,
-                }
-            }
+                    t => return Err(wire::Error::new(format!("bad precision tag {t}"))),
+                },
+                dims: u64s(&mut d)?,
+                ranks: u64s(&mut d)?,
+            },
             TAG_POINT => {
                 let mut indices = Vec::new();
-                let id = decode_point_into(&frame.payload, &mut indices)?;
+                let id = decode_point_into(payload, &mut indices)?;
                 return Ok(QueryMessage::Point { id, indices });
             }
-            TAG_POINT_REPLY => {
-                let id = d.u64()?;
-                let epoch = d.u64()?;
-                let n = d.len(8)?;
-                let mut values = Vec::with_capacity(n);
-                for _ in 0..n {
-                    values.push(d.f64()?);
-                }
-                QueryMessage::PointReply { id, epoch, values }
-            }
+            TAG_POINT_REPLY => QueryMessage::PointReply {
+                id: d.u64()?,
+                epoch: d.u64()?,
+                values: d.f64s()?,
+            },
             TAG_TOPK => {
                 let mut others = Vec::new();
-                let h = decode_topk_into(&frame.payload, &mut others)?;
+                let h = decode_topk_into(payload, &mut others)?;
                 return Ok(QueryMessage::TopK {
                     id: h.id,
                     mode: h.mode,
@@ -539,34 +424,25 @@ impl QueryMessage {
                     others,
                 });
             }
-            TAG_TOPK_REPLY => {
-                let id = d.u64()?;
-                let epoch = d.u64()?;
-                let k = d.u32()?;
-                let n = d.len(12)?;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let row = d.u32()?;
-                    let score = d.f64()?;
-                    items.push((row, score));
-                }
-                QueryMessage::TopKReply {
-                    id,
-                    epoch,
-                    k,
-                    items,
-                }
-            }
+            TAG_TOPK_REPLY => QueryMessage::TopKReply {
+                id: d.u64()?,
+                epoch: d.u64()?,
+                k: d.u32()?,
+                items: {
+                    let n = d.count(12)?;
+                    (0..n)
+                        .map(|_| Ok((d.u32()?, d.f64()?)))
+                        .collect::<wire::Result<_>>()?
+                },
+            },
             TAG_INFO => QueryMessage::Info { id: d.u64()? },
             TAG_GOODBYE => QueryMessage::Goodbye,
-            TAG_ERROR => {
-                let id = d.u64()?;
-                let n = d.len(1)?;
-                let message = String::from_utf8(d.take(n)?.to_vec())
-                    .map_err(|_| ServeError::Protocol("error message is not UTF-8".into()))?;
-                QueryMessage::Error { id, message }
-            }
-            t => return Err(ServeError::Protocol(format!("unknown frame tag {t}"))),
+            TAG_ERROR => QueryMessage::Error {
+                id: d.u64()?,
+                message: String::from_utf8(d.bytes()?.to_vec())
+                    .map_err(|_| wire::Error::new("error message is not UTF-8"))?,
+            },
+            t => return Err(wire::Error::new(format!("unknown frame tag {t}"))),
         };
         d.finish()?;
         Ok(msg)
@@ -586,6 +462,12 @@ impl QueryMessage {
             QueryMessage::Error { .. } => "Error",
         }
     }
+}
+
+fn u64s(d: &mut Dec<'_>) -> wire::Result<Vec<u64>> {
+    let mut v = Vec::new();
+    d.u64s_into(&mut v)?;
+    Ok(v)
 }
 
 /// Sends one message over a framed channel.
@@ -808,6 +690,119 @@ mod tests {
         let (tag, mut payload) = QueryMessage::Info { id: 2 }.encode();
         payload.push(0);
         assert!(QueryMessage::decode(&Frame { tag, payload }).is_err());
+    }
+
+    /// The full frame (`[len][tag][payload][checksum]`) `msg` goes out as,
+    /// in hex.
+    fn wire_hex(msg: &QueryMessage) -> String {
+        let mut wire = Vec::new();
+        send(&mut Channel::new(std::io::empty(), &mut wire), msg).unwrap();
+        wire.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// **Frozen wire bytes.** Every query message as protocol v1 frames
+    /// it. A change to any message encoding fails here, and must bump
+    /// `PROTOCOL_VERSION` and re-capture on purpose.
+    #[test]
+    fn query_protocol_v1_wire_format_is_frozen() {
+        assert_eq!(PROTOCOL_VERSION, 1);
+        let frozen: [(&str, QueryMessage, &str); 9] = [
+            (
+                "Hello",
+                QueryMessage::Hello { version: 1 },
+                "0500000001010000007d3b12feb6180878",
+            ),
+            (
+                "Welcome",
+                QueryMessage::Welcome {
+                    version: 1,
+                    epoch: 3,
+                    dims: vec![5, 4],
+                    ranks: vec![2, 1],
+                    precision: StoragePrecision::F32,
+                },
+                concat!(
+                    "3e00000002010000000300000000000000010200000000000000050000000000",
+                    "0000040000000000000002000000000000000200000000000000010000000000",
+                    "000090ae88e94b1b0585",
+                ),
+            ),
+            (
+                "Point",
+                QueryMessage::Point {
+                    id: 9,
+                    indices: vec![1, 2, 0, 3],
+                },
+                concat!(
+                    "3100000003090000000000000004000000000000000100000000000000020000",
+                    "0000000000000000000000000003000000000000007fc938c76b13cf01",
+                ),
+            ),
+            (
+                "PointReply",
+                QueryMessage::PointReply {
+                    id: 9,
+                    epoch: 3,
+                    values: vec![0.5, -1.25],
+                },
+                concat!(
+                    "2900000004090000000000000003000000000000000200000000000000000000",
+                    "000000e03f000000000000f4bf87f28a4f3cfd36a2",
+                ),
+            ),
+            (
+                "TopK",
+                QueryMessage::TopK {
+                    id: 10,
+                    mode: 1,
+                    k: 2,
+                    queries: 2,
+                    others: vec![4, 0],
+                },
+                concat!(
+                    "2d000000050a0000000000000001000000020000000200000002000000000000",
+                    "00040000000000000000000000000000007d67466047a0f29b",
+                ),
+            ),
+            (
+                "TopKReply",
+                QueryMessage::TopKReply {
+                    id: 10,
+                    epoch: 3,
+                    k: 1,
+                    items: vec![(2, 0.75), (0, -0.5)],
+                },
+                concat!(
+                    "35000000060a0000000000000003000000000000000100000002000000000000",
+                    "0002000000000000000000e83f00000000000000000000e0bfa91c2ae16726d1",
+                    "73",
+                ),
+            ),
+            (
+                "Info",
+                QueryMessage::Info { id: 11 },
+                "09000000070b000000000000006d4e4ab360f3a004",
+            ),
+            (
+                "Goodbye",
+                QueryMessage::Goodbye,
+                "010000000877c501864cc563af",
+            ),
+            (
+                "Error",
+                QueryMessage::Error {
+                    id: 12,
+                    message: "bad mode".into(),
+                },
+                concat!(
+                    "19000000090c000000000000000800000000000000626164206d6f6465866c26",
+                    "86d1ba9580",
+                ),
+            ),
+        ];
+        for (name, msg, hex) in &frozen {
+            assert_eq!(wire_hex(msg), *hex, "{name}");
+        }
     }
 
     #[test]

@@ -22,6 +22,15 @@
 //! variant is resident-only: where its table does not fit, the sharded
 //! fit fails as the solo fit does).
 //!
+//! # Wire
+//!
+//! The framed transport and the byte codec live in [`ptucker_transport`]
+//! (frames, byte counters, read deadlines, fault injection, and its
+//! [`ptucker_transport::wire`] module), shared with the serving read
+//! path. This crate re-exports the transport types at its root
+//! ([`Channel`], [`Frame`], [`fnv1a`], [`FaultInjector`], …) and defines
+//! the shard message set and [`PROTOCOL_VERSION`] in [`protocol`].
+//!
 //! # Fault tolerance
 //!
 //! With a [`FaultPolicy`] installed, a worker that dies or hangs
@@ -61,12 +70,11 @@
 #![forbid(unsafe_code)]
 
 pub mod protocol;
-pub mod transport;
 mod worker;
 
-pub use transport::{
+pub use protocol::PROTOCOL_VERSION;
+pub use ptucker_transport::{
     fnv1a, ByteCounters, Channel, FaultAction, FaultInjector, FaultPoint, FaultRule, Frame,
-    PROTOCOL_VERSION,
 };
 pub use worker::worker_loop;
 

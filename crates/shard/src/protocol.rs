@@ -26,11 +26,19 @@
 //! preserves, so a worker's rebuilt tensor (entry ids, mode indexes,
 //! plans) is bit-for-bit the coordinator's.
 
-use crate::transport::{Channel, Frame};
 use crate::ShardError;
 use ptucker::{BudgetPolicy, FitOptions, MemoryBudget, Schedule, StoragePrecision, Variant};
+use ptucker_transport::wire::{self, Dec, Enc};
+use ptucker_transport::{Channel, FaultInjector, Frame};
 use std::io::{Read, Write};
 use std::ops::Range;
+
+/// Version negotiated by the `Hello` exchange; bumped whenever the frame
+/// layout or any message encoding changes. Version 2 added the
+/// `Heartbeat` and `Reassign` messages and the plan's `resume`/`fault`
+/// fields; version 3 the squared-residual section of `Rows` and
+/// `FactorSync`.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// One protocol message. See the [module docs](self) for the flow.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,16 +167,15 @@ const TAG_SHUTDOWN: u8 = 7;
 const TAG_HEARTBEAT: u8 = 8;
 const TAG_REASSIGN: u8 = 9;
 
-/// Parses a transport fault spec (see
-/// [`crate::transport::FaultInjector::parse_with`] for the grammar)
-/// bound to the shard message vocabulary: `hello`, `plan`, `modestart`,
-/// `rows`, `factorsync`, `stats`, `shutdown`, `heartbeat`, `reassign`,
-/// or `any`.
+/// Parses a transport fault spec (see [`FaultInjector::parse_with`] for
+/// the grammar) bound to the shard message vocabulary: `hello`, `plan`,
+/// `modestart`, `rows`, `factorsync`, `stats`, `shutdown`, `heartbeat`,
+/// `reassign`, or `any`.
 ///
 /// # Errors
 /// A description of the first malformed rule.
-pub fn parse_fault_spec(spec: &str) -> Result<crate::transport::FaultInjector, String> {
-    crate::transport::FaultInjector::parse_with(spec, tag_by_name)
+pub fn parse_fault_spec(spec: &str) -> Result<FaultInjector, String> {
+    FaultInjector::parse_with(spec, tag_by_name)
 }
 
 /// Maps a lowercase message name to its frame tag — the vocabulary of
@@ -188,173 +195,8 @@ pub(crate) fn tag_by_name(name: &str) -> Option<u8> {
     })
 }
 
-/// Little-endian byte writer over a growable buffer.
-#[derive(Default)]
-struct Enc(Vec<u8>);
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    fn f64(&mut self, v: f64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-    fn usize_slice(&mut self, v: &[usize]) {
-        self.usize(v.len());
-        for &x in v {
-            self.usize(x);
-        }
-    }
-    fn f64_slice(&mut self, v: &[f64]) {
-        self.usize(v.len());
-        for &x in v {
-            self.f64(x);
-        }
-    }
-    fn opt_f64_slice(&mut self, v: Option<&[f64]>) {
-        match v {
-            None => self.bool(false),
-            Some(s) => {
-                self.bool(true);
-                self.f64_slice(s);
-            }
-        }
-    }
-    fn bytes(&mut self, v: &[u8]) {
-        self.usize(v.len());
-        self.0.extend_from_slice(v);
-    }
-    fn opt_bytes(&mut self, v: Option<&[u8]>) {
-        match v {
-            None => self.bool(false),
-            Some(b) => {
-                self.bool(true);
-                self.bytes(b);
-            }
-        }
-    }
-}
-
-/// Little-endian cursor over a received payload; every getter checks
-/// bounds so truncated or mis-tagged payloads decode to an error, never
-/// a panic.
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ShardError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| ShardError::Protocol("truncated payload".into()))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ShardError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, ShardError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4B")))
-    }
-    fn u64(&mut self) -> Result<u64, ShardError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8B")))
-    }
-    fn usize(&mut self) -> Result<usize, ShardError> {
-        usize::try_from(self.u64()?)
-            .map_err(|_| ShardError::Protocol("u64 field exceeds usize".into()))
-    }
-    fn f64(&mut self) -> Result<f64, ShardError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8B")))
-    }
-    fn bool(&mut self) -> Result<bool, ShardError> {
-        Ok(self.u8()? != 0)
-    }
-
-    /// Length-prefixed element reads guard the count against the bytes
-    /// actually present, so a corrupt length cannot force a huge
-    /// allocation.
-    fn checked_len(&self, elem_bytes: usize) -> Result<usize, ShardError> {
-        Ok((self.buf.len() - self.pos) / elem_bytes.max(1))
-    }
-
-    fn usize_vec(&mut self) -> Result<Vec<usize>, ShardError> {
-        let n = self.usize()?;
-        if n > self.checked_len(8)? {
-            return Err(ShardError::Protocol(
-                "vector length overruns payload".into(),
-            ));
-        }
-        (0..n).map(|_| self.usize()).collect()
-    }
-
-    fn f64_vec(&mut self) -> Result<Vec<f64>, ShardError> {
-        let n = self.usize()?;
-        if n > self.checked_len(8)? {
-            return Err(ShardError::Protocol(
-                "vector length overruns payload".into(),
-            ));
-        }
-        (0..n).map(|_| self.f64()).collect()
-    }
-
-    fn opt_f64_vec(&mut self) -> Result<Option<Vec<f64>>, ShardError> {
-        if self.bool()? {
-            Ok(Some(self.f64_vec()?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn bytes_vec(&mut self) -> Result<Vec<u8>, ShardError> {
-        let n = self.usize()?;
-        if n > self.checked_len(1)? {
-            return Err(ShardError::Protocol(
-                "byte-string length overruns payload".into(),
-            ));
-        }
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn opt_bytes(&mut self) -> Result<Option<Vec<u8>>, ShardError> {
-        if self.bool()? {
-            Ok(Some(self.bytes_vec()?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn finish(&self) -> Result<(), ShardError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(ShardError::Protocol("trailing bytes in payload".into()))
-        }
-    }
-}
-
 fn encode_opts(e: &mut Enc, o: &FitOptions) {
-    e.usize_slice(&o.ranks);
+    e.usizes(&o.ranks);
     e.f64(o.lambda);
     e.usize(o.max_iters);
     e.f64(o.tol);
@@ -416,8 +258,8 @@ fn encode_opts(e: &mut Enc, o: &FitOptions) {
     );
 }
 
-fn decode_opts(d: &mut Dec<'_>) -> Result<FitOptions, ShardError> {
-    let ranks = d.usize_vec()?;
+fn decode_opts(d: &mut Dec<'_>) -> wire::Result<FitOptions> {
+    let ranks = d.usizes()?;
     let lambda = d.f64()?;
     let max_iters = d.usize()?;
     let tol = d.f64()?;
@@ -425,20 +267,20 @@ fn decode_opts(d: &mut Dec<'_>) -> Result<FitOptions, ShardError> {
     let schedule = match (d.u8()?, d.usize()?) {
         (0, _) => Schedule::Static,
         (1, chunk) => Schedule::Dynamic { chunk },
-        (t, _) => return Err(ShardError::Protocol(format!("bad schedule tag {t}"))),
+        (t, _) => return Err(wire::Error::new(format!("bad schedule tag {t}"))),
     };
     let variant = match (d.u8()?, d.f64()?) {
         (0, _) => Variant::Default,
         (1, _) => Variant::Cache,
         (2, truncation_rate) => Variant::Approx { truncation_rate },
-        (t, _) => return Err(ShardError::Protocol(format!("bad variant tag {t}"))),
+        (t, _) => return Err(wire::Error::new(format!("bad variant tag {t}"))),
     };
     let seed = d.u64()?;
     let budget_bytes = d.usize()?;
     let policy = match d.u8()? {
         0 => BudgetPolicy::Spill,
         1 => BudgetPolicy::Strict,
-        t => return Err(ShardError::Protocol(format!("bad budget policy tag {t}"))),
+        t => return Err(wire::Error::new(format!("bad budget policy tag {t}"))),
     };
     let refit_core = d.bool()?;
     let sample_stride = d.usize()?;
@@ -446,15 +288,11 @@ fn decode_opts(d: &mut Dec<'_>) -> Result<FitOptions, ShardError> {
     let precision = match d.u8()? {
         0 => StoragePrecision::F64,
         1 => StoragePrecision::F32,
-        t => return Err(ShardError::Protocol(format!("bad precision tag {t}"))),
+        t => return Err(wire::Error::new(format!("bad precision tag {t}"))),
     };
     let checkpoint_every = d.usize()?;
-    let utf8_path = |bytes: Vec<u8>| {
-        String::from_utf8(bytes)
-            .map_err(|_| ShardError::Protocol("checkpoint path is not UTF-8".into()))
-    };
-    let checkpoint_path = d.opt_bytes()?.map(utf8_path).transpose()?;
-    let resume_from = d.opt_bytes()?.map(utf8_path).transpose()?;
+    let checkpoint_path = opt_utf8(d, "checkpoint path")?;
+    let resume_from = opt_utf8(d, "checkpoint path")?;
     let mut opts = FitOptions::new(ranks)
         .lambda(lambda)
         .max_iters(max_iters)
@@ -478,10 +316,35 @@ fn decode_opts(d: &mut Dec<'_>) -> Result<FitOptions, ShardError> {
     Ok(opts)
 }
 
+/// An optional UTF-8 string, sent as [`Enc::opt_bytes`].
+fn opt_utf8(d: &mut Dec<'_>, what: &str) -> wire::Result<Option<String>> {
+    d.opt_bytes()?
+        .map(|b| {
+            String::from_utf8(b.to_vec())
+                .map_err(|_| wire::Error::new(format!("{what} is not UTF-8")))
+        })
+        .transpose()
+}
+
+/// Ranges as a `u64` count, then `start`, `end` per range.
+fn encode_ranges(e: &mut Enc<'_>, ranges: &[Range<usize>]) {
+    e.usize(ranges.len());
+    for r in ranges {
+        e.usize(r.start);
+        e.usize(r.end);
+    }
+}
+
+fn decode_ranges(d: &mut Dec<'_>) -> wire::Result<Vec<Range<usize>>> {
+    let n = d.count(16)?;
+    (0..n).map(|_| Ok(d.usize()?..d.usize()?)).collect()
+}
+
 impl Message {
     /// Encodes into `(tag, payload)` for the framed transport.
     pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut e = Enc::default();
+        let mut out = Vec::new();
+        let mut e = Enc(&mut out);
         let tag = match self {
             Message::Hello {
                 version,
@@ -495,14 +358,10 @@ impl Message {
             }
             Message::Plan(p) => {
                 encode_opts(&mut e, &p.opts);
-                e.usize_slice(&p.dims);
-                e.usize_slice(&p.indices);
-                e.f64_slice(&p.values);
-                e.usize(p.ranges.len());
-                for r in &p.ranges {
-                    e.usize(r.start);
-                    e.usize(r.end);
-                }
+                e.usizes(&p.dims);
+                e.usizes(&p.indices);
+                e.f64s(&p.values);
+                encode_ranges(&mut e, &p.ranges);
                 e.opt_bytes(p.resume.as_deref());
                 e.opt_bytes(p.fault.as_ref().map(|s| s.as_bytes()));
                 TAG_PLAN
@@ -517,8 +376,8 @@ impl Message {
                 e.u64(r.lo);
                 e.u64(r.hi);
                 e.bool(r.ok);
-                e.f64_slice(&r.data);
-                e.opt_f64_slice(r.row_sse.as_deref());
+                e.f64s(&r.data);
+                e.opt_f64s(r.row_sse.as_deref());
                 TAG_ROWS
             }
             Message::FactorSync {
@@ -529,8 +388,8 @@ impl Message {
             } => {
                 e.u32(*mode);
                 e.bool(*ok);
-                e.f64_slice(data);
-                e.opt_f64_slice(row_sse.as_deref());
+                e.f64s(data);
+                e.opt_f64s(row_sse.as_deref());
                 TAG_FACTOR_SYNC
             }
             Message::Stats(s) => {
@@ -544,15 +403,11 @@ impl Message {
             Message::Shutdown => TAG_SHUTDOWN,
             Message::Heartbeat => TAG_HEARTBEAT,
             Message::Reassign { ranges } => {
-                e.usize(ranges.len());
-                for r in ranges {
-                    e.usize(r.start);
-                    e.usize(r.end);
-                }
+                encode_ranges(&mut e, ranges);
                 TAG_REASSIGN
             }
         };
-        (tag, e.0)
+        (tag, out)
     }
 
     /// Decodes a verified [`Frame`] back into a message.
@@ -560,43 +415,26 @@ impl Message {
     /// # Errors
     /// [`ShardError::Protocol`] on an unknown tag or malformed payload.
     pub fn decode(frame: &Frame) -> Result<Message, ShardError> {
-        let mut d = Dec::new(&frame.payload);
-        let msg = match frame.tag {
+        Self::decode_payload(frame.tag, &frame.payload).map_err(|e| ShardError::Protocol(e.0))
+    }
+
+    fn decode_payload(tag: u8, payload: &[u8]) -> wire::Result<Message> {
+        let mut d = Dec::new(payload);
+        let msg = match tag {
             TAG_HELLO => Message::Hello {
                 version: d.u32()?,
                 worker_id: d.u32()?,
                 workers: d.u32()?,
             },
-            TAG_PLAN => {
-                let opts = decode_opts(&mut d)?;
-                let dims = d.usize_vec()?;
-                let indices = d.usize_vec()?;
-                let values = d.f64_vec()?;
-                let n = d.usize()?;
-                let mut ranges = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    let start = d.usize()?;
-                    let end = d.usize()?;
-                    ranges.push(start..end);
-                }
-                let resume = d.opt_bytes()?;
-                let fault = d
-                    .opt_bytes()?
-                    .map(|b| {
-                        String::from_utf8(b)
-                            .map_err(|_| ShardError::Protocol("fault spec is not UTF-8".into()))
-                    })
-                    .transpose()?;
-                Message::Plan(Box::new(PlanMsg {
-                    opts,
-                    dims,
-                    indices,
-                    values,
-                    ranges,
-                    resume,
-                    fault,
-                }))
-            }
+            TAG_PLAN => Message::Plan(Box::new(PlanMsg {
+                opts: decode_opts(&mut d)?,
+                dims: d.usizes()?,
+                indices: d.usizes()?,
+                values: d.f64s()?,
+                ranges: decode_ranges(&mut d)?,
+                resume: d.opt_bytes()?.map(<[u8]>::to_vec),
+                fault: opt_utf8(&mut d, "fault spec")?,
+            })),
             TAG_MODE_START => Message::ModeStart {
                 iter: d.u64()?,
                 mode: d.u32()?,
@@ -606,14 +444,14 @@ impl Message {
                 lo: d.u64()?,
                 hi: d.u64()?,
                 ok: d.bool()?,
-                data: d.f64_vec()?,
-                row_sse: d.opt_f64_vec()?,
+                data: d.f64s()?,
+                row_sse: d.opt_f64s()?,
             }),
             TAG_FACTOR_SYNC => Message::FactorSync {
                 mode: d.u32()?,
                 ok: d.bool()?,
-                data: d.f64_vec()?,
-                row_sse: d.opt_f64_vec()?,
+                data: d.f64s()?,
+                row_sse: d.opt_f64s()?,
             },
             TAG_STATS => Message::Stats(WorkerStatsMsg {
                 rows_updated: d.u64()?,
@@ -624,17 +462,10 @@ impl Message {
             }),
             TAG_SHUTDOWN => Message::Shutdown,
             TAG_HEARTBEAT => Message::Heartbeat,
-            TAG_REASSIGN => {
-                let n = d.usize()?;
-                let mut ranges = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    let start = d.usize()?;
-                    let end = d.usize()?;
-                    ranges.push(start..end);
-                }
-                Message::Reassign { ranges }
-            }
-            t => return Err(ShardError::Protocol(format!("unknown frame tag {t}"))),
+            TAG_REASSIGN => Message::Reassign {
+                ranges: decode_ranges(&mut d)?,
+            },
+            t => return Err(wire::Error::new(format!("unknown frame tag {t}"))),
         };
         d.finish()?;
         Ok(msg)
@@ -677,6 +508,70 @@ pub fn recv<R: Read, W: Write>(chan: &mut Channel<R, W>) -> Result<Message, Shar
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptucker_transport::fnv1a;
+    use std::io;
+
+    /// The shard fault-spec grammar must keep resolving shard message
+    /// names now that parsing lives behind a resolver seam.
+    #[test]
+    fn spec_parsing_accepts_the_documented_grammar() {
+        let parse = crate::protocol::parse_fault_spec;
+        assert!(parse("send:rows:2:drop").is_ok());
+        assert!(parse("recv:any:1:corrupt; send:modestart:3:delay:250").is_ok());
+        assert!(parse("send:rows:1:kill").is_ok());
+        // Malformed specs name the offending rule.
+        assert!(parse("sideways:rows:1:drop").is_err());
+        assert!(parse("send:nosuchmsg:1:drop").is_err());
+        assert!(parse("send:rows:0:drop").is_err());
+        assert!(parse("send:rows:1:delay").is_err());
+        assert!(parse("send:rows:1:explode").is_err());
+    }
+
+    /// Golden-bytes regression for the frame layout: the
+    /// transport extraction must not have changed a single wire byte.
+    /// `[len: u32 LE][tag][payload][fnv1a(tag ‖ payload): u64 LE]`.
+    #[test]
+    fn frame_layout_is_bitwise_unchanged_after_the_transport_move() {
+        let mut wire = Vec::new();
+        Channel::new(io::empty(), &mut wire)
+            .send_frame(4, &[0xde, 0xad, 0xbe, 0xef])
+            .unwrap();
+        let mut expected = vec![5, 0, 0, 0, 4, 0xde, 0xad, 0xbe, 0xef];
+        expected.extend_from_slice(&fnv1a(&[4, 0xde, 0xad, 0xbe, 0xef]).to_le_bytes());
+        assert_eq!(wire, expected);
+        // And two published FNV-1a 64 vectors, so a silent change to the
+        // hash parameters cannot slip through either.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    /// Shard protocol messages round-trip unchanged through the extracted
+    /// transport.
+    #[test]
+    fn protocol_v2_roundtrips_through_the_shared_transport() {
+        use crate::protocol::Message;
+        let msgs = [
+            Message::Hello {
+                version: PROTOCOL_VERSION,
+                worker_id: 3,
+                workers: 4,
+            },
+            Message::ModeStart { iter: 2, mode: 1 },
+            Message::Heartbeat,
+            Message::Shutdown,
+        ];
+        let mut wire = Vec::new();
+        {
+            let mut tx = Channel::new(io::empty(), &mut wire);
+            for m in &msgs {
+                crate::protocol::send(&mut tx, m).unwrap();
+            }
+        }
+        let mut rx = Channel::new(wire.as_slice(), io::sink());
+        for m in &msgs {
+            assert_eq!(&crate::protocol::recv(&mut rx).unwrap(), m);
+        }
+    }
 
     fn roundtrip(msg: &Message) {
         let (tag, payload) = msg.encode();

@@ -29,12 +29,12 @@
 //!   respawned replacement catches up bitwise).
 
 use crate::protocol::{self, Message, PlanMsg, RowsMsg, WorkerStatsMsg};
-use crate::transport::Channel;
 use crate::{ShardError, PROTOCOL_VERSION};
 use ptucker::sync::FitSync;
 use ptucker::{FitCheckpoint, FitResult, FitStats, PTucker, PtuckerError};
 use ptucker_linalg::LinalgError;
 use ptucker_tensor::SparseTensor;
+use ptucker_transport::Channel;
 use std::io::{Read, Write};
 use std::ops::Range;
 use std::time::Instant;

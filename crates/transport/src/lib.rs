@@ -6,8 +6,8 @@
 //! A frame is `[len: u32 LE] [tag: u8] [payload: len-1 bytes]
 //! [checksum: u64 LE]` where `len` counts the tag plus the payload and
 //! the checksum is FNV-1a 64 over them. The framing carries no type
-//! information beyond the tag — message bodies are encoded by each
-//! protocol crate — and no compression: the steady-state traffic is
+//! information beyond the tag — each protocol encodes its message
+//! bodies through [`wire`] — and no compression: the steady-state traffic is
 //! factor rows and query batches, which are already dense.
 //!
 //! [`Channel`] works over any `Read`/`Write` pair — the stdin/stdout
@@ -16,6 +16,11 @@
 //! shared [`ByteCounters`], so a coordinator or server can report comms
 //! volume even after the channel has been moved onto a background I/O
 //! thread.
+//!
+//! The [`wire`] module is the one bounds-checked codec behind every
+//! format the workspace speaks — the shard and query message payloads
+//! inside frames, fit checkpoints and model files — plus the one
+//! [`fnv1a`] every checksum uses.
 //!
 //! Two seams support fault tolerance and adversarial testing:
 //!
@@ -45,17 +50,9 @@ use std::time::Duration;
 /// message the workspace produces).
 const MAX_FRAME_BYTES: u32 = 1 << 30;
 
-/// FNV-1a 64-bit over `bytes` — cheap, allocation-free, and plenty for
-/// catching framing bugs and torn pipes (this is an integrity check, not
-/// an authenticity one).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub mod wire;
+
+pub use wire::fnv1a;
 
 /// Monotonic sent/received byte totals of one [`Channel`], shared by
 /// reference so they stay readable after the channel moves to a
